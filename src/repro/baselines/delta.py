@@ -49,7 +49,8 @@ class DeltaQueueMigration(MigrationScheme):
         self.throttle_watermark = throttle_watermark
         #: Deltas ride their own channel on the same physical link, so they
         #: contend with (but do not corrupt) the bulk pre-copy stream.
-        self.delta_channel = Channel(self.env, self.fwd.link, name="delta")
+        self.delta_channel = Channel(self.env, self.fwd.link, name="delta",
+                                     sender=self.fwd.sender)
         self.extra_channels.append(self.delta_channel)
         self._outbox: deque = deque()
         self._backlog_bytes = 0

@@ -238,12 +238,11 @@ def cmd_scale(args: argparse.Namespace) -> int:
         nracks=args.racks, hosts_per_rack=args.hosts_per_rack,
         vms_per_host=args.vms_per_host, nblocks=args.nblocks,
         npages=args.npages, max_concurrent=args.concurrency,
-        seed=args.seed, workers=args.workers)
+        seed=args.seed)
     nhosts = args.racks * args.hosts_per_rack
     print(f"sharded cluster: {nhosts} hosts / "
           f"{nhosts * args.vms_per_host} VMs in {args.racks} racks "
-          f"(lookahead {cluster.engine.lookahead * 1e6:.0f} us, "
-          f"workers={args.workers})")
+          f"(lookahead {cluster.engine.lookahead * 1e6:.0f} us)")
 
     config = ChurnConfig(
         duration=args.duration, arrival_rate=args.arrival_rate,
@@ -549,11 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="per-tenant downtime budget for the SLO "
                               "report (default: none)")
-    p_scale.add_argument("--workers", choices=("inline", "fork"),
-                         default="inline",
-                         help="drain backend: advance shard groups in "
-                              "this process or in forked workers "
-                              "(default: inline)")
     p_scale.set_defaults(func=cmd_scale)
 
     p_chaos = sub.add_parser(

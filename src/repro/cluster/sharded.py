@@ -33,9 +33,8 @@ iteration order; the coordinator itself is deterministic.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -52,21 +51,6 @@ from ..vm.host import Host
 from ..vm.memory import GuestMemory
 from .accounting import LinkAudit, audit_link_bytes
 from .scheduler import ClusterScheduler, MigrationJob
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
-
-
-def _portable_error(job: MigrationJob) -> Optional[Exception]:
-    """A picklable stand-in for a job's error (forked-drain transport)."""
-    if job.error is None:
-        return None
-    try:
-        pickle.loads(pickle.dumps(job.error))
-        return job.error
-    except Exception:
-        return ReproError(f"[forked worker] {job.error!r}")
-
 
 @dataclass
 class ClusterShard:
@@ -102,12 +86,10 @@ class ShardedCluster:
     def __init__(self, engine: ShardedEngine, shards: list[ClusterShard],
                  config: MigrationConfig, link_bandwidth: float,
                  link_latency: float, inter_rack_latency: float,
-                 disk_params: tuple[float, float, float],
-                 workers: str = "inline") -> None:
+                 disk_params: tuple[float, float, float]) -> None:
         self.engine = engine
         self.shards = shards
         self.config = config
-        self.workers = workers
         self.link_bandwidth = link_bandwidth
         self.link_latency = link_latency
         self.inter_rack_latency = inter_rack_latency
@@ -118,9 +100,6 @@ class ShardedCluster:
                 self._shard_of_host[host.name] = shard
         #: Every cross-rack job submitted, in submission order.
         self.cross_jobs: list[MigrationJob] = []
-        #: id(job) -> (source shard index, destination shard index) for
-        #: every cross-rack job; drives worker-group co-location.
-        self._cross_route: dict[int, tuple[int, int]] = {}
         #: id(job) of cross-rack jobs whose engine source is still held
         #: (submitted but not yet transplanted or failed).
         self._live_cross: set[int] = set()
@@ -281,7 +260,6 @@ class ShardedCluster:
         self.engine.add_source()
         job = src_shard.scheduler.submit(domain, surrogate, scheme=scheme)
         self.cross_jobs.append(job)
-        self._cross_route[id(job)] = (src_shard.index, dst_shard.index)
         self._live_cross.add(id(job))
         src_shard.env.process(
             self._cross_watch(job, src_shard, dst_shard, destination_name,
@@ -362,23 +340,10 @@ class ShardedCluster:
     def run(self, until: Optional[float] = None) -> None:
         self.engine.run(until=until)
 
-    def drain(self, jobs: Optional[list[MigrationJob]] = None,
-              workers: Optional[str] = None,
-              nworkers: Optional[int] = None) -> list[MigrationJob]:
+    def drain(self, jobs: Optional[list[MigrationJob]] = None
+              ) -> list[MigrationJob]:
         """Advance the engine until the given jobs (default: all) have
         ended and any resulting transplants have landed.
-
-        ``workers`` overrides the cluster's configured backend for this
-        drain.  The inline backend runs everything in-process; the fork
-        backend partitions shards into independent groups (racks coupled
-        by an in-flight cross-rack migration share a group) and drains
-        each group in a forked worker, then patches job outcomes, link
-        byte counters and per-shard event counts back into this process.
-        Reports, ledgers and makespans are identical either way; after a
-        *forked* drain the parent's simulation objects (domains, shard
-        clocks/heaps) have not advanced — treat the cluster as an
-        accounting view, or drain inline when you need to keep driving
-        the same instance.
 
         Safe with perpetual background workloads: while cross-shard
         activity is in flight the engine steps conservative windows;
@@ -387,12 +352,6 @@ class ShardedCluster:
         per-shard runs are sound — and fast).
         """
         jobs = self.jobs if jobs is None else jobs
-        backend = self.workers if workers is None else workers
-        if backend == "fork":
-            return self._drain_forked(jobs, nworkers=nworkers)
-        return self._drain_inline(jobs)
-
-    def _drain_inline(self, jobs: list[MigrationJob]) -> list[MigrationJob]:
         wanted = {id(job) for job in jobs}
         while True:
             # Settle cross-rack migrations and their transplants first:
@@ -411,148 +370,6 @@ class ShardedCluster:
                 break
             for _index, (shard, procs) in sorted(pending_by_shard.items()):
                 shard.env.run(until=shard.env.all_of(procs))
-        return jobs
-
-    # -- forked drain ------------------------------------------------------
-
-    def worker_groups(self) -> list[list[int]]:
-        """Partition shard indices into independently-drainable groups.
-
-        Racks coupled by a live cross-rack migration (source still held)
-        must advance under one coordinator, so they land in one group;
-        every other rack is its own group.  Deterministic: groups are
-        ordered by their smallest member index.
-        """
-        parent = list(range(len(self.shards)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for job_id in self._live_cross:
-            src, dst = self._cross_route[job_id]
-            ri, rj = find(src), find(dst)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-        members: dict[int, list[int]] = {}
-        for i in range(len(self.shards)):
-            members.setdefault(find(i), []).append(i)
-        return [members[root] for root in sorted(members)]
-
-    def _drain_forked(self, jobs: list[MigrationJob],
-                      nworkers: Optional[int] = None) -> list[MigrationJob]:
-        """Drain each worker group in a forked child and merge results.
-
-        Each child narrows the cluster and engine to its group (its
-        copy-on-write snapshot), runs the ordinary inline drain, checks
-        per-link byte conservation, and returns job outcomes plus byte
-        and event counters.  The parent patches those onto its own job
-        objects and links, so ``makespan()``, ``link_ledger()`` and
-        ``events_processed`` read the same as after an inline drain.
-        """
-        from ..sim.parallel import fork_map
-
-        groups = self.worker_groups()
-        # Locate every requested job: (shard index, position) is stable
-        # across the fork and identifies the same job in the child.
-        locator: dict[int, tuple[int, int]] = {}
-        for shard in self.shards:
-            for pos, job in enumerate(shard.scheduler.jobs):
-                locator[id(job)] = (shard.index, pos)
-        for job in jobs:
-            if id(job) not in locator:
-                raise ReproError(
-                    f"job {job!r} is not owned by any shard scheduler")
-
-        def group_thunk(indices: list[int]):
-            index_set = set(indices)
-
-            def drain_group() -> dict:
-                eng = self.engine
-                members = [self.shards[i] for i in indices]
-                names = {shard.name for shard in members}
-                # Only this group's in-flight cross jobs hold sources
-                # here; foreign sources would pin the engine in narrow
-                # conservative windows forever.
-                group_live = sum(
-                    1 for job_id in self._live_cross
-                    if self._cross_route[job_id][0] in index_set)
-                saved = (eng._shards, eng._by_name, eng._sources,
-                         self.shards, self._shard_of_host)
-                eng._shards = [s for s in eng._shards if s.name in names]
-                eng._by_name = {s.name: s for s in eng._shards}
-                eng._sources = group_live
-                self.shards = members
-                self._shard_of_host = {h.name: s for s in members
-                                       for h in s.hosts}
-                group_jobs = [job for job in jobs
-                              if locator[id(job)][0] in index_set]
-                try:
-                    self._drain_inline(group_jobs)
-                    bad = [repr(audit) for audit in self.audits()
-                           if not audit.conserved]
-                    out: dict = {"bad_audits": bad, "jobs": [], "links": {},
-                                 "events": {}}
-                    for job in group_jobs:
-                        out["jobs"].append((
-                            locator[id(job)], job.status, job.started_at,
-                            job.ended_at, job.report, _portable_error(job)))
-                    for shard in members:
-                        out["events"][shard.index] = (
-                            shard.env.events_processed)
-                        out["links"][shard.index] = {
-                            key: (duplex.forward.bytes_sent,
-                                  duplex.backward.bytes_sent)
-                            for key, duplex
-                            in shard.migrator.topology.links.items()}
-                    return out
-                finally:
-                    released = group_live - eng._sources
-                    (eng._shards, eng._by_name, base_sources,
-                     self.shards, self._shard_of_host) = saved
-                    # On the inline fallback the drain really ran here,
-                    # so keep the sources this group released off the
-                    # restored global count.  (In a forked child this
-                    # restore dies with the process.)
-                    eng._sources = base_sources - released
-
-            return drain_group
-
-        results = fork_map([group_thunk(g) for g in groups],
-                           nworkers=nworkers)
-        bad_audits: list[str] = []
-        for result in results:
-            bad_audits.extend(result["bad_audits"])
-            for (shard_index, pos), status, started, ended, report, err \
-                    in result["jobs"]:
-                job = self.shards[shard_index].scheduler.jobs[pos]
-                job.status = status
-                job.started_at = started
-                job.ended_at = ended
-                job.report = report
-                job.error = err
-                if id(job) in self._live_cross and status in (
-                        "done", "failed"):
-                    # The child released this job's engine source in its
-                    # own copy; mirror that here so the parent engine
-                    # returns to quiescence.
-                    self._live_cross.discard(id(job))
-                    self.engine.remove_source()
-            for shard_index, events in result["events"].items():
-                self.shards[shard_index].env.events_processed = events
-            for shard_index, by_key in result["links"].items():
-                links = self.shards[shard_index].migrator.topology.links
-                for key, (fwd, bwd) in by_key.items():
-                    duplex = links.get(key)
-                    if duplex is not None:
-                        duplex.forward.bytes_sent = fwd
-                        duplex.backward.bytes_sent = bwd
-        if bad_audits:
-            raise AssertionError(
-                "per-link byte accounting not conserved in forked "
-                "drain: " + ", ".join(bad_audits))
         return jobs
 
     # -- merged accounting -------------------------------------------------
@@ -646,7 +463,6 @@ def build_sharded_cluster(
     config: Optional[MigrationConfig] = None,
     observe: bool = False,
     seed: int = 0,
-    workers: str = "inline",
     retry=None,
     health: bool = False,
     shed_threshold: Optional[float] = None,
@@ -670,7 +486,7 @@ def build_sharded_cluster(
     if not 0.0 <= prefill <= 1.0:
         raise ReproError(f"prefill fraction must be in [0, 1], got {prefill}")
     cfg = config if config is not None else MigrationConfig()
-    engine = ShardedEngine(lookahead=inter_rack_latency, workers=workers)
+    engine = ShardedEngine(lookahead=inter_rack_latency)
     shards: list[ClusterShard] = []
     filled = int(nblocks * prefill)
     for r in range(nracks):
@@ -725,5 +541,4 @@ def build_sharded_cluster(
                           link_latency=link_latency,
                           inter_rack_latency=inter_rack_latency,
                           disk_params=(disk_read_bw, disk_write_bw,
-                                       seek_time),
-                          workers=workers)
+                                       seek_time))

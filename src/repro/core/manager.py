@@ -164,9 +164,10 @@ class Migrator:
                       if cfg.compress else None)
         fwd = Channel(self.env, fwd_link, limiter=limiter,
                       name=f"mig:{source.name}->{destination.name}",
-                      compressor=compressor)
+                      compressor=compressor, sender=source)
         rev = Channel(self.env, rev_link,
-                      name=f"mig:{destination.name}->{source.name}")
+                      name=f"mig:{destination.name}->{source.name}",
+                      sender=destination)
 
         kwargs = dict(scheme_kwargs) if scheme_kwargs else {}
         partial_key = (domain.domain_id, destination.name)
@@ -199,12 +200,11 @@ class Migrator:
             # since the domain last left that destination.
             divergence = self._collect_divergence(domain, src_driver)
 
-            initial_indices = None
+            im_bitmap = None
             if (not resume and stale_key in self._stale
                     and destination.name in divergence):
                 dest_vbd = self._stale.pop(stale_key)
-                initial_indices = divergence.pop(
-                    destination.name).dirty_indices()
+                im_bitmap = divergence.pop(destination.name)
 
             # Multi-host IM: divergence maps against the *other* stale
             # hosts keep tracking on the source through pre-copy (they are
@@ -223,7 +223,7 @@ class Migrator:
                 if name.startswith(BACKUP_TRACKING_PREFIX):
                     extra_im[name] = src_driver.tracking_bitmap(name)
 
-            kwargs.update(initial_indices=initial_indices,
+            kwargs.update(im_bitmap=im_bitmap,
                           dest_vbd=dest_vbd, extra_im_bitmaps=extra_im,
                           resume=resume)
 

@@ -13,19 +13,18 @@ Phases (Fig. 1/2):
    blocks while the destination pulls on guest reads
    (:class:`~repro.core.postcopy.PostCopySynchronizer`).
 
-Incremental Migration (§V) is this same class with ``initial_indices``
-set to the IM bitmap's dirty set instead of the whole device, and with
-the destination's existing stale VBD reused instead of a fresh one.
+Incremental Migration (§V) is this same class with ``im_bitmap`` set:
+the first iteration copies that bitmap's dirty set instead of the whole
+device, and the destination's existing stale VBD is reused instead of a
+fresh one.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-import numpy as np
-
-from ..bitmap import make_bitmap
-from ..errors import MigrationError
+from ..bitmap import BlockBitmap, make_bitmap
+from ..errors import MigrationError, NetworkError
 from ..net.channel import Channel
 from ..net.messages import BitmapMsg, ControlMsg, CPUStateMsg
 from ..storage.vbd import VirtualBlockDevice
@@ -64,7 +63,7 @@ class ThreePhaseMigration(MigrationScheme):
         fwd_channel: Channel,
         rev_channel: Channel,
         config: Optional[MigrationConfig] = None,
-        initial_indices: Optional[np.ndarray] = None,
+        im_bitmap: Optional[BlockBitmap] = None,
         dest_vbd: Optional[VirtualBlockDevice] = None,
         workload_name: str = "unknown",
         extra_im_bitmaps: Optional[dict] = None,
@@ -72,8 +71,12 @@ class ThreePhaseMigration(MigrationScheme):
     ) -> None:
         super().__init__(env, domain, source, destination, fwd_channel,
                          rev_channel, config, workload_name)
-        #: IM: blocks the first iteration must transfer (None = all).
-        self.initial_indices = initial_indices
+        #: IM: the live divergence bitmap (writes since the domain left
+        #: the destination) whose dirty set the first iteration transfers;
+        #: None = the whole device.  It keeps tracking through the init
+        #: handshake and is read only when pre-copy tracking starts, so a
+        #: write in between is never missed.
+        self.im_bitmap = im_bitmap
         #: IM: reuse this stale VBD on the destination (None = fresh one).
         self.dest_vbd = dest_vbd
         #: Multi-host IM (the paper's future work, via Migrator): divergence
@@ -99,7 +102,7 @@ class ThreePhaseMigration(MigrationScheme):
         self._store = None
         #: Destination VBD of the in-flight attempt (for the failure path).
         self._dest_vbd_inflight: Optional[VirtualBlockDevice] = None
-        self.report.incremental = initial_indices is not None
+        self.report.incremental = im_bitmap is not None
 
     # -- template hooks ----------------------------------------------------
 
@@ -123,6 +126,7 @@ class ThreePhaseMigration(MigrationScheme):
         src_vbd = self.source.vbd_of(domain.domain_id)
         src_driver = self._src_driver = self.source.driver_of(
             domain.domain_id)
+        source_crashes = self.source.crash_count
         dest_vbd: Optional[VirtualBlockDevice] = None
         self._notify_phase("init")
         init_span = tracer.begin("phase:init", category="phase")
@@ -191,7 +195,10 @@ class ThreePhaseMigration(MigrationScheme):
             env, self.source.disk, src_vbd, self.destination.disk,
             dest_vbd, self.fwd, cfg, multifd=multifd, delta=disk_delta)
         self._block_streamer = block_streamer
-        initial_indices = self.initial_indices
+        # No yield from here to the pre-copier's start_tracking: every
+        # write lands either in this snapshot or in the tracking bitmap.
+        initial_indices = (self.im_bitmap.dirty_indices()
+                           if self.im_bitmap is not None else None)
         if (initial_indices is None and cfg.guest_aware
                 and self.dest_vbd is None and not self.resume):
             # Guest-aware first iteration (§VII): never-written blocks
@@ -309,7 +316,13 @@ class ThreePhaseMigration(MigrationScheme):
                     "destination memory inconsistent at end of freeze")
 
         # Harvest the final block-bitmap and ship it (the *only* disk
-        # synchronization data the downtime pays for).
+        # synchronization data the downtime pays for).  A source that
+        # crashed (and perhaps restarted) since this attempt began lost
+        # its tracking bitmap: a failed migration, not a storage fault.
+        if self.source.crash_count != source_crashes:
+            raise NetworkError(
+                f"source {self.source.name!r} crashed before the final "
+                "bitmap harvest")
         final_bitmap = src_driver.stop_tracking(TRACKING_NAME)
         if self._store is not None and self._store.is_open:
             # Committed: the source copy is now the stale one, so the

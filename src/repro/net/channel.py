@@ -25,6 +25,11 @@ Invariants the rest of the stack relies on (see docs/TRANSFER.md):
   sum over all channels routed through that link — the cluster-level
   conservation audit (:mod:`repro.cluster.accounting`) enforces this,
   including across multifd sub-channels.
+* **A send completes only for a live sender.**  A message that cleared
+  the sender's own link before its host crashed still crosses the
+  fabric (its bytes are booked), but if the sender crashed at any point
+  during the send it raises :class:`~repro.errors.NetworkError` instead
+  of returning to a process the crash killed.
 * **Compression is size-gated.**  Payloads under
   :attr:`Channel.COMPRESS_THRESHOLD` skip the compressor entirely, so
   control chatter never pays codec CPU; the compressor's per-kind ratio
@@ -63,9 +68,13 @@ class Channel:
         limiter: Optional[Limiter] = None,
         name: str = "chan",
         compressor=None,
+        sender=None,
     ) -> None:
         self.env = env
         self.link = link
+        #: The :class:`~repro.vm.host.Host` whose process sends on this
+        #: channel, or None for a sender that never crashes.
+        self.sender = sender
         self.limiter: Limiter = limiter if limiter is not None else NullLimiter()
         self.name = name
         #: Optional :class:`~repro.net.compression.Compressor` applied to
@@ -112,6 +121,8 @@ class Channel:
             nbytes = wire_payload + (message.wire_nbytes - payload)
         else:
             nbytes = message.wire_nbytes
+        sender = self.sender
+        crashes = sender.crash_count if sender is not None else 0
         if limited:
             yield from self.limiter.consume(nbytes)
         try:
@@ -130,6 +141,11 @@ class Channel:
             counter = by_category[category] = metrics.counter(
                 f"chan.{category}.bytes")
         counter.inc(nbytes)
+        if sender is not None and (sender.crashed
+                                   or sender.crash_count != crashes):
+            raise NetworkError(
+                f"{self.name}: sender {sender.name!r} crashed with the "
+                "send in flight")
         self.env.process(self._deliver(message, decompress),
                          name=f"{self.name}:deliver")
 

@@ -56,10 +56,11 @@ class MultiFD:
         self.nchannels = int(nchannels)
         prefix = name if name is not None else base.name
         #: The sub-channels, ``<base>:fd0 .. fdN-1`` — same link, shared
-        #: limiter (aggregate pacing) and compressor.
+        #: limiter (aggregate pacing), compressor and sender.
         self.channels = [
             Channel(env, base.link, limiter=base.limiter,
-                    name=f"{prefix}:fd{i}", compressor=base.compressor)
+                    name=f"{prefix}:fd{i}", compressor=base.compressor,
+                    sender=base.sender)
             for i in range(self.nchannels)
         ]
 

@@ -8,10 +8,9 @@ processes yielding events) but is implemented from scratch here.
 
 from .engine import Environment
 from .events import AllOf, AnyOf, Event, Interrupt, Timeout, NORMAL, URGENT
-from .parallel import WorkerError, fork_available, fork_map, worker_count
 from .process import Process
 from .resources import Container, PriorityResource, Request, Resource, Store
-from .sharded import Shard, ShardedEngine, WORKER_BACKENDS
+from .sharded import Shard, ShardedEngine
 from .timeline import Timeline
 
 __all__ = [
@@ -32,9 +31,4 @@ __all__ = [
     "Timeline",
     "Timeout",
     "URGENT",
-    "WORKER_BACKENDS",
-    "WorkerError",
-    "fork_available",
-    "fork_map",
-    "worker_count",
 ]

@@ -40,13 +40,10 @@ scenario produce identical states, reports, and byte ledgers.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from ..errors import SimulationError
 from .engine import Environment
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 #: A cross-shard message callback: ``fn(env)`` runs with the *target*
 #: shard's environment, at that shard's current (boundary) time.
@@ -71,27 +68,13 @@ class Shard:
                 f"inbox={len(self.inbox)}>")
 
 
-#: Valid execution backends for :class:`ShardedEngine`.
-WORKER_BACKENDS = ("inline", "fork")
-
-
 class ShardedEngine:
-    """Coordinates per-shard Environments under conservative lookahead.
+    """Coordinates per-shard Environments under conservative lookahead."""
 
-    ``workers`` selects the execution backend: ``"inline"`` (default)
-    advances every shard in this process; ``"fork"`` lets
-    :meth:`run_forked` fan independent shard groups out across forked
-    worker processes (falling back to inline where fork is unavailable).
-    """
-
-    def __init__(self, lookahead: float, workers: str = "inline") -> None:
+    def __init__(self, lookahead: float) -> None:
         if lookahead <= 0.0:
             raise SimulationError(
                 f"lookahead must be positive, got {lookahead!r}")
-        if workers not in WORKER_BACKENDS:
-            raise SimulationError(
-                f"workers must be one of {WORKER_BACKENDS}, got {workers!r}")
-        self.workers = workers
         self.lookahead = float(lookahead)
         self._shards: list[Shard] = []
         self._by_name: dict[str, Shard] = {}
@@ -241,67 +224,6 @@ class ShardedEngine:
                 if shard.env.now < final:
                     shard.env.run(until=final)
                 self._deliver_due(shard)
-
-    # -- parallel execution ------------------------------------------------
-
-    def run_forked(self, until: Optional[float] = None,
-                   extract: Optional[Callable[[Shard], object]] = None,
-                   groups: Optional[list[list[str]]] = None,
-                   nworkers: Optional[int] = None) -> dict:
-        """Advance shard groups to ``until`` in forked workers; return
-        ``{shard_name: extract(shard)}`` gathered from the children.
-
-        This is a *map*, not an in-place run: each worker owns a
-        copy-on-write snapshot, advances its groups' shards (delivering
-        any due intra-group messages through the normal conservative
-        loop), and ships back only what ``extract`` returns (which must
-        pickle; default: the shard's events/now/inbox stats).  The
-        parent's shard state is **not** advanced — callers that need
-        merged state patch it back from the extracted values (see
-        ``ShardedCluster.drain(workers="fork")``).
-
-        Without explicit ``groups`` the engine must be quiescent (each
-        shard becomes its own group); with groups, every pair of shards
-        that can exchange messages must share a group — that is the
-        caller's contract, same as :meth:`send`'s source contract.
-        """
-        from .parallel import fork_map
-
-        if extract is None:
-            def extract(shard: Shard) -> dict:
-                return dict(events=shard.env.events_processed,
-                            now=shard.env.now, inbox=len(shard.inbox))
-        if groups is None:
-            if not self.quiescent:
-                raise SimulationError(
-                    "run_forked() without groups requires a quiescent "
-                    "engine; co-locate communicating shards explicitly")
-            groups = [[shard.name] for shard in self._shards]
-        for name_list in groups:
-            for name in name_list:
-                self.shard(name)  # validate early, in the parent
-
-        def group_thunk(names: list[str]):
-            def run_group() -> dict:
-                members = [self._by_name[name] for name in names]
-                # Narrow the engine to this group.  In a forked child the
-                # narrowing is free (copy-on-write snapshot); on the
-                # inline fallback the finally puts the parent back.
-                saved = (self._shards, self._by_name)
-                self._shards = members
-                self._by_name = {shard.name: shard for shard in members}
-                try:
-                    self.run(until=until)
-                    return {shard.name: extract(shard) for shard in members}
-                finally:
-                    self._shards, self._by_name = saved
-            return run_group
-
-        merged: dict = {}
-        for result in fork_map([group_thunk(g) for g in groups],
-                               nworkers=nworkers):
-            merged.update(result)
-        return merged
 
     # -- merged views ------------------------------------------------------
 

@@ -44,6 +44,9 @@ class Host:
         #: Set by the fault injector when this machine dies; a migration
         #: touching a crashed host fails immediately.
         self.crashed = False
+        #: Crashes so far: a process that saw a different count before a
+        #: wait knows the host died (and maybe restarted) under it.
+        self.crash_count = 0
         #: Set while the machine is in a maintenance window: it keeps
         #: running its residents (and can be evacuated), but placement
         #: must never pick it as a *destination*.
@@ -201,6 +204,7 @@ class Host:
         if self.crashed:
             return
         self.crashed = True
+        self.crash_count += 1
         for domain in self._domains.values():
             if domain.running:
                 domain.suspend()

@@ -1,11 +1,14 @@
 """Faults against the sharded engine: per-shard plan splitting, clean
-cross-rack failure, surrogate-transplant rollback, and fault windows
-straddling the conservative lookahead boundary."""
+cross-rack failure, surrogate-transplant rollback, source crashes during
+the freeze, and fault windows straddling the conservative lookahead
+boundary."""
 
 import pytest
 
-from repro.cluster import build_sharded_cluster, check_invariants
-from repro.errors import ReproError
+from repro.cluster import (ChaosConfig, build_sharded_cluster,
+                           check_invariants, run_chaos)
+from repro.core import MigrationConfig
+from repro.errors import MigrationFailed, ReproError
 from repro.faults import FaultPlan
 
 SMALL = dict(nblocks=256, npages=64)
@@ -96,6 +99,46 @@ class TestCrossRackFailure:
         cluster.drain([job])
         env = cluster.shards[0].env
         assert env.metrics.counter("cluster.cross_rack.rollbacks").total == 1
+
+
+class TestSourceCrashDuringFreeze:
+    """A source crash must fail its migration with ``MigrationFailed``,
+    never let the freeze reach the bitmap harvest and raise
+    ``StorageError`` because the crash dropped the tracking bitmap."""
+
+    @pytest.mark.parametrize("seed", [592, 1139, 1411, 9028])
+    def test_queued_freeze_send_does_not_outlive_its_source(self, seed):
+        # Each seed crashes a source after its last freeze-phase message
+        # cleared the source's own link but while the message still sat
+        # in a congested rack uplink queue.  The send must not return to
+        # the migration on the dead host.
+        report = run_chaos(ChaosConfig(
+            seed=seed, mode="sharded", nracks=8, hosts_per_rack=8,
+            vms_per_host=2, njobs=64))
+        assert report.ok, report.summary()
+        assert report.failed >= 1
+        failures = [job.error for job in report.jobs if not job.succeeded]
+        assert all(isinstance(err, MigrationFailed) for err in failures)
+
+    def test_crash_and_restart_before_harvest_fails_the_attempt(self):
+        # No send between the crash and the harvest: the source dies and
+        # restarts inside the suspend overhead, so only the harvest can
+        # notice that the tracking bitmap went with it.
+        cfg = MigrationConfig(include_memory=False, suspend_overhead=0.05)
+        cluster = sharded(config=cfg)
+        expected = {d.domain_id for d in cluster.domains}
+        cluster.inject_faults(FaultPlan().crash(
+            "host00", phase="freeze", offset=0.01, down_for=0.02))
+        domain = domain_on(cluster, "host00")
+        job = cluster.submit(domain, "host02")
+        cluster.drain([job])
+
+        assert job.status == "failed"
+        assert isinstance(job.error, MigrationFailed)
+        assert job.error.report.extra["failed_phase"] == "freeze"
+        assert domain.host.name == "host00"
+        assert domain.running
+        assert check_invariants(cluster, expected) == []
 
 
 class TestLookaheadWindowBoundaries:

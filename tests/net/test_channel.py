@@ -20,6 +20,7 @@ from repro.net import (
 )
 from repro.sim import Environment
 from repro.units import MB
+from repro.vm.host import Host
 
 
 @pytest.fixture
@@ -149,6 +150,34 @@ class TestChannel:
         env.process(sender(env))
         env.run()
         assert chan.pending == 1
+
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_sender_crash_mid_send_fails_the_send(self, env, restart):
+        # 1 MB at 10 MB/s holds the wire for 0.1 s; the sender dies at
+        # 0.05 s (and, with ``restart``, is back up before the send ends).
+        host = Host(env, "src")
+        chan = Channel(env, Link(env, bandwidth=10 * MB, latency=0.01),
+                       sender=host)
+
+        def sender(env):
+            yield from chan.send(BlockDataMsg(np.arange(1), np.arange(1),
+                                              block_size=1 * MB),
+                                 category="disk")
+
+        def crash(env):
+            yield env.timeout(0.05)
+            host.crash()
+            if restart:
+                yield env.timeout(0.01)
+                host.restart()
+
+        env.process(crash(env))
+        with pytest.raises(NetworkError, match="crashed"):
+            env.run(until=env.process(sender(env)))
+        env.run()
+        # The bytes crossed the wire, so they stay booked; nothing arrives.
+        assert chan.bytes_by_category["disk"] == chan.link.bytes_sent > 0
+        assert chan.pending == 0
 
 
 class TestChannelPair:

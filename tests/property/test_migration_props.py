@@ -9,7 +9,7 @@ it holds for every schedule hypothesis finds.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import IM_TRACKING_NAME, MigrationConfig, Migrator
 from repro.sim import Environment
@@ -98,6 +98,16 @@ class TestMigrationInvariants:
 
     @given(workload_params, config_params)
     @settings(max_examples=10, deadline=None)
+    # A guest write during the IM leg's init handshake (after the divergence
+    # set was chosen, before pre-copy tracking started) was once lost.
+    @example(wl={"seed": 0, "interval": 0.003, "nblocks": 1, "region": 274,
+                 "read_mix": False},
+             cfg_params={"chunk_blocks": 128, "push_chunk": 16,
+                         "layout": "flat"})
+    @example(wl={"seed": 0, "interval": 0.003, "nblocks": 1, "region": 274,
+                 "read_mix": False},
+             cfg_params={"chunk_blocks": 128, "push_chunk": 16,
+                         "layout": "layered"})
     def test_round_trip_preserves_consistency(self, wl, cfg_params):
         env, src, dst, domain, migrator, cfg = build(cfg_params)
         guest_process(env, domain, wl)

@@ -142,44 +142,6 @@ def _run_sharded_cluster() -> dict:
     return mono
 
 
-def _run_sharded_parallel() -> dict:
-    """The same migration wave on two identical sharded clusters, one
-    drained inline and one with forked workers; asserts job outcomes,
-    makespan and byte ledgers are identical, then fixtures the (shared)
-    result.  On platforms without fork the parallel side degrades to
-    inline execution with identical semantics, so the fixture still
-    verifies."""
-    from repro.cluster import build_sharded_cluster
-
-    def run_wave(workers: str) -> dict:
-        cluster = build_sharded_cluster(nracks=2, hosts_per_rack=3,
-                                        vms_per_host=2, nblocks=512,
-                                        npages=64, max_concurrent=8,
-                                        workers=workers)
-        by_name = {domain.name: domain for domain in cluster.domains}
-        jobs = [cluster.submit(by_name[vm], dest)
-                for vm, dest in _SHARDED_MOVES]
-        if workers == "fork":
-            cluster.drain(jobs, nworkers=2)
-        else:
-            cluster.drain(jobs)
-            cluster.assert_conserved()
-        return {"reports": [_report_dict(job.report) for job in jobs],
-                "makespan": cluster.makespan(jobs),
-                "ledger": cluster.link_ledger()}
-
-    inline = run_wave("inline")
-    parallel = run_wave("fork")
-    diffs: list = []
-    _diff("parallel-vs-inline", json.loads(json.dumps(inline)),
-          json.loads(json.dumps(parallel)), diffs)
-    if diffs:
-        raise AssertionError(
-            "forked drain diverged from inline on the fixture wave:\n    "
-            + "\n    ".join(diffs[:20]))
-    return inline
-
-
 def scenarios() -> dict:
     """Name -> thunk for every fixture scenario (deterministic order)."""
     from repro.analysis.experiments import BASELINE_SCHEMES
@@ -190,7 +152,6 @@ def scenarios() -> dict:
             lambda scheme=scheme: _run_scheme(scheme))
     table["fault-retry:incremental"] = _run_fault_retry
     table["cluster:sharded-vs-monolithic"] = _run_sharded_cluster
-    table["cluster:sharded-parallel-vs-inline"] = _run_sharded_parallel
     return table
 
 
