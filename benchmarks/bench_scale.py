@@ -12,9 +12,9 @@ The scenario is intentionally heap-heavy: every VM runs a background
 (10,000 concurrent processes at full geometry), while each rack
 evacuates its first ``--evacuate-per-rack`` VMs to rack-local
 destinations.  All migrations are intra-rack, so the sharded engine
-stays on its wide-window fast path; the win is mostly locality on the
-guest write path (``BackendDriver.submit`` runs the same calls several
-times faster per shard), not parallelism (both legs are single-threaded).
+stays on its wide-window fast path; the win comes from each shard's
+smaller pending set and working set (calendar inserts, heap pops, disk
+grants), not parallelism (both legs are single-threaded).
 
 Both runs make identical simulated decisions, so the makespans must
 match exactly — the bench asserts it, making this a correctness check

@@ -75,15 +75,16 @@ class PlacementSpec:
 
 
 class HostState:
-    """The manager's cached view of one host.
+    """The manager's view of one host.
 
-    Rebuilt by :meth:`HostManager.refresh`; between refreshes the live
+    Built once per topology change (see :meth:`HostManager.refresh`).
+    Residents, up and maintenance are read live from the host, and the
     ``inbound`` mapping shared with the scheduler keeps planned load
-    current without a full rebuild.
+    current, so a cached state never goes stale between rebuilds.
     """
 
-    __slots__ = ("name", "host", "rack", "capacity", "resident",
-                 "_inbound", "up", "maintenance", "link_inflight")
+    __slots__ = ("name", "host", "rack", "capacity", "_inbound",
+                 "link_inflight")
 
     def __init__(self, host: "Host", rack: Optional[str],
                  capacity: Optional[int], inbound: dict,
@@ -94,12 +95,22 @@ class HostState:
         self.rack = rack
         #: Max domains this host may hold (None = unlimited).
         self.capacity = capacity
-        self.resident = len(host.domains)
         self._inbound = inbound
-        self.up = not host.crashed
-        self.maintenance = host.maintenance
         #: Migrations currently holding a slot on this host's uplink.
         self.link_inflight = link_inflight
+
+    @property
+    def resident(self) -> int:
+        """Domains currently attached to the host."""
+        return self.host.domain_count
+
+    @property
+    def up(self) -> bool:
+        return not self.host.crashed
+
+    @property
+    def maintenance(self) -> bool:
+        return self.host.maintenance
 
     @property
     def inbound(self) -> int:
@@ -109,7 +120,7 @@ class HostState:
     @property
     def planned_load(self) -> int:
         """Residents plus inbound — the load placement reasons about."""
-        return self.resident + self.inbound
+        return self.host.domain_count + self._inbound.get(self.name, 0)
 
     def __repr__(self) -> str:
         flags = "".join(("!" if not self.up else "",
@@ -270,20 +281,32 @@ class HostManager:
         #: by the scheduler via :meth:`note_link`.
         self._link_inflight: dict[str, int] = {}
         self._states: dict[str, HostState] = {}
+        #: The states in host-name order (what the pipeline walks).
+        self._ordered: list[HostState] = []
+        #: What the states were built from: topology revision, inbound
+        #: map and capacity.  Any of them moving forces a rebuild.
+        self._built_for: tuple = ()
         self.refresh()
 
     # -- state maintenance -------------------------------------------------
 
     def refresh(self) -> None:
-        """Rebuild every :class:`HostState` from the live topology."""
+        """Rebuild every :class:`HostState` from the live topology.
+
+        Placement calls this itself whenever the topology changed
+        (:attr:`Topology.revision <repro.net.topology.Topology.revision>`),
+        the inbound map was rewired or :attr:`capacity` changed; the
+        per-host fields that move between those events are read live.
+        """
+        topology = self.topology
         states = {}
-        for name in sorted(self.topology.hosts):
-            host = self.topology.hosts[name]
+        for name in sorted(topology.hosts):
+            host = topology.hosts[name]
             # Surrogate stand-ins for cross-shard destinations carry the
             # remote host's name but are not real capacity here.
             if getattr(host, "is_surrogate", False):
                 continue
-            rack = self.topology.rack_of(name)
+            rack = topology.rack_of(name)
             # Cache the rack on the host so PlacementSpec.source_rack is
             # O(1) even for hosts the manager hasn't seen as candidates.
             host._rack_hint = rack
@@ -291,13 +314,25 @@ class HostManager:
                 host, rack, self.capacity, self._inbound,
                 link_inflight=self._link_inflight.get(name, 0))
         self._states = states
+        self._ordered = list(states.values())
+        self._built_for = (topology.revision, self._inbound, self.capacity)
+
+    def _current(self) -> list[HostState]:
+        """The host states in name order, rebuilt first if stale."""
+        built = self._built_for
+        if (built[0] != self.topology.revision
+                or built[1] is not self._inbound
+                or built[2] != self.capacity):
+            self.refresh()
+        return self._ordered
 
     def states(self) -> list[HostState]:
         """Current host states, sorted by host name."""
-        return [self._states[name] for name in sorted(self._states)]
+        return list(self._current())
 
     def state_of(self, host: Union[str, "Host"]) -> HostState:
         name = host if isinstance(host, str) else host.name
+        self._current()
         try:
             return self._states[name]
         except KeyError:
@@ -314,44 +349,54 @@ class HostManager:
 
     # -- the pipeline ------------------------------------------------------
 
-    def _passes(self, name: str, state: HostState,
-                spec: PlacementSpec) -> bool:
-        if name == "link-headroom":
-            # The registry entry is a stub so the name resolves; the real
-            # ceiling lives on the manager.
-            if self.link_headroom is None:
-                return True
-            return state.link_inflight < self.link_headroom
-        if name == "healthy":
-            # Same stub pattern: the breakers live on the manager's
-            # HealthMonitor.
-            if self.health is None:
-                return True
-            return self.health.healthy(state.name)
-        return FILTERS[name](state, spec)
+    def _filter_chain(self) -> list[tuple[str, HostFilter]]:
+        """``(name, filter)`` for each listed filter, in order.
+
+        ``link-headroom`` and ``healthy`` are registry stubs whose real
+        check lives on the manager; they drop out of the chain while the
+        manager leaves them disabled (they could not eliminate anything).
+        """
+        chain = []
+        for name in self.filter_names:
+            if name == "link-headroom":
+                ceiling = self.link_headroom
+                if ceiling is None:
+                    continue
+                chain.append((name, lambda state, spec:
+                              state.link_inflight < ceiling))
+            elif name == "healthy":
+                health = self.health
+                if health is None:
+                    continue
+                chain.append((name, lambda state, spec:
+                              health.healthy(state.name)))
+            else:
+                chain.append((name, FILTERS[name]))
+        return chain
 
     def filter_hosts(self, spec: PlacementSpec,
                      exclude: Iterable[str] = ()) -> list[HostState]:
         """Hard-constraint pass: states surviving every filter, sorted by
         name.  Raises :class:`NoValidHost` when nothing survives."""
-        self.refresh()
         excluded = set(exclude)
         if spec.source is not None:
             excluded.add(spec.source.name)
-        survivors = [s for n, s in sorted(self._states.items())
-                     if n not in excluded]
-        eliminated: dict[str, int] = {}
-        for name in self.filter_names:
-            kept = []
-            for state in survivors:
-                if self._passes(name, state, spec):
-                    kept.append(state)
-                else:
-                    eliminated[name] = eliminated.get(name, 0) + 1
-            survivors = kept
-            if not survivors:
-                break
+        chain = self._filter_chain()
+        survivors = []
+        dropped: dict[str, int] = {}
+        for state in self._current():
+            if state.name in excluded:
+                continue
+            for name, keep in chain:
+                if not keep(state, spec):
+                    dropped[name] = dropped.get(name, 0) + 1
+                    break
+            else:
+                survivors.append(state)
         if not survivors:
+            # Breakdown in filter order, as the chain applies them.
+            eliminated = {name: dropped[name] for name, _ in chain
+                          if name in dropped}
             detail = ", ".join(f"{k}:{v}" for k, v in eliminated.items())
             raise NoValidHost(
                 f"no valid host for "
@@ -360,26 +405,34 @@ class HostManager:
                 eliminated=eliminated)
         return survivors
 
+    def _score(self, state: HostState, spec: PlacementSpec) -> float:
+        score = 0.0
+        for name, weight in self.weigher_spec:
+            score += weight * WEIGHERS[name](state, spec)
+        return score
+
     def weigh_hosts(self, states: Sequence[HostState],
                     spec: PlacementSpec) -> list[tuple[float, HostState]]:
         """Soft-preference pass: ``(score, state)`` sorted best-first.
 
         Deterministic: equal scores order by host name.
         """
-        scored = []
-        for state in states:
-            score = 0.0
-            for name, weight in self.weigher_spec:
-                score += weight * WEIGHERS[name](state, spec)
-            scored.append((score, state))
+        scored = [(self._score(state, spec), state) for state in states]
         scored.sort(key=lambda pair: (-pair[0], pair[1].name))
         return scored
 
     def select(self, spec: PlacementSpec,
                exclude: Iterable[str] = ()) -> "Host":
-        """Run the full pipeline and return the winning host."""
-        survivors = self.filter_hosts(spec, exclude=exclude)
-        return self.weigh_hosts(survivors, spec)[0][1].host
+        """Run the full pipeline and return the winning host: the best
+        score, ties to the lowest host name (as :meth:`weigh_hosts`)."""
+        best, best_score = None, 0.0
+        # Survivors come in name order, so keeping the first of equal
+        # scores is the name tie-break.
+        for state in self.filter_hosts(spec, exclude=exclude):
+            score = self._score(state, spec)
+            if best is None or score > best_score:
+                best, best_score = state, score
+        return best.host
 
     def select_for(self, domain: "Domain",
                    exclude: Iterable[str] = ()) -> "Host":

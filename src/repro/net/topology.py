@@ -134,6 +134,17 @@ class Topology:
         #: the sharded drain loop queries the bound per window, and the
         #: fabric scan is O(links) each time without the cache.
         self._lookahead_cache: "float | None" = None
+        #: Cached :meth:`rack_of` answers, dropped with the lookahead.
+        self._rack_cache: dict[str, Optional[str]] = {}
+        #: Bumped by every mutation; views derived from the topology (the
+        #: HostManager's host states) rebuild when it moves.
+        self.revision = 0
+
+    def _changed(self) -> None:
+        """Drop every cached view after a mutation."""
+        self._lookahead_cache = None
+        self._rack_cache.clear()
+        self.revision += 1
 
     # -- construction ------------------------------------------------------
 
@@ -151,8 +162,9 @@ class Topology:
         if name_a == name_b:
             raise MigrationError(f"cannot connect {name_a!r} to itself")
         for node, name in ((a, name_a), (b, name_b)):
-            if not isinstance(node, str):
+            if not isinstance(node, str) and self.hosts.get(name) is not node:
                 self.hosts[name] = node
+                self._changed()
         existing = (self.links.get((name_a, name_b))
                     or self.links.get((name_b, name_a)))
         if existing is not None:
@@ -169,7 +181,7 @@ class Topology:
         self.links[(name_a, name_b)] = link
         self._adjacency.setdefault(name_a, set()).add(name_b)
         self._adjacency.setdefault(name_b, set()).add(name_a)
-        self._lookahead_cache = None
+        self._changed()
         return link
 
     def duplex_between(self, a: NodeRef, b: NodeRef
@@ -202,7 +214,7 @@ class Topology:
             raise MigrationError(
                 f"unknown tier {tier!r} (expected one of {TIERS})")
         self.tiers[_node_name(node)] = tier
-        self._lookahead_cache = None
+        self._changed()
 
     def tier_of(self, node: NodeRef) -> str:
         """The node's tier tag (defaulted — see :attr:`tiers`)."""
@@ -216,13 +228,15 @@ class Topology:
         """The rack-tier switch this host hangs off, or None.
 
         Deterministic: a host wired to several rack switches reports the
-        lexicographically first.
+        lexicographically first.  Cached until the next :meth:`connect`
+        or :meth:`tag`.
         """
         name = _node_name(host)
-        for neighbour in sorted(self._adjacency.get(name, ())):
-            if self.tier_of(neighbour) == "rack":
-                return neighbour
-        return None
+        if name not in self._rack_cache:
+            self._rack_cache[name] = min(
+                (neighbour for neighbour in self._adjacency.get(name, ())
+                 if self.tier_of(neighbour) == "rack"), default=None)
+        return self._rack_cache[name]
 
     def racks(self) -> dict[str, list[str]]:
         """rack switch name -> sorted host names wired to it."""

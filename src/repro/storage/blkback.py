@@ -5,8 +5,9 @@ backend driver in Domain0.  The paper modifies ``blkback`` to (a) intercept
 writes and mark dirtied blocks in the block-bitmap, and (b) during post-copy
 on the destination, intercept *all* requests so reads of still-dirty blocks
 can be pulled from the source.  This class is that driver for the simulated
-testbed: one instance per host, fronting the host's physical disk and the
-attached VBDs.
+testbed: :meth:`Host.attach_domain <repro.vm.host.Host.attach_domain>`
+creates one instance per attached domain, fronting that domain's VBD and
+the host's physical disk (shared by every driver on the host).
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..bitmap.base import BlockBitmap
-from ..errors import StorageError
+from ..errors import MigrationError, StorageError
 from .block import IOKind, IORequest
 from .disk import PhysicalDisk
 from .vbd import VirtualBlockDevice
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment
+    from ..vm.domain import Domain
 
 #: An interceptor receives a request and yields sim events; it returns True
 #: if it fully handled the request (timing included), False to fall through
@@ -31,7 +33,7 @@ WriteObserver = Callable[[IORequest], None]
 
 
 class BackendDriver:
-    """Intercepting block backend for one host."""
+    """Intercepting block backend for one attached domain."""
 
     def __init__(
         self,
@@ -124,32 +126,70 @@ class BackendDriver:
 
     # -- request path ----------------------------------------------------
 
-    def submit(self, request: IORequest) -> Generator:
-        """Serve one guest request; ``yield from`` inside a process."""
+    def submit(self, request: IORequest,
+               guest: Optional["Domain"] = None) -> Generator:
+        """Serve one request; ``yield from`` inside a process.
+
+        ``guest`` is the domain issuing the request, as
+        :meth:`~repro.vm.domain.Domain.io` passes it.  When the request
+        first runs it then waits while the guest is suspended, moves to
+        the driver of the guest's current host if the guest migrated in
+        between, and, for a write under auto-converge, stretches the
+        request to ``write_throttle ×`` its natural duration.
+
+        This is the one generator frame of a guest I/O: the disk's
+        queue-and-service steps run here rather than in a nested
+        :meth:`PhysicalDisk.io <repro.storage.disk.PhysicalDisk.io>`.
+        """
+        stretch = 0.0
+        if guest is not None:
+            if not guest.running:
+                yield from guest.ensure_running()
+            driver = guest.driver
+            if driver is not self:
+                if driver is None:
+                    raise MigrationError(f"{guest} is not attached to a host")
+                request.block_size = driver.vbd.block_size
+                yield from driver.submit(request, guest)
+                return
+            if request.kind is IOKind.WRITE:
+                # Auto-converge: QEMU slows the vCPU; stretching the I/O
+                # has the same closed-loop effect on the dirty rate.
+                stretch = guest.write_throttle - 1.0
         env = self.env
         request.issue_time = env.now
         self._inflight += 1
         try:
+            handled = False
             if self.interceptor is not None:
                 handled = yield from self.interceptor(request)
-                if handled:
-                    return
-            # Inlined serve_direct(): one less generator frame on the path
-            # every guest I/O takes (serve_direct stays for the post-copy
-            # receiver, which performs its own timing).
-            if self._tracking and request.kind is IOKind.WRITE:
-                overhead = self.tracking_op_overhead
-                if overhead:
-                    yield env.timeout(overhead)
-            yield from self.disk.io(request.nbytes,
-                                    request.kind is IOKind.WRITE)
-            self.apply(request)
+            if not handled:
+                is_write = request.kind is IOKind.WRITE
+                if self._tracking and is_write:
+                    overhead = self.tracking_op_overhead
+                    if overhead:
+                        yield env.timeout(overhead)
+                disk = self.disk
+                nbytes = request.nbytes
+                grant = disk.spindle.request()
+                try:
+                    yield grant
+                    service = disk.service(nbytes, is_write)
+                    yield service
+                finally:
+                    disk.spindle.release(grant)
+                disk.account(service, nbytes, is_write)
+                self.apply(request)
         finally:
             self._inflight -= 1
             if self._inflight == 0:
                 drained, self._drained = self._drained, []
                 for event in drained:
                     event.succeed()
+        if stretch:
+            stall = (env.now - request.issue_time) * stretch
+            if stall > 0.0:
+                yield env.timeout(stall)
 
     def submit_coalesced(self, requests: list[IORequest]) -> Generator:
         """Serve several same-kind guest requests under ONE disk reservation.

@@ -22,6 +22,7 @@ from .memory import GuestMemory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment, Event
+    from ..storage.blkback import BackendDriver
     from .host import Host
 
 
@@ -58,8 +59,11 @@ class Domain:
         #: ``~1/factor`` — the actuator of
         #: :class:`~repro.core.converge.AutoConvergeController`.
         self.write_throttle = 1.0
-        #: The host currently executing this domain (set by Host.attach).
+        #: The host currently executing this domain, and the backend
+        #: driver serving its disk there (both set by Host.attach_domain,
+        #: cleared by Host.detach_domain).
         self.host: Optional["Host"] = None
+        self.driver: Optional["BackendDriver"] = None
         #: Event that fires on resume; recreated on each suspend.
         self._resumed: Optional["Event"] = None
         #: Lifecycle timestamps of the most recent suspend/resume.
@@ -111,31 +115,23 @@ class Domain:
     # -- guest operations ------------------------------------------------
 
     def io(self, kind: IOKind, block: int, nblocks: int = 1) -> Generator:
-        """Issue one disk request through the current host's backend driver."""
-        # Inlined ensure_running(): this runs once per guest I/O, and the
-        # extra generator frame costs more than the state check it guards.
-        while self.state is DomainState.SUSPENDED:
-            yield self._resumed
-        host = self.host
-        if host is None:
+        """Issue one disk request through the current host's backend driver.
+
+        Returns the request's generator; ``yield from`` it inside a
+        process.  The whole guest path runs in that one frame,
+        :meth:`~repro.storage.blkback.BackendDriver.submit` with this
+        domain as the guest: the suspend gate, the auto-converge throttle
+        and the choice of host all apply when the request first runs, not
+        when this method is called.  Raises :class:`MigrationError` when
+        the domain is not attached to a host.
+        """
+        driver = self.driver
+        if driver is None:
             raise MigrationError(f"{self} is not attached to a host")
-        # One placement lookup: the driver owns the same VBD the host
-        # registered for this domain at attach time.
-        driver = host.driver_of(self.domain_id)
-        request = IORequest(kind, block, nblocks, domain_id=self.domain_id,
-                            block_size=driver.vbd.block_size)
-        throttle = self.write_throttle
-        if throttle != 1.0 and kind is IOKind.WRITE:
-            # Auto-converge: stretch the write to throttle× its natural
-            # duration (QEMU slows the vCPU; stretching the I/O has the
-            # same closed-loop effect on the storage dirty rate).
-            started = self.env.now
-            yield from driver.submit(request)
-            stall = (self.env.now - started) * (throttle - 1.0)
-            if stall > 0.0:
-                yield self.env.timeout(stall)
-        else:
-            yield from driver.submit(request)
+        return driver.submit(
+            IORequest(kind, block, nblocks, domain_id=self.domain_id,
+                      block_size=driver.vbd.block_size),
+            self)
 
     def read(self, block: int, nblocks: int = 1) -> Generator:
         return self.io(IOKind.READ, block, nblocks)
@@ -153,10 +149,9 @@ class Domain:
         """
         while self.state is DomainState.SUSPENDED:
             yield self._resumed
-        host = self.host
-        if host is None:
+        driver = self.driver
+        if driver is None:
             raise MigrationError(f"{self} is not attached to a host")
-        driver = host.driver_of(self.domain_id)
         block_size = driver.vbd.block_size
         requests = [IORequest(kind, int(first), int(nblocks),
                               domain_id=self.domain_id, block_size=block_size)

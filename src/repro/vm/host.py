@@ -97,6 +97,7 @@ class Host:
         self._vbds[domain.domain_id] = vbd
         self._drivers[domain.domain_id] = driver
         domain.host = self
+        domain.driver = driver
         return driver
 
     def detach_domain(self, domain_id: int) -> tuple[Domain, VirtualBlockDevice]:
@@ -109,6 +110,7 @@ class Host:
         vbd = self._vbds.pop(domain_id)
         self._drivers.pop(domain_id)
         domain.host = None
+        domain.driver = None
         return domain, vbd
 
     # -- lookups ---------------------------------------------------------
@@ -138,6 +140,11 @@ class Host:
     @property
     def domains(self) -> list[Domain]:
         return list(self._domains.values())
+
+    @property
+    def domain_count(self) -> int:
+        """Number of attached domains (without building :attr:`domains`)."""
+        return len(self._domains)
 
     # -- durable bitmap stores -------------------------------------------
 

@@ -6,9 +6,10 @@ dirty-marking, ...) is only admissible when it is *behavior-preserving*:
 the optimized simulator must produce :class:`~repro.core.MigrationReport`
 objects bit-identical to fixtures captured before the optimization.  This
 script runs a fixed set of deterministic scenarios — all five registered
-migration schemes plus one fault-injected incremental-retry run — and
-compares every field of every report (floats included, exactly) against
-``tests/fixtures/equivalence.json``.
+migration schemes, one fault-injected incremental-retry run, and two
+cluster waves (sharded against monolithic, and HostManager placement
+under churn) — and compares every field of every report (floats
+included, exactly) against ``tests/fixtures/equivalence.json``.
 
 Usage::
 
@@ -142,6 +143,69 @@ def _run_sharded_cluster() -> dict:
     return mono
 
 
+def _run_placement_burst() -> dict:
+    """Pipeline-placed moves on a monolithic 3-rack cluster: a burst of
+    ``place()`` + ``submit(replaceable=True)`` with a host crash and a
+    maintenance window landing mid-burst, then one evacuation and one
+    rebalance.  Pins every placement decision the HostManager makes,
+    including admission-time re-placement of jobs whose destination
+    went away."""
+    from repro.cluster import ClusterScheduler, HostManager, build_cluster
+
+    bed = build_cluster(nhosts=9, vms_per_host=2, wiring="rack",
+                        rack_size=3, nblocks=512, npages=64,
+                        max_concurrent=3)
+    topology = bed.migrator.topology
+    # A richer pipeline than the default: capacity, uplink headroom and
+    # three weighers, on a scheduler that rewires the manager onto its
+    # own inbound map.
+    manager = HostManager(
+        topology, filters=("up", "capacity", "affinity", "link-headroom"),
+        weighers=(("least-loaded", 1.0), ("locality", 0.5),
+                  ("spread", 0.25)),
+        capacity=4, link_headroom=2)
+    scheduler = ClusterScheduler(bed.env, bed.migrator, max_concurrent=3,
+                                 config=bed.config, hostmanager=manager)
+    domains = sorted(bed.domains, key=lambda d: d.domain_id)
+    movers = [domains[i] for i in (0, 3, 7, 8, 11, 13, 16)]
+
+    burst, chosen = [], []
+    for i, domain in enumerate(movers):
+        if i == 3:
+            # Mid-burst: the first pick dies and the second drains, so
+            # their queued jobs are re-placed at admission.
+            bed.host(chosen[0]).crash()
+            bed.host(chosen[1]).enter_maintenance()
+        destination = scheduler.place(domain)
+        chosen.append(destination.name)
+        burst.append(scheduler.submit(domain, destination,
+                                      replaceable=True))
+    scheduler.drain(burst)
+    bed.host(chosen[0]).restart()
+    evacuated = scheduler.evacuate(bed.host("host04"))
+    scheduler.drain(evacuated)
+    bed.host(chosen[1]).exit_maintenance()
+    rebalanced = scheduler.rebalance()
+    scheduler.drain(rebalanced)
+
+    def outcome(jobs) -> list:
+        return [{"domain": job.domain.name,
+                 "destination": job.destination.name,
+                 "status": job.status,
+                 "ended_at": job.ended_at,
+                 "report": (_report_dict(job.report)
+                            if job.report is not None else None)}
+                for job in jobs]
+
+    return {"chosen": chosen,
+            "burst": outcome(burst),
+            "evacuate": outcome(evacuated),
+            "rebalance": outcome(rebalanced),
+            "loads": {host.name: len(host.domains) for host in bed.hosts},
+            "final_now": bed.env.now,
+            "ledger": _ledger(topology)}
+
+
 def scenarios() -> dict:
     """Name -> thunk for every fixture scenario (deterministic order)."""
     from repro.analysis.experiments import BASELINE_SCHEMES
@@ -152,6 +216,7 @@ def scenarios() -> dict:
             lambda scheme=scheme: _run_scheme(scheme))
     table["fault-retry:incremental"] = _run_fault_retry
     table["cluster:sharded-vs-monolithic"] = _run_sharded_cluster
+    table["cluster:placement-burst"] = _run_placement_burst
     return table
 
 
