@@ -9,6 +9,11 @@ quotes:
   re-dirtied block re-sends as a small delta.  Helps exactly the
   rewrite-heavy workloads (Bonnie++, kernel build); streaming writers
   (video) never re-send and gain nothing.
+* **delta-evict** — the same cache at 1/64 of the device, smaller than
+  the set Bonnie++ re-dirties, so it evicts throughout and re-sends of
+  evicted blocks ship whole.  Every such run must report evictions;
+  on Bonnie++ it must also hit on some re-sends but fewer than the
+  device-sized cache does.
 * **multifd** — 4 striped sub-channels over the same wire.  Byte totals
   are unchanged (the NIC is the bottleneck, not per-channel CPU here);
   every run is checked against the per-link byte-conservation audit.
@@ -58,6 +63,7 @@ def variants(scale: float) -> dict[str, dict]:
     return {
         "baseline": {},
         "delta": dict(delta_cache_mb=cache),
+        "delta-evict": dict(delta_cache_mb=cache / 64),
         "multifd": dict(multifd_channels=4),
         "auto-converge": dict(auto_converge=True),
         "all": dict(delta_cache_mb=cache, multifd_channels=4,
@@ -85,11 +91,32 @@ def migrate_once(workload: str, scale: float, overrides: dict,
     return report, cfg
 
 
+def check_evicting_cache(workload: str, stats: dict,
+                         device_hits: int) -> None:
+    """The evicting cache must have evicted.  On Bonnie++, whose
+    re-dirtied set exceeds it, it must also still hit on some re-sends
+    and miss on others the device-sized cache hit: re-dirtied blocks
+    were evicted between their sends, so hits and evictions mix."""
+    if not stats["evictions"]:
+        raise AssertionError(
+            f"{workload}: the evicting delta cache never evicted")
+    if workload == "bonnie" and not 0 < stats["hits"] < device_hits:
+        raise AssertionError(
+            f"{workload}: evicting cache hit {stats['hits']} re-sends, "
+            f"expected some but fewer than the device-sized cache's "
+            f"{device_hits}")
+
+
 def ablation_table(workloads, scale: float) -> None:
     rows = []
     for workload in workloads:
         for name, overrides in variants(scale).items():
             report, _cfg = migrate_once(workload, scale, overrides)
+            if name == "delta":
+                device_hits = report.extra["delta_disk"]["hits"]
+            if name == "delta-evict":
+                check_evicting_cache(workload, report.extra["delta_disk"],
+                                     device_hits)
             saved = (report.extra.get("delta_disk", {}).get("bytes_saved", 0)
                      + report.extra.get("delta_mem", {}).get("bytes_saved",
                                                              0))

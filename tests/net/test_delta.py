@@ -1,7 +1,11 @@
 """Unit and integration tests for the XBZRLE-style delta cache."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetworkError
 from repro.net import BlockDataMsg, DeltaCache
@@ -100,6 +104,105 @@ class TestDeltaCache:
         doc = json.loads(json.dumps(cache.summary()))
         assert doc["hits"] == 4 and doc["misses"] == 4
         assert doc["bytes_saved"] > 0
+
+
+class ReferenceLRU:
+    """The cache as a plain ``OrderedDict`` LRU, one unit at a time: the
+    behaviour the array-backed :class:`DeltaCache` must reproduce."""
+
+    def __init__(self, capacity_nbytes, unit_nbytes):
+        self.unit_nbytes = unit_nbytes
+        self.capacity_units = max(int(capacity_nbytes) // unit_nbytes, 1)
+        self.delta_unit_nbytes = max(int(unit_nbytes / 8.0), 1)
+        self.encode_throughput = 800 * MiB
+        self.lru = OrderedDict()
+        self.hits = self.misses = self.evictions = self.bytes_saved = 0
+
+    def __len__(self):
+        return len(self.lru)
+
+    def encode(self, env, msg):
+        hits = 0
+        for index in np.asarray(msg.indices).tolist():
+            if index in self.lru:
+                hits += 1
+                self.lru.move_to_end(index)
+            else:
+                self.lru[index] = None
+                if len(self.lru) > self.capacity_units:
+                    self.lru.popitem(last=False)
+                    self.evictions += 1
+        misses = len(msg.indices) - hits
+        encoded = (hits * (self.delta_unit_nbytes + UNIT_LOCATOR_NBYTES)
+                   + misses * (self.unit_nbytes + UNIT_LOCATOR_NBYTES))
+        self.bytes_saved += msg.payload_nbytes - encoded
+        msg.encoded_nbytes = encoded
+        self.hits += hits
+        self.misses += misses
+        if hits:
+            yield env.timeout(
+                hits * self.unit_nbytes / self.encode_throughput)
+
+
+def message_stream(universe, max_len):
+    """Messages of unit indices below ``universe``: duplicates allowed,
+    each message sorted or left in drawn order."""
+    message = st.tuples(
+        st.lists(st.integers(0, universe - 1), max_size=max_len),
+        st.booleans()).map(lambda drawn: sorted(drawn[0]) if drawn[1]
+                           else drawn[0])
+    return st.lists(message, min_size=1, max_size=40)
+
+
+@st.composite
+def cache_and_stream(draw):
+    capacity = draw(st.integers(1, 24))
+    # A universe far above capacity makes the working set thrash; a
+    # large sparse one makes the recency arrays grow mid-stream.
+    universe = draw(st.sampled_from((1, 4, capacity + 1, 4 * capacity,
+                                     64, 5000)))
+    return capacity, draw(message_stream(universe, 3 * capacity + 4))
+
+
+def assert_matches_reference(capacity, stream):
+    cache = DeltaCache(capacity * BLOCK, BLOCK)
+    ref = ReferenceLRU(capacity * BLOCK, BLOCK)
+    env, ref_env = Environment(), Environment()
+    for step, indices in enumerate(stream):
+        msg = encode(env, cache, indices)
+        ref_msg = encode(ref_env, ref, indices)
+        got = (msg.encoded_nbytes, cache.hits, cache.misses,
+               cache.evictions, cache.bytes_saved, len(cache), env.now)
+        want = (ref_msg.encoded_nbytes, ref.hits, ref.misses,
+                ref.evictions, ref.bytes_saved, len(ref), ref_env.now)
+        assert got == want, f"message {step} {indices}: {got} != {want}"
+
+
+class TestAgainstReferenceLRU:
+    @settings(max_examples=300, deadline=None)
+    @given(cache_and_stream())
+    # Capacity 1: every miss evicts the previous unit.
+    @example((1, [[0, 1, 0], [1], [1, 1, 2]]))
+    # Unit 0 is evicted by 2 and re-sent later in the same message.
+    @example((2, [[0, 1], [2, 0, 1]]))
+    @example((2, [[0, 1, 2, 0, 3, 0]]))
+    # Duplicates within one message hit on their second occurrence.
+    @example((4, [[5, 5, 5], [5, 6, 6, 7]]))
+    def test_matches_ordered_dict_lru(self, case):
+        assert_matches_reference(*case)
+
+    def test_thrashing_sorted_stream(self):
+        rng = np.random.default_rng(7)
+        stream = [np.sort(rng.choice(400, 48, replace=False)).tolist()
+                  for _ in range(200)]
+        assert_matches_reference(32, stream)
+
+    def test_fits_then_overflows(self):
+        # Bulk all-fits sends, then messages whose misses overflow the
+        # free room, then a message larger than the cache itself.
+        stream = [list(range(0, 8)), list(range(8, 12)), list(range(4, 20)),
+                  list(range(100, 140)), list(range(130, 90, -1))]
+        assert_matches_reference(16, stream)
 
 
 class TestDeltaMigration:

@@ -6,9 +6,10 @@ dirty-marking, ...) is only admissible when it is *behavior-preserving*:
 the optimized simulator must produce :class:`~repro.core.MigrationReport`
 objects bit-identical to fixtures captured before the optimization.  This
 script runs a fixed set of deterministic scenarios — all five registered
-migration schemes, one fault-injected incremental-retry run, and two
+migration schemes, one fault-injected incremental-retry run, two
 cluster waves (sharded against monolithic, and HostManager placement
-under churn) — and compares every field of every report (floats
+under churn), and a delta-cached transfer stack at two cache sizes — and
+compares every field of every report (floats
 included, exactly) against ``tests/fixtures/equivalence.json``.
 
 Usage::
@@ -206,6 +207,42 @@ def _run_placement_burst() -> dict:
             "ledger": _ledger(topology)}
 
 
+def _run_delta_stack() -> dict:
+    """Rewrite-heavy bonnie migration over 4 multifd lanes with
+    auto-converge and an XBZRLE-style delta cache at two sizes.  Pins
+    every delta hit, miss and eviction through the report and the
+    ``delta_disk``/``delta_mem`` summaries."""
+    from repro.analysis.experiments import FULL_DISK_BLOCKS, build_testbed
+    from repro.core import MigrationConfig
+    from repro.units import MiB
+
+    scale = 0.01
+    vbd_mb = max(int(FULL_DISK_BLOCKS * scale), 256) * 4096 / MiB
+    runs = {}
+    # "vbd" covers the whole device, so it never evicts; 8 MiB is 2,048
+    # blocks, fewer than the ~3,600 bonnie re-dirties, so it evicts and
+    # still hits.
+    for label, cache_mb in (("vbd", vbd_mb), ("8mb", 8.0)):
+        config = MigrationConfig(delta_cache_mb=cache_mb,
+                                 multifd_channels=4, auto_converge=True)
+        bed = build_testbed("bonnie", scale=scale, seed=0, config=config)
+        bed.start_workload()
+        bed.run_for(10.0)
+        report = bed.migrate()
+        disk = report.extra["delta_disk"]
+        if (disk["evictions"] > 0) != (label != "vbd") or not disk["hits"]:
+            raise AssertionError(
+                f"delta-stack run {label!r} did not exercise its path "
+                f"({disk}); fixture would be meaningless")
+        runs[label] = {
+            "report": _report_dict(report),
+            "delta_disk": disk,
+            "delta_mem": report.extra["delta_mem"],
+            "final_now": bed.env.now,
+            "workload_bytes": bed.workload.bytes_processed}
+    return runs
+
+
 def scenarios() -> dict:
     """Name -> thunk for every fixture scenario (deterministic order)."""
     from repro.analysis.experiments import BASELINE_SCHEMES
@@ -217,6 +254,7 @@ def scenarios() -> dict:
     table["fault-retry:incremental"] = _run_fault_retry
     table["cluster:sharded-vs-monolithic"] = _run_sharded_cluster
     table["cluster:placement-burst"] = _run_placement_burst
+    table["transfer:delta-stack"] = _run_delta_stack
     return table
 
 
