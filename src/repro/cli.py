@@ -185,17 +185,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_evacuate(args: argparse.Namespace) -> int:
     """Evacuate one host of a simulated cluster through the scheduler."""
-    from .cluster import RoundRobin, build_cluster, least_loaded
+    from .cluster import build_cluster
 
     bed = build_cluster(
         nhosts=args.hosts, vms_per_host=args.vms_per_host,
         wiring=args.wiring, nblocks=args.nblocks, npages=args.npages,
         max_concurrent=args.concurrency, per_link_limit=args.per_link_limit,
         observe=args.trace is not None)
-    policy = (RoundRobin() if args.policy == "round-robin"
-              else least_loaded)
     victim = bed.hosts[0]
-    jobs = bed.scheduler.evacuate(victim, policy=policy, scheme=args.scheme)
+    jobs = bed.scheduler.evacuate(victim, scheme=args.scheme)
     bed.scheduler.drain(jobs)
     print(f"evacuated {victim.name}: {len(jobs)} VMs, "
           f"makespan {fmt_time(bed.scheduler.makespan(jobs))}")
@@ -495,8 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_evac.add_argument("--per-link-limit", type=int, default=None,
                         help="max in-flight migrations per link "
                              "(default: unlimited)")
-    p_evac.add_argument("--policy", choices=("least-loaded", "round-robin"),
-                        default="least-loaded", help="placement policy")
     p_evac.add_argument("--scheme", choices=scheme_names(aliases=True), default="tpm",
                         help="migration scheme (default: tpm)")
     p_evac.add_argument("--nblocks", type=int, default=2048,

@@ -5,12 +5,12 @@ Builds the layer above the point-to-point
 :class:`~repro.cluster.scheduler.ClusterScheduler` that runs many
 migrations concurrently over a shared
 :class:`~repro.net.topology.Topology` with admission control and
-per-link in-flight limits, placement policies for evacuation and
-rebalancing, a per-link byte-conservation audit, and a failure-recovery
-stack — per-host circuit breakers (:mod:`~repro.cluster.health`),
-retry with re-placement and dead-lettering
-(:class:`~repro.cluster.scheduler.RetryPolicy`), and a seeded chaos
-harness (:mod:`~repro.cluster.chaos`).
+per-link in-flight limits, one HostManager placement pipeline for
+evacuation and rebalancing, a per-link byte-conservation audit, and a
+failure-recovery stack — per-host circuit breakers
+(:mod:`~repro.cluster.health`), retry with re-placement and
+dead-lettering (:class:`~repro.cluster.scheduler.RetryPolicy`), and a
+seeded chaos harness (:mod:`~repro.cluster.chaos`).
 
 Typical use::
 
@@ -29,7 +29,6 @@ from .churn import ChurnConfig, ChurnGenerator
 from .health import CircuitBreaker, HealthMonitor
 from .hostmanager import (HostManager, HostState, PlacementSpec,
                           register_filter, register_weigher)
-from .placement import RoundRobin, least_loaded, pack_smallest_name
 from .scheduler import (ClusterScheduler, JobFailure, MigrationJob,
                         RetryPolicy)
 from .sharded import ShardedCluster, build_sharded_cluster
@@ -54,7 +53,6 @@ __all__ = [
     "NoValidHost",
     "PlacementSpec",
     "RetryPolicy",
-    "RoundRobin",
     "SLOReport",
     "ShardedCluster",
     "TenantSLO",
@@ -63,9 +61,7 @@ __all__ = [
     "build_cluster",
     "build_sharded_cluster",
     "check_invariants",
-    "least_loaded",
     "makespan_percentiles",
-    "pack_smallest_name",
     "register_filter",
     "register_weigher",
     "run_chaos",

@@ -411,20 +411,10 @@ class HostManager:
             score += weight * WEIGHERS[name](state, spec)
         return score
 
-    def weigh_hosts(self, states: Sequence[HostState],
-                    spec: PlacementSpec) -> list[tuple[float, HostState]]:
-        """Soft-preference pass: ``(score, state)`` sorted best-first.
-
-        Deterministic: equal scores order by host name.
-        """
-        scored = [(self._score(state, spec), state) for state in states]
-        scored.sort(key=lambda pair: (-pair[0], pair[1].name))
-        return scored
-
     def select(self, spec: PlacementSpec,
                exclude: Iterable[str] = ()) -> "Host":
         """Run the full pipeline and return the winning host: the best
-        score, ties to the lowest host name (as :meth:`weigh_hosts`)."""
+        weighted score, ties to the lowest host name."""
         best, best_score = None, 0.0
         # Survivors come in name order, so keeping the first of equal
         # scores is the name tie-break.
@@ -433,11 +423,6 @@ class HostManager:
             if best is None or score > best_score:
                 best, best_score = state, score
         return best.host
-
-    def select_for(self, domain: "Domain",
-                   exclude: Iterable[str] = ()) -> "Host":
-        """Convenience: place ``domain`` off its current host."""
-        return self.select(PlacementSpec(domain=domain), exclude=exclude)
 
     def __repr__(self) -> str:
         return (f"<HostManager {len(self._states)} hosts "

@@ -18,10 +18,7 @@ contend for links.  :class:`ClusterScheduler` turns the point-to-point
 * **placement** — every destination decision (evacuate, rebalance, and
   re-placement of queued jobs whose target died) flows through one
   :class:`~repro.cluster.hostmanager.HostManager` filter/weigher
-  pipeline.  Legacy :mod:`repro.cluster.placement` callables are still
-  accepted — they run against the manager's *filtered* candidate list,
-  so even custom policies can no longer pick a crashed or
-  in-maintenance host.
+  pipeline, so no choice can land on a crashed or in-maintenance host.
 
 Failed migrations are contained: the job records the
 :class:`~repro.errors.MigrationFailed` and the scheduler moves on.
@@ -37,7 +34,6 @@ from ..core.metrics import MigrationReport
 from ..errors import AdmissionRejected, MigrationError, NoValidHost
 from ..sim import Resource
 from .hostmanager import HostManager, PlacementSpec
-from .placement import PlacementPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.config import MigrationConfig
@@ -219,14 +215,6 @@ class ClusterScheduler:
         """Jobs queued for admission."""
         return self._admission.queue_length
 
-    def planned_load(self) -> dict[str, int]:
-        """Host name -> resident domains + inbound scheduled migrations."""
-        loads = {name: len(host.domains)
-                 for name, host in self.migrator.topology.hosts.items()}
-        for name, inbound in self._inbound.items():
-            loads[name] = loads.get(name, 0) + inbound
-        return loads
-
     # -- submission --------------------------------------------------------
 
     def _shed_check(self) -> None:
@@ -339,6 +327,20 @@ class ClusterScheduler:
             domain=job.domain.name, attempts=job.attempts,
             failure=str(job.failure) if job.failure else None)
 
+    def _fail_unstarted(self, job: MigrationJob, exc: MigrationError,
+                        phase: str) -> None:
+        """Fail and dead-letter a job that never reached the migrator
+        (one attempt, no health charge)."""
+        job.status = "failed"
+        job.error = exc
+        job.attempts = 1
+        job.failures.append(JobFailure(
+            error_type=type(exc).__name__, message=str(exc), phase=phase,
+            attempt=1, at=self.env.now, destination=job.destination.name))
+        job.ended_at = self.env.now
+        self._inbound[job.destination.name] -= 1
+        self._dead_letter(job)
+
     def _retry_replacement(self, job: MigrationJob, domain: "Domain",
                            destination: "Host", attempt: int,
                            failure: Exception) -> Optional["Host"]:
@@ -389,17 +391,9 @@ class ClusterScheduler:
             yield admission
             source = job.domain.host
             if source is None:
-                job.status = "failed"
-                job.error = MigrationError(
-                    f"{job.domain} is not running on any host")
-                job.attempts = 1
-                job.failures.append(JobFailure(
-                    error_type="MigrationError", message=str(job.error),
-                    phase="admission", attempt=1, at=env.now,
-                    destination=job.destination.name))
-                job.ended_at = env.now
-                self._inbound[job.destination.name] -= 1
-                self._dead_letter(job)
+                self._fail_unstarted(job, MigrationError(
+                    f"{job.domain} is not running on any host"),
+                    phase="admission")
                 return
             if job.replaceable and (
                     not job.destination.available
@@ -413,16 +407,7 @@ class ClusterScheduler:
                     replacement = self.hostmanager.select(
                         PlacementSpec(domain=job.domain))
                 except NoValidHost as exc:
-                    job.status = "failed"
-                    job.error = exc
-                    job.attempts = 1
-                    job.failures.append(JobFailure(
-                        error_type="NoValidHost", message=str(exc),
-                        phase="placement", attempt=1, at=env.now,
-                        destination=job.destination.name))
-                    job.ended_at = env.now
-                    self._inbound[job.destination.name] -= 1
-                    self._dead_letter(job)
+                    self._fail_unstarted(job, exc, phase="placement")
                     return
                 tracer.instant("cluster:replace", category="cluster",
                                domain=job.domain.name,
@@ -524,44 +509,23 @@ class ClusterScheduler:
 
     # -- bulk operations ---------------------------------------------------
 
-    def _candidates(self, exclude: "Host",
-                    domain: Optional["Domain"] = None) -> list["Host"]:
-        """Hosts the placement pipeline allows as destinations, sorted by
-        name.  Crashed and in-maintenance hosts never appear (the filter
-        chain's ``up`` filter), so legacy policy callables can no longer
-        pick a dead target mid-churn."""
-        spec = PlacementSpec(domain=domain, source=exclude)
-        states = self.hostmanager.filter_hosts(spec)
-        return [state.host for state in states]
+    def place(self, domain: "Domain") -> "Host":
+        """Choose a destination for one domain through the HostManager
+        filter/weigher pipeline."""
+        return self.hostmanager.select(PlacementSpec(domain=domain))
 
-    def place(self, domain: "Domain",
-              policy: Optional[PlacementPolicy] = None) -> "Host":
-        """Choose a destination for one domain.
-
-        Without ``policy`` the HostManager filter/weigher pipeline
-        decides; a legacy :data:`PlacementPolicy` callable is honoured
-        but only sees pipeline-filtered candidates.
-        """
-        if policy is None:
-            return self.hostmanager.select(PlacementSpec(domain=domain))
-        candidates = self._candidates(domain.host, domain=domain)
-        return policy(domain, candidates, self.planned_load())
-
-    def evacuate(self, host: "Host",
-                 policy: Optional[PlacementPolicy] = None,
-                 scheme: str = "tpm",
+    def evacuate(self, host: "Host", scheme: str = "tpm",
                  workload_name: str = "unknown") -> list[MigrationJob]:
         """Schedule every domain off ``host`` (maintenance drain).
 
-        Destinations flow through the HostManager pipeline (or a legacy
-        ``policy`` callable over its filtered candidates) against planned
-        load, so a burst of simultaneous placements spreads across the
-        cluster.  Returns the submitted jobs; drive the env (or
-        :meth:`drain`) to execute them.
+        Destinations flow through the HostManager pipeline against
+        planned load, so a burst of simultaneous placements spreads
+        across the cluster.  Returns the submitted jobs; drive the env
+        (or :meth:`drain`) to execute them.
         """
         jobs = []
         for domain in sorted(host.domains, key=lambda d: d.domain_id):
-            destination = self.place(domain, policy)
+            destination = self.place(domain)
             # submit() bumps the shared inbound map, so the next
             # placement in this burst already sees the planned load.
             jobs.append(self.submit(domain, destination, scheme=scheme,
@@ -571,21 +535,25 @@ class ClusterScheduler:
                                 host=host.name, jobs=len(jobs))
         return jobs
 
-    def rebalance(self, policy: Optional[PlacementPolicy] = None,
-                  scheme: str = "tpm") -> list[MigrationJob]:
+    def rebalance(self, scheme: str = "tpm") -> list[MigrationJob]:
         """One pass of load spreading: move domains off hosts above the
-        ceiling of the mean planned load onto pipeline-chosen targets."""
+        ceiling of the mean planned load onto pipeline-chosen targets.
+
+        Loads come from the manager's host states, so cross-rack
+        surrogate stand-ins are neither counted nor drained.
+        """
         jobs: list[MigrationJob] = []
-        loads = self.planned_load()
-        hosts = sorted(self.migrator.topology.hosts.values(),
-                       key=lambda h: h.name)
-        if not hosts:
+        states = self.hostmanager.states()
+        if not states:
             return jobs
-        total = sum(loads.get(h.name, 0) for h in hosts)
-        ceiling = -(-total // len(hosts))  # ceil(mean)
-        for host in hosts:
+        # Running load: planned load as this pass's moves will leave it
+        # (a source keeps its domains resident until the move commits).
+        loads = {state.name: state.planned_load for state in states}
+        ceiling = -(-sum(loads.values()) // len(states))  # ceil(mean)
+        for state in states:
+            host = state.host
             scheduled: set[int] = set()
-            while loads.get(host.name, 0) > ceiling:
+            while loads[host.name] > ceiling:
                 # Domains already submitted are still resident until their
                 # migration commits — skip them, don't re-pick them.
                 movable = [d for d in host.domains
@@ -593,23 +561,17 @@ class ClusterScheduler:
                 if not movable:
                     break
                 domain = min(movable, key=lambda d: d.domain_id)
+                full = [name for name, load in loads.items()
+                        if load >= ceiling]
                 try:
-                    below = [c for c in self._candidates(host, domain=domain)
-                             if loads.get(c.name, 0) < ceiling]
+                    destination = self.hostmanager.select(
+                        PlacementSpec(domain=domain, source=host),
+                        exclude=full)
                 except NoValidHost:
-                    below = []
-                if not below:
                     break
-                if policy is None:
-                    survivors = [self.hostmanager.state_of(c) for c in below]
-                    spec = PlacementSpec(domain=domain, source=host)
-                    destination = self.hostmanager.weigh_hosts(
-                        survivors, spec)[0][1].host
-                else:
-                    destination = policy(domain, below, loads)
                 scheduled.add(domain.domain_id)
                 loads[host.name] -= 1
-                loads[destination.name] = loads.get(destination.name, 0) + 1
+                loads[destination.name] += 1
                 jobs.append(self.submit(domain, destination, scheme=scheme,
                                         replaceable=True))
         self.env.tracer.instant("cluster:rebalance", category="cluster",

@@ -150,19 +150,29 @@ class TestWeighers:
         assert second != first
 
     def test_weigher_combo_weighted_sum(self):
-        bed = rack_bed(vms_per_host=1)
-        inbound = {"host00": 0, "host01": 3}
-        manager = HostManager(bed.migrator.topology,
-                              weighers=(("least-loaded", 1.0),
-                                        ("spread", 0.1)),
-                              inbound=inbound)
-        scored = manager.weigh_hosts(
-            manager.filter_hosts(PlacementSpec()), PlacementSpec())
-        by_name = {state.name: score for score, state in scored}
-        # host01: planned 1+3=4 -> -4.0 - 0.3; host00: -1.0 - 0.0
-        assert by_name["host00"] == pytest.approx(-1.0)
-        assert by_name["host01"] == pytest.approx(-4.3)
-        assert scored[0][1].name == "host00"
+        bed = rack_bed(vms_per_host=3)
+        for name, keep in (("host00", 0), ("host01", 1)):
+            host = bed.host(name)
+            for domain in host.domains[keep:]:
+                host.detach_domain(domain.domain_id)
+        # Planned load: host00 0+2, host01 1+1, the rest 3+0.
+        inbound = {"host00": 2, "host01": 1}
+        topology = bed.migrator.topology
+
+        def winner(weighers):
+            manager = HostManager(topology, weighers=weighers,
+                                  inbound=inbound)
+            return manager.select(PlacementSpec()).name
+
+        # host00 and host01 tie on load, so the name picks host00; the
+        # 0.1 spread term (-0.2 vs -0.1) flips it to host01, which is
+        # neither weigher's choice alone (spread alone picks host02).
+        assert winner((("least-loaded", 1.0),)) == "host00"
+        assert winner((("spread", 1.0),)) == "host02"
+        assert winner((("least-loaded", 1.0), ("spread", 0.1))) == "host01"
+        # At weight 2 the spread term outweighs load: host01 scores
+        # -2 - 2 = -4 against host02's -3.
+        assert winner((("least-loaded", 1.0), ("spread", 2.0))) == "host02"
 
 
 class TestRegistry:

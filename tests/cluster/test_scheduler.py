@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.cluster import (RoundRobin, assert_conserved, audit_link_bytes,
-                           build_cluster, least_loaded, pack_smallest_name)
+from repro.cluster import (HostManager, JobFailure, NoValidHost,
+                           PlacementSpec, assert_conserved, audit_link_bytes,
+                           build_cluster)
 from repro.errors import MigrationError, ReproError
-from repro.vm import Domain, GuestMemory
+from repro.storage import PhysicalDisk
+from repro.vm import Domain, GuestMemory, Host
 
 SMALL = dict(nblocks=256, npages=64)
 
@@ -171,28 +173,71 @@ class TestRebalance:
         bed = build_cluster(nhosts=3, vms_per_host=2, **SMALL)
         assert bed.scheduler.rebalance() == []
 
+    def test_rebalance_ignores_surrogate_hosts(self):
+        # A shard's topology holds stand-ins for cross-rack destinations.
+        # One holding in-flight domains is neither load to average over
+        # nor a host to drain.
+        bed = self._lopsided()
+        surrogate = Host(bed.env, "host99", PhysicalDisk(bed.env),
+                         bed.hosts[0].clock)
+        surrogate.is_surrogate = True
+        bed.migrator.topology.connect(surrogate, "switch", 1e9, 1e-4)
+        for v in range(6):
+            vbd = surrogate.prepare_vbd(SMALL["nblocks"])
+            domain = Domain(bed.env,
+                            GuestMemory(SMALL["npages"],
+                                        clock=surrogate.clock),
+                            name=f"vm-inflight-{v}")
+            surrogate.attach_domain(domain, vbd)
+        jobs = bed.scheduler.rebalance()
+        assert all(job.domain.host is bed.hosts[0] for job in jobs)
+        # ceil(4/3) = 2 over the three real hosts; counting the
+        # surrogate would give ceil(10/4) = 3 and move only one.
+        assert len(jobs) == 2
+        bed.scheduler.drain(jobs)
+        assert all(job.succeeded for job in jobs)
+        assert [len(h.domains) for h in bed.hosts] == [2, 1, 1]
+        assert len(surrogate.domains) == 6
+
 
 class TestPolicies:
+    """The retired placement policies as HostManager weigher settings."""
+
     def test_round_robin_cycles_destinations(self):
+        # ``spread`` on a single burst from zero inbound load fans out
+        # in host-name order, as round-robin did.
         bed = build_cluster(nhosts=4, vms_per_host=3, **SMALL)
-        jobs = bed.scheduler.evacuate(bed.hosts[0], policy=RoundRobin())
+        bed.scheduler.hostmanager.weigher_spec = [("spread", 1.0)]
+        jobs = bed.scheduler.evacuate(bed.hosts[0])
         assert [j.destination.name for j in jobs] == [
             "host01", "host02", "host03"]
         bed.scheduler.drain(jobs)
         assert all(job.succeeded for job in jobs)
 
+    def test_round_robin_ignores_resident_load(self):
+        bed = build_cluster(nhosts=4, vms_per_host=3, **SMALL)
+        for host in bed.hosts[2:]:
+            for domain in list(host.domains):
+                host.detach_domain(domain.domain_id)
+        bed.scheduler.hostmanager.weigher_spec = [("spread", 1.0)]
+        jobs = bed.scheduler.evacuate(bed.hosts[0])
+        assert [j.destination.name for j in jobs] == [
+            "host01", "host02", "host03"]
+
     def test_pack_smallest_name_concentrates(self):
+        # No weighers: every score ties and the host name decides.
         bed = build_cluster(nhosts=4, vms_per_host=2, **SMALL)
-        jobs = bed.scheduler.evacuate(bed.hosts[0],
-                                      policy=pack_smallest_name)
+        bed.scheduler.hostmanager.weigher_spec = []
+        jobs = bed.scheduler.evacuate(bed.hosts[0])
         assert {j.destination.name for j in jobs} == {"host01"}
         bed.scheduler.drain(jobs)
         assert len(bed.hosts[1].domains) == 4
 
     def test_least_loaded_prefers_lightest_host(self):
         bed = build_cluster(nhosts=3, vms_per_host=0, **SMALL)
-        loads = {"host01": 3, "host02": 1}
-        pick = least_loaded(None, bed.hosts[1:], loads)
+        manager = HostManager(bed.migrator.topology,
+                              inbound={"host01": 3, "host02": 1})
+        pick = manager.select(PlacementSpec(source=bed.hosts[0]))
         assert pick is bed.hosts[2]
 
 
@@ -232,8 +277,60 @@ class TestFailureContainment:
                                    bed.hosts[2])
         bed.scheduler.drain([job])
         assert job.status == "failed"
-        loads = bed.scheduler.planned_load()
-        assert loads["host02"] == 1  # resident only, no stuck inbound
+        # Resident only, no stuck inbound.
+        assert bed.scheduler.hostmanager.state_of(
+            "host02").planned_load == 1
+
+
+class TestUnstartedFailures:
+    """Jobs that fail before reaching the migrator: one attempt, one
+    structured failure, a dead letter and no stuck inbound count."""
+
+    @staticmethod
+    def assert_dead_lettered(bed, job, error_type, phase, destination):
+        assert job.status == "failed"
+        assert job.attempts == 1 and job.started_at is None
+        assert job.failures == [JobFailure(
+            error_type=error_type, message=str(job.error), phase=phase,
+            attempt=1, at=job.ended_at, destination=destination)]
+        assert [j is job for j in bed.scheduler.dead_letter] == [True]
+        assert bed.scheduler.hostmanager.state_of(destination).inbound == 0
+        metrics = bed.env.metrics
+        assert metrics.get("cluster.jobs.dead_letter").total == 1
+        assert metrics.get("cluster.jobs.failed") is None
+        assert metrics.get("cluster.jobs.attempt_failures") is None
+        [letter] = [i for i in bed.env.tracer.instants
+                    if i.name == "cluster:dead-letter"]
+        assert letter.at == job.ended_at
+        assert letter.args == {"domain": job.domain.name, "attempts": 1,
+                               "failure": str(job.failure)}
+
+    def test_homeless_domain_fails_at_admission(self):
+        bed = build_cluster(nhosts=2, vms_per_host=1, observe=True,
+                            **SMALL)
+        stray = Domain(bed.env, GuestMemory(SMALL["npages"],
+                                            clock=bed.hosts[0].clock),
+                       name="stray")
+        job = bed.scheduler.submit(stray, bed.hosts[1])
+        bed.scheduler.drain([job])
+        self.assert_dead_lettered(bed, job, "MigrationError", "admission",
+                                  "host01")
+
+    def test_no_valid_host_at_replacement_fails_in_placement(self):
+        bed = build_cluster(nhosts=2, vms_per_host=1, max_concurrent=1,
+                            observe=True, **SMALL)
+        # The blocker holds the only admission slot while the evacuation
+        # target enters maintenance, leaving nowhere to re-place to.
+        blocker = bed.scheduler.submit(bed.domains_on(bed.hosts[1])[0],
+                                       bed.hosts[0])
+        [job] = bed.scheduler.evacuate(bed.hosts[0])
+        assert job.destination is bed.hosts[1]
+        bed.hosts[1].enter_maintenance()
+        bed.scheduler.drain([blocker, job])
+        assert blocker.succeeded
+        assert isinstance(job.error, NoValidHost)
+        self.assert_dead_lettered(bed, job, "NoValidHost", "placement",
+                                  "host01")
 
 
 class TestReplaceablePlacement:

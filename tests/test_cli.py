@@ -88,3 +88,36 @@ class TestCommands:
                      "--scale", "0.02"]) == 0
         out = capsys.readouterr().out
         assert "locality" in out and "rewrite fraction" in out
+
+
+class TestEvacuate:
+    SMALL = ["--nblocks", "256", "--npages", "64"]
+
+    @staticmethod
+    def destinations(out):
+        """``{vm: destination}`` from the per-job lines of the report."""
+        rows = [line.split() for line in out.splitlines()
+                if line.startswith("  vm-")]
+        assert all(row[1] == "->" and row[3] == "done" for row in rows)
+        return {row[0]: row[2] for row in rows}
+
+    def test_star_spreads_one_vm_per_host(self, capsys):
+        assert main(["evacuate", "--hosts", "4",
+                     "--vms-per-host", "3", *self.SMALL]) == 0
+        out = capsys.readouterr().out
+        assert "evacuated host00: 3 VMs" in out
+        assert "per-link byte accounting: conserved" in out
+        assert self.destinations(out) == {
+            "vm-host00-0": "host01", "vm-host00-1": "host02",
+            "vm-host00-2": "host03"}
+
+    def test_full_wiring_wraps_around(self, capsys):
+        assert main(["evacuate", "--hosts", "3",
+                     "--vms-per-host", "7", "--wiring", "full",
+                     *self.SMALL]) == 0
+        out = capsys.readouterr().out
+        assert "evacuated host00: 7 VMs" in out
+        assert "per-link byte accounting: conserved" in out
+        assert self.destinations(out) == {
+            f"vm-host00-{v}": ("host01", "host02")[v % 2]
+            for v in range(7)}
