@@ -7,21 +7,18 @@ processes yielding events) but is implemented from scratch here.
 """
 
 from .engine import Environment
-from .events import AllOf, AnyOf, Event, Interrupt, Timeout, NORMAL, URGENT
+from .events import AllOf, Event, Interrupt, Timeout, NORMAL, URGENT
 from .process import Process
-from .resources import Container, PriorityResource, Request, Resource, Store
+from .resources import Request, Resource, Store
 from .sharded import Shard, ShardedEngine
 from .timeline import Timeline
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
     "NORMAL",
-    "PriorityResource",
     "Process",
     "Request",
     "Resource",

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
 from typing import Any, Iterable, Optional
 
 from ..errors import SimulationError, StaleSchedulingError
 from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import NULL_TRACER
-from .events import AllOf, AnyOf, Event, Timeout, NORMAL
+from .events import AllOf, Event, Timeout, NORMAL
 from .process import Process, ProcessGenerator
 
 
@@ -60,7 +59,7 @@ class Environment:
     #: Target mean bucket occupancy when sizing the bucket width.
     _CAL_OCCUPANCY = 64
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_process",
+    __slots__ = ("_now", "_queue", "_eid",
                  "tracer", "metrics", "events_processed",
                  "_far", "_far_keys", "_far_count",
                  "_cal_width", "_cal_k", "_cal_threshold")
@@ -82,7 +81,6 @@ class Environment:
         self._cal_k = 0
         self._cal_threshold = int(calendar_threshold or 0)
         self._eid = 0
-        self._active_process: Optional[Process] = None
         #: Span/instant recorder (:class:`repro.obs.Tracer` when installed).
         self.tracer = NULL_TRACER
         #: Counter/gauge/histogram registry
@@ -98,11 +96,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event factories -------------------------------------------------
 
@@ -120,9 +113,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------
 
@@ -262,24 +252,8 @@ class Environment:
         * ``until=<number>`` — run until the clock reaches that time.
         * ``until=<Event>`` — run until that event is processed and return
           its value (raising if it failed).
-
-        With a live metrics registry installed, every call also refreshes
-        the ``engine.events_per_sec`` gauge (events dispatched per *host*
-        second during this call) so traces show engine load alongside the
-        simulated-time spans.
         """
-        if not self.metrics.enabled:
-            return self._run(until)
-        start_events = self.events_processed
-        start_wall = perf_counter()
-        try:
-            return self._run(until)
-        finally:
-            elapsed = perf_counter() - start_wall
-            dispatched = self.events_processed - start_events
-            if elapsed > 0 and dispatched:
-                self.metrics.gauge("engine.events_per_sec").set(
-                    dispatched / elapsed)
+        return self._run(until)
 
     def _run(self, until: "float | Event | None") -> Any:
         queue = self._queue

@@ -169,25 +169,20 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay!r}>"
 
 
-class Condition(Event):
-    """Waits for a combination of events (base for :class:`AllOf`/:class:`AnyOf`).
+class AllOf(Event):
+    """Fires when *all* constituent events have fired, or fails with the
+    first constituent failure.
 
-    The condition's value is a dict mapping each *triggered* constituent
-    event to its value, in original order.
+    The value is a dict mapping each *processed* constituent event to its
+    value, in original order.
     """
 
-    __slots__ = ("_events", "_count", "_evaluate")
+    __slots__ = ("_events", "_count")
 
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self._events = list(events)
         self._count = 0
-        self._evaluate = evaluate
 
         for event in self._events:
             if event.env is not env:
@@ -218,19 +213,5 @@ class Condition(Event):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
+        elif self._count == len(self._events):
             self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Fires when *all* constituent events have fired."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, lambda events, count: count >= len(events), events)
-
-
-class AnyOf(Condition):
-    """Fires as soon as *any* constituent event has fired."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, lambda events, count: count >= 1, events)

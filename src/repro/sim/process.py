@@ -87,7 +87,6 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
         env = self.env
-        env._active_process = self
         gen = self._generator
         send = gen.send
 
@@ -100,12 +99,10 @@ class Process(Event):
                     next_event = gen.throw(event._value)
             except StopIteration as stop:
                 self._target = None
-                env._active_process = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
                 self._target = None
-                env._active_process = None
                 self.fail(exc)
                 return
 
@@ -115,12 +112,10 @@ class Process(Event):
                     "processes may only yield Event instances"
                 )
                 self._target = None
-                env._active_process = None
                 self.fail(SimulationError(msg))
                 return
             if next_event.env is not env:
                 self._target = None
-                env._active_process = None
                 self.fail(SimulationError(
                     "process yielded an event from a different environment"))
                 return
@@ -129,7 +124,6 @@ class Process(Event):
                 # Not yet processed: park until it fires.
                 next_event.callbacks.append(self._resume)
                 self._target = next_event
-                env._active_process = None
                 return
 
             # Already processed (e.g. an event triggered earlier this step):

@@ -1,4 +1,4 @@
-"""Shared-resource primitives: :class:`Resource`, :class:`Store`, :class:`Container`.
+"""Shared-resource primitives: :class:`Resource` and :class:`Store`.
 
 These model contention — e.g. a physical disk that can serve a bounded
 number of in-flight operations, or a bounded queue of migration messages.
@@ -132,12 +132,6 @@ class Resource:
             request.succeed()
 
 
-class PriorityResource(Resource):
-    """Alias emphasising priority-aware granting (the base already supports it)."""
-
-    __slots__ = ()
-
-
 class Store:
     """An unbounded-or-bounded FIFO of Python objects with blocking get/put."""
 
@@ -182,66 +176,3 @@ class Store:
                 self.items.append(item)
                 putter.succeed()
 
-
-class Container:
-    """A homogeneous quantity (e.g. bytes of budget) with blocking get/put."""
-
-    __slots__ = ("env", "capacity", "_level", "_getters", "_putters")
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"container capacity must be positive, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise SimulationError(f"initial level {init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: deque[tuple[Event, float]] = deque()
-        self._putters: deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimulationError(f"cannot put negative amount {amount}")
-        event = Event(self.env)
-        self._putters.append((event, amount))
-        self._dispatch()
-        return event
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimulationError(f"cannot get negative amount {amount}")
-        if amount > self.capacity:
-            raise SimulationError(
-                f"get({amount}) can never be satisfied (capacity {self.capacity})")
-        event = Event(self.env)
-        self._getters.append((event, amount))
-        self._dispatch()
-        return event
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                event, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    event.succeed()
-                    progress = True
-            if self._getters:
-                event, amount = self._getters[0]
-                if amount <= self._level:
-                    self._getters.popleft()
-                    self._level -= amount
-                    event.succeed()
-                    progress = True

@@ -191,48 +191,6 @@ class BackendDriver:
             if stall > 0.0:
                 yield env.timeout(stall)
 
-    def submit_coalesced(self, requests: list[IORequest]) -> Generator:
-        """Serve several same-kind guest requests under ONE disk reservation.
-
-        Opt-in fast path: the batch pays one queue slot and one seek for
-        the whole run instead of one per request, which **changes simulated
-        timing** relative to sequential :meth:`submit` calls — callers that
-        need bit-identical results must not coalesce.  Falls back to
-        sequential submission while a post-copy interceptor is installed
-        (interception is defined per request) or for a single request.
-        """
-        if not requests:
-            return
-        if self.interceptor is not None or len(requests) == 1:
-            for request in requests:
-                yield from self.submit(request)
-            return
-        kind = requests[0].kind
-        for request in requests[1:]:
-            if request.kind is not kind:
-                raise StorageError("cannot coalesce mixed read/write requests")
-        env = self.env
-        now = env.now
-        total_bytes = 0
-        for request in requests:
-            request.issue_time = now
-            total_bytes += request.nbytes
-        self._inflight += 1
-        try:
-            if self._tracking and kind is IOKind.WRITE:
-                overhead = self.tracking_op_overhead
-                if overhead:
-                    yield env.timeout(overhead * len(requests))
-            yield from self.disk.io(total_bytes, kind is IOKind.WRITE)
-            for request in requests:
-                self.apply(request)
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                drained, self._drained = self._drained, []
-                for event in drained:
-                    event.succeed()
-
     @property
     def inflight(self) -> int:
         """Guest requests currently in flight through this driver."""

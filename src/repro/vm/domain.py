@@ -139,37 +139,6 @@ class Domain:
     def write(self, block: int, nblocks: int = 1) -> Generator:
         return self.io(IOKind.WRITE, block, nblocks)
 
-    def io_batch(self, kind: IOKind, extents) -> Generator:
-        """Issue several same-kind requests as one coalesced disk operation.
-
-        ``extents`` is an iterable of ``(first_block, nblocks)``.  Opt-in:
-        the batch shares a single disk reservation (one seek), so timing
-        differs from issuing the requests one by one — see
-        :meth:`~repro.storage.blkback.BackendDriver.submit_coalesced`.
-        """
-        while self.state is DomainState.SUSPENDED:
-            yield self._resumed
-        driver = self.driver
-        if driver is None:
-            raise MigrationError(f"{self} is not attached to a host")
-        block_size = driver.vbd.block_size
-        requests = [IORequest(kind, int(first), int(nblocks),
-                              domain_id=self.domain_id, block_size=block_size)
-                    for first, nblocks in extents]
-        throttle = self.write_throttle
-        if throttle != 1.0 and kind is IOKind.WRITE:
-            started = self.env.now
-            yield from driver.submit_coalesced(requests)
-            stall = (self.env.now - started) * (throttle - 1.0)
-            if stall > 0.0:
-                yield self.env.timeout(stall)
-        else:
-            yield from driver.submit_coalesced(requests)
-
-    def write_batch(self, extents) -> Generator:
-        """Coalesced counterpart of :meth:`write` (opt-in, changes timing)."""
-        return self.io_batch(IOKind.WRITE, extents)
-
     def touch_memory(self, indices: np.ndarray) -> None:
         """Dirty guest pages (no simulated time; CPU work is the caller's)."""
         if not self.running:

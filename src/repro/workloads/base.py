@@ -108,15 +108,6 @@ class Workload(abc.ABC):
         """Guest disk write (gated on the domain running)."""
         return self.domain.write(block, nblocks)
 
-    def write_batch(self, extents) -> Generator:
-        """Coalesced guest writes: one disk reservation for the whole batch.
-
-        Opt-in — coalescing pays a single seek for the batch and therefore
-        *changes simulated timing* relative to one :meth:`write` per extent
-        (see :meth:`~repro.vm.domain.Domain.write_batch`).
-        """
-        return self.domain.write_batch(extents)
-
     def touch(self, pages: np.ndarray) -> Generator:
         """Dirty guest pages, waiting for resume if suspended mid-loop."""
         yield from self.domain.ensure_running()

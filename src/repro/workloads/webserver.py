@@ -44,11 +44,6 @@ class SpecWebBanking(Workload):
         log_region: tuple[int, int] = (2_000_000, 120_000),
         tick: float = 0.1,
         memory_dirtier: MemoryDirtier | None = None,
-        #: Coalesce each tick's burst of session/log writes into one disk
-        #: reservation.  Opt-in: changes simulated timing (one seek per
-        #: burst instead of one per write), so results are not comparable
-        #: with the default sequential submission.
-        coalesce_writes: bool = False,
     ) -> None:
         super().__init__(seed)
         self.connections = connections
@@ -65,7 +60,6 @@ class SpecWebBanking(Workload):
             extent_blocks=write_blocks_per_op,
             rewrite_prob=rewrite_prob)
         self.memory = memory_dirtier
-        self.coalesce_writes = coalesce_writes
 
     def run(self, env: "Environment") -> Generator:
         rng = self.rng
@@ -97,12 +91,8 @@ class SpecWebBanking(Workload):
             nwrites = rng.poisson(self.write_ops_per_second * self.tick)
             if nwrites:
                 firsts, counts = self.writes.next_extents(nwrites, rng)
-                if self.coalesce_writes and nwrites > 1:
-                    yield from self.write_batch(
-                        zip(firsts.tolist(), counts.tolist()))
-                else:
-                    for i in range(nwrites):
-                        yield from self.write(int(firsts[i]), int(counts[i]))
+                for i in range(nwrites):
+                    yield from self.write(int(firsts[i]), int(counts[i]))
 
             if self.memory is not None:
                 yield from self.dirty_memory(self.memory, self.tick)

@@ -156,3 +156,19 @@ class TestDisabledRunMatchesSeed:
         assert plain.postcopy.pushed_blocks == traced.postcopy.pushed_blocks
         assert plain.postcopy.pulled_blocks == traced.postcopy.pulled_blocks
         assert plain_bed.env.now == traced_bed.env.now
+
+
+class TestRegistryDeterminism:
+    def test_identical_runs_give_equal_snapshots(self, make_bed):
+        """The registry holds simulated-time values only: two identical
+        observed runs must produce equal snapshots, wall clock aside."""
+
+        def snapshot():
+            bed = observed_bed(make_bed)
+            bed.random_writer()
+            bed.migrate()
+            return bed.env.metrics.snapshot()
+
+        first = snapshot()
+        assert first
+        assert first == snapshot()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Event, Timeout
+from repro.sim import Environment
 
 
 @pytest.fixture
@@ -100,15 +100,6 @@ class TestConditions:
         assert cond.triggered
         assert list(cond.value.values()) == ["a", "b"]
         assert env.now == 2
-
-    def test_any_of_fires_on_first(self, env):
-        t1, t2 = env.timeout(1, "a"), env.timeout(2, "b")
-        fired_at = []
-        cond = env.any_of([t1, t2])
-        cond.callbacks.append(lambda e: fired_at.append(env.now))
-        env.run()
-        assert fired_at == [1]
-        assert cond.value == {t1: "a"}
 
     def test_empty_all_of_fires_immediately(self, env):
         cond = env.all_of([])

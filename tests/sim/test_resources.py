@@ -1,9 +1,9 @@
-"""Unit tests for Resource / Store / Container."""
+"""Unit tests for Resource / Store."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 @pytest.fixture
@@ -155,56 +155,3 @@ class TestStore:
     def test_invalid_capacity(self, env):
         with pytest.raises(SimulationError):
             Store(env, capacity=0)
-
-
-class TestContainer:
-    def test_levels(self, env):
-        c = Container(env, capacity=10, init=4)
-        assert c.level == 4
-
-    def test_get_blocks_until_enough(self, env):
-        c = Container(env, capacity=10, init=0)
-        at = []
-
-        def getter(env):
-            yield c.get(5)
-            at.append(env.now)
-
-        def putter(env):
-            for _ in range(5):
-                yield env.timeout(1)
-                yield c.put(1)
-
-        env.process(getter(env))
-        env.process(putter(env))
-        env.run()
-        assert at == [5]
-
-    def test_put_blocks_at_capacity(self, env):
-        c = Container(env, capacity=2, init=2)
-        at = []
-
-        def putter(env):
-            yield c.put(1)
-            at.append(env.now)
-
-        def getter(env):
-            yield env.timeout(3)
-            yield c.get(1)
-
-        env.process(putter(env))
-        env.process(getter(env))
-        env.run()
-        assert at == [3]
-
-    def test_impossible_get_rejected(self, env):
-        c = Container(env, capacity=2)
-        with pytest.raises(SimulationError):
-            c.get(5)
-
-    def test_negative_amounts_rejected(self, env):
-        c = Container(env, capacity=2)
-        with pytest.raises(SimulationError):
-            c.put(-1)
-        with pytest.raises(SimulationError):
-            c.get(-1)

@@ -1,6 +1,5 @@
 """Unit tests for the BackendDriver (blkback)."""
 
-import numpy as np
 import pytest
 
 from repro.bitmap import FlatBitmap
@@ -58,6 +57,14 @@ class TestDirectPath:
         req = write(0)
         run_request(env, driver, req)
         assert req.issue_time == 0.0
+
+    def test_each_request_pays_its_own_seek(self, env):
+        disk = PhysicalDisk(env, read_bandwidth=100 * MiB,
+                            write_bandwidth=100 * MiB, seek_time=0.01)
+        seeky = BackendDriver(env, disk, VirtualBlockDevice(100))
+        for i in range(5):
+            run_request(env, seeky, write(i * 4, 1))
+        assert env.now == pytest.approx(5 * (0.01 + 4096 / (100 * MiB)))
 
 
 class TestTracking:
@@ -177,83 +184,3 @@ class TestRequestTypes:
 
     def test_request_ids_unique(self):
         assert write(0).request_id != write(0).request_id
-
-
-class TestCoalesced:
-    @pytest.fixture
-    def seeky(self, env):
-        disk = PhysicalDisk(env, read_bandwidth=100 * MiB,
-                            write_bandwidth=100 * MiB, seek_time=0.01)
-        return BackendDriver(env, disk, VirtualBlockDevice(100))
-
-    def run_batch(self, env, driver, requests):
-        def proc(env):
-            yield from driver.submit_coalesced(requests)
-
-        env.run(until=env.process(proc(env)))
-
-    def test_batch_pays_one_seek(self, env, seeky):
-        requests = [write(i * 4, 1) for i in range(5)]
-        self.run_batch(env, seeky, requests)
-        # One reservation: seek_time + total_bytes / bandwidth, not five
-        # seeks.
-        expected = 0.01 + 5 * 4096 / (100 * MiB)
-        assert env.now == pytest.approx(expected)
-        assert seeky.writes == 5
-        assert all(seeky.vbd.read(i * 4)[0] > 0 for i in range(5))
-
-    def test_sequential_costs_more(self, env, seeky):
-        for i in range(5):
-            run_request(env, seeky, write(i * 4, 1))
-        assert env.now > 5 * 0.01  # five seeks
-
-    def test_batch_marks_tracking_bitmap(self, env, seeky):
-        bitmap = FlatBitmap(100)
-        seeky.start_tracking("bm", bitmap)
-        self.run_batch(env, seeky, [write(2), write(9, 3)])
-        assert bitmap.test(2) and bitmap.test(9) and bitmap.test(11)
-        assert bitmap.count() == 4
-
-    def test_mixed_kinds_rejected(self, env, seeky):
-        with pytest.raises(StorageError):
-            self.run_batch(env, seeky, [write(0), read(1)])
-
-    def test_single_request_equals_submit(self, env, seeky):
-        self.run_batch(env, seeky, [write(7)])
-        assert env.now == pytest.approx(0.01 + 4096 / (100 * MiB))
-        assert seeky.vbd.read(7)[0] > 0
-
-    def test_empty_batch_is_noop(self, env, seeky):
-        self.run_batch(env, seeky, [])
-        assert env.now == 0.0
-
-    def test_interceptor_forces_sequential_fallback(self, env, seeky):
-        seen = []
-
-        def interceptor(request):
-            seen.append(request.block)
-            yield env.timeout(0.1)
-            return True
-
-        seeky.interceptor = interceptor
-        self.run_batch(env, seeky, [write(1), write(2), write(3)])
-        # Every request went through the interceptor individually.
-        assert seen == [1, 2, 3]
-        assert env.now == pytest.approx(0.3)
-
-    def test_batch_drains_quiesce_waiters(self, env, seeky):
-        order = []
-
-        def batch(env):
-            yield from seeky.submit_coalesced([write(0), write(4)])
-            order.append("batch")
-
-        def drain(env):
-            yield env.timeout(0.001)  # let the batch start first
-            yield from seeky.quiesce()
-            order.append("drained")
-
-        env.process(batch(env))
-        env.process(drain(env))
-        env.run()
-        assert order == ["batch", "drained"]

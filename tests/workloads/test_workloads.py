@@ -159,40 +159,3 @@ class TestKernelBuild:
         driver = bed.source.driver_of(bed.domain.domain_id)
         assert driver.writes > 0 and driver.reads > 0
         assert wl.bytes_processed > 0
-
-
-class TestCoalescedWrites:
-    def make(self, bed, **kw):
-        defaults = dict(seed=3,
-                        data_region=(0, 1000),
-                        log_region=(1000, 200),
-                        write_ops_per_second=40.0)
-        defaults.update(kw)
-        return attach(bed, SpecWebBanking(**defaults))
-
-    def test_off_by_default(self, bed):
-        wl = self.make(bed)
-        assert wl.coalesce_writes is False
-
-    def test_coalesced_run_still_writes_the_log(self, bed):
-        seen = []
-        driver = bed.source.driver_of(bed.domain.domain_id)
-        driver.write_observers.append(lambda r: seen.append(r.block))
-        self.make(bed, coalesce_writes=True)
-        bed.env.run(until=5.0)
-        assert seen
-        assert all(1000 <= b < 1200 for b in seen)
-
-    def test_coalescing_saves_disk_time(self, make_bed):
-        # Same seed, same draws: the coalesced run pays one seek per
-        # write burst, so the disk accumulates less busy time.
-        bed = make_bed()
-        self.make(bed)
-        bed.env.run(until=5.0)
-        plain_busy = bed.source.disk.busy_time
-
-        bed2 = make_bed()
-        wl = self.make(bed2, coalesce_writes=True)
-        bed2.env.run(until=5.0)
-        assert wl.ops > 0
-        assert bed2.source.disk.busy_time <= plain_busy
