@@ -438,15 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-sim",
         description="Whole-system VM live migration (CLUSTER'08) — "
                     "simulated experiments")
-    parser.add_argument("--profile", action="store_true",
-                        help="run the command under cProfile and print the "
-                             "top 25 functions by cumulative time.  Must "
-                             "precede the subcommand: "
-                             "repro-sim --profile migrate")
-    parser.add_argument("--profile-out", metavar="PATH", default=None,
-                        help="with --profile, dump raw pstats to PATH "
-                             "(load with pstats or snakeviz) instead of "
-                             "printing")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_migrate = sub.add_parser(
@@ -610,20 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.profile or args.profile_out:
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        try:
-            return profiler.runcall(args.func, args)
-        finally:
-            if args.profile_out:
-                profiler.dump_stats(args.profile_out)
-                print(f"profile written to {args.profile_out}",
-                      file=sys.stderr)
-            else:
-                pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
     return args.func(args)
 
 

@@ -104,10 +104,10 @@ class MigrationConfig:
     #: Sender CPU throughput of the delta encoder in bytes/s (the encoder
     #: scans old+new contents of every *hit* unit).
     delta_throughput: float = 800 * MiB
-    #: Number of parallel sub-channels the bulk streamers stripe chunks
-    #: across (QEMU multifd).  All sub-channels share the migration link,
-    #: rate limiter, and compressor; ``1`` (the default) keeps the single
-    #: pipelined channel.  See docs/TRANSFER.md for ordering guarantees.
+    #: Number of parallel lanes the bulk streamers stripe chunks across
+    #: (QEMU multifd).  All lanes share the migration link, rate limiter,
+    #: and compressor; ``1`` (the default) keeps the single pipelined
+    #: channel.  See docs/TRANSFER.md for ordering guarantees.
     multifd_channels: int = 1
     #: Auto-converge: when a disk pre-copy iteration's dirty rate exceeds
     #: ``dirty_rate_stop_fraction`` of its transfer rate, throttle the

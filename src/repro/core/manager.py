@@ -84,16 +84,6 @@ class Migrator:
 
     # -- topology ----------------------------------------------------------
 
-    @property
-    def _links(self) -> dict[tuple[str, str], DuplexLink]:
-        """Compat view of the topology's link table (fault injector)."""
-        return self.topology.links
-
-    @property
-    def _hosts(self) -> dict[str, Host]:
-        """Compat view of the topology's host table (fault injector)."""
-        return self.topology.hosts
-
     def connect(self, a: Host, b: Host, bandwidth: float = 1 * Gbps,
                 latency: float = 100e-6) -> DuplexLink:
         """Join two hosts (or switches, by name) with a full-duplex link.

@@ -92,9 +92,9 @@ class ThreePhaseMigration(MigrationScheme):
         self._block_streamer: Optional[BlockStreamer] = None
         self._src_driver = None
         #: Adaptive transfer stack (all None unless the config enables
-        #: them): multifd sub-channel fan-out, per-stream delta caches,
-        #: and the auto-converge throttle controller.
-        self._multifd = None
+        #: them): multifd lanes (empty on one channel), per-stream delta
+        #: caches, and the auto-converge throttle controller.
+        self._lanes: list[Channel] = []
         self._disk_delta = None
         self._page_delta = None
         self._converge = None
@@ -160,15 +160,19 @@ class ThreePhaseMigration(MigrationScheme):
         disk_span = tracer.begin("phase:precopy-disk", category="phase")
         report.precopy_disk_started_at = env.now
         # -- adaptive transfer stack (docs/TRANSFER.md; all default off) --
-        multifd = None
         if cfg.multifd_channels > 1:
-            from ..net.multifd import MultiFD
-
-            multifd = self._multifd = MultiFD(env, self.fwd,
-                                              cfg.multifd_channels)
-            # Register the sub-channels so the report's byte ledger and
-            # the cluster conservation audit see every striped byte.
-            self.extra_channels.extend(multifd.channels)
+            # QEMU-style multifd: N lanes over the same link (the wire
+            # serialises them, so total wire time is conserved), sharing
+            # the base channel's limiter (aggregate pacing), compressor
+            # and sender.  Registering them lets the report's byte ledger
+            # and the cluster conservation audit see every striped byte.
+            fwd = self.fwd
+            self._lanes = [
+                Channel(env, fwd.link, limiter=fwd.limiter,
+                        name=f"{fwd.name}:fd{i}", compressor=fwd.compressor,
+                        sender=fwd.sender)
+                for i in range(cfg.multifd_channels)]
+            self.extra_channels.extend(self._lanes)
         disk_delta = page_delta = None
         if cfg.delta_cache_mb > 0:
             from ..net.delta import DeltaCache
@@ -193,7 +197,7 @@ class ThreePhaseMigration(MigrationScheme):
                 env, domain, cfg)
         block_streamer = BlockStreamer(
             env, self.source.disk, src_vbd, self.destination.disk,
-            dest_vbd, self.fwd, cfg, multifd=multifd, delta=disk_delta)
+            dest_vbd, self.fwd, cfg, lanes=self._lanes, delta=disk_delta)
         self._block_streamer = block_streamer
         # No yield from here to the pre-copier's start_tracking: every
         # write lands either in this snapshot or in the tracking bitmap.
@@ -266,7 +270,7 @@ class ThreePhaseMigration(MigrationScheme):
                                         clock=domain.memory.clock)
             page_streamer = PageStreamer(env, domain.memory,
                                          shadow_memory, self.fwd, cfg,
-                                         multifd=multifd, delta=page_delta)
+                                         lanes=self._lanes, delta=page_delta)
             memcopier = MemoryPreCopier(env, domain.memory, page_streamer,
                                         cfg)
             report.mem_rounds = yield from memcopier.run()
@@ -300,7 +304,7 @@ class ThreePhaseMigration(MigrationScheme):
             report.final_dirty_pages = int(pages.size)
             page_streamer = PageStreamer(env, domain.memory, shadow_memory,
                                          self.fwd, cfg,
-                                         multifd=multifd, delta=page_delta)
+                                         lanes=self._lanes, delta=page_delta)
             yield from page_streamer.stream(pages, category="memory",
                                             limited=False)
             # Capture the register state *now*, while the guest is frozen
@@ -444,10 +448,10 @@ class ThreePhaseMigration(MigrationScheme):
         default run's report is unchanged field-for-field.
         """
         extra = self.report.extra
-        if self._multifd is not None:
-            extra["multifd_channels"] = self._multifd.nchannels
+        if self._lanes:
+            extra["multifd_channels"] = len(self._lanes)
             extra["multifd_bytes_by_channel"] = [
-                chan.total_bytes for chan in self._multifd.channels]
+                chan.total_bytes for chan in self._lanes]
         if self._disk_delta is not None:
             extra["delta_disk"] = self._disk_delta.summary()
         if self._page_delta is not None:

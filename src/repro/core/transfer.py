@@ -25,25 +25,27 @@ guide):
   which chunks the destination confirmed; after a mid-batch network
   failure :meth:`BlockStreamer.unconfirmed_indices` names exactly the
   blocks that may never have landed, and the retry re-marks them dirty.
-* **Adaptive stack hooks** (both optional, both default-off): a
+* **One pipeline, N lanes.**  A streamer may be given multifd ``lanes``
+  (N channels over the base channel's link).  A batch of more than one
+  chunk then sends chunk ``k`` on lane ``k % N``, each lane with its own
+  sender/writer pair and read-ahead buffer; every other batch runs the
+  base ``channel`` as the single lane.  The single-channel stream is
+  simply the one-lane case.
+* **Adaptive stack hook** (optional, default-off): a
   :class:`~repro.net.delta.DeltaCache` re-encodes re-sent chunks as
-  deltas in the send stage, and a :class:`~repro.net.multifd.MultiFD`
-  stripes chunks round-robin across N sub-channels with per-lane
-  pipelining.  With neither installed the code path is byte-for-byte the
-  single-channel pipeline above.
+  deltas in the send stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 import numpy as np
 
 from ..net.channel import Channel
 from ..net.delta import DeltaCache
 from ..net.messages import BlockDataMsg, MemoryPagesMsg
-from ..net.multifd import MultiFD
 from ..sim import Store
 from ..storage.disk import PhysicalDisk
 from ..storage.vbd import VirtualBlockDevice
@@ -96,7 +98,7 @@ class BlockStreamer:
         dst_vbd: VirtualBlockDevice,
         channel: Channel,
         config: MigrationConfig,
-        multifd: Optional[MultiFD] = None,
+        lanes: Sequence[Channel] = (),
         delta: Optional[DeltaCache] = None,
     ) -> None:
         self.env = env
@@ -106,18 +108,15 @@ class BlockStreamer:
         self.dst_vbd = dst_vbd
         self.channel = channel
         self.config = config
-        #: Optional striped sub-channels; None = single-channel pipeline.
-        self.multifd = multifd
+        #: Multifd lanes for multi-chunk batches; empty = base channel only.
+        self.lanes = tuple(lanes)
         #: Optional XBZRLE-style cache; None = full-content sends.
         self.delta = delta
-        #: Chunks of the in-flight (or last) batch, in send order, plus how
-        #: many the destination has confirmed written — so a failed batch
-        #: can report exactly which blocks never landed.
+        #: Chunks of the in-flight (or last) batch, in send order, and
+        #: whether the destination has confirmed each one written — so a
+        #: failed batch can report exactly which blocks never landed.
         self._chunks: list[np.ndarray] = []
-        self._confirmed = 0
-        #: Striped batches confirm out of send order; this per-chunk flag
-        #: list replaces the prefix counter then (None on the single path).
-        self._confirmed_flags: Optional[list[bool]] = None
+        self._written: list[bool] = []
         #: Called with each chunk's indices right after the destination
         #: confirms the write — the durable-bitmap hook that lets the
         #: source journal "these blocks are no longer pending".
@@ -126,19 +125,13 @@ class BlockStreamer:
     def unconfirmed_indices(self) -> np.ndarray:
         """Blocks of the current batch not yet written at the destination.
 
-        Single channel: the write stage is FIFO, so the confirmed chunks
-        are exactly the prefix of the send order and everything after is
-        conservatively treated as lost (an in-flight delivery may still
-        land, but within one link latency — negligible against any retry
-        backoff).  Multifd: each stripe is FIFO but stripes interleave,
-        so confirmation is tracked per chunk instead.
+        Each lane's writer is FIFO but lanes interleave, so confirmation
+        is tracked per chunk.  A chunk still in flight is conservatively
+        treated as lost (it may land, but within one link latency —
+        negligible against any retry backoff).
         """
-        if self._confirmed_flags is not None:
-            pending = [chunk for chunk, done
-                       in zip(self._chunks, self._confirmed_flags)
-                       if not done]
-        else:
-            pending = self._chunks[self._confirmed:]
+        pending = [chunk for chunk, done in zip(self._chunks, self._written)
+                   if not done]
         if not pending:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(pending)
@@ -150,11 +143,17 @@ class BlockStreamer:
         ``yield from`` inside a process.  Completion means the destination
         has *written* every block, not merely that the source finished
         sending.
+
+        The source disk is one spindle, so a single reader feeds the lanes
+        in chunk order (lane ``k % N`` gets chunk ``k``); head-of-line
+        blocking on a full lane buffer is deliberate, it is what one read
+        stream into N sockets does.  Each lane has its own
+        ``pipeline_depth`` buffer and sender/writer pair, and the batch
+        commits only once every lane's writer has drained.
         """
         indices = np.asarray(indices, dtype=np.int64)
         self._chunks = []
-        self._confirmed = 0
-        self._confirmed_flags = None
+        self._written = []
         if indices.size == 0:
             return StreamStats()
 
@@ -162,72 +161,10 @@ class BlockStreamer:
         cfg = self.config
         block_size = self.src_vbd.block_size
         prio = cfg.migration_disk_priority
-        chunks = split_chunks(indices, cfg.chunk_blocks)
-        self._chunks = chunks
-        if self.multifd is not None and len(chunks) > 1:
-            stats = yield from self._stream_striped(
-                chunks, category, limited, block_size, prio)
-            return stats
-        ready: Store = Store(env, capacity=cfg.pipeline_depth)
-
-        def reader(env):
-            for chunk in chunks:
-                yield from self.src_disk.read(chunk.size * block_size,
-                                              priority=prio)
-                stamps, data = self.src_vbd.export_blocks(chunk)
-                yield ready.put(BlockDataMsg(chunk, stamps, data, block_size))
-
-        def sender(env):
-            sent_bytes = 0
-            for _ in range(len(chunks)):
-                msg = yield ready.get()
-                if self.delta is not None:
-                    yield from self.delta.encode(env, msg)
-                span = env.tracer.begin("chunk", category="transfer",
-                                        blocks=msg.nblocks)
-                yield from self.channel.send(msg, category=category,
-                                             limited=limited)
-                env.tracer.end(span, bytes=msg.wire_nbytes)
-                sent_bytes += msg.wire_nbytes
-            return sent_bytes
-
-        def writer(env):
-            for _ in range(len(chunks)):
-                msg = yield self.channel.recv()
-                yield from self.dst_disk.write(msg.nblocks * block_size,
-                                               priority=prio)
-                self.dst_vbd.import_blocks(msg.indices, msg.stamps, msg.data)
-                self._confirmed += 1
-                if self.chunk_written is not None:
-                    self.chunk_written(msg.indices)
-
-        read_proc = env.process(reader(env), name="stream:read")
-        send_proc = env.process(sender(env), name="stream:send")
-        write_proc = env.process(writer(env), name="stream:write")
-        result = yield env.all_of([read_proc, send_proc, write_proc])
-        return StreamStats(units_sent=int(indices.size),
-                           bytes_sent=int(result[send_proc]))
-
-    def _stream_striped(self, chunks, category, limited, block_size,
-                        prio) -> Generator:
-        """Multifd path: one shared reader fans chunks out round-robin to
-        per-lane sender/writer pairs; a completion barrier joins them.
-
-        The source disk is still one spindle, so a single reader stage
-        feeds all lanes in chunk order (lane ``k % N`` gets chunk ``k``)
-        — head-of-line blocking on a full lane buffer is deliberate, it
-        is what one read stream into N sockets does.  Each lane has its
-        own ``pipeline_depth`` read-ahead buffer and preserves in-order
-        delivery internally; cross-lane ordering is unconstrained, so
-        chunk completion is tracked by position (``lane + i * N``) in
-        :attr:`_confirmed_flags` rather than a FIFO prefix count.
-        """
-        env = self.env
-        cfg = self.config
-        mfd = self.multifd
-        n = mfd.nchannels
-        lanes = mfd.lanes(chunks)
-        flags = self._confirmed_flags = [False] * len(chunks)
+        chunks = self._chunks = split_chunks(indices, cfg.chunk_blocks)
+        written = self._written = [False] * len(chunks)
+        lanes = _lanes_for(self.lanes, self.channel, len(chunks))
+        n = len(lanes)
         buffers = [Store(env, capacity=cfg.pipeline_depth) for _ in range(n)]
 
         def reader(env):
@@ -239,9 +176,9 @@ class BlockStreamer:
                     BlockDataMsg(chunk, stamps, data, block_size))
 
         def sender(env, lane):
-            chan = mfd.channels[lane]
+            chan = lanes[lane]
             sent_bytes = 0
-            for _ in range(len(lanes[lane])):
+            for _ in range(lane, len(chunks), n):
                 msg = yield buffers[lane].get()
                 if self.delta is not None:
                     yield from self.delta.encode(env, msg)
@@ -253,13 +190,13 @@ class BlockStreamer:
             return sent_bytes
 
         def writer(env, lane):
-            chan = mfd.channels[lane]
-            for i in range(len(lanes[lane])):
+            chan = lanes[lane]
+            for k in range(lane, len(chunks), n):
                 msg = yield chan.recv()
                 yield from self.dst_disk.write(msg.nblocks * block_size,
                                                priority=prio)
                 self.dst_vbd.import_blocks(msg.indices, msg.stamps, msg.data)
-                flags[lane + i * n] = True
+                written[k] = True
                 if self.chunk_written is not None:
                     self.chunk_written(msg.indices)
 
@@ -270,12 +207,10 @@ class BlockStreamer:
         write_procs = [env.process(writer(env, lane),
                                    name=f"stream:write:fd{lane}")
                        for lane in range(n)]
-        # Completion barrier: the batch commits only once every lane's
-        # writer has drained — no chunk may still be in flight.
         result = yield env.all_of([read_proc, *send_procs, *write_procs])
-        sent_bytes = sum(int(result[proc]) for proc in send_procs)
-        total = sum(int(chunk.size) for chunk in chunks)
-        return StreamStats(units_sent=total, bytes_sent=sent_bytes)
+        return StreamStats(
+            units_sent=int(indices.size),
+            bytes_sent=sum(int(result[proc]) for proc in send_procs))
 
 
 class PageStreamer:
@@ -283,9 +218,10 @@ class PageStreamer:
 
     Pages come straight from RAM, so there is no disk stage — the transfer
     is network-bound (plus a small per-page mapping cost folded into the
-    message size).  Supports the same optional delta cache and multifd
-    striping as :class:`BlockStreamer`; the memory pre-copy rounds are
-    where XBZRLE pays off most (hot pages are re-sent every round).
+    message size), and each lane's sender exports its own chunks at send
+    time.  Supports the same optional delta cache and multifd lanes as
+    :class:`BlockStreamer`; the memory pre-copy rounds are where XBZRLE
+    pays off most (hot pages are re-sent every round).
     """
 
     def __init__(
@@ -295,7 +231,7 @@ class PageStreamer:
         dst_mem: Optional[GuestMemory],
         channel: Channel,
         config: MigrationConfig,
-        multifd: Optional[MultiFD] = None,
+        lanes: Sequence[Channel] = (),
         delta: Optional[DeltaCache] = None,
     ) -> None:
         self.env = env
@@ -303,7 +239,7 @@ class PageStreamer:
         self.dst_mem = dst_mem
         self.channel = channel
         self.config = config
-        self.multifd = multifd
+        self.lanes = tuple(lanes)
         self.delta = delta
 
     def stream(self, indices: np.ndarray, category: str = "memory",
@@ -314,61 +250,21 @@ class PageStreamer:
             return StreamStats()
 
         env = self.env
-        cfg = self.config
-        chunks = split_chunks(indices, cfg.mem_chunk_pages)
-        if self.multifd is not None and len(chunks) > 1:
-            stats = yield from self._stream_striped(chunks, category, limited)
-            return stats
-
-        def receiver(env):
-            for _ in range(len(chunks)):
-                msg = yield self.channel.recv()
-                if self.dst_mem is not None:
-                    self.dst_mem.import_pages(msg.indices, msg.stamps)
-
-        def sender(env):
-            sent_bytes = 0
-            for chunk in chunks:
-                stamps = self.src_mem.export_pages(chunk)
-                msg = MemoryPagesMsg(chunk, stamps, self.src_mem.page_size)
-                if self.delta is not None:
-                    yield from self.delta.encode(env, msg)
-                span = env.tracer.begin("chunk", category="transfer",
-                                        pages=msg.npages)
-                yield from self.channel.send(msg, category=category,
-                                             limited=limited)
-                env.tracer.end(span, bytes=msg.wire_nbytes)
-                sent_bytes += msg.wire_nbytes
-            return sent_bytes
-
-        recv_proc = env.process(receiver(env), name="pages:recv")
-        send_proc = env.process(sender(env), name="pages:send")
-        result = yield env.all_of([send_proc, recv_proc])
-        return StreamStats(units_sent=int(indices.size),
-                           bytes_sent=int(result[send_proc]))
-
-    def _stream_striped(self, chunks, category, limited) -> Generator:
-        """Multifd path: per-lane sender/receiver pairs over the stripes.
-
-        Pages are exported at send time (no disk read stage), so each
-        lane's sender walks its own stripe independently; the completion
-        barrier still joins every lane before the round commits.
-        """
-        env = self.env
-        mfd = self.multifd
-        lanes = mfd.lanes(chunks)
+        chunks = split_chunks(indices, self.config.mem_chunk_pages)
+        lanes = _lanes_for(self.lanes, self.channel, len(chunks))
+        n = len(lanes)
 
         def receiver(env, lane):
-            chan = mfd.channels[lane]
-            for _ in range(len(lanes[lane])):
+            chan = lanes[lane]
+            for _ in range(lane, len(chunks), n):
                 msg = yield chan.recv()
                 if self.dst_mem is not None:
                     self.dst_mem.import_pages(msg.indices, msg.stamps)
 
         def sender(env, lane):
-            chan = mfd.channels[lane]
+            chan = lanes[lane]
             sent_bytes = 0
-            for chunk in lanes[lane]:
+            for chunk in chunks[lane::n]:
                 stamps = self.src_mem.export_pages(chunk)
                 msg = MemoryPagesMsg(chunk, stamps, self.src_mem.page_size)
                 if self.delta is not None:
@@ -380,13 +276,20 @@ class PageStreamer:
                 sent_bytes += msg.wire_nbytes
             return sent_bytes
 
-        send_procs = [env.process(sender(env, lane),
-                                  name=f"pages:send:fd{lane}")
-                      for lane in range(mfd.nchannels)]
         recv_procs = [env.process(receiver(env, lane),
                                   name=f"pages:recv:fd{lane}")
-                      for lane in range(mfd.nchannels)]
+                      for lane in range(n)]
+        send_procs = [env.process(sender(env, lane),
+                                  name=f"pages:send:fd{lane}")
+                      for lane in range(n)]
         result = yield env.all_of([*send_procs, *recv_procs])
-        sent_bytes = sum(int(result[proc]) for proc in send_procs)
-        total = sum(int(chunk.size) for chunk in chunks)
-        return StreamStats(units_sent=total, bytes_sent=sent_bytes)
+        return StreamStats(
+            units_sent=int(indices.size),
+            bytes_sent=sum(int(result[proc]) for proc in send_procs))
+
+
+def _lanes_for(lanes: tuple, channel: Channel, nchunks: int) -> tuple:
+    """The lanes one batch runs on: the multifd lanes for a batch of more
+    than one chunk, else the base channel alone (striping a single chunk
+    would only add overhead)."""
+    return lanes if lanes and nchunks > 1 else (channel,)

@@ -248,10 +248,10 @@ class FaultInjector:
 
     def inject(self, migrator: "Migrator") -> "FaultInjector":
         """Attach to every link and host a :class:`Migrator` knows about."""
-        self._topology = migrator.topology
-        for (a, b), duplex in migrator._links.items():
+        topology = self._topology = migrator.topology
+        for (a, b), duplex in topology.links.items():
             self.attach(duplex, hosts=(a, b))
-        self._hosts.update(migrator._hosts)
+        self._hosts.update(topology.hosts)
         for spec in self.plan.crashes:
             if spec.host not in self._hosts:
                 raise FaultError(

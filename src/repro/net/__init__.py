@@ -1,14 +1,14 @@
 """Network substrate: links, rate limiting, and typed migration channels.
 
-The adaptive transfer stack (delta compression, multifd parallel
-channels) lives here too — see docs/TRANSFER.md for the layer guide.
+The delta cache of the adaptive transfer stack lives here too.  Multifd
+lanes are plain channels over one link, built by the migration that uses
+them — see docs/TRANSFER.md for the layer guide.
 """
 
-from .channel import Channel, channel_pair
+from .channel import Channel
 from .compression import Compressor
 from .delta import DeltaCache
 from .link import DuplexLink, Link
-from .multifd import MultiFD
 from .messages import (
     HEADER_NBYTES,
     BitmapMsg,
@@ -33,7 +33,6 @@ __all__ = [
     "DeltaCache",
     "DeltaMsg",
     "DuplexLink",
-    "MultiFD",
     "HEADER_NBYTES",
     "Link",
     "MemoryPagesMsg",
@@ -42,5 +41,4 @@ __all__ = [
     "PhaseMark",
     "PullRequestMsg",
     "TokenBucket",
-    "channel_pair",
 ]

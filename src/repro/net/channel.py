@@ -24,7 +24,7 @@ Invariants the rest of the stack relies on (see docs/TRANSFER.md):
   ``(channel, category)`` ledger cell, and ``link.bytes_sent`` equals the
   sum over all channels routed through that link — the cluster-level
   conservation audit (:mod:`repro.cluster.accounting`) enforces this,
-  including across multifd sub-channels.
+  including across multifd lanes.
 * **A send completes only for a live sender.**  A message that cleared
   the sender's own link before its host crashed still crosses the
   fabric (its bytes are booked), but if the sender crashed at any point
@@ -185,19 +185,3 @@ class Channel:
     def __repr__(self) -> str:
         return f"<Channel {self.name!r} {self.total_bytes} B sent>"
 
-
-def channel_pair(
-    env: "Environment",
-    forward_link: Link,
-    backward_link: Link,
-    limiter: Optional[Limiter] = None,
-    name: str = "mig",
-) -> tuple[Channel, Channel]:
-    """Build the (source→dest, dest→source) channel pair for a migration.
-
-    Only the forward (bulk data) direction is rate-limited; the backward
-    direction carries small pull requests and acks.
-    """
-    fwd = Channel(env, forward_link, limiter=limiter, name=f"{name}:s->d")
-    rev = Channel(env, backward_link, limiter=None, name=f"{name}:d->s")
-    return fwd, rev

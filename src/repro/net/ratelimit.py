@@ -17,7 +17,7 @@ Consequences:
   its debt before sleeping — a later consumer always sees the earlier
   one's debt and sleeps behind it;
 * one bucket instance can safely be **shared** across channels: multifd
-  sub-channels deliberately share the migration limiter so the token
+  lanes deliberately share the migration limiter so the token
   bucket paces the aggregate stripe throughput, not N× the configured
   rate (see docs/TRANSFER.md);
 * :meth:`TokenBucket.try_consume` never observes phantom capacity while

@@ -282,7 +282,7 @@ def make_testbed(
 
     Mirrors the paper's experimental environment: two Core 2 Duo machines
     with SATA2 disks on a Gigabit LAN (the LAN itself is built separately
-    via :func:`repro.net.channel.channel_pair`).
+    via :meth:`repro.core.manager.Migrator.connect`).
     """
     clock = GenerationClock()
     src = Host(env, "source",

@@ -179,27 +179,25 @@ class TestSplitChunks:
 
 
 class TestStriping:
-    """Streamer-level multifd behaviour (pipeline_depth interaction)."""
+    """Streamer-level multifd behaviour: lanes are plain channels over the
+    base channel's link."""
 
-    def _stream(self, env, nblocks, *, multifd_channels, pipeline_depth):
-        from repro.net import MultiFD
-
+    def _stream(self, env, nblocks, *, nlanes, pipeline_depth):
         src, dst, sd, dd, _ = make_disk_pair(env, nblocks=nblocks)
         src.write(0, nblocks)
-        chan = Channel(env, Link(env, 125 * MB, 0))
-        mfd = (MultiFD(env, chan, multifd_channels)
-               if multifd_channels > 1 else None)
-        cfg = MigrationConfig(chunk_blocks=64, pipeline_depth=pipeline_depth,
-                              multifd_channels=multifd_channels)
+        link = Link(env, 125 * MB, 0)
+        chan = Channel(env, link)
+        lanes = [Channel(env, link, name=f"fd{i}") for i in range(nlanes)]
+        cfg = MigrationConfig(chunk_blocks=64, pipeline_depth=pipeline_depth)
         streamer = BlockStreamer(env, sd, src, dd, dst, chan, cfg,
-                                 multifd=mfd)
+                                 lanes=lanes)
 
         def proc(env):
             return (yield from streamer.stream(np.arange(nblocks)))
 
         stats = env.run(until=env.process(proc(env)))
         assert dst.identical_to(src)
-        return stats, mfd
+        return stats, lanes
 
     @pytest.mark.parametrize("depth", [1, 2, 8])
     @pytest.mark.parametrize("nchannels", [2, 4])
@@ -208,38 +206,101 @@ class TestStriping:
         traffic across every lane (each buffer is depth-bounded, so a slow
         lane backpressures the shared reader without deadlock)."""
         env = Environment()
-        stats, mfd = self._stream(env, 1000, multifd_channels=nchannels,
-                                  pipeline_depth=depth)
+        stats, lanes = self._stream(env, 1000, nlanes=nchannels,
+                                    pipeline_depth=depth)
         assert stats.units_sent == 1000
-        assert all(chan.total_bytes > 0 for chan in mfd.channels)
-        assert mfd.total_bytes == stats.bytes_sent
+        assert all(chan.total_bytes > 0 for chan in lanes)
+        assert sum(chan.total_bytes for chan in lanes) == stats.bytes_sent
 
     def test_striped_byte_total_matches_single_channel(self):
-        baseline, _ = self._stream(Environment(), 1000, multifd_channels=1,
+        baseline, _ = self._stream(Environment(), 1000, nlanes=0,
                                    pipeline_depth=4)
-        striped, _ = self._stream(Environment(), 1000, multifd_channels=4,
+        striped, _ = self._stream(Environment(), 1000, nlanes=4,
                                   pipeline_depth=4)
         assert striped.bytes_sent == baseline.bytes_sent
         assert striped.units_sent == baseline.units_sent
 
     def test_single_chunk_batch_skips_striping(self):
-        """A batch that fits one chunk rides the base channel even when a
-        MultiFD is attached (striping one chunk would only add overhead)."""
+        """A batch that fits one chunk rides the base channel even when
+        lanes are attached (striping one chunk would only add overhead)."""
         env = Environment()
-        from repro.net import MultiFD
-
         src, dst, sd, dd, _ = make_disk_pair(env, nblocks=32)
         src.write(0, 32)
-        chan = Channel(env, Link(env, 125 * MB, 0))
-        mfd = MultiFD(env, chan, 4)
+        link = Link(env, 125 * MB, 0)
+        chan = Channel(env, link)
+        lanes = [Channel(env, link, name=f"fd{i}") for i in range(4)]
         streamer = BlockStreamer(env, sd, src, dd, dst, chan,
                                  MigrationConfig(chunk_blocks=64),
-                                 multifd=mfd)
+                                 lanes=lanes)
 
         def proc(env):
             return (yield from streamer.stream(np.arange(32)))
 
         stats = env.run(until=env.process(proc(env)))
         assert stats.units_sent == 32
-        assert mfd.total_bytes == 0
+        assert all(lane.total_bytes == 0 for lane in lanes)
         assert chan.total_bytes == stats.bytes_sent
+
+    @pytest.mark.parametrize("kind", ["blocks", "pages"])
+    def test_chunk_k_rides_lane_k_mod_n(self, kind):
+        """Round-robin striping: chunk ``k`` of a batch goes out on lane
+        ``k % N``, so with 7 chunks over 3 lanes the lanes carry chunks
+        {0, 3, 6}, {1, 4} and {2, 5}."""
+        env = Environment()
+        link = Link(env, 125 * MB, 0)
+        chan = Channel(env, link)
+        lanes = [Channel(env, link, name=f"fd{i}") for i in range(3)]
+        seen = {lane.name: [] for lane in lanes}
+        for lane in lanes:
+            def spy(msg, _send=lane.send, _name=lane.name, **kwargs):
+                seen[_name].append(int(msg.indices[0]) // 10)
+                return (yield from _send(msg, **kwargs))
+            lane.send = spy
+        if kind == "blocks":
+            src, dst, sd, dd, _ = make_disk_pair(env, nblocks=70)
+            src.write(0, 70)
+            streamer = BlockStreamer(env, sd, src, dd, dst, chan,
+                                     MigrationConfig(chunk_blocks=10,
+                                                     pipeline_depth=8),
+                                     lanes=lanes)
+        else:
+            src_mem = GuestMemory(70)
+            streamer = PageStreamer(env, src_mem, GuestMemory(70), chan,
+                                    MigrationConfig(mem_chunk_pages=10),
+                                    lanes=lanes)
+
+        def proc(env):
+            return (yield from streamer.stream(np.arange(70)))
+
+        stats = env.run(until=env.process(proc(env)))
+        assert stats.units_sent == 70
+        assert seen == {"fd0": [0, 3, 6], "fd1": [1, 4], "fd2": [2, 5]}
+        assert chan.total_bytes == 0
+
+    @pytest.mark.parametrize("nlanes", [0, 4])
+    def test_unconfirmed_is_exactly_what_never_landed(self, nlanes):
+        """After a mid-batch link failure the streamer names exactly the
+        blocks the destination never imported — on the single channel
+        (a FIFO prefix) and across interleaved lanes alike."""
+        from repro.errors import NetworkError
+        from repro.faults import FaultInjector, FaultPlan
+        from repro.net import DuplexLink
+
+        env = Environment()
+        src, dst, sd, dd, _ = make_disk_pair(env, nblocks=1000)
+        src.write(0, 1000)
+        duplex = DuplexLink(env, 125 * MB, 50e-6)
+        plan = FaultPlan(send_timeout=0.01).blackout(duration=1.0, at=0.015)
+        FaultInjector(env, plan).attach(duplex)
+        chan = Channel(env, duplex.forward)
+        lanes = [Channel(env, duplex.forward, name=f"fd{i}")
+                 for i in range(nlanes)]
+        streamer = BlockStreamer(env, sd, src, dd, dst, chan,
+                                 MigrationConfig(chunk_blocks=64),
+                                 lanes=lanes)
+        proc = env.process(streamer.stream(np.arange(1000)))
+        with pytest.raises(NetworkError):
+            env.run(until=proc)
+        lost = np.sort(streamer.unconfirmed_indices())
+        assert 0 < lost.size < 1000
+        np.testing.assert_array_equal(lost, dst.diff_blocks(src))

@@ -16,7 +16,6 @@ from repro.net import (
     MemoryPagesMsg,
     PullRequestMsg,
     TokenBucket,
-    channel_pair,
 )
 from repro.sim import Environment
 from repro.units import MB
@@ -181,10 +180,15 @@ class TestChannel:
 
 
 class TestChannelPair:
-    def test_only_forward_is_limited(self, env):
-        fwd_link = Link(env, bandwidth=100 * MB, latency=0)
-        rev_link = Link(env, bandwidth=100 * MB, latency=0)
-        bucket = TokenBucket(env, rate=1 * MB)
-        fwd, rev = channel_pair(env, fwd_link, rev_link, limiter=bucket)
-        assert fwd.limiter is bucket
-        assert not isinstance(rev.limiter, TokenBucket)
+    def test_only_forward_is_limited(self, make_bed):
+        """A migration's (source→dest, dest→source) pair: only the bulk
+        forward direction is paced; the backward one carries small pull
+        requests and acks."""
+        bed = make_bed()
+        report = bed.migrate(bed.config.replace(rate_limit=50 * MB))
+        assert report.consistency_verified
+        migration = bed.migrator.last_migration
+        assert isinstance(migration.fwd.limiter, TokenBucket)
+        assert not isinstance(migration.rev.limiter, TokenBucket)
+        assert migration.fwd.name == "mig:source->destination"
+        assert migration.rev.name == "mig:destination->source"
