@@ -32,11 +32,24 @@ class Environment:
     code can call them unconditionally at zero recording cost.  Install
     live instances with :func:`repro.obs.install` to start recording.
 
-    The dispatch loops in :meth:`run` are deliberately inlined copies of
-    :meth:`step` (local bindings, one attribute write per event): the
-    loop body runs once per event and dominates wall-clock at cluster
-    scale, so it trades a little repetition for a measurably hotter path.
-    :meth:`step` remains the single-event reference implementation.
+    **Inline dispatch.**  The three dispatch loops in :meth:`run` keep
+    their bodies inline (local bindings; the loop runs once per event and
+    dominates wall-clock at cluster scale), and each records in
+    :attr:`_sole` whether the event it is dispatching has exactly one
+    callback.  While that holds and the callback is a running process,
+    the next thing the loop would do is pop the heap head: far calendar
+    buckets only hold times later than ``now``, a ``run(until=<event>)``
+    stop hook would be a second callback (so ``_sole`` is false while it
+    is present), and ``now <= horizon`` under ``run(until=<t>)``, so the
+    loop always pops an entry at ``now``.  An entry at ``now`` that is
+    the heap head is therefore provably the next event dispatched, and
+    :meth:`Process._resume <repro.sim.process.Process._resume>` and
+    :meth:`Resource.acquire <repro.sim.resources.Resource.acquire>`
+    dispatch it inline: the event ids, the order and
+    :attr:`events_processed` are unchanged, only the heap round trip
+    goes.  :meth:`step` never sets ``_sole``, so it never dispatches
+    inline; it is the reference that
+    ``tests/sim/test_inline_dispatch.py`` checks :meth:`run` against.
 
     **Calendar queue.**  Under Timeout-dominated load the pending set can
     grow to tens of thousands of entries, and every push/pop then pays
@@ -59,7 +72,7 @@ class Environment:
     #: Target mean bucket occupancy when sizing the bucket width.
     _CAL_OCCUPANCY = 64
 
-    __slots__ = ("_now", "_queue", "_eid",
+    __slots__ = ("_now", "_queue", "_eid", "_sole", "_popped",
                  "tracer", "metrics", "events_processed",
                  "_far", "_far_keys", "_far_count",
                  "_cal_width", "_cal_k", "_cal_threshold")
@@ -81,6 +94,10 @@ class Environment:
         self._cal_k = 0
         self._cal_threshold = int(calendar_threshold or 0)
         self._eid = 0
+        #: True while a :meth:`run` loop dispatches an event with exactly
+        #: one callback (see "Inline dispatch" above); never set by
+        #: :meth:`step`.
+        self._sole = False
         #: Span/instant recorder (:class:`repro.obs.Tracer` when installed).
         self.tracer = NULL_TRACER
         #: Counter/gauge/histogram registry
@@ -89,6 +106,9 @@ class Environment:
         #: Events processed since construction (engine-level load signal,
         #: kept as a plain int so the hot loop stays cheap either way).
         self.events_processed = 0
+        #: Of those, the events dispatched off the heap by :meth:`step`
+        #: or a :meth:`run` loop (the rest were dispatched inline).
+        self._popped = 0
 
     # -- clock ---------------------------------------------------------------
 
@@ -96,6 +116,12 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    @property
+    def events_inline(self) -> int:
+        """Events dispatched inline, without a heap round trip, since
+        construction (a share of :attr:`events_processed`)."""
+        return self.events_processed - self._popped
 
     # -- event factories -------------------------------------------------
 
@@ -235,6 +261,7 @@ class Environment:
 
         self._now = when
         self.events_processed += 1
+        self._popped += 1
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -268,6 +295,7 @@ class Environment:
                         self._now = when
                         processed += 1
                         callbacks, event.callbacks = event.callbacks, None
+                        self._sole = len(callbacks) == 1
                         for callback in callbacks:
                             callback(event)
                         if not event._ok and not event._defused:
@@ -280,7 +308,9 @@ class Environment:
                     if not self._pull_far():
                         break
             finally:
+                self._sole = False
                 self.events_processed += processed
+                self._popped += processed
             return None
 
         if isinstance(until, Event):
@@ -299,6 +329,7 @@ class Environment:
                         self._now = when
                         processed += 1
                         callbacks, event.callbacks = event.callbacks, None
+                        self._sole = len(callbacks) == 1
                         for callback in callbacks:
                             callback(event)
                         if not event._ok and not event._defused:
@@ -309,7 +340,9 @@ class Environment:
                         if not processed & 2047:
                             self._maybe_adapt()
                 finally:
+                    self._sole = False
                     self.events_processed += processed
+                    self._popped += processed
             if not stop_event._ok:
                 # Defuse in the already-processed case too: raising here
                 # hands the failure to the caller, so the watchdog in
@@ -329,6 +362,7 @@ class Environment:
                     self._now = when
                     processed += 1
                     callbacks, event.callbacks = event.callbacks, None
+                    self._sole = len(callbacks) == 1
                     for callback in callbacks:
                         callback(event)
                     if not event._ok and not event._defused:
@@ -346,7 +380,9 @@ class Environment:
                 if not width or not self._pull_far(int(horizon / width)):
                     break
         finally:
+            self._sole = False
             self.events_processed += processed
+            self._popped += processed
         self._now = horizon
         width = self._cal_width
         if width:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..errors import SimulationError
@@ -120,9 +121,25 @@ class Process(Event):
                     "process yielded an event from a different environment"))
                 return
 
-            if next_event.callbacks is not None:
+            callbacks = next_event.callbacks
+            if callbacks is not None:
+                if not callbacks and env._sole:
+                    queue = env._queue
+                    if (queue and queue[0][3] is next_event
+                            and queue[0][0] == env._now):
+                        # Inline dispatch: this process is the sole callback
+                        # of the event being dispatched, so the loop's next
+                        # step is to pop the heap head, and a head entry at
+                        # ``now`` is the event just yielded (see
+                        # Environment, "Inline dispatch").  With no other
+                        # callback on it, dispatching it is resuming us.
+                        heappop(queue)
+                        next_event.callbacks = None
+                        env.events_processed += 1
+                        event = next_event
+                        continue
                 # Not yet processed: park until it fires.
-                next_event.callbacks.append(self._resume)
+                callbacks.append(self._resume)
                 self._target = next_event
                 return
 

@@ -11,7 +11,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import SimulationError
-from .events import Event, PENDING
+from .events import Event, NORMAL, PENDING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Environment
@@ -64,7 +64,7 @@ class Resource:
     """
 
     __slots__ = ("env", "capacity", "users", "_waiting", "_seq",
-                 "_ncancelled")
+                 "_ncancelled", "_granted")
 
     def __init__(self, env: "Environment", capacity: int = 1) -> None:
         if capacity < 1:
@@ -78,6 +78,10 @@ class Resource:
         self._seq = 0
         #: Entries in ``_waiting`` that are lazily-cancelled tombstones.
         self._ncancelled = 0
+        #: The already-processed event :meth:`acquire` hands out for an
+        #: inline grant (made on first use); it stands in :attr:`users`
+        #: for each unit it holds.
+        self._granted: Optional[Event] = None
 
     @property
     def count(self) -> int:
@@ -93,8 +97,42 @@ class Resource:
         """Claim one unit of capacity (lower ``priority`` wins)."""
         return Request(self, priority)
 
-    def release(self, request: Request) -> None:
-        """Return ``request``'s unit of capacity and grant the next waiter."""
+    def acquire(self, priority: int = 0) -> Event:
+        """:meth:`request` for a process whose next statement yields the grant.
+
+        Returns the event to yield and later pass to :meth:`release`.  When
+        the grant is provably the next event the running loop would
+        dispatch — a :meth:`~repro.sim.engine.Environment.run` loop is
+        dispatching an event whose sole callback is the caller, nothing
+        waits here, capacity is free and no heap entry is due at ``now``
+        — the grant happens inline: it takes the event id and sequence
+        number a :class:`Request` would have taken, counts as one
+        processed event, and returns an already-processed event, so the
+        ``yield`` continues at once with no heap round trip.  Otherwise
+        this is exactly ``request(priority)``.
+        """
+        env = self.env
+        if (env._sole and not self._waiting
+                and len(self.users) < self.capacity):
+            queue = env._queue
+            if not queue or queue[0][0] > env._now:
+                env._eid += 1
+                env.events_processed += 1
+                self._seq += 1
+                granted = self._granted
+                if granted is None:
+                    granted = self._granted = Event(env)
+                    granted._value = None
+                    granted.callbacks = None
+                self.users.append(granted)
+                return granted
+        return Request(self, priority)
+
+    def release(self, request: Event) -> None:
+        """Return ``request``'s unit of capacity and grant the next waiter.
+
+        Takes a :class:`Request` or an inline grant from :meth:`acquire`.
+        """
         try:
             self.users.remove(request)
         except ValueError:
@@ -105,16 +143,21 @@ class Resource:
                 request._cancelled = True
                 self._ncancelled += 1
             return
-        self._grant()
+        if self._waiting:
+            self._grant()
 
     # -- internals -----------------------------------------------------------
 
     def _request(self, request: Request) -> None:
         self._seq += 1
         if not self._waiting and len(self.users) < self.capacity:
-            # Uncontended fast path: grant without touching the heap.
+            # Uncontended fast path: grant without touching the wait heap,
+            # and push the grant the way ``succeed()`` would.
             self.users.append(request)
-            request.succeed()
+            request._value = None
+            env = self.env
+            eid = env._eid = env._eid + 1
+            heapq.heappush(env._queue, (env._now, NORMAL, eid, request))
             return
         heapq.heappush(self._waiting, (request.priority, self._seq, request))
         self._grant()

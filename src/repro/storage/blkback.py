@@ -157,7 +157,7 @@ class BackendDriver:
                 # has the same closed-loop effect on the dirty rate.
                 stretch = guest.write_throttle - 1.0
         env = self.env
-        request.issue_time = env.now
+        request.issue_time = env._now
         self._inflight += 1
         try:
             handled = False
@@ -170,16 +170,17 @@ class BackendDriver:
                     if overhead:
                         yield env.timeout(overhead)
                 disk = self.disk
-                nbytes = request.nbytes
-                grant = disk.spindle.request()
+                spindle = disk.spindle
+                nbytes = request.nblocks * request.block_size
+                grant = spindle.acquire()
                 try:
                     yield grant
                     service = disk.service(nbytes, is_write)
                     yield service
                 finally:
-                    disk.spindle.release(grant)
+                    spindle.release(grant)
                 disk.account(service, nbytes, is_write)
-                self.apply(request)
+                self._apply(request, nbytes)
         finally:
             self._inflight -= 1
             if self._inflight == 0:
@@ -187,7 +188,7 @@ class BackendDriver:
                 for event in drained:
                     event.succeed()
         if stretch:
-            stall = (env.now - request.issue_time) * stretch
+            stall = (env._now - request.issue_time) * stretch
             if stall > 0.0:
                 yield env.timeout(stall)
 
@@ -224,6 +225,10 @@ class BackendDriver:
         Split out so the post-copy path can perform the disk timing itself
         (e.g. after a pulled block arrives) and then apply.
         """
+        self._apply(request, request.nbytes)
+
+    def _apply(self, request: IORequest, nbytes: int) -> None:
+        """:meth:`apply` with the request's byte count already computed."""
         if self.crashed:
             return
         for observer in self.request_observers:
@@ -235,10 +240,10 @@ class BackendDriver:
             for observer in self.write_observers:
                 observer(request)
             self.writes += 1
-            self.bytes_written += request.nbytes
+            self.bytes_written += nbytes
         else:
             self.reads += 1
-            self.bytes_read += request.nbytes
+            self.bytes_read += nbytes
 
     def __repr__(self) -> str:
         hooks = "intercepted" if self.interceptor else "direct"

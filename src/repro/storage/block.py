@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 from ..errors import StorageError
 from ..units import BLOCK_SIZE
 
-_request_ids = itertools.count(1)
+_next_request_id = itertools.count(1).__next__
 
 
 class IOKind(enum.Enum):
@@ -26,7 +27,7 @@ class IOKind(enum.Enum):
     WRITE = "write"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class IORequest:
     """The paper's ``R<O, N, VM>`` with a block count.
 
@@ -36,19 +37,32 @@ class IORequest:
 
     kind: IOKind
     block: int
-    nblocks: int = 1
-    domain_id: int = 0
-    block_size: int = BLOCK_SIZE
+    nblocks: int
+    domain_id: int
+    block_size: int
     #: Unique id, used to match pulled blocks back to pending requests.
-    request_id: int = field(default_factory=_request_ids.__next__)
+    request_id: int
     #: Simulated time at which the request was submitted (set by blkback).
-    issue_time: float = -1.0
+    issue_time: float
 
-    def __post_init__(self) -> None:
-        if self.block < 0:
-            raise StorageError(f"negative block number {self.block}")
-        if self.nblocks < 1:
-            raise StorageError(f"request must cover >= 1 block, got {self.nblocks}")
+    # Written out because it runs once per guest I/O: the generated
+    # constructor would add a default-factory and a ``__post_init__`` call.
+    def __init__(self, kind: IOKind, block: int, nblocks: int = 1,
+                 domain_id: int = 0, block_size: int = BLOCK_SIZE,
+                 request_id: Optional[int] = None,
+                 issue_time: float = -1.0) -> None:
+        if block < 0:
+            raise StorageError(f"negative block number {block}")
+        if nblocks < 1:
+            raise StorageError(f"request must cover >= 1 block, got {nblocks}")
+        self.kind = kind
+        self.block = block
+        self.nblocks = nblocks
+        self.domain_id = domain_id
+        self.block_size = block_size
+        self.request_id = (_next_request_id() if request_id is None
+                           else request_id)
+        self.issue_time = issue_time
 
     @property
     def nbytes(self) -> int:

@@ -94,7 +94,7 @@ class PhysicalDisk:
         # try/finally rather than the context-manager form: this runs once
         # per simulated I/O and the protocol calls are pure overhead here.
         spindle = self.spindle
-        grant = spindle.request(priority)
+        grant = spindle.acquire(priority)
         try:
             yield grant
             service = self.service(nbytes, is_write)
