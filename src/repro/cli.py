@@ -35,7 +35,7 @@ from .analysis import (
     run_table2_experiment,
 )
 from .analysis.experiments import run_baseline_experiment
-from .core import MigrationConfig, scheme_names
+from .core import MigrationConfig, get_scheme, scheme_names
 from .units import fmt_bytes, fmt_time
 
 WORKLOADS = ("specweb", "video", "bonnie", "kernelbuild", "idle")
@@ -115,25 +115,39 @@ def _print_report(report, label: str = "") -> None:
     print()
 
 
-def cmd_migrate(args: argparse.Namespace) -> int:
+def _run_migration(args: argparse.Namespace, observe: bool, **baseline):
+    """One ``--scheme`` migration on the experiment testbed.
+
+    Returns ``(scheme, report, bed, migration)``: ``scheme`` is the
+    canonical name (aliases resolved), ``migration`` the scheme object
+    (None for TPM).  ``baseline`` keywords (``tail``) go to
+    :func:`run_baseline_experiment` for non-TPM schemes.
+    """
     config = _config_from(args)
-    observe = args.trace is not None
-    if args.scheme == "tpm":
+    scheme = get_scheme(args.scheme).name
+    if scheme == "tpm":
         report, bed = run_table1_experiment(
             args.workload, scale=args.scale, seed=args.seed,
             config=config, warmup=args.warmup, observe=observe)
+        return scheme, report, bed, None
+    report, bed, migration = run_baseline_experiment(
+        scheme, args.workload, scale=args.scale, seed=args.seed,
+        config=config, warmup=args.warmup, observe=observe, **baseline)
+    return scheme, report, bed, migration
+
+
+def cmd_migrate(args: argparse.Namespace) -> int:
+    scheme, report, bed, migration = _run_migration(
+        args, observe=args.trace is not None, tail=args.dwell)
+    if scheme == "tpm":
         _print_report(report, "primary TPM migration")
         if args.roundtrip:
             bed.run_for(args.dwell)
             back = bed.migrate()
             _print_report(back, "incremental migration back")
-        _maybe_dump_trace(args, bed)
-        return 0
-    report, bed, migration = run_baseline_experiment(
-        args.scheme, args.workload, scale=args.scale, seed=args.seed,
-        config=config, warmup=args.warmup, tail=args.dwell, observe=observe)
-    _print_report(report, f"{args.scheme} migration")
-    if args.scheme == "on-demand" and migration is not None:
+    else:
+        _print_report(report, f"{scheme} migration")
+    if scheme == "on-demand":
         print(f"  residual dependency: {migration.residual_blocks} blocks "
               f"still only on the source "
               f"({'alive' if migration.dependency_alive else 'done'})")
@@ -146,19 +160,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """Run one traced migration and print the span tree + key metrics."""
     from .obs.export import phase_durations
 
-    config = _config_from(args)
-    observe_scheme = args.scheme
-    if observe_scheme == "tpm":
-        report, bed = run_table1_experiment(
-            args.workload, scale=args.scale, seed=args.seed,
-            config=config, warmup=args.warmup, observe=True)
-    else:
-        report, bed, migration = run_baseline_experiment(
-            observe_scheme, args.workload, scale=args.scale, seed=args.seed,
-            config=config, warmup=args.warmup, observe=True)
-        if observe_scheme == "on-demand" and migration is not None:
-            migration.stop()
-    _print_report(report, f"{observe_scheme} migration")
+    scheme, report, bed, migration = _run_migration(args, observe=True)
+    if scheme == "on-demand":
+        migration.stop()
+    _print_report(report, f"{scheme} migration")
 
     tracer = bed.tracer
     nchunks = sum(1 for s in tracer.spans if s.category == "transfer")

@@ -270,7 +270,8 @@ def check_invariants(target, expected_ids: set[int]) -> list[str]:
 
 
 def _run_monolithic(config: ChaosConfig, rng: np.random.Generator
-                    ) -> tuple["ClusterBed", list[MigrationJob], int]:
+                    ) -> tuple["ClusterBed", list[MigrationJob], FaultPlan,
+                               set[int]]:
     from ..faults import FaultInjector
     from .testbed import build_cluster
 
@@ -290,13 +291,12 @@ def _run_monolithic(config: ChaosConfig, rng: np.random.Generator
         jobs.append(bed.scheduler.submit(
             domain, bed.host(dest_name), replaceable=True))
     bed.env.run()
-    nfaults = (len(plan.partitions) + len(plan.flaps) + len(plan.crashes)
-               + len(plan.blackouts) + len(plan.degradations))
-    return bed, jobs, nfaults, expected_ids
+    return bed, jobs, plan, expected_ids
 
 
 def _run_sharded(config: ChaosConfig, rng: np.random.Generator
-                 ) -> tuple["ShardedCluster", list[MigrationJob], int]:
+                 ) -> tuple["ShardedCluster", list[MigrationJob], FaultPlan,
+                            set[int]]:
     from .sharded import build_sharded_cluster
 
     cluster = build_sharded_cluster(
@@ -313,18 +313,18 @@ def _run_sharded(config: ChaosConfig, rng: np.random.Generator
             config, rng, cluster.domains, host_names):
         jobs.append(cluster.submit(domain, dest_name))
     cluster.drain(jobs)
-    nfaults = (len(plan.partitions) + len(plan.flaps) + len(plan.crashes)
-               + len(plan.blackouts) + len(plan.degradations))
-    return cluster, jobs, nfaults, expected_ids
+    return cluster, jobs, plan, expected_ids
 
 
 def run_chaos(config: ChaosConfig) -> ChaosReport:
     """One seeded chaos run: build, fault, drain, check."""
     rng = np.random.default_rng(config.seed)
     if config.mode == "sharded":
-        target, jobs, nfaults, expected_ids = _run_sharded(config, rng)
+        target, jobs, plan, expected_ids = _run_sharded(config, rng)
     else:
-        target, jobs, nfaults, expected_ids = _run_monolithic(config, rng)
+        target, jobs, plan, expected_ids = _run_monolithic(config, rng)
+    nfaults = (len(plan.partitions) + len(plan.flaps) + len(plan.crashes)
+               + len(plan.blackouts) + len(plan.degradations))
     violations = check_invariants(target, expected_ids)
     schedulers = ([shard.scheduler for shard in target.shards]
                   if hasattr(target, "shards") else [target.scheduler])

@@ -22,14 +22,15 @@ kills an attempt deterministically, and the retrier's bitmap-based retry
 demonstrates the cheap-recovery claim.
 
 Observability (see docs/OBSERVABILITY.md): with a real tracer installed
-the injector emits ``fault:*`` instants (blackout start/end, degradation
-windows, crashes, send timeouts) and counts ``faults.send_timeouts``, so
-a fault-recovery trace shows exactly where each attempt died.
+the injector emits one ``fault:*`` instant per activated fault
+(blackout, degrade, partition, flap), per crash and restart, and per
+send timeout, and counts ``faults.send_timeouts``, so a fault-recovery
+trace shows exactly where each attempt died.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Iterator, Optional, Union
 
 from ..errors import FaultError, NetworkError
 from ..net.link import DuplexLink, Link
@@ -40,6 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.manager import Migrator
     from ..net.topology import Topology
     from ..sim import Environment
+
+_LinkSpec = Union[BlackoutSpec, DegradeSpec, PartitionSpec, FlapSpec]
 
 
 def _direction_matches(spec_direction: str, link_tag: str) -> bool:
@@ -141,6 +144,13 @@ class FaultInjector:
     injector for migration phase marks (phase-triggered faults), and
     schedules time-triggered crashes.  ``detach`` restores every link to
     the pristine fault-free fast path.
+
+    Every link fault (blackout, degradation, partition, flap) activates
+    exactly once through :meth:`_activate`: an ``at=`` spec when the
+    first link is attached, a ``phase=`` spec at its phase mark.  An
+    active fault covers every attached link, including links attached
+    after it fired, so its effect depends only on the spec, its start
+    time and the link.
     """
 
     def __init__(self, env: "Environment", plan: FaultPlan) -> None:
@@ -148,15 +158,14 @@ class FaultInjector:
         self.plan = plan
         #: ``id(link)`` -> fault state, for every attached link direction.
         self._states: dict[int, LinkFaultState] = {}
-        #: ``(link, direction_tag)`` pairs, for direction-filtered specs.
-        self._links: list[tuple[Link, str]] = []
-        #: ``(duplex, (a, b))`` per attached duplex, for link-named specs
-        #: (flaps) and partition cuts.
+        #: ``(duplex, (a, b))`` per attached duplex; ``a``/``b`` name the
+        #: endpoints (empty when unknown) for flaps, partitions, crashes.
         self._duplexes: list[tuple[DuplexLink, tuple[str, str]]] = []
         self._hosts: dict[str, object] = {}
-        #: host name -> links touching that host (for crash isolation).
-        self._host_links: dict[str, list[Link]] = {}
-        #: Specs already activated (phase triggers fire once).
+        #: Activated link faults as ``(spec, start)``, replayed on every
+        #: link attached later.
+        self._active: list[tuple[_LinkSpec, float]] = []
+        #: Keys of specs already activated (every trigger fires once).
         self._fired: set[tuple] = set()
         #: ``(time, description)`` log of every activated fault.
         self.log: list[tuple[float, str]] = []
@@ -183,242 +192,166 @@ class FaultInjector:
                hosts: tuple[str, str] = ("", "")) -> "FaultInjector":
         """Wire the plan into one full-duplex link (both directions).
 
-        Time-triggered windows are installed immediately on the new link;
-        phase-triggered ones wait for :meth:`on_phase`.  Re-attaching an
-        already-attached duplex is a no-op, so lazily created links
-        (e.g. sharded surrogate fabric) can be offered unconditionally.
+        The new link gets every fault already active, then the plan's
+        time-triggered faults activate if this is the first attach.
+        Re-attaching an already-attached duplex is a no-op, so lazily
+        created links (e.g. sharded surrogate fabric) can be offered
+        unconditionally.
         """
         if id(duplex.forward) in self._states:
             return self
-        new_links = []
-        for link, tag in ((duplex.forward, "forward"),
-                          (duplex.backward, "backward")):
-            self._state_for(link)
-            self._links.append((link, tag))
-            new_links.append((link, tag))
-            for host in hosts:
-                if host:
-                    self._host_links.setdefault(host, []).append(link)
-        ends = (hosts[0] or duplex.forward.name, hosts[1] or "")
-        self._duplexes.append((duplex, ends))
-        for spec in self.plan.flaps:
-            if spec.at is None or not self._flap_covers(spec, ends):
-                continue
-            for link, tag in new_links:
-                if _direction_matches(spec.direction, tag):
-                    state = self._state_for(link)
-                    for start, end in spec.windows(spec.at):
-                        state.add_blackout(start, end)
-        for spec in self.plan.partitions:
-            if spec.at is None or self._topology is None:
-                continue
-            cut = frozenset(spec.isolate)
-            if (hosts[0] and hosts[1]
-                    and self._topology.partition_side(hosts[0], cut)
-                    != self._topology.partition_side(hosts[1], cut)):
-                for link, _tag in new_links:
-                    self._state_for(link).add_blackout(
-                        spec.at, spec.at + spec.duration)
-        for spec in self.plan.blackouts:
-            if spec.at is None:
-                continue
-            for link, tag in new_links:
-                if _direction_matches(spec.direction, tag):
-                    self._state_for(link).add_blackout(
-                        spec.at, spec.at + spec.duration)
-        for spec in self.plan.degradations:
-            if spec.at is None:
-                continue
-            for link, tag in new_links:
-                if _direction_matches(spec.direction, tag):
-                    self._state_for(link).add_degradation(
-                        spec.at, spec.at + spec.duration,
-                        spec.bandwidth_factor, spec.extra_latency)
+        self._state_for(duplex.forward)
+        self._state_for(duplex.backward)
+        self._duplexes.append((duplex, hosts))
+        for spec, start in self._active:
+            self._apply(spec, start, duplex, hosts)
+        for key, spec in self._link_specs():
+            if spec.at is not None:
+                self._activate(spec, spec.at, key)
         return self
 
-    def _flap_covers(self, spec: FlapSpec, ends: tuple[str, str]) -> bool:
-        """Does this flap spec target the duplex with endpoints ``ends``?"""
+    def _flap_covers(self, spec: FlapSpec, hosts: tuple[str, str]) -> bool:
+        """Does this flap spec target the duplex with endpoints ``hosts``?"""
         if spec.link is not None:
-            return frozenset(spec.link) == frozenset(ends)
+            return frozenset(spec.link) == frozenset(hosts)
         if self._topology is None:
             return True  # attach-only use: no graph to scope to, flap all
         fabric = {"rack", "pod", "core"}
         return all(end and self._topology.tier_of(end) in fabric
-                   for end in ends)
+                   for end in hosts)
 
     def inject(self, migrator: "Migrator") -> "FaultInjector":
         """Attach to every link and host a :class:`Migrator` knows about."""
         topology = self._topology = migrator.topology
-        for (a, b), duplex in topology.links.items():
-            self.attach(duplex, hosts=(a, b))
         self._hosts.update(topology.hosts)
         for spec in self.plan.crashes:
             if spec.host not in self._hosts:
                 raise FaultError(
                     f"crash names unknown host {spec.host!r}; "
                     f"known: {sorted(self._hosts)}")
+        for (a, b), duplex in topology.links.items():
+            self.attach(duplex, hosts=(a, b))
         for i, spec in enumerate(self.plan.crashes):
             if spec.at is not None:
-                self.env.process(self._crash_later(spec, spec.at, ("c", i)),
-                                 name=f"fault:crash:{spec.host}")
-        for spec in self.plan.blackouts:
-            if spec.at is not None:
-                self.env.tracer.instant(
-                    "fault:blackout", category="fault",
-                    direction=spec.direction, start=spec.at,
-                    duration=spec.duration)
-        for spec in self.plan.degradations:
-            if spec.at is not None:
-                self.env.tracer.instant(
-                    "fault:degrade", category="fault",
-                    direction=spec.direction, start=spec.at,
-                    duration=spec.duration,
-                    bandwidth_factor=spec.bandwidth_factor,
-                    extra_latency=spec.extra_latency)
-        for spec in self.plan.partitions:
-            if spec.at is not None:
-                crossing = self._topology.crossing_links(spec.isolate)
-                self.log.append((spec.at, f"partition {list(spec.isolate)} "
-                                          f"{spec.duration:.3f}s "
-                                          f"({len(crossing)} links cut)"))
-                self.env.tracer.instant(
-                    "fault:partition", category="fault",
-                    isolate=list(spec.isolate), start=spec.at,
-                    duration=spec.duration, links_cut=len(crossing))
-        for spec in self.plan.flaps:
-            if spec.at is not None:
-                self.log.append((spec.at, f"flap "
-                                          f"{spec.link or 'fabric'} "
-                                          f"x{spec.count} "
-                                          f"{spec.down_time:.3f}s down / "
-                                          f"{spec.up_time:.3f}s up"))
-                self.env.tracer.instant(
-                    "fault:flap", category="fault",
-                    link=list(spec.link) if spec.link else None,
-                    start=spec.at, count=spec.count,
-                    down_time=spec.down_time, up_time=spec.up_time)
+                self._schedule_crash(spec, spec.at, ("c", i))
         migrator.fault_injector = self
         return self
 
     def detach(self) -> None:
         """Remove every fault hook, restoring the fault-free fast path."""
-        for link, _tag in self._links:
-            link.faults = None
-        self._links.clear()
+        for duplex, _hosts in self._duplexes:
+            duplex.forward.faults = duplex.backward.faults = None
         self._duplexes.clear()
         self._states.clear()
 
-    # -- phase triggers ----------------------------------------------------
+    # -- activation --------------------------------------------------------
 
     def on_phase(self, name: str, at: Optional[float] = None) -> None:
         """Activate phase-triggered faults (called by the migration)."""
         now = self.env.now if at is None else at
-        for i, spec in enumerate(self.plan.blackouts):
+        for key, spec in self._link_specs():
             if spec.phase == name:
-                self._install_blackout(spec, now + spec.offset, key=("b", i))
-        for i, spec in enumerate(self.plan.degradations):
-            if spec.phase == name:
-                self._install_degrade(spec, now + spec.offset, key=("d", i))
-        for i, spec in enumerate(self.plan.partitions):
-            if spec.phase == name:
-                self._install_partition(spec, now + spec.offset,
-                                        key=("p", i))
-        for i, spec in enumerate(self.plan.flaps):
-            if spec.phase == name:
-                self._install_flap(spec, now + spec.offset, key=("f", i))
+                self._activate(spec, now + spec.offset, key)
         for i, spec in enumerate(self.plan.crashes):
-            if spec.phase == name and ("c", i) not in self._fired:
-                self._fired.add(("c", i))
-                self.env.process(
-                    self._crash_later(spec, now + spec.offset, ("c", i)),
-                    name=f"fault:crash:{spec.host}")
+            if spec.phase == name:
+                self._schedule_crash(spec, now + spec.offset, ("c", i))
 
-    # -- installation (phase-triggered, one-shot) ------------------------
+    def _link_specs(self) -> Iterator[tuple[tuple[str, int], _LinkSpec]]:
+        """``(key, spec)`` for every link fault of the plan."""
+        plan = self.plan
+        for tag, specs in (("b", plan.blackouts), ("d", plan.degradations),
+                           ("p", plan.partitions), ("f", plan.flaps)):
+            for i, spec in enumerate(specs):
+                yield (tag, i), spec
 
-    def _matching_links(self, direction: str) -> list[Link]:
-        return [link for link, tag in self._links
-                if _direction_matches(direction, tag)]
-
-    def _install_blackout(self, spec: BlackoutSpec, start: float,
-                          key: tuple) -> None:
+    def _activate(self, spec: _LinkSpec, start: float, key: tuple) -> None:
+        """Fire one link fault: every attached link, one log entry, one
+        ``fault:*`` instant.  Later calls with the same ``key`` are no-ops."""
         if key in self._fired:
             return
-        self._fired.add(key)
-        for link in self._matching_links(spec.direction):
-            self._state_for(link).add_blackout(start, start + spec.duration)
-        self.log.append((start, f"blackout[{spec.direction}] "
-                                f"{spec.duration:.3f}s"))
-        self.env.tracer.instant("fault:blackout", category="fault",
-                                direction=spec.direction, start=start,
-                                duration=spec.duration)
-
-    def _install_degrade(self, spec: DegradeSpec, start: float,
-                         key: tuple) -> None:
-        if key in self._fired:
-            return
-        self._fired.add(key)
-        for link in self._matching_links(spec.direction):
-            self._state_for(link).add_degradation(
-                start, start + spec.duration, spec.bandwidth_factor,
-                spec.extra_latency)
-        self.log.append((start, f"degrade[{spec.direction}] "
-                                f"x{spec.bandwidth_factor:.2f} "
-                                f"+{spec.extra_latency * 1e3:.1f}ms "
-                                f"{spec.duration:.3f}s"))
-        self.env.tracer.instant("fault:degrade", category="fault",
-                                direction=spec.direction, start=start,
-                                duration=spec.duration,
-                                bandwidth_factor=spec.bandwidth_factor,
-                                extra_latency=spec.extra_latency)
-
-    def _install_partition(self, spec: PartitionSpec, start: float,
-                           key: tuple) -> None:
-        if key in self._fired:
-            return
-        self._fired.add(key)
-        if self._topology is None:
+        if isinstance(spec, PartitionSpec) and self._topology is None:
             raise FaultError(
                 "partition faults need a topology; use inject(migrator), "
                 "not bare attach()")
-        cut = frozenset(spec.isolate)
-        ncut = 0
-        for (a, b), duplex in self._topology.links.items():
-            if (self._topology.partition_side(a, cut)
-                    == self._topology.partition_side(b, cut)):
-                continue
-            ncut += 1
-            for link in (duplex.forward, duplex.backward):
-                self._state_for(link).add_blackout(
-                    start, start + spec.duration)
-        self.log.append((start, f"partition {list(spec.isolate)} "
-                                f"{spec.duration:.3f}s ({ncut} links cut)"))
-        self.env.tracer.instant("fault:partition", category="fault",
-                                isolate=list(spec.isolate), start=start,
-                                duration=spec.duration, links_cut=ncut)
+        self._fired.add(key)
+        self._active.append((spec, start))
+        for duplex, hosts in self._duplexes:
+            self._apply(spec, start, duplex, hosts)
+        if isinstance(spec, BlackoutSpec):
+            kind, text = "blackout", (f"blackout[{spec.direction}] "
+                                      f"{spec.duration:.3f}s")
+            args = dict(direction=spec.direction, duration=spec.duration)
+        elif isinstance(spec, DegradeSpec):
+            kind, text = "degrade", (f"degrade[{spec.direction}] "
+                                     f"x{spec.bandwidth_factor:.2f} "
+                                     f"+{spec.extra_latency * 1e3:.1f}ms "
+                                     f"{spec.duration:.3f}s")
+            args = dict(direction=spec.direction, duration=spec.duration,
+                        bandwidth_factor=spec.bandwidth_factor,
+                        extra_latency=spec.extra_latency)
+        elif isinstance(spec, PartitionSpec):
+            ncut = len(self._topology.crossing_links(spec.isolate))
+            kind, text = "partition", (f"partition {list(spec.isolate)} "
+                                       f"{spec.duration:.3f}s "
+                                       f"({ncut} links cut)")
+            args = dict(isolate=list(spec.isolate), duration=spec.duration,
+                        links_cut=ncut)
+        else:
+            kind, text = "flap", (f"flap {spec.link or 'fabric'} "
+                                  f"x{spec.count} {spec.down_time:.3f}s "
+                                  f"down / {spec.up_time:.3f}s up")
+            args = dict(link=list(spec.link) if spec.link else None,
+                        count=spec.count, down_time=spec.down_time,
+                        up_time=spec.up_time)
+        self.log.append((start, text))
+        self.env.tracer.instant(f"fault:{kind}", category="fault",
+                                start=start, **args)
 
-    def _install_flap(self, spec: FlapSpec, start: float, key: tuple) -> None:
+    def _apply(self, spec: _LinkSpec, start: float, duplex: DuplexLink,
+               hosts: tuple[str, str]) -> None:
+        """Install the windows of ``spec``, started at ``start``, on the
+        directions of one duplex it covers."""
+        if isinstance(spec, PartitionSpec):
+            cut = frozenset(spec.isolate)
+            side = self._topology.partition_side
+            if not (hosts[0] and hosts[1]) or (side(hosts[0], cut)
+                                               == side(hosts[1], cut)):
+                return
+        elif isinstance(spec, FlapSpec) and not self._flap_covers(spec, hosts):
+            return
+        # A partition has no direction: it cuts both ways.
+        direction = getattr(spec, "direction", "both")
+        for link, tag in ((duplex.forward, "forward"),
+                          (duplex.backward, "backward")):
+            if not _direction_matches(direction, tag):
+                continue
+            state = self._states[id(link)]
+            if isinstance(spec, DegradeSpec):
+                state.add_degradation(start, start + spec.duration,
+                                      spec.bandwidth_factor,
+                                      spec.extra_latency)
+            elif isinstance(spec, FlapSpec):
+                for lo, hi in spec.windows(start):
+                    state.add_blackout(lo, hi)
+            else:
+                state.add_blackout(start, start + spec.duration)
+
+    # -- crashes -----------------------------------------------------------
+
+    def _host_states(self, host: str) -> list[LinkFaultState]:
+        """Fault state of both directions of every duplex touching ``host``."""
+        return [self._states[id(link)]
+                for duplex, hosts in self._duplexes if host in hosts
+                for link in (duplex.forward, duplex.backward)]
+
+    def _schedule_crash(self, spec: CrashSpec, at: float, key: tuple) -> None:
         if key in self._fired:
             return
         self._fired.add(key)
-        windows = spec.windows(start)
-        for duplex, ends in self._duplexes:
-            if not self._flap_covers(spec, ends):
-                continue
-            for link, tag in ((duplex.forward, "forward"),
-                              (duplex.backward, "backward")):
-                if _direction_matches(spec.direction, tag):
-                    state = self._state_for(link)
-                    for lo, hi in windows:
-                        state.add_blackout(lo, hi)
-        self.log.append((start, f"flap {spec.link or 'fabric'} "
-                                f"x{spec.count} {spec.down_time:.3f}s"))
-        self.env.tracer.instant("fault:flap", category="fault",
-                                link=list(spec.link) if spec.link else None,
-                                start=start, count=spec.count,
-                                down_time=spec.down_time,
-                                up_time=spec.up_time)
+        self.env.process(self._crash_later(spec, at),
+                         name=f"fault:crash:{spec.host}")
 
-    def _crash_later(self, spec: CrashSpec, at: float, key: tuple) -> Generator:
+    def _crash_later(self, spec: CrashSpec, at: float) -> Generator:
         if at > self.env.now:
             yield self.env.timeout(at - self.env.now)
         self._apply_crash(spec)
@@ -433,8 +366,8 @@ class FaultInjector:
                 host.crash()
             else:
                 host.crashed = True
-        for link in self._host_links.get(spec.host, []):
-            self._state_for(link).add_blackout(self.env.now, float("inf"))
+        for state in self._host_states(spec.host):
+            state.add_blackout(self.env.now, float("inf"))
         self.log.append((self.env.now, f"crash {spec.host}"))
         self.env.tracer.instant("fault:crash", category="fault",
                                 host=spec.host, down_for=spec.down_for)
@@ -456,8 +389,8 @@ class FaultInjector:
                 host.restart()
             else:
                 host.crashed = False
-        for link in self._host_links.get(spec.host, []):
-            self._state_for(link).end_permanent_blackouts(self.env.now)
+        for state in self._host_states(spec.host):
+            state.end_permanent_blackouts(self.env.now)
         self.log.append((self.env.now, f"restart {spec.host}"))
         self.env.tracer.instant("fault:restart", category="fault",
                                 host=spec.host)

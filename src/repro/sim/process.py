@@ -70,11 +70,15 @@ class Process(Event):
         hit._ok = False
         hit._value = Interrupt(cause)
         hit._defused = True
-        hit.callbacks.append(self._resume)
+        hit.callbacks.append(self._deliver)
         self.env.schedule(hit, priority=URGENT)
+        self._detach()
 
-        # Detach from the event we were waiting on: when that event later
-        # fires it must not resume us a second time.
+    # -- engine plumbing ---------------------------------------------------
+
+    def _detach(self) -> None:
+        """Stop waiting on the current target: when it later fires it must
+        not resume us a second time."""
         target = self._target
         if target is not None and target.callbacks is not None:
             try:
@@ -83,7 +87,18 @@ class Process(Event):
                 pass
         self._target = None
 
-    # -- engine plumbing ---------------------------------------------------
+    def _deliver(self, hit: Event) -> None:
+        """Throw a scheduled interrupt into the process.
+
+        The target in :meth:`interrupt` may already have been mid-dispatch,
+        with our callback still to run; the process then resumed and now
+        waits on something else, so detach again.  An interrupt that finds
+        the process finished is dropped.
+        """
+        if self.triggered:
+            return
+        self._detach()
+        self._resume(hit)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""

@@ -1,0 +1,173 @@
+"""One activation rule for every link fault: an ``at=t`` spec and the
+same spec triggered by a phase mark at ``t`` leave identical windows on
+every link, whenever the link is attached; ``detach()`` leaves no hook
+behind; a partition without a topology is an error under either
+trigger; the log holds one entry per activated fault."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import Migrator
+from repro.errors import FaultError
+from repro.faults import FaultInjector, FaultPlan
+from repro.net import DuplexLink
+from repro.sim import Environment
+from repro.units import MB
+
+#: Three racks of two hosts under one core switch.
+RACKS = ("rack0", "rack1", "rack2")
+HOSTS = tuple(f"h{i}" for i in range(6))
+EDGES = ([(host, RACKS[i // 2]) for i, host in enumerate(HOSTS)]
+         + [(rack, "core") for rack in RACKS])
+PHASE = "precopy-disk"
+
+
+def racked_migrator(env, edges):
+    migrator = Migrator(env)
+    topo = migrator.topology
+    for host in HOSTS:
+        topo.tag(host, "host")
+    for rack in RACKS:
+        topo.tag(rack, "rack")
+    topo.tag("core", "core")
+    for a, b in edges:
+        topo.connect(a, b, bandwidth=1 * MB, latency=1e-3)
+    return migrator
+
+
+def windows(duplex):
+    return [(link.faults._blackouts, link.faults._degradations)
+            for link in (duplex.forward, duplex.backward)]
+
+
+directions = st.sampled_from(("forward", "backward", "both"))
+durations = st.floats(0.1, 5.0)
+
+#: ``(kind, kwargs)`` for one link fault, trigger left out.
+link_specs = st.one_of(
+    st.tuples(st.just("blackout"), st.fixed_dictionaries(
+        {"duration": durations, "direction": directions})),
+    st.tuples(st.just("degrade"), st.fixed_dictionaries(
+        {"duration": durations, "direction": directions,
+         "bandwidth_factor": st.floats(0.1, 1.0),
+         "extra_latency": st.floats(0.0, 0.01)})),
+    st.tuples(st.just("partition"), st.fixed_dictionaries(
+        {"isolate": st.lists(st.sampled_from(RACKS + HOSTS), min_size=1,
+                             max_size=2),
+         "duration": durations})),
+    st.tuples(st.just("flap"), st.fixed_dictionaries(
+        {"down_time": st.floats(0.1, 1.0), "up_time": st.floats(0.1, 1.0),
+         "count": st.integers(1, 3),
+         "link": st.none() | st.sampled_from(EDGES),
+         "direction": directions})),
+)
+
+
+def build_plan(specs, **trigger):
+    plan = FaultPlan()
+    for kind, kwargs in specs:
+        getattr(plan, kind)(**kwargs, **trigger)
+    return plan
+
+
+def run(specs, t, order, nearly, phase):
+    """Inject with the first ``nearly`` edges of ``order`` connected,
+    activate, then connect and attach the rest one by one.  Returns the
+    windows of every link and the injector's log."""
+    env = Environment()
+    early, late = order[:nearly], order[nearly:]
+    migrator = racked_migrator(env, early)
+    plan = (build_plan(specs, phase=PHASE) if phase
+            else build_plan(specs, at=t))
+    injector = FaultInjector(env, plan).inject(migrator)
+    if phase:
+        injector.on_phase(PHASE, at=t)
+    for a, b in late:
+        duplex = migrator.topology.connect(a, b, bandwidth=1 * MB,
+                                           latency=1e-3)
+        injector.attach(duplex, hosts=(a, b))
+    links = {key: windows(duplex)
+             for key, duplex in migrator.topology.links.items()}
+    return links, injector.log
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=st.lists(link_specs, min_size=1, max_size=4),
+       t=st.floats(0.0, 10.0),
+       order=st.permutations(EDGES),
+       nearly=st.integers(1, len(EDGES)))
+def test_at_and_phase_triggers_leave_the_same_windows(specs, t, order,
+                                                      nearly):
+    timed = run(specs, t, order, nearly, phase=False)
+    phased = run(specs, t, order, nearly, phase=True)
+    assert timed == phased
+
+
+class TestDetach:
+    def test_detach_clears_every_hook(self):
+        env = Environment()
+        migrator = racked_migrator(env, EDGES[:-1])
+        plan = (FaultPlan()
+                .partition(["rack2"], duration=1.0, phase=PHASE)
+                .flap(down_time=0.1, phase=PHASE)
+                .blackout(duration=1.0, phase=PHASE)
+                .degrade(duration=1.0, phase=PHASE))
+        injector = FaultInjector(env, plan).inject(migrator)
+        topo = migrator.topology
+        # One link connected and attached after inject(), one connected
+        # after inject() and never offered to the injector.
+        attached = topo.connect("rack2", "core", bandwidth=1 * MB)
+        injector.attach(attached, hosts=("rack2", "core"))
+        topo.connect("h0", "rack2", bandwidth=1 * MB)
+        injector.on_phase(PHASE)
+        injector.detach()
+        for duplex in topo.links.values():
+            assert duplex.forward.faults is None
+            assert duplex.backward.faults is None
+
+    def test_crash_after_detach_rehooks_nothing(self):
+        from repro.storage import GenerationClock
+        from repro.vm import Host
+
+        env = Environment()
+        clock = GenerationClock()
+        migrator = Migrator(env)
+        duplex = migrator.connect(Host(env, "a", clock=clock),
+                                  Host(env, "b", clock=clock))
+        plan = FaultPlan().crash("b", at=1.0, down_for=1.0)
+        injector = FaultInjector(env, plan).inject(migrator)
+        injector.detach()
+        env.run(until=3.0)
+        assert duplex.forward.faults is None
+        assert duplex.backward.faults is None
+
+
+class TestPartitionNeedsTopology:
+    @pytest.mark.parametrize("trigger", [{"at": 1.0}, {"phase": PHASE}])
+    def test_bare_attach_partition_raises(self, trigger):
+        env = Environment()
+        plan = FaultPlan().partition(["rack1"], duration=1.0, **trigger)
+        with pytest.raises(FaultError, match="need a topology"):
+            injector = FaultInjector(env, plan)
+            injector.attach(DuplexLink(env, 1 * MB, 0.0))
+            injector.on_phase(PHASE)
+
+
+class TestLog:
+    @pytest.mark.parametrize("phase", [False, True])
+    def test_one_entry_per_activated_fault(self, phase):
+        env = Environment()
+        migrator = racked_migrator(env, EDGES[:4])
+        trigger = {"phase": PHASE} if phase else {"at": 0.5}
+        plan = (FaultPlan()
+                .blackout(duration=1.0, **trigger)
+                .degrade(duration=1.0, **trigger)
+                .partition(["rack1"], duration=1.0, **trigger)
+                .flap(down_time=0.1, link=("rack0", "core"), **trigger))
+        injector = FaultInjector(env, plan).inject(migrator)
+        injector.on_phase(PHASE)
+        injector.on_phase(PHASE)
+        for a, b in EDGES[4:]:
+            injector.attach(migrator.topology.connect(a, b), hosts=(a, b))
+        assert [entry.split()[0] for _at, entry in injector.log] == [
+            "blackout[both]", "degrade[both]", "partition", "flap"]

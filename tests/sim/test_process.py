@@ -145,6 +145,51 @@ class TestInterrupt:
         env.run()
         assert resumed == ["interrupt", "second sleep done"]
 
+    def test_interrupt_while_target_dispatches(self, env):
+        # The killer and the victim both wait on ``signal``; the killer's
+        # callback runs first and interrupts the victim, whose callback on
+        # the same event still runs.  The interrupt must then land on what
+        # the victim waits on next, and that event must not resume it a
+        # second time.
+        signal = env.event()
+        resumed = []
+
+        def killer(env):
+            yield signal
+            victim.interrupt("stop")
+
+        def sleeper(env):
+            yield signal
+            resumed.append("signal")
+            try:
+                yield env.timeout(0)
+            except Interrupt as irq:
+                resumed.append(irq.cause)
+
+        env.process(killer(env))
+        victim = env.process(sleeper(env))
+        env.timeout(1).callbacks.append(lambda _e: signal.succeed())
+        env.run()
+        assert resumed == ["signal", "stop"]
+        assert victim.ok
+
+    def test_interrupt_dropped_if_process_finished_first(self, env):
+        signal = env.event()
+
+        def killer(env):
+            yield signal
+            victim.interrupt("late")
+
+        def quick(env):
+            yield signal
+            return "done"
+
+        env.process(killer(env))
+        victim = env.process(quick(env))
+        env.timeout(1).callbacks.append(lambda _e: signal.succeed())
+        env.run()
+        assert victim.value == "done"
+
     def test_interrupting_finished_process_is_error(self, env):
         def quick(env):
             yield env.timeout(1)

@@ -57,6 +57,25 @@ class TestCommands:
                      "idle", "--dwell", "2", *self.SMALL]) == 0
         assert "residual dependency" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["migrate", "trace"])
+    def test_scheme_alias_runs_like_canonical_name(self, command, capsys,
+                                                   monkeypatch, tmp_path):
+        from repro.baselines.ondemand import OnDemandMigration
+
+        stops = []
+        real_stop = OnDemandMigration.stop
+        monkeypatch.setattr(OnDemandMigration, "stop",
+                            lambda self: stops.append(real_stop(self)))
+        extra = (["--dwell", "2"] if command == "migrate"
+                 else ["--out", str(tmp_path / "t.json")])
+        assert main([command, "--scheme", "ondemand", "--workload", "idle",
+                     *extra, *self.SMALL]) == 0
+        out = capsys.readouterr().out
+        assert "on-demand migration" in out
+        if command == "migrate":
+            assert "residual dependency" in out
+        assert len(stops) == 1
+
     def test_backup_chain(self, capsys):
         assert main(["backup", "--workload", "idle", "--increments", "2",
                      "--interval", "2", *self.SMALL]) == 0
