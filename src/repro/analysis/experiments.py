@@ -374,8 +374,7 @@ def run_baseline_experiment(scheme: str, workload: str = "specweb",
     they all share the same harness: channel wiring, rate limiting,
     history recording, fault injection, and tracing.
 
-    Returns ``(report, bed, migration_object_or_None)``; the migration
-    object (None for TPM, for backwards compatibility) exposes
+    Returns ``(report, bed, migration)``; the migration object exposes
     scheme-specific state such as the on-demand baseline's residual
     dependency.  ``tail`` seconds of post-migration run time let the
     on-demand baseline accumulate that behaviour before the experiment
@@ -394,9 +393,7 @@ def run_baseline_experiment(scheme: str, workload: str = "specweb",
         scheme=scheme, scheme_kwargs=scheme_kwargs or None)
     report = bed.env.run(until=proc)
     bed.run_for(tail)
-    migration = (None if scheme == "tpm"
-                 else bed.migrator.last_migration)
-    return report, bed, migration
+    return report, bed, bed.migrator.last_migration
 
 
 def run_tracking_overhead_experiment(

@@ -24,12 +24,11 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from ..core.memcopy import MemoryPreCopier
 from ..core.scheme import MigrationScheme, register_scheme
-from ..core.transfer import BlockStreamer, PageStreamer
-from ..errors import MigrationError, NetworkError
+from ..core.transfer import BlockStreamer
+from ..errors import NetworkError
 from ..net.channel import Channel
-from ..net.messages import ControlMsg, CPUStateMsg, DeltaMsg
+from ..net.messages import ControlMsg, DeltaMsg
 from ..storage.block import IORequest
 from ..storage.vbd import VirtualBlockDevice
 
@@ -73,8 +72,6 @@ class DeltaQueueMigration(MigrationScheme):
         report = self.report
         tracer = env.tracer
 
-        from ..vm.memory import GuestMemory
-
         src_vbd = self.source.vbd_of(domain.domain_id)
         src_driver = self._src_driver = self.source.driver_of(
             domain.domain_id)
@@ -107,48 +104,20 @@ class DeltaQueueMigration(MigrationScheme):
         tracer.end(disk_span)
 
         # Memory pre-copy (disk writes keep being forwarded meanwhile).
-        self._notify_phase("precopy-mem")
-        shadow = GuestMemory(domain.memory.npages, domain.memory.page_size,
-                             clock=domain.memory.clock)
-        pages = PageStreamer(env, domain.memory, shadow, self.fwd, cfg)
-        mem_span = tracer.begin("phase:precopy-mem", category="phase")
-        report.precopy_mem_started_at = env.now
-        report.mem_rounds = yield from MemoryPreCopier(
-            env, domain.memory, pages, cfg).run()
-        report.precopy_mem_ended_at = env.now
-        tracer.end(mem_span, rounds=len(report.mem_rounds))
+        pages = self._page_streamer()
+        yield from self._precopy_memory(pages)
 
-        # Freeze-and-copy.
-        self._committed = True
-        self._notify_phase("freeze")
-        domain.suspend()
-        freeze_span = tracer.begin("phase:freeze", category="phase")
-        report.suspended_at = env.now
-        tracer.instant("suspend", category="freeze")
-        if cfg.suspend_overhead > 0:
-            yield env.timeout(cfg.suspend_overhead)
-        yield from src_driver.quiesce()
+        freeze_span = yield from self._freeze()
         self._forwarding = False
         src_driver.write_observers.remove(self._observe_write)
         src_driver.interceptor = None
-
-        final = domain.memory.stop_logging()
-        dirty_pages = final.dirty_indices()
-        report.final_dirty_pages = int(dirty_pages.size)
-        yield from pages.stream(dirty_pages, category="memory", limited=False)
-        yield from self.fwd.send(CPUStateMsg(domain.cpu.state_nbytes),
-                                 category="cpu", limited=False)
-        yield self.fwd.recv()
-        if not shadow.identical_to(domain.memory):
-            raise MigrationError("memory inconsistent at end of freeze")
+        cpu = yield from self._ship_memory(pages)
 
         # Flush the remaining delta backlog, then close the stream.
         yield sender  # sender drains the outbox, then exits on a sentinel
         yield collector
 
-        self.source.detach_domain(domain.domain_id)
-        dst_driver = self.destination.attach_domain(domain, dest_vbd)
-        domain.memory = shadow
+        dst_driver = self._switch_over(dest_vbd, pages, cpu)
 
         # Resume immediately, but block every disk request until all
         # forwarded deltas have been replayed (Bradford's design).
@@ -160,14 +129,7 @@ class DeltaQueueMigration(MigrationScheme):
             return False
 
         dst_driver.interceptor = blocker
-        if cfg.resume_overhead > 0:
-            yield env.timeout(cfg.resume_overhead)
-        domain.resume()
-        report.resumed_at = env.now
-        tracer.instant("resume", category="freeze",
-                       downtime=report.resumed_at - report.suspended_at)
-        tracer.end(freeze_span,
-                   final_dirty_pages=report.final_dirty_pages)
+        yield from self._resume(freeze_span)
 
         # Replay the queue in arrival order.
         self._notify_phase("delta-replay")

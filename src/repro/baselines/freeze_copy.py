@@ -15,10 +15,7 @@ from typing import Generator
 import numpy as np
 
 from ..core.scheme import MigrationScheme, register_scheme
-from ..core.transfer import BlockStreamer, PageStreamer
-from ..errors import MigrationError
-from ..net.messages import CPUStateMsg
-from ..vm.memory import GuestMemory
+from ..core.transfer import BlockStreamer
 
 
 @register_scheme
@@ -40,15 +37,7 @@ class FreezeAndCopyMigration(MigrationScheme):
             src_vbd.nblocks, src_vbd.block_size, data=src_vbd.has_data)
 
         # Freeze first: everything below happens with the VM down.
-        self._committed = True
-        self._notify_phase("freeze")
-        domain.suspend()
-        freeze_span = tracer.begin("phase:freeze", category="phase")
-        report.suspended_at = env.now
-        tracer.instant("suspend", category="freeze")
-        if cfg.suspend_overhead > 0:
-            yield env.timeout(cfg.suspend_overhead)
-        yield from self.source.driver_of(domain.domain_id).quiesce()
+        freeze_span = yield from self._freeze()
 
         disk_span = tracer.begin("phase:copy-disk", category="phase",
                                  blocks=int(src_vbd.nblocks))
@@ -62,28 +51,11 @@ class FreezeAndCopyMigration(MigrationScheme):
         report.precopy_disk_ended_at = env.now
         tracer.end(disk_span)
 
-        shadow = GuestMemory(domain.memory.npages, domain.memory.page_size,
-                             clock=domain.memory.clock)
-        pages = PageStreamer(env, domain.memory, shadow, self.fwd, cfg)
-        yield from pages.stream(
-            np.arange(domain.memory.npages, dtype=np.int64),
-            category="memory", limited=False)
-        yield from self.fwd.send(CPUStateMsg(domain.cpu.state_nbytes),
-                                 category="cpu", limited=False)
-        yield self.fwd.recv()
-        if not shadow.identical_to(domain.memory):
-            raise MigrationError("memory inconsistent after freeze-copy")
-
-        self.source.detach_domain(domain.domain_id)
-        self.destination.attach_domain(domain, dest_vbd)
-        domain.memory = shadow
-        if cfg.resume_overhead > 0:
-            yield env.timeout(cfg.resume_overhead)
-        domain.resume()
-        report.resumed_at = env.now
-        tracer.instant("resume", category="freeze",
-                       downtime=report.resumed_at - report.suspended_at)
-        tracer.end(freeze_span)
+        pages = self._page_streamer()
+        cpu = yield from self._ship_memory(
+            pages, np.arange(domain.memory.npages, dtype=np.int64))
+        self._switch_over(dest_vbd, pages, cpu)
+        yield from self._resume(freeze_span)
         report.ended_at = env.now
 
         if cfg.verify_consistency:

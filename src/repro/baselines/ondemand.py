@@ -8,25 +8,19 @@ only there — the *irremovable residual dependency* the paper criticises.
 With machine availability ``p``, the migrated system's availability is
 ``p**2`` (both machines must be up), worse than not migrating at all.
 
-TPM's post-copy borrows this scheme's *pull* path but adds the *push*
-stream precisely so the dependency ends in finite time.
+TPM's post-copy is this scheme's *pull* path plus a *push* stream that
+ends the dependency in finite time, so the storage side here *is* TPM's
+:class:`~repro.core.postcopy.PostCopySynchronizer` with every block dirty
+and the push turned off (``postcopy_push=False``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import Generator, Optional
 
 from ..bitmap import FlatBitmap
-from ..core.memcopy import MemoryPreCopier
+from ..core.postcopy import PostCopySynchronizer
 from ..core.scheme import MigrationScheme, register_scheme
-from ..core.transfer import PageStreamer
-from ..errors import MigrationError
-from ..net.messages import BlockDataMsg, CPUStateMsg, PullRequestMsg
-from ..storage.block import IORequest
-from ..vm.memory import GuestMemory
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim import Event
 
 
 def availability(p: float, machines: int = 2) -> float:
@@ -45,27 +39,32 @@ class OnDemandMigration(MigrationScheme):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: Blocks already valid on the destination.
-        self.present: Optional[FlatBitmap] = None
-        #: Blocks fetched so far / reads that stalled on a fetch.
-        self.fetched_blocks = 0
-        self.stalled_reads = 0
-        self.stall_time = 0.0
-        self._pending: dict[int, list["Event"]] = {}
-        self._requested: set[int] = set()
-        self._procs: list = []
-        self._dst_driver = None
-        self._src_vbd = None
-        self._dest_vbd = None
+        #: The pull-only post-copy that fetches blocks on first read; it
+        #: runs in the background from the switch-over on.
+        self.synchronizer: Optional[PostCopySynchronizer] = None
 
     # -- residual dependency -------------------------------------------------
 
     @property
     def residual_blocks(self) -> int:
         """Blocks still living only on the source machine."""
-        if self.present is None:
+        if self.synchronizer is None:
             return 0
-        return self.present.nbits - self.present.count()
+        return self.synchronizer.transferred_bitmap.count()
+
+    @property
+    def fetched_blocks(self) -> int:
+        """Blocks fetched from the source on a guest read so far."""
+        if self.synchronizer is None:
+            return 0
+        return self.synchronizer.stats.pulled_blocks
+
+    @property
+    def stalled_reads(self) -> int:
+        """Guest reads that waited on a fetch so far."""
+        if self.synchronizer is None:
+            return 0
+        return self.synchronizer.stats.stalled_reads
 
     @property
     def dependency_alive(self) -> bool:
@@ -74,11 +73,8 @@ class OnDemandMigration(MigrationScheme):
 
     def stop(self) -> None:
         """Tear down the fetch service (end of the experiment)."""
-        if self._dst_driver is not None:
-            self._dst_driver.interceptor = None
-        for proc in self._procs:
-            if proc.is_alive:
-                proc.interrupt("stop")
+        if self.synchronizer is not None:
+            self.synchronizer.stop()
 
     # -- migration -------------------------------------------------------
 
@@ -94,149 +90,35 @@ class OnDemandMigration(MigrationScheme):
         keeps running in the background for as long as blocks are absent.
         """
         env = self.env
-        domain = self.domain
-        cfg = self.config
         report = self.report
-        tracer = env.tracer
-
-        self._src_vbd = self.source.vbd_of(domain.domain_id)
-        self._dest_vbd = self.destination.prepare_vbd(
-            self._src_vbd.nblocks, self._src_vbd.block_size,
-            data=self._src_vbd.has_data)
+        src_vbd = self.source.vbd_of(self.domain.domain_id)
+        dest_vbd = self.destination.prepare_vbd(
+            src_vbd.nblocks, src_vbd.block_size, data=src_vbd.has_data)
 
         # Live memory migration (identical to the shared-storage scheme).
-        self._notify_phase("precopy-mem")
-        shadow = GuestMemory(domain.memory.npages, domain.memory.page_size,
-                             clock=domain.memory.clock)
-        streamer = PageStreamer(env, domain.memory, shadow, self.fwd, cfg)
-        mem_span = tracer.begin("phase:precopy-mem", category="phase")
-        report.precopy_mem_started_at = env.now
-        report.mem_rounds = yield from MemoryPreCopier(
-            env, domain.memory, streamer, cfg).run()
-        report.precopy_mem_ended_at = env.now
-        tracer.end(mem_span, rounds=len(report.mem_rounds))
-
-        self._committed = True
-        self._notify_phase("freeze")
-        domain.suspend()
-        freeze_span = tracer.begin("phase:freeze", category="phase")
-        report.suspended_at = env.now
-        tracer.instant("suspend", category="freeze")
-        if cfg.suspend_overhead > 0:
-            yield env.timeout(cfg.suspend_overhead)
-        yield from self.source.driver_of(domain.domain_id).quiesce()
-        final = domain.memory.stop_logging()
-        pages = final.dirty_indices()
-        report.final_dirty_pages = int(pages.size)
-        yield from streamer.stream(pages, category="memory", limited=False)
-        yield from self.fwd.send(CPUStateMsg(domain.cpu.state_nbytes),
-                                 category="cpu", limited=False)
-        yield self.fwd.recv()
-        if not shadow.identical_to(domain.memory):
-            raise MigrationError("memory inconsistent at end of freeze")
-
-        self.source.detach_domain(domain.domain_id)
-        self._dst_driver = self.destination.attach_domain(domain,
-                                                          self._dest_vbd)
-        domain.memory = shadow
+        streamer = self._page_streamer()
+        yield from self._precopy_memory(streamer)
+        freeze_span = yield from self._freeze()
+        cpu = yield from self._ship_memory(streamer)
+        dst_driver = self._switch_over(dest_vbd, streamer, cpu)
 
         # Storage: nothing was transferred; everything is fetched on access.
-        self.present = FlatBitmap(self._src_vbd.nblocks)
-        self._dst_driver.interceptor = self._intercept
-        self._procs = [
-            env.process(self._fetch_server(), name="ondemand:server"),
-            env.process(self._receiver(), name="ondemand:recv"),
-        ]
+        source_bitmap = FlatBitmap(src_vbd.nblocks)
+        source_bitmap.set_all()
+        transferred_bitmap = FlatBitmap(src_vbd.nblocks)
+        transferred_bitmap.set_all()
+        self.synchronizer = PostCopySynchronizer(
+            env, self.source.disk, src_vbd, self.destination.disk, dest_vbd,
+            dst_driver, self.fwd, self.rev,
+            source_bitmap=source_bitmap,
+            transferred_bitmap=transferred_bitmap,
+            config=self.config.replace(postcopy_push=False))
+        # The interceptor must be live *before* the first guest request.
+        dst_driver.interceptor = self.synchronizer.intercept
+        env.process(self.synchronizer.run(), name="ondemand:fetch")
 
-        if cfg.resume_overhead > 0:
-            yield env.timeout(cfg.resume_overhead)
-        domain.resume()
-        report.resumed_at = env.now
-        tracer.instant("resume", category="freeze",
-                       downtime=report.resumed_at - report.suspended_at)
-        tracer.end(freeze_span,
-                   final_dirty_pages=report.final_dirty_pages)
+        yield from self._resume(freeze_span)
         self._notify_phase("fetch")
         report.ended_at = env.now  # the *live* migration is over...
         report.extra["residual_blocks_at_resume"] = self.residual_blocks
         return report
-
-    # -- destination: on-demand interception ---------------------------------
-
-    def _intercept(self, request: IORequest) -> Generator:
-        present = self.present
-        if request.is_write():
-            # Whole-block writes need no fetch: the new content supersedes.
-            for block in request.blocks():
-                present.set(block)
-            return False
-
-        absent = [b for b in request.blocks() if not present.test(b)]
-        if not absent:
-            return False
-        self.stalled_reads += 1
-        self.env.metrics.counter("ondemand.stalled_reads").inc()
-        stall_start = self.env.now
-        waiters = [self._wait_for(b) for b in absent]
-        for block in absent:
-            if block not in self._requested:
-                self._requested.add(block)
-                yield from self.rev.send(PullRequestMsg(block),
-                                         category="pull", limited=False)
-        yield self.env.all_of(waiters)
-        self.stall_time += self.env.now - stall_start
-        yield from self._dst_driver.serve_direct(request)
-        return True
-
-    def _wait_for(self, block: int) -> "Event":
-        event = self.env.event()
-        self._pending.setdefault(block, []).append(event)
-        return event
-
-    # -- background fetch service -----------------------------------------
-
-    def _fetch_server(self) -> Generator:
-        """Source side: serve pull requests forever (the dependency)."""
-        from ..sim import Interrupt
-
-        try:
-            while True:
-                msg = yield self.rev.recv()
-                if not isinstance(msg, PullRequestMsg):
-                    continue
-                import numpy as np
-
-                blocks = np.array([msg.block], dtype=np.int64)
-                yield from self.source.disk.read(
-                    int(blocks.size) * self._src_vbd.block_size,
-                    priority=self.config.migration_disk_priority)
-                stamps, data = self._src_vbd.export_blocks(blocks)
-                yield from self.fwd.send(
-                    BlockDataMsg(blocks, stamps, data,
-                                 self._src_vbd.block_size, pulled=True),
-                    category="disk", limited=False)
-        except Interrupt:
-            return
-
-    def _receiver(self) -> Generator:
-        """Destination side: install fetched blocks and wake waiters."""
-        from ..sim import Interrupt
-
-        try:
-            while True:
-                msg = yield self.fwd.recv()
-                if not isinstance(msg, BlockDataMsg):
-                    continue
-                yield from self.destination.disk.write(
-                    msg.nblocks * self._dest_vbd.block_size,
-                    priority=self.config.migration_disk_priority)
-                self._dest_vbd.import_blocks(msg.indices, msg.stamps, msg.data)
-                self.fetched_blocks += msg.nblocks
-                self.env.metrics.counter("ondemand.fetched_blocks").inc(
-                    msg.nblocks)
-                for block in msg.indices.tolist():
-                    self.present.set(int(block))
-                    for event in self._pending.pop(block, []):
-                        event.succeed()
-        except Interrupt:
-            return

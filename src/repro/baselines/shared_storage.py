@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..core.memcopy import MemoryPreCopier
 from ..core.scheme import MigrationScheme, register_scheme
-from ..core.transfer import PageStreamer
-from ..errors import MigrationError
-from ..net.messages import CPUStateMsg
-from ..vm.memory import GuestMemory
 
 
 @register_scheme
@@ -26,59 +21,17 @@ class SharedStorageMigration(MigrationScheme):
     aliases = ("shared",)
 
     def _execute(self) -> Generator:
-        env = self.env
-        domain = self.domain
-        cfg = self.config
         report = self.report
-        tracer = env.tracer
-
         # The disk is shared: the destination attaches the *same* VBD.
-        shared_vbd = self.source.vbd_of(domain.domain_id)
+        shared_vbd = self.source.vbd_of(self.domain.domain_id)
 
-        # Iterative memory pre-copy.
-        self._notify_phase("precopy-mem")
-        shadow = GuestMemory(domain.memory.npages, domain.memory.page_size,
-                             clock=domain.memory.clock)
-        streamer = PageStreamer(env, domain.memory, shadow, self.fwd, cfg)
-        mem_span = tracer.begin("phase:precopy-mem", category="phase")
-        report.precopy_mem_started_at = env.now
-        report.mem_rounds = yield from MemoryPreCopier(
-            env, domain.memory, streamer, cfg).run()
-        report.precopy_mem_ended_at = env.now
-        tracer.end(mem_span, rounds=len(report.mem_rounds))
-
-        # Freeze: final dirty pages + CPU state.
-        self._committed = True
-        self._notify_phase("freeze")
-        domain.suspend()
-        freeze_span = tracer.begin("phase:freeze", category="phase")
-        report.suspended_at = env.now
-        tracer.instant("suspend", category="freeze")
-        if cfg.suspend_overhead > 0:
-            yield env.timeout(cfg.suspend_overhead)
-        yield from self.source.driver_of(domain.domain_id).quiesce()
-        final = domain.memory.stop_logging()
-        pages = final.dirty_indices()
-        report.final_dirty_pages = int(pages.size)
-        yield from streamer.stream(pages, category="memory", limited=False)
-        yield from self.fwd.send(CPUStateMsg(domain.cpu.state_nbytes),
-                                 category="cpu", limited=False)
-        yield self.fwd.recv()
-        if not shadow.identical_to(domain.memory):
-            raise MigrationError("memory inconsistent at end of freeze")
-
-        self.source.detach_domain(domain.domain_id)
-        self.destination.attach_domain(domain, shared_vbd)
-        domain.memory = shadow
-        if cfg.resume_overhead > 0:
-            yield env.timeout(cfg.resume_overhead)
-        domain.resume()
-        report.resumed_at = env.now
-        tracer.instant("resume", category="freeze",
-                       downtime=report.resumed_at - report.suspended_at)
-        tracer.end(freeze_span,
-                   final_dirty_pages=report.final_dirty_pages)
-        report.ended_at = env.now
+        streamer = self._page_streamer()
+        yield from self._precopy_memory(streamer)
+        freeze_span = yield from self._freeze()
+        cpu = yield from self._ship_memory(streamer)
+        self._switch_over(shared_vbd, streamer, cpu)
+        yield from self._resume(freeze_span)
+        report.ended_at = self.env.now
 
         report.consistency_verified = True  # trivially: the disk is shared
         return report

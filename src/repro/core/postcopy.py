@@ -21,6 +21,10 @@ paper's pseudocode would leave it pending forever, because the later
 pushed copy is dropped without scanning the pending list — a liveness gap
 for overlapping read/write to the same block.
 
+The on-demand baseline is this synchronizer with every block dirty and
+the push off (``postcopy_push=False``); :meth:`PostCopySynchronizer.stop`
+ends its never-finishing workers.
+
 Observability (see docs/OBSERVABILITY.md): with a real tracer installed
 this module emits ``pull:request`` instants and maintains the
 ``postcopy.*`` counters (pushed/pulled/dropped/cancelled blocks, stalled
@@ -48,7 +52,7 @@ from .config import MigrationConfig
 from .metrics import PostCopyStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim import Environment, Event
+    from ..sim import Environment, Event, Process
 
 #: Wire priority for pull replies: they jump ahead of queued push batches
 #: ("sends the pulled block preferentially").
@@ -105,6 +109,10 @@ class PostCopySynchronizer:
         self._sync_event = env.event()
         #: Pusher parking spot while idle in pull-only mode.
         self._pull_wakeup: "Event | None" = None
+        #: Worker processes not yet told to end (see :meth:`_end`).
+        self._workers: list["Process"] = []
+        #: Set by :meth:`stop`: the phase was abandoned, not completed.
+        self._stopped = False
 
     # ------------------------------------------------------------------
     # orchestration
@@ -123,17 +131,24 @@ class PostCopySynchronizer:
         env.metrics.gauge("postcopy.dirty_blocks").set(self._remaining)
         self._note_if_synchronized()  # the dirty set may already be empty
         procs = [
-            env.process(self._receiver(), name="postcopy:recv"),
-            env.process(self._pusher(), name="postcopy:push"),
-            env.process(self._pull_listener(), name="postcopy:pulls"),
+            env.process(_interruptible(self._receiver()),
+                        name="postcopy:recv"),
+            env.process(_interruptible(self._pusher()),
+                        name="postcopy:push"),
+            env.process(_interruptible(self._pull_listener()),
+                        name="postcopy:pulls"),
         ]
         if not self.config.postcopy_push:
             # Pure pull mode never converges on its own accord; a watcher
             # ends the phase the moment the destination bitmap empties.
-            procs.append(env.process(self._pull_only_watcher(procs[:2]),
-                                     name="postcopy:watch"))
+            procs.append(env.process(
+                _interruptible(self._pull_only_watcher(procs[:2])),
+                name="postcopy:watch"))
+        self._workers = list(procs)
         yield env.all_of(procs)
         self.dst_driver.interceptor = None
+        if self._stopped:
+            return self.stats
         leftover = self.transferred_bitmap.count()
         if leftover:
             raise MigrationError(
@@ -142,6 +157,26 @@ class PostCopySynchronizer:
                                if self._synchronized_at is not None
                                else env.now)
         return self.stats
+
+    def stop(self) -> None:
+        """Abandon the phase: detach the interceptor and end every worker.
+
+        For a pull-only phase that is never meant to finish (the on-demand
+        baseline's residual dependency).  :meth:`run` then returns without
+        checking for unsynchronized blocks.
+        """
+        self._stopped = True
+        self.dst_driver.interceptor = None
+        self._end(list(self._workers))
+
+    def _end(self, procs) -> None:
+        """Interrupt each worker in ``procs`` that still runs, at most once
+        (a second interrupt before the first lands is an engine error)."""
+        for proc in procs:
+            if proc in self._workers:
+                self._workers.remove(proc)
+                if proc.is_alive:
+                    proc.interrupt("postcopy-ended")
 
     # ------------------------------------------------------------------
     # destination: request interception (paper's first algorithm)
@@ -238,15 +273,10 @@ class PostCopySynchronizer:
     # ------------------------------------------------------------------
 
     def _receiver(self) -> Generator:
-        from ..sim import Interrupt
-
         bitmap = self.transferred_bitmap
         block_size = self.dst_vbd.block_size
         while True:
-            try:
-                msg = yield self.fwd.recv()
-            except Interrupt:
-                return  # pull-only watcher ended the phase
+            msg = yield self.fwd.recv()
             if isinstance(msg, ControlMsg):
                 if msg.tag == "push-done":
                     break
@@ -302,49 +332,44 @@ class PostCopySynchronizer:
         """Push all BM_1 blocks, serving queued pulls preferentially.
 
         With ``postcopy_push`` disabled the process only answers pulls,
-        parking between requests; the watcher interrupts it once the
+        parking between requests; the watcher ends it once the
         destination reports synchronization.
         """
-        from ..sim import Interrupt
-
         cfg = self.config
         bitmap = self.source_bitmap
         order = bitmap.dirty_indices()
         position = 0
-        try:
-            while True:
-                if self._pull_queue:
-                    block = self._pull_queue.popleft()
-                    if bitmap.test(block):
-                        yield from self._send_blocks(
-                            np.array([block], dtype=np.int64),
-                            pulled=True, priority=PULL_REPLY_PRIORITY)
-                    continue
-                if not cfg.postcopy_push:
-                    # Nothing to answer: park until the next pull arrives.
-                    self._pull_wakeup = self.env.event()
-                    yield self._pull_wakeup
-                    self._pull_wakeup = None
-                    continue
-                # Consume candidates in windows: exactly as many blocks come
-                # off ``order`` as the scalar test-one-at-a-time loop would
-                # take, but each window is tested in one vector call.
-                batch: "np.ndarray | None" = None
-                need = cfg.push_chunk_blocks
-                while position < order.size and need > 0:
-                    window = order[position:position + need]
-                    position += window.size
-                    live = window[bitmap.test_many(window)]
-                    batch = (live if batch is None
-                             else np.concatenate((batch, live)))
-                    need = cfg.push_chunk_blocks - batch.size
-                if batch is not None and batch.size:
-                    yield from self._send_blocks(batch, pulled=False,
-                                                 priority=PUSH_PRIORITY)
-                elif position >= order.size:
-                    break
-        except Interrupt:
-            return  # pull-only watcher ended the phase
+        while True:
+            if self._pull_queue:
+                block = self._pull_queue.popleft()
+                if bitmap.test(block):
+                    yield from self._send_blocks(
+                        np.array([block], dtype=np.int64),
+                        pulled=True, priority=PULL_REPLY_PRIORITY)
+                continue
+            if not cfg.postcopy_push:
+                # Nothing to answer: park until the next pull arrives.
+                self._pull_wakeup = self.env.event()
+                yield self._pull_wakeup
+                self._pull_wakeup = None
+                continue
+            # Consume candidates in windows: exactly as many blocks come
+            # off ``order`` as the scalar test-one-at-a-time loop would
+            # take, but each window is tested in one vector call.
+            batch: "np.ndarray | None" = None
+            need = cfg.push_chunk_blocks
+            while position < order.size and need > 0:
+                window = order[position:position + need]
+                position += window.size
+                live = window[bitmap.test_many(window)]
+                batch = (live if batch is None
+                         else np.concatenate((batch, live)))
+                need = cfg.push_chunk_blocks - batch.size
+            if batch is not None and batch.size:
+                yield from self._send_blocks(batch, pulled=False,
+                                             priority=PUSH_PRIORITY)
+            elif position >= order.size:
+                break
         yield from self.fwd.send(ControlMsg("push-done"),
                                  category="control", limited=False)
 
@@ -381,13 +406,22 @@ class PostCopySynchronizer:
     def _pull_only_watcher(self, workers) -> Generator:
         """Pull-only mode: end the phase once the destination bitmap empties.
 
-        Interrupts the receiver and pusher (which would otherwise wait
-        forever — exactly the unbounded dependency the paper's push
-        avoids) and releases the source's pull listener.
+        Ends the receiver and pusher (which would otherwise wait forever —
+        exactly the unbounded dependency the paper's push avoids) and
+        releases the source's pull listener.
         """
         yield self._sync_event
-        for proc in workers:
-            if proc.is_alive:
-                proc.interrupt("postcopy-synchronized")
+        self._end(workers)
         yield from self.rev.send(ControlMsg("postcopy-complete"),
                                  category="control", limited=False)
+
+
+def _interruptible(worker: Generator) -> Generator:
+    """Run ``worker`` as a process body that :meth:`PostCopySynchronizer._end`
+    may stop at any yield: the interrupt ends it quietly."""
+    from ..sim import Interrupt
+
+    try:
+        yield from worker
+    except Interrupt:
+        pass

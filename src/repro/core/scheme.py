@@ -11,6 +11,13 @@ implements :meth:`MigrationScheme._execute` with its own protocol, and so
 the comparative experiments (§VI) run every scheme through the *same*
 harness — history recording, retry, fault injection, and tracing come for
 free rather than being hand-rolled (or silently missing) per scheme.
+The switch-over is shared the same way: every scheme freezes, ships its
+final memory and CPU state, moves the domain and resumes through the
+protected steps :meth:`MigrationScheme._freeze`,
+:meth:`~MigrationScheme._ship_memory`,
+:meth:`~MigrationScheme._switch_over` and
+:meth:`~MigrationScheme._resume`, so downtime means the same thing for
+all of them.
 
 Schemes register themselves with :func:`register_scheme`;
 :meth:`Migrator.migrate(..., scheme="delta-queue")
@@ -22,16 +29,23 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
+import numpy as np
+
 from ..errors import MigrationError, MigrationFailed, NetworkError
 from ..net.channel import Channel
+from ..net.messages import CPUStateMsg
 from ..storage.vbd import VirtualBlockDevice
 from ..vm.domain import Domain
 from ..vm.host import Host
+from ..vm.memory import GuestMemory
 from .config import MigrationConfig
+from .memcopy import MemoryPreCopier
 from .metrics import MigrationReport
+from .transfer import PageStreamer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment
+    from ..vm.cpu import CPUState
 
 #: Scheme name -> scheme class.  Aliases map to the same class.
 SCHEME_REGISTRY: dict[str, type] = {}
@@ -222,6 +236,106 @@ class MigrationScheme:
         """The scheme's protocol; implemented by subclasses."""
         raise NotImplementedError
         yield  # pragma: no cover - makes this a generator for type parity
+
+    # -- shared protocol steps -----------------------------------------------
+    #
+    # Every scheme ends with the same switch-over: freeze, ship the final
+    # memory and CPU state, move the domain, resume.  Schemes compose these
+    # steps and put their own storage work between them.
+
+    def _page_streamer(self, **kwargs) -> PageStreamer:
+        """A streamer from guest memory into a fresh destination image
+        (``streamer.dst_mem``); ``kwargs`` pass lanes and a delta cache."""
+        memory = self.domain.memory
+        shadow = GuestMemory(memory.npages, memory.page_size,
+                             clock=memory.clock)
+        return PageStreamer(self.env, memory, shadow, self.fwd, self.config,
+                            **kwargs)
+
+    def _precopy_memory(self, streamer: Optional[PageStreamer]) -> Generator:
+        """The ``precopy-mem`` phase: iterative rounds over ``streamer``
+        (None = the scheme moves no memory; the phase is still stamped).
+        Dirty logging stays on for :meth:`_ship_memory`."""
+        env, report = self.env, self.report
+        self._notify_phase("precopy-mem")
+        span = env.tracer.begin("phase:precopy-mem", category="phase")
+        report.precopy_mem_started_at = env.now
+        if streamer is not None:
+            report.mem_rounds = yield from MemoryPreCopier(
+                env, self.domain.memory, streamer, self.config).run()
+        report.precopy_mem_ended_at = env.now
+        env.tracer.end(span, rounds=len(report.mem_rounds))
+
+    def _freeze(self) -> Generator:
+        """Commit and stop the guest on the source; returns the open
+        ``phase:freeze`` span for :meth:`_resume` to close.
+
+        Guest I/O already in flight drains first, so its writes are
+        applied (and tracked) before anything final is harvested; the
+        hypervisor's suspend cost follows the drain, never overlaps it.
+        """
+        env = self.env
+        self._committed = True
+        self._notify_phase("freeze")
+        span = env.tracer.begin("phase:freeze", category="phase")
+        self.domain.suspend()
+        self.report.suspended_at = env.now
+        env.tracer.instant("suspend", category="freeze")
+        yield from self.source.driver_of(self.domain.domain_id).quiesce()
+        if self.config.suspend_overhead > 0:
+            yield env.timeout(self.config.suspend_overhead)
+        return span
+
+    def _ship_memory(self, streamer: PageStreamer,
+                     pages: Optional[np.ndarray] = None) -> Generator:
+        """Send the final pages and the CPU state of the frozen guest;
+        returns the captured :class:`~repro.vm.cpu.CPUState`.
+
+        ``pages=None`` ships the dirty set harvested from the log that
+        :meth:`_precopy_memory` left on.
+        """
+        domain = self.domain
+        if pages is None:
+            pages = domain.memory.stop_logging().dirty_indices()
+            self.report.final_dirty_pages = int(pages.size)
+        yield from streamer.stream(pages, category="memory", limited=False)
+        # Captured now, while the guest is frozen: this snapshot is what
+        # the CPUStateMsg ships and what the destination resumes from.
+        cpu = domain.cpu.capture()
+        yield from self.fwd.send(CPUStateMsg(domain.cpu.state_nbytes),
+                                 category="cpu", limited=False)
+        yield self.fwd.recv()  # destination receives the CPU state
+        if not streamer.dst_mem.identical_to(domain.memory):
+            raise MigrationError(
+                "destination memory inconsistent at end of freeze")
+        return cpu
+
+    def _switch_over(self, vbd: VirtualBlockDevice,
+                     streamer: Optional[PageStreamer] = None,
+                     cpu: Optional[CPUState] = None):
+        """Move the frozen domain onto ``vbd`` at the destination and adopt
+        the memory image ``streamer`` shipped and the CPU state ``cpu``;
+        returns the destination driver."""
+        domain = self.domain
+        self.source.detach_domain(domain.domain_id)
+        driver = self.destination.attach_domain(domain, vbd)
+        if streamer is not None:
+            domain.cpu.restore(cpu)
+            domain.memory = streamer.dst_mem
+        return driver
+
+    def _resume(self, span, **attrs) -> Generator:
+        """Resume the guest on the destination and close the freeze
+        ``span`` (``attrs`` are stamped on it)."""
+        env, report = self.env, self.report
+        if self.config.resume_overhead > 0:
+            yield env.timeout(self.config.resume_overhead)
+        self.domain.resume()
+        report.resumed_at = env.now
+        env.tracer.instant("resume", category="freeze",
+                           downtime=report.resumed_at - report.suspended_at)
+        env.tracer.end(span, final_dirty_pages=report.final_dirty_pages,
+                       **attrs)
 
     # -- hooks -------------------------------------------------------------
 

@@ -26,17 +26,15 @@ from typing import TYPE_CHECKING, Generator, Optional
 from ..bitmap import BlockBitmap, make_bitmap
 from ..errors import MigrationError, NetworkError
 from ..net.channel import Channel
-from ..net.messages import BitmapMsg, ControlMsg, CPUStateMsg
+from ..net.messages import BitmapMsg, ControlMsg
 from ..storage.vbd import VirtualBlockDevice
 from ..vm.domain import Domain
 from ..vm.host import Host
-from ..vm.memory import GuestMemory
 from .config import MigrationConfig
-from .memcopy import MemoryPreCopier
 from .postcopy import PostCopySynchronizer
 from .precopy import TRACKING_NAME, DiskPreCopier
 from .scheme import MigrationScheme, register_scheme
-from .transfer import BlockStreamer, PageStreamer
+from .transfer import BlockStreamer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment
@@ -260,64 +258,23 @@ class ThreePhaseMigration(MigrationScheme):
                                            memory_logging=False))
 
         # -- phase 1b: iterative memory pre-copy ----------------------
-        self._notify_phase("precopy-mem")
-        shadow_memory: Optional[GuestMemory] = None
-        mem_span = tracer.begin("phase:precopy-mem", category="phase")
-        report.precopy_mem_started_at = env.now
-        if cfg.include_memory:
-            shadow_memory = GuestMemory(domain.memory.npages,
-                                        domain.memory.page_size,
-                                        clock=domain.memory.clock)
-            page_streamer = PageStreamer(env, domain.memory,
-                                         shadow_memory, self.fwd, cfg,
-                                         lanes=self._lanes, delta=page_delta)
-            memcopier = MemoryPreCopier(env, domain.memory, page_streamer,
-                                        cfg)
-            report.mem_rounds = yield from memcopier.run()
-        report.precopy_mem_ended_at = env.now
-        tracer.end(mem_span, rounds=len(report.mem_rounds))
+        page_streamer = (self._page_streamer(lanes=self._lanes,
+                                             delta=page_delta)
+                         if cfg.include_memory else None)
+        yield from self._precopy_memory(page_streamer)
         if self._abort_requested:
             return (yield from self._abort(
                 src_driver, memory_logging=cfg.include_memory))
 
         # -- phase 2: freeze-and-copy -------------------------------------
-        self._committed = True
-        self._notify_phase("freeze")
-        freeze_span = tracer.begin("phase:freeze", category="phase")
         if converge is not None:
             # The guest suspends now and must resume unthrottled on the
             # destination; the pre-copy the throttle served is over.
             converge.release()
-        domain.suspend()
-        report.suspended_at = env.now
-        tracer.instant("suspend", category="freeze")
-        # Drain guest I/O already queued at the disk so its writes are
-        # applied (and bitmap-tracked) before the final harvest.
-        yield from src_driver.quiesce()
-        if cfg.suspend_overhead > 0:
-            yield env.timeout(cfg.suspend_overhead)
-
+        freeze_span = yield from self._freeze()
         cpu_snapshot = None
-        if cfg.include_memory and shadow_memory is not None:
-            final_dirty = domain.memory.stop_logging()
-            pages = final_dirty.dirty_indices()
-            report.final_dirty_pages = int(pages.size)
-            page_streamer = PageStreamer(env, domain.memory, shadow_memory,
-                                         self.fwd, cfg,
-                                         lanes=self._lanes, delta=page_delta)
-            yield from page_streamer.stream(pages, category="memory",
-                                            limited=False)
-            # Capture the register state *now*, while the guest is frozen
-            # on the source — this snapshot is what the CPUStateMsg ships
-            # and what the destination must resume from.
-            cpu_snapshot = domain.cpu.capture()
-            yield from self.fwd.send(
-                CPUStateMsg(domain.cpu.state_nbytes), category="cpu",
-                limited=False)
-            yield self.fwd.recv()  # destination receives the CPU state
-            if not shadow_memory.identical_to(domain.memory):
-                raise MigrationError(
-                    "destination memory inconsistent at end of freeze")
+        if page_streamer is not None:
+            cpu_snapshot = yield from self._ship_memory(page_streamer)
 
         # Harvest the final block-bitmap and ship it (the *only* disk
         # synchronization data the downtime pays for).  A source that
@@ -347,13 +304,7 @@ class ThreePhaseMigration(MigrationScheme):
             category="bitmap", limited=False)
         bitmap_msg = yield self.fwd.recv()  # destination receives BM_2
 
-        # Move the domain: detach from the source, attach on the
-        # destination, adopt the received memory image.
-        self.source.detach_domain(domain.domain_id)
-        dst_driver = self.destination.attach_domain(domain, dest_vbd)
-        if cfg.include_memory and shadow_memory is not None:
-            domain.cpu.restore(cpu_snapshot)
-            domain.memory = shadow_memory
+        dst_driver = self._switch_over(dest_vbd, page_streamer, cpu_snapshot)
 
         # BM_2: the destination's copy of the shipped bitmap;
         # BM_1: the source keeps `final_bitmap` itself.
@@ -383,16 +334,10 @@ class ThreePhaseMigration(MigrationScheme):
         # The interceptor must be live *before* the first guest request.
         dst_driver.interceptor = synchronizer.intercept
 
-        if cfg.resume_overhead > 0:
-            yield env.timeout(cfg.resume_overhead)
-        domain.resume()
-        report.resumed_at = env.now
-        tracer.instant("resume", category="freeze",
-                       downtime=report.resumed_at - report.suspended_at)
-        tracer.end(freeze_span,
-                   final_dirty_pages=report.final_dirty_pages,
-                   remaining_dirty_blocks=report.remaining_dirty_blocks,
-                   bitmap_nbytes=report.bitmap_nbytes)
+        yield from self._resume(
+            freeze_span,
+            remaining_dirty_blocks=report.remaining_dirty_blocks,
+            bitmap_nbytes=report.bitmap_nbytes)
 
         # -- phase 3: post-copy push-and-pull -----------------------------
         self._notify_phase("postcopy")

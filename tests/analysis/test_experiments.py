@@ -99,4 +99,4 @@ class TestRunners:
         report, _, mig = run_baseline_experiment("tpm", "idle", scale=SCALE,
                                                  warmup=1.0, tail=1.0)
         assert report.scheme == "tpm"
-        assert mig is None
+        assert mig.report is report

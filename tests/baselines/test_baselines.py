@@ -103,7 +103,7 @@ class TestOnDemand:
         bed.env.run(until=bed.env.now + 1.0)
         assert done["at"] > 0
         assert mig.stalled_reads >= 1
-        assert mig.present.test(50)
+        assert not mig.synchronizer.transferred_bitmap.test(50)
         mig.stop()
         bed.env.run(until=bed.env.now + 0.1)
 
@@ -114,10 +114,46 @@ class TestOnDemand:
             yield from bed.domain.write(60)
 
         bed.env.run(until=bed.env.process(guest(bed.env)))
-        assert mig.present.test(60)
+        assert not mig.synchronizer.transferred_bitmap.test(60)
         assert mig.stalled_reads == 0
         mig.stop()
         bed.env.run(until=bed.env.now + 0.1)
+
+    def test_write_during_fetch_is_not_lost(self, bed):
+        # The guest reads a block not fetched yet, then writes it while
+        # the fetch is in flight: the arriving source copy is superseded
+        # and must be dropped, not imported over the guest's write.
+        report, mig = run_scheme(bed, OnDemandMigration)
+        dest_vbd = bed.destination.vbd_of(bed.domain.domain_id)
+        written = {}
+
+        def reader(env):
+            yield from bed.domain.read(70)
+
+        def writer(env):
+            yield env.timeout(1e-6)
+            yield from bed.domain.write(70)
+            written["generation"] = int(dest_vbd.read(70)[0])
+
+        bed.env.process(reader(bed.env))
+        bed.env.process(writer(bed.env))
+        bed.env.run(until=bed.env.now + 0.5)
+        assert mig.stalled_reads == 1
+        assert written["generation"] != int(bed.vbd.read(70)[0])
+        assert int(dest_vbd.read(70)[0]) == written["generation"]
+        mig.stop()
+        bed.env.run(until=bed.env.now + 0.1)
+
+    def test_stop_ends_the_fetch_service(self, bed):
+        report, mig = run_scheme(bed, OnDemandMigration)
+        driver = bed.destination.driver_of(bed.domain.domain_id)
+        workers = list(mig.synchronizer._workers)
+        assert workers and all(proc.is_alive for proc in workers)
+        mig.stop()
+        assert driver.interceptor is None
+        bed.env.run(until=bed.env.now + 0.1)  # no Interrupt escapes
+        assert not any(proc.is_alive for proc in workers)
+        assert mig.dependency_alive  # stopping serves no blocks
 
     def test_availability_formula(self):
         assert availability(0.99) == pytest.approx(0.9801)

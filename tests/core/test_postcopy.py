@@ -227,6 +227,39 @@ class TestPullOnlyMode:
         assert stats.pulled_blocks == 0
 
 
+class TestStop:
+    @pytest.mark.parametrize("push", [True, False])
+    def test_stop_ends_every_worker(self, bed, push):
+        cfg = bed.config.replace(postcopy_push=push)
+        sync, _, driver = make_postcopy(bed, list(range(0, 1500)),
+                                        config=cfg)
+        proc = bed.env.process(sync.run())
+        bed.env.run(until=0.002)  # pushes (or the idle pull path) mid-way
+        workers = list(sync._workers)
+        assert workers and all(w.is_alive for w in workers)
+        sync.stop()
+        assert driver.interceptor is None
+        # An Interrupt escaping a worker would fail the run here.
+        stats = bed.env.run(until=proc)
+        assert stats is sync.stats
+        assert not any(w.is_alive for w in workers)
+        sync.stop()  # idempotent
+        bed.env.run(until=bed.env.now + 0.01)
+
+    def test_stop_after_pull_only_synchronized(self, bed):
+        cfg = bed.config.replace(postcopy_push=False)
+        sync, _, _ = make_postcopy(bed, [3], config=cfg)
+
+        def guest(env):
+            yield from bed.domain.read(3)
+
+        bed.env.process(guest(bed.env))
+        stats = run_sync(bed, sync)
+        assert stats.pulled_blocks == 1
+        sync.stop()  # the watcher already ended the workers
+        bed.env.run(until=bed.env.now + 0.01)
+
+
 class TestCompletion:
     def test_synchronized_time_recorded(self, bed):
         sync, _, _ = make_postcopy(bed, [1, 2, 3])
