@@ -21,7 +21,7 @@ from bench_fault_recovery import FaultBed, disk_bytes_all_attempts, \
     disk_precopy_window
 from conftest import dump_trace, emit, run_once
 from repro.analysis import format_table
-from repro.core import MigrationRetrier
+from repro.core import MigrationRetrier, RetryPolicy
 from repro.faults import FaultInjector, FaultPlan
 from repro.persist import SYNC_POLICIES
 
@@ -39,9 +39,9 @@ def run_with_crash(scale, fail_at, persist, policy="wal"):
     plan = FaultPlan(send_timeout=SEND_TIMEOUT).crash(
         "source", at=fail_at, down_for=DOWN_FOR)
     FaultInjector(bed.env, plan).inject(bed.migrator)
-    retrier = MigrationRetrier(bed.migrator, max_attempts=3,
-                               initial_backoff=BACKOFF, incremental=True,
-                               wait_for_restart=True)
+    retrier = MigrationRetrier(bed.migrator, RetryPolicy(
+        max_attempts=3, initial_backoff=BACKOFF, incremental=True,
+        wait_for_restart=True))
     proc = retrier.migrate_process(bed.domain, bed.destination, cfg)
     report = bed.env.run(until=proc)
     store = bed.source._bitmap_stores.get(

@@ -25,7 +25,8 @@ import pytest
 from conftest import dump_trace, emit, observing, run_once
 from repro.analysis import format_table
 from repro.baselines import DeltaQueueMigration
-from repro.core import MigrationConfig, MigrationRetrier, Migrator
+from repro.core import (MigrationConfig, MigrationRetrier, Migrator,
+                        RetryPolicy)
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
 from repro.net import Channel
@@ -111,9 +112,8 @@ def run_tpm_with_fault(scale, fail_at, incremental):
     plan = FaultPlan(send_timeout=SEND_TIMEOUT).blackout(duration=BLACKOUT,
                                                          at=fail_at)
     FaultInjector(bed.env, plan).inject(bed.migrator)
-    retrier = MigrationRetrier(bed.migrator, max_attempts=3,
-                               initial_backoff=BACKOFF,
-                               incremental=incremental)
+    retrier = MigrationRetrier(bed.migrator, RetryPolicy(
+        max_attempts=3, initial_backoff=BACKOFF, incremental=incremental))
     proc = retrier.migrate_process(bed.domain, bed.destination)
     report = bed.env.run(until=proc)
     dump_trace(bed.env,
@@ -202,7 +202,7 @@ def run_rack_evacuation(scale, retry):
     RetryPolicy they back off, optionally re-place, and finish on the
     preserved bitmap once the cut heals.
     """
-    from repro.cluster import (RetryPolicy, build_cluster, check_invariants)
+    from repro.cluster import build_cluster, check_invariants
 
     policy = (RetryPolicy(max_attempts=5, initial_backoff=0.4,
                           max_backoff=2.0) if retry else None)

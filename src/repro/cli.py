@@ -285,12 +285,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     Each seed drives a randomized-but-reproducible fault schedule
     (partitions, link flaps, host crashes) against a cluster running a
     migration wave with retry + health tracking on, then asserts byte
-    conservation, placement integrity, bitmap coverage, and
-    surrogate-leak freedom.  Exit code 1 (with the seed printed) on any
+    conservation, placement integrity, bitmap coverage,
+    surrogate-leak freedom and attempt accounting.  Exit code 1 (with the seed printed) on any
     violation, so CI failures replay exactly.
     """
     from .cluster.chaos import ChaosConfig, run_chaos
-    from .cluster.scheduler import RetryPolicy
+    from .core import RetryPolicy
 
     seeds = args.seed if args.seed else [0, 1]
     modes = (("monolithic", "sharded") if args.mode == "both"

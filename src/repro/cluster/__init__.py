@@ -9,7 +9,7 @@ per-link in-flight limits, one HostManager placement pipeline for
 evacuation and rebalancing, a per-link byte-conservation audit, and a
 failure-recovery stack — per-host circuit breakers
 (:mod:`~repro.cluster.health`), retry with re-placement and
-dead-lettering (:class:`~repro.cluster.scheduler.RetryPolicy`), and a
+dead-lettering (:class:`~repro.core.manager.RetryPolicy`), and a
 seeded chaos harness (:mod:`~repro.cluster.chaos`).
 
 Typical use::
@@ -22,6 +22,7 @@ Typical use::
     print(bed.scheduler.makespan(jobs))
 """
 
+from ..core.manager import RetryPolicy
 from ..errors import AdmissionRejected, NoValidHost
 from .accounting import LinkAudit, assert_conserved, audit_link_bytes
 from .chaos import ChaosConfig, ChaosReport, check_invariants, run_chaos
@@ -29,8 +30,7 @@ from .churn import ChurnConfig, ChurnGenerator
 from .health import CircuitBreaker, HealthMonitor
 from .hostmanager import (HostManager, HostState, PlacementSpec,
                           register_filter, register_weigher)
-from .scheduler import (ClusterScheduler, JobFailure, MigrationJob,
-                        RetryPolicy)
+from .scheduler import ClusterScheduler, JobFailure, MigrationJob
 from .sharded import ShardedCluster, build_sharded_cluster
 from .slo import SLOReport, TenantSLO, makespan_percentiles, slo_report
 from .testbed import ClusterBed, build_cluster

@@ -16,7 +16,10 @@ asserts the properties that must survive **any** schedule:
    preserved tracking bitmap covers every block that still differs
    (recovered ⊇ true-pending: an incremental retry would miss nothing);
 4. **surrogates** — no domain is left stranded on a sharded cluster's
-   surrogate stand-in hosts.
+   surrogate stand-in hosts;
+5. **attempts** — every job's ``attempts`` equals its failure records
+   plus one for a success, and every dead-lettered job has a
+   :class:`~repro.cluster.scheduler.JobFailure`.
 
 Both the monolithic (``build_cluster(wiring="rack")``) and sharded
 (``build_sharded_cluster``) stacks run the same schedule shape, so the
@@ -33,11 +36,12 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from ..core.manager import RetryPolicy
 from ..core.precopy import TRACKING_NAME
 from ..errors import MigrationError, ReproError
 from ..faults import FaultPlan
 from .accounting import audit_link_bytes
-from .scheduler import MigrationJob, RetryPolicy
+from .scheduler import MigrationJob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .sharded import ShardedCluster
@@ -192,6 +196,27 @@ def _check_placement(hosts, schedulers, expected_ids: set[int]
     return violations
 
 
+def _check_attempts(schedulers) -> list[str]:
+    """Every attempt is accounted for: a failed attempt leaves one
+    record, a successful one none, and no job dead-letters silently."""
+    violations: list[str] = []
+    for scheduler in schedulers:
+        for job in scheduler.jobs:
+            expected = len(job.failures) + (1 if job.succeeded else 0)
+            if job.attempts != expected:
+                violations.append(
+                    f"attempts: job for {job.domain.name} made "
+                    f"{job.attempts} attempt(s) but has "
+                    f"{len(job.failures)} failure record(s) "
+                    f"(status {job.status})")
+        for job in scheduler.dead_letter:
+            if job.failure is None:
+                violations.append(
+                    f"attempts: dead-lettered job for {job.domain.name} "
+                    f"has no failure record")
+    return violations
+
+
 def _check_bitmaps(hosts, migrators) -> list[str]:
     """Recovered ⊇ true-pending for every surviving partial copy."""
     violations: list[str] = []
@@ -235,7 +260,7 @@ def _check_bitmaps(hosts, migrators) -> list[str]:
 
 
 def check_invariants(target, expected_ids: set[int]) -> list[str]:
-    """All four invariant families against a drained cluster.
+    """All five invariant families against a drained cluster.
 
     ``target`` is a :class:`~repro.cluster.testbed.ClusterBed` or a
     :class:`~repro.cluster.sharded.ShardedCluster`.
@@ -262,6 +287,7 @@ def check_invariants(target, expected_ids: set[int]) -> list[str]:
         violations += _check_conservation(
             audit_link_bytes(target.migrator.migrations))
     violations += _check_placement(hosts, schedulers, expected_ids)
+    violations += _check_attempts(schedulers)
     violations += _check_bitmaps(hosts, migrators)
     return violations
 

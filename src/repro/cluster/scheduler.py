@@ -20,8 +20,11 @@ contend for links.  :class:`ClusterScheduler` turns the point-to-point
   :class:`~repro.cluster.hostmanager.HostManager` filter/weigher
   pipeline, so no choice can land on a crashed or in-maintenance host.
 
-Failed migrations are contained: the job records the
-:class:`~repro.errors.MigrationFailed` and the scheduler moves on.
+Every job runs its attempts through one
+:class:`~repro.core.manager.MigrationRetrier` under the scheduler's
+:class:`~repro.core.manager.RetryPolicy` (no policy: one attempt).  A
+failed job is contained: it records a :class:`JobFailure` per attempt,
+lands in the dead-letter list, and the scheduler moves on.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator, Optional
 
-from ..core.manager import MigrationRetrier, Migrator
+from ..core.manager import MigrationRetrier, Migrator, RetryPolicy
 from ..core.metrics import MigrationReport
 from ..errors import AdmissionRejected, MigrationError, NoValidHost
 from ..sim import Resource
@@ -65,31 +68,6 @@ class JobFailure:
                 f"{self.error_type}@{self.phase}: {self.message}")
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Job-level recovery knobs for :class:`ClusterScheduler`.
-
-    ``max_attempts`` > 1 retries failed migrations through
-    :class:`~repro.core.manager.MigrationRetrier` — incrementally by
-    default, reusing the source's surviving tracking bitmap and the
-    destination's partial copy.  With ``replace=True`` a retry whose
-    destination died or tripped its circuit breaker is re-placed through
-    the HostManager pipeline first (the partial-copy table is keyed per
-    destination, so the new target starts clean automatically).
-    ``default_deadline`` is a per-job wall-clock budget in simulated
-    seconds from submission; once passed, no further attempt starts.
-    """
-
-    max_attempts: int = 3
-    initial_backoff: float = 0.5
-    backoff_factor: float = 2.0
-    max_backoff: float = 60.0
-    incremental: bool = True
-    wait_for_restart: bool = False
-    replace: bool = True
-    default_deadline: Optional[float] = None
-
-
 @dataclass
 class MigrationJob:
     """One scheduled VM move and its lifecycle."""
@@ -115,12 +93,13 @@ class MigrationJob:
     #: Absolute simulated time after which no retry attempt starts
     #: (None = unbounded).
     deadline: Optional[float] = None
-    #: Attempt budget for this job (1 = no retries).
-    max_attempts: int = 1
-    #: Attempts actually made (0 until the job starts).
+    #: Attempts made, each counted as it ends (0 until the first does).
     attempts: int = 0
     #: Structured record of every failed attempt, in order.
     failures: list[JobFailure] = field(default_factory=list)
+    #: The scheduler running this job; it observes the job's attempts.
+    scheduler: Optional["ClusterScheduler"] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def queue_time(self) -> float:
@@ -137,6 +116,25 @@ class MigrationJob:
     def failure(self) -> Optional[JobFailure]:
         """The most recent failure record, or None."""
         return self.failures[-1] if self.failures else None
+
+    # -- MigrationRetrier observer -------------------------------------------
+    # The job observes its own attempts, so a job in flight holds no
+    # per-job callback objects.
+
+    def attempt_failed(self, attempt: int, destination: "Host",
+                       failure: MigrationError) -> None:
+        """Record one failed attempt (called once per failure)."""
+        self.scheduler._record_failure(self, attempt, destination, failure)
+
+    def replacement(self, destination: "Host",
+                    attempt: int) -> Optional["Host"]:
+        """Re-place this job before a re-attempt; None keeps its target."""
+        try:
+            return self.scheduler._replace(self, attempt)
+        except NoValidHost:
+            # Nowhere better to go; keep retrying the original (it may
+            # restart) rather than giving up early.
+            return None
 
 
 class ClusterScheduler:
@@ -164,9 +162,11 @@ class ClusterScheduler:
         self.config = config
         self.max_concurrent = max_concurrent
         self.per_link_limit = per_link_limit
-        #: Job-level recovery policy (None = fail fast, the pre-recovery
-        #: behaviour the equivalence gate pins down).
-        self.retry = retry
+        #: Job-level recovery policy (None = fail fast: one attempt, the
+        #: pre-recovery behaviour the equivalence gate pins down).
+        self.retry = retry if retry is not None else RetryPolicy(
+            max_attempts=1)
+        self._retrier = MigrationRetrier(migrator, self.retry)
         #: Per-host circuit breakers (None = no health tracking).
         self.health = health
         #: Reject new submissions while this fraction of hosts has an
@@ -240,8 +240,7 @@ class ClusterScheduler:
                config: Optional["MigrationConfig"] = None,
                scheme_kwargs: Optional[dict] = None,
                replaceable: bool = False,
-               deadline: Optional[float] = None,
-               max_attempts: Optional[int] = None) -> MigrationJob:
+               deadline: Optional[float] = None) -> MigrationJob:
         """Queue one migration; returns its :class:`MigrationJob`.
 
         The job runs as a simulation process — drive the environment
@@ -250,26 +249,18 @@ class ClusterScheduler:
         pass) the destination is treated as a scheduler choice and may be
         re-placed at admission time if it stops being a valid target.
 
-        ``deadline`` is an *absolute* simulated time bound on retries;
-        ``max_attempts`` overrides the scheduler :class:`RetryPolicy`'s
-        budget for this job.  Both default from the policy (no policy:
-        one attempt, no deadline).  Raises
-        :class:`~repro.errors.AdmissionRejected` when overload shedding
-        is active and too many breakers are open.
+        ``deadline`` is an *absolute* simulated time bound on retries
+        (None: the scheduler's :class:`RetryPolicy` alone bounds them).
+        Raises :class:`~repro.errors.AdmissionRejected` when overload
+        shedding is active and too many breakers are open.
         """
         self._shed_check()
-        if max_attempts is None:
-            max_attempts = (self.retry.max_attempts
-                            if self.retry is not None else 1)
-        if deadline is None and self.retry is not None \
-                and self.retry.default_deadline is not None:
-            deadline = self.env.now + self.retry.default_deadline
         job = MigrationJob(domain=domain, destination=destination,
                            scheme=scheme, workload_name=workload_name,
                            submitted_at=self.env.now,
                            scheme_kwargs=dict(scheme_kwargs or {}),
-                           replaceable=replaceable,
-                           deadline=deadline, max_attempts=max_attempts)
+                           replaceable=replaceable, deadline=deadline,
+                           scheduler=self)
         self.jobs.append(job)
         self._inbound[destination.name] = (
             self._inbound.get(destination.name, 0) + 1)
@@ -296,16 +287,15 @@ class ClusterScheduler:
             slots.append(slot)
         return slots
 
-    def _record_failure(self, job: MigrationJob, exc: Exception,
-                        destination: "Host", attempt: int,
-                        phase: Optional[str] = None) -> JobFailure:
-        """Append a structured :class:`JobFailure` and feed the health
-        monitor (the destination is charged unless the *source* is the
-        crashed party)."""
-        if phase is None:
-            report = getattr(exc, "report", None)
-            phase = (report.extra.get("failed_phase", "unknown")
-                     if report is not None else "unknown")
+    def _record_failure(self, job: MigrationJob, attempt: int,
+                        destination: "Host", exc: Exception) -> None:
+        """Count one failed attempt, append a structured
+        :class:`JobFailure` and feed the health monitor (the destination
+        is charged unless the *source* is the crashed party)."""
+        job.attempts = attempt
+        report = getattr(exc, "report", None)
+        phase = (report.extra.get("failed_phase", "unknown")
+                 if report is not None else "unknown")
         cause = exc.__cause__ if exc.__cause__ is not None else exc
         failure = JobFailure(
             error_type=type(cause).__name__, message=str(exc),
@@ -317,7 +307,6 @@ class ClusterScheduler:
             source = job.domain.host
             if source is None or not source.crashed:
                 self.health.record_failure(destination.name)
-        return failure
 
     def _dead_letter(self, job: MigrationJob) -> None:
         self.dead_letter.append(job)
@@ -325,7 +314,7 @@ class ClusterScheduler:
         self.env.tracer.instant(
             "cluster:dead-letter", category="cluster",
             domain=job.domain.name, attempts=job.attempts,
-            failure=str(job.failure) if job.failure else None)
+            failure=str(job.failure))
 
     def _fail_unstarted(self, job: MigrationJob, exc: MigrationError,
                         phase: str) -> None:
@@ -341,45 +330,43 @@ class ClusterScheduler:
         self._inbound[job.destination.name] -= 1
         self._dead_letter(job)
 
-    def _retry_replacement(self, job: MigrationJob, domain: "Domain",
-                           destination: "Host", attempt: int,
-                           failure: Exception) -> Optional["Host"]:
-        """MigrationRetrier hook: re-place a retry whose destination died
-        or tripped its breaker; None keeps the current target."""
-        if self.retry is None or not self.retry.replace:
-            return None
+    def _replace(self, job: MigrationJob, attempt: int) -> Optional["Host"]:
+        """The one re-placement rule, at admission (``attempt`` 0) and
+        between attempts.
+
+        A replaceable job whose destination is down, in maintenance or
+        behind an open breaker moves to the pipeline's pick; explicit
+        submissions and cross-rack surrogates (whose transplant is keyed
+        to the original target) keep theirs.  Returns the new
+        destination, or None when the job keeps its target; raises
+        :class:`~repro.errors.NoValidHost` when no host passes the
+        pipeline.
+        """
+        destination = job.destination
         if not job.replaceable or getattr(destination, "is_surrogate",
                                           False):
-            # Explicit submissions (and cross-rack surrogates, whose
-            # transplant is keyed to the original target) keep their
-            # destination across retries.
             return None
-        if self.health is not None:
-            self.health.poll(self.migrator.topology.hosts.values())
-        suspect = (not destination.available
-                   or (self.health is not None
-                       and not self.health.healthy(destination.name)))
-        if not suspect:
+        health = self.health
+        if health is not None:
+            health.poll(self.migrator.topology.hosts.values())
+        if destination.available and (health is None
+                                      or health.healthy(destination.name)):
             return None
-        try:
-            replacement = self.hostmanager.select(
-                PlacementSpec(domain=domain),
-                exclude=(destination.name,))
-        except NoValidHost:
-            # Nowhere better to go; keep retrying the original (it may
-            # restart) rather than giving up early.
-            return None
+        replacement = self.hostmanager.select(
+            PlacementSpec(domain=job.domain))
         if replacement is destination:
             return None
         self.env.tracer.instant("cluster:replace", category="cluster",
-                                domain=domain.name, old=destination.name,
+                                domain=job.domain.name, old=destination.name,
                                 new=replacement.name, attempt=attempt)
         self.env.metrics.counter("cluster.jobs.replaced").inc()
         self._inbound[destination.name] -= 1
         self._inbound[replacement.name] = (
             self._inbound.get(replacement.name, 0) + 1)
-        self.hostmanager.note_link(destination, -1)
-        self.hostmanager.note_link(replacement, +1)
+        if job.started_at is not None:
+            # A started job's uplink charge follows it to the new target.
+            self.hostmanager.note_link(destination, -1)
+            self.hostmanager.note_link(replacement, +1)
         job.destination = replacement
         return replacement
 
@@ -395,28 +382,13 @@ class ClusterScheduler:
                     f"{job.domain} is not running on any host"),
                     phase="admission")
                 return
-            if job.replaceable and (
-                    not job.destination.available
-                    or (self.health is not None
-                        and not self.health.healthy(job.destination.name))):
-                # The chosen destination crashed, entered maintenance or
-                # tripped its breaker while this job queued (mid-churn).
-                # Re-run placement — explicit submissions keep their
-                # target and fail inside the migrator instead.
-                try:
-                    replacement = self.hostmanager.select(
-                        PlacementSpec(domain=job.domain))
-                except NoValidHost as exc:
-                    self._fail_unstarted(job, exc, phase="placement")
-                    return
-                tracer.instant("cluster:replace", category="cluster",
-                               domain=job.domain.name,
-                               old=job.destination.name,
-                               new=replacement.name)
-                self._inbound[job.destination.name] -= 1
-                self._inbound[replacement.name] = (
-                    self._inbound.get(replacement.name, 0) + 1)
-                job.destination = replacement
+            try:
+                # The destination may have crashed, entered maintenance
+                # or tripped its breaker while this job queued (mid-churn).
+                self._replace(job, attempt=0)
+            except NoValidHost as exc:
+                self._fail_unstarted(job, exc, phase="placement")
+                return
             grants = []
             try:
                 for slot in self._slots_for(source, job.destination):
@@ -436,19 +408,13 @@ class ClusterScheduler:
                                     queue_time=job.queue_time)
                 cfg = config if config is not None else self.config
                 try:
-                    if job.max_attempts <= 1:
-                        job.attempts = 1
-                        job.report = yield from self.migrator.migrate(
-                            job.domain, job.destination, cfg,
-                            workload_name=job.workload_name,
-                            scheme=job.scheme,
-                            scheme_kwargs=job.scheme_kwargs or None)
-                    else:
-                        job.report = yield from self._run_with_retry(
-                            job, cfg)
+                    job.report = yield from self._retrier.migrate(
+                        job.domain, job.destination, cfg,
+                        workload_name=job.workload_name, scheme=job.scheme,
+                        scheme_kwargs=job.scheme_kwargs or None,
+                        deadline=job.deadline, observer=job)
                     job.status = "done"
-                    if job.report is not None and job.report.attempts:
-                        job.attempts = job.report.attempts
+                    job.attempts = job.report.attempts
                     if self.health is not None:
                         self.health.record_success(job.destination.name)
                     tracer.end(span, status="done", attempts=job.attempts)
@@ -456,15 +422,10 @@ class ClusterScheduler:
                     job.status = "failed"
                     job.error = exc
                     job.report = getattr(exc, "report", None)
-                    if job.max_attempts <= 1:
-                        self._record_failure(job, exc, job.destination,
-                                             attempt=1)
-                    last = job.failure
-                    tracer.end(
-                        span, status="failed", failure=str(exc),
-                        failure_type=last.error_type if last else None,
-                        failure_phase=last.phase if last else None,
-                        attempts=job.attempts)
+                    tracer.end(span, status="failed", failure=str(exc),
+                               failure_type=job.failure.error_type,
+                               failure_phase=job.failure.phase,
+                               attempts=job.attempts)
                     self._dead_letter(job)
             finally:
                 job.ended_at = env.now
@@ -476,36 +437,6 @@ class ClusterScheduler:
                     request.release()
         self.env.metrics.counter(
             f"cluster.jobs.{job.status}").inc()
-
-    def _run_with_retry(self, job: MigrationJob,
-                        cfg: Optional["MigrationConfig"]) -> Generator:
-        """Drive one job through :class:`MigrationRetrier` with the
-        scheduler's policy, recording every attempt's failure."""
-        policy = self.retry if self.retry is not None else RetryPolicy()
-
-        def note(attempt: int, destination: "Host", failure) -> None:
-            job.attempts = attempt
-            self._record_failure(job, failure, destination, attempt)
-
-        def replace(domain, destination, attempt, failure):
-            return self._retry_replacement(job, domain, destination,
-                                           attempt, failure)
-
-        retrier = MigrationRetrier(
-            self.migrator, max_attempts=job.max_attempts,
-            initial_backoff=policy.initial_backoff,
-            backoff_factor=policy.backoff_factor,
-            incremental=policy.incremental,
-            max_backoff=policy.max_backoff,
-            wait_for_restart=policy.wait_for_restart)
-        report = yield from retrier.migrate(
-            job.domain, job.destination, cfg,
-            workload_name=job.workload_name, scheme=job.scheme,
-            scheme_kwargs=job.scheme_kwargs or None,
-            deadline=job.deadline,
-            replace_destination=replace,
-            on_attempt_failure=note)
-        return report
 
     # -- bulk operations ---------------------------------------------------
 

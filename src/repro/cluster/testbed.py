@@ -30,7 +30,7 @@ from .scheduler import ClusterScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment
-    from .scheduler import RetryPolicy
+    from ..core.manager import RetryPolicy
 
 
 @dataclass
@@ -88,7 +88,7 @@ def build_cluster(
     experiments already cover.
 
     The recovery stack is opt-in: pass a ``retry``
-    :class:`~repro.cluster.scheduler.RetryPolicy`, ``health=True`` for a
+    :class:`~repro.core.manager.RetryPolicy`, ``health=True`` for a
     :class:`~repro.cluster.health.HealthMonitor` (wired into placement
     via the ``healthy`` filter), and/or ``shed_threshold`` for
     admission-time load shedding.  All three default off so the

@@ -20,7 +20,7 @@ Typical use::
 
 from .config import MigrationConfig
 from .converge import AutoConvergeController
-from .manager import MigrationRetrier, Migrator
+from .manager import MigrationRetrier, Migrator, RetryPolicy
 from .memcopy import MemoryPreCopier
 from .metrics import IterationStats, MigrationReport, PostCopyStats
 from .postcopy import PostCopySynchronizer
@@ -43,6 +43,7 @@ __all__ = [
     "MigrationScheme",
     "Migrator",
     "PageStreamer",
+    "RetryPolicy",
     "get_scheme",
     "register_scheme",
     "scheme_names",

@@ -19,6 +19,7 @@ return to A incrementally.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
 from ..errors import MigrationError, MigrationFailed, StorageError
@@ -336,43 +337,63 @@ class Migrator:
         return (domain.domain_id, host.name) in self._partial
 
 
+@dataclass(frozen=True)
+class RetryPolicy:
+    """The one set of retry parameters, for :class:`MigrationRetrier` and
+    :class:`~repro.cluster.scheduler.ClusterScheduler` alike.
+
+    ``max_attempts`` bounds the attempts (1 = fail fast).  Between
+    attempts the retrier sleeps ``initial_backoff`` seconds, multiplied
+    by ``backoff_factor`` after every failure and capped at
+    ``max_backoff``.  ``incremental`` resumes from the source's surviving
+    tracking bitmap and the destination's partial copy (False restarts
+    from scratch, the benchmark's baseline).  ``wait_for_restart``
+    additionally waits for a crashed source or destination to come back
+    before re-attempting.  Bad values raise
+    :class:`~repro.errors.MigrationError` here, where the policy is
+    built.
+    """
+
+    max_attempts: int = 3
+    initial_backoff: float = 0.5
+    backoff_factor: float = 2.0
+    max_backoff: float = 60.0
+    incremental: bool = True
+    wait_for_restart: bool = False
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise MigrationError(
+                f"max_attempts must be >= 1, got {self.max_attempts}")
+        if self.initial_backoff < 0:
+            raise MigrationError(
+                f"initial_backoff cannot be negative, got "
+                f"{self.initial_backoff}")
+        if self.backoff_factor < 1.0:
+            raise MigrationError(
+                f"backoff_factor must be >= 1, got {self.backoff_factor}")
+        if self.max_backoff <= 0:
+            raise MigrationError(
+                f"max_backoff must be positive, got {self.max_backoff}")
+
+
 class MigrationRetrier:
-    """Re-runs failed migrations with exponential backoff.
+    """Runs a migration's attempts under a :class:`RetryPolicy`.
 
     The retry is *incremental* by default: the source's surviving
     write-tracking bitmap (kept registered across the failure, still
     absorbing guest writes during the backoff) becomes the first
     iteration's transfer set, and the destination's partial copy is
     reused — §V's incremental-migration machinery repurposed as fault
-    tolerance.  With ``incremental=False`` every attempt starts from
-    scratch, which is the baseline the benchmark compares against.
+    tolerance.  Only :class:`~repro.errors.MigrationFailed` is retried;
+    a plain :class:`~repro.errors.MigrationError` (a request that can
+    never succeed) ends the loop at once.
     """
 
-    def __init__(self, migrator: Migrator, max_attempts: int = 3,
-                 initial_backoff: float = 0.5, backoff_factor: float = 2.0,
-                 incremental: bool = True, max_backoff: float = 60.0,
-                 wait_for_restart: bool = False) -> None:
-        if max_attempts < 1:
-            raise MigrationError("max_attempts must be >= 1")
-        if initial_backoff < 0:
-            raise MigrationError("initial_backoff cannot be negative")
-        if backoff_factor < 1.0:
-            raise MigrationError("backoff_factor must be >= 1")
-        if max_backoff <= 0:
-            raise MigrationError("max_backoff must be positive")
+    def __init__(self, migrator: Migrator, policy: RetryPolicy) -> None:
         self.migrator = migrator
         self.env = migrator.env
-        self.max_attempts = max_attempts
-        self.initial_backoff = initial_backoff
-        self.backoff_factor = backoff_factor
-        self.incremental = incremental
-        #: Ceiling on the exponential backoff: without it, large
-        #: ``max_attempts`` produce absurd simulated waits (0.5 * 2**20 s).
-        self.max_backoff = max_backoff
-        #: After the backoff, additionally wait for a crashed source or
-        #: destination to restart before re-attempting — the crash-recovery
-        #: path (pointless against hosts that never restart, hence opt-in).
-        self.wait_for_restart = wait_for_restart
+        self.policy = policy
 
     def migrate(self, domain: Domain, destination: Host,
                 config: Optional[MigrationConfig] = None,
@@ -380,61 +401,68 @@ class MigrationRetrier:
                 scheme: str = "tpm",
                 scheme_kwargs: Optional[dict] = None,
                 deadline: Optional[float] = None,
-                replace_destination=None,
-                on_attempt_failure=None) -> Generator:
+                observer=None) -> Generator:
         """Migrate with retries; returns the final attempt's report.
 
         ``yield from`` inside a process.  Any registered ``scheme`` may
         be retried, though only IM-aware schemes (TPM) resume
         incrementally — the others restart from scratch each attempt.
         The report carries the retry accounting: ``attempts``,
-        ``failed_attempts``, ``backoff_time``.  Raises
-        :class:`~repro.errors.MigrationFailed` once ``max_attempts``
-        attempts have all died.
+        ``failed_attempts``, ``backoff_time``.  Once the policy's
+        ``max_attempts`` attempts have all died it raises
+        :class:`~repro.errors.MigrationFailed` ("giving up"); a
+        single-attempt policy, like a non-retriable error, re-raises the
+        attempt's own failure.
 
-        The three optional hooks are the cluster scheduler's recovery
-        surface: ``deadline`` (absolute simulated time; once passed, no
-        further attempt starts), ``on_attempt_failure(attempt,
-        destination, failure)`` called after each failed attempt, and
-        ``replace_destination(domain, destination, attempt, failure)``
-        called before each re-attempt — returning a different
-        :class:`~repro.vm.host.Host` redirects the retry there (the
-        partial-copy table is keyed per destination, so a replacement
-        target automatically starts clean while the source keeps its
-        surviving tracking bitmap).
+        ``deadline`` (absolute simulated time) stops further attempts
+        once passed.  ``observer`` is the cluster scheduler's recovery
+        surface: its ``attempt_failed(attempt, destination, failure)``
+        is called once for every failed attempt, retriable or not, and
+        its ``replacement(destination, attempt)`` before each re-attempt
+        — returning a :class:`~repro.vm.host.Host` redirects the retry
+        there (the partial-copy table is keyed per destination, so a
+        replacement target automatically starts clean while the source
+        keeps its surviving tracking bitmap).
         """
-        failures: list[MigrationReport] = []
+        policy = self.policy
+        # A tuple: the shared empty one keeps a first-try success from
+        # holding a list for the whole migration (a cluster wave runs
+        # hundreds of these loops at once).
+        failures: tuple[MigrationReport, ...] = ()
         backoff_total = 0.0
-        delay = min(self.initial_backoff, self.max_backoff)
-        for attempt in range(1, self.max_attempts + 1):
+        delay = min(policy.initial_backoff, policy.max_backoff)
+        for attempt in range(1, policy.max_attempts + 1):
             self.env.metrics.counter("retry.attempts").inc()
             try:
                 report = yield from self.migrator.migrate(
                     domain, destination, config, workload_name,
                     scheme=scheme, scheme_kwargs=scheme_kwargs)
-            except MigrationFailed as failure:
+            except MigrationError as failure:
+                if observer is not None:
+                    observer.attempt_failed(attempt, destination, failure)
+                if (not isinstance(failure, MigrationFailed)
+                        or policy.max_attempts == 1):
+                    raise
                 if failure.report is not None:
-                    failures.append(failure.report)
-                if on_attempt_failure is not None:
-                    on_attempt_failure(attempt, destination, failure)
-                if attempt == self.max_attempts:
+                    failures += (failure.report,)
+                if attempt == policy.max_attempts:
                     self.env.tracer.instant("retry:gave-up",
                                             category="retry",
                                             attempts=attempt)
                     raise MigrationFailed(
                         f"migration of {domain} failed {attempt} times; "
                         f"giving up", report=failure.report) from failure
-                if not self.incremental:
+                if not policy.incremental:
                     self.migrator.discard_partial(domain)
                 with self.env.tracer.span("retry:backoff", category="retry",
                                           attempt=attempt, delay=delay,
-                                          incremental=self.incremental):
+                                          incremental=policy.incremental):
                     self.env.metrics.gauge("retry.backoff_delay").set(delay)
                     if delay > 0:
                         yield self.env.timeout(delay)
                 backoff_total += delay
-                delay = min(delay * self.backoff_factor, self.max_backoff)
-                if self.wait_for_restart:
+                delay = min(delay * policy.backoff_factor, policy.max_backoff)
+                if policy.wait_for_restart:
                     source = domain.host
                     if source is not None and source.crashed:
                         yield from source.wait_until_up()
@@ -449,15 +477,13 @@ class MigrationRetrier:
                         f"migration of {domain} abandoned after {attempt} "
                         f"attempt(s): deadline {deadline:.3f}s passed",
                         report=failure.report) from failure
-                if replace_destination is not None:
-                    replacement = replace_destination(
-                        domain, destination, attempt, failure)
-                    if replacement is not None \
-                            and replacement is not destination:
+                if observer is not None:
+                    replacement = observer.replacement(destination, attempt)
+                    if replacement is not None:
                         destination = replacement
                 continue
             report.attempts = attempt
-            report.failed_attempts = failures
+            report.failed_attempts = list(failures)
             report.backoff_time = backoff_total
             return report
 

@@ -4,7 +4,7 @@ deadlines, overload shedding, and structured failure records."""
 import pytest
 
 from repro.cluster import (RetryPolicy, build_cluster, slo_report)
-from repro.errors import AdmissionRejected, ReproError
+from repro.errors import AdmissionRejected, MigrationError, ReproError
 from repro.faults import FaultInjector, FaultPlan
 
 SMALL = dict(nblocks=256, npages=64)
@@ -18,6 +18,17 @@ def recovering_cluster(nhosts=3, **kw):
     kw.setdefault("retry", POLICY)
     kw.setdefault("health", True)
     return build_cluster(nhosts=nhosts, vms_per_host=1, **kw)
+
+
+def replace_instants(bed):
+    return [instant for instant in bed.env.tracer.instants
+            if instant.name == "cluster:replace"]
+
+
+def assert_settled(bed):
+    """No inbound or uplink charge survives the drain."""
+    for state in bed.scheduler.hostmanager.states():
+        assert state.inbound == 0 and state.link_inflight == 0
 
 
 class TestRetryWithReplacement:
@@ -36,6 +47,10 @@ class TestRetryWithReplacement:
         assert job.failures and job.failures[0].attempt == 1
         assert not bed.scheduler.dead_letter
         assert bed.env.metrics.counter("cluster.jobs.replaced").total == 1
+        [replace] = replace_instants(bed)
+        assert (replace.args["old"], replace.args["new"],
+                replace.args["attempt"]) == ("host01", "host02", 1)
+        assert_settled(bed)
 
     def test_failure_record_is_structured(self):
         bed = recovering_cluster(**SLOW)
@@ -62,6 +77,61 @@ class TestRetryWithReplacement:
         assert job.destination is bed.hosts[1]  # never rerouted
         assert job.attempts == POLICY.max_attempts
         assert len(job.failures) == POLICY.max_attempts
+
+
+class TestReplacementAccounting:
+    """Admission re-placement follows the between-attempt rule: it bumps
+    ``cluster.jobs.replaced``, emits one ``cluster:replace`` instant and
+    leaves no inbound or uplink charge behind."""
+
+    def test_admission_replacement_is_counted(self):
+        bed = build_cluster(nhosts=4, vms_per_host=1, max_concurrent=1,
+                            observe=True, **SMALL)
+        # The blocker holds the only admission slot, so the evacuation
+        # job queues while its planned destination crashes.
+        blocker = bed.scheduler.submit(bed.domains_on(bed.hosts[3])[0],
+                                       bed.hosts[2])
+        [job] = bed.scheduler.evacuate(bed.hosts[0])
+        assert job.destination.name == "host01"
+        FaultInjector(bed.env, FaultPlan().crash(
+            "host01", at=1e-4, down_for=1000.0)).inject(bed.migrator)
+        bed.scheduler.drain([blocker, job])
+
+        assert job.succeeded and job.destination.name != "host01"
+        assert job.attempts == 1 and not job.failures
+        replaces = replace_instants(bed)
+        assert [(i.args["old"], i.args["new"], i.args["attempt"])
+                for i in replaces] == [("host01", job.destination.name, 0)]
+        replaced = bed.env.metrics.counter("cluster.jobs.replaced").total
+        assert replaced == len(replaces) == 1
+        assert_settled(bed)
+
+
+class TestOneAttemptLoop:
+    """Fail-fast and retried jobs share one attempt loop, so their
+    failure records agree."""
+
+    @pytest.mark.parametrize("retry", [None, RetryPolicy(max_attempts=3)],
+                             ids=["no-policy", "max_attempts=3"])
+    def test_non_retriable_failure_is_recorded(self, retry):
+        bed = build_cluster(nhosts=3, vms_per_host=1, retry=retry,
+                            observe=True, **SMALL)
+        domain = bed.domains_on(bed.hosts[0])[0]
+        # Not retriable: the request itself is invalid.
+        job = bed.scheduler.submit(domain, domain.host)
+        bed.scheduler.drain([job])
+
+        assert job.status == "failed"
+        assert isinstance(job.error, MigrationError)
+        assert job.attempts == 1
+        [failure] = job.failures
+        assert failure.error_type == "MigrationError"
+        assert failure.attempt == 1 and failure.phase == "unknown"
+        assert bed.scheduler.dead_letter == [job]
+        [letter] = [i for i in bed.env.tracer.instants
+                    if i.name == "cluster:dead-letter"]
+        assert letter.args["attempts"] == 1
+        assert letter.args["failure"] == str(failure)
 
 
 class TestDeadLetter:

@@ -3,7 +3,7 @@ the tracking bitmap survives, and the retry resumes incrementally."""
 
 import pytest
 
-from repro.core import MigrationRetrier, TRACKING_NAME
+from repro.core import MigrationRetrier, RetryPolicy, TRACKING_NAME
 from repro.errors import MigrationFailed
 from repro.faults import FaultInjector, FaultPlan
 
@@ -71,9 +71,9 @@ class TestRetry:
         bed.random_writer(region=(0, 300), interval=0.005, seed=11)
         plan = failing_plan(at=0.02, duration=duration)
         FaultInjector(bed.env, plan).inject(bed.migrator)
-        retrier = MigrationRetrier(bed.migrator, max_attempts=3,
-                                   initial_backoff=initial_backoff,
-                                   incremental=incremental)
+        retrier = MigrationRetrier(bed.migrator, RetryPolicy(
+            max_attempts=3, initial_backoff=initial_backoff,
+            incremental=incremental))
         proc = retrier.migrate_process(bed.domain, bed.destination)
         return bed.env.run(until=proc)
 
@@ -110,8 +110,8 @@ class TestRetry:
         plan = (FaultPlan(send_timeout=0.05)
                 .crash("destination", phase="precopy-disk", offset=0.01))
         FaultInjector(bed.env, plan).inject(bed.migrator)
-        retrier = MigrationRetrier(bed.migrator, max_attempts=3,
-                                   initial_backoff=0.1)
+        retrier = MigrationRetrier(bed.migrator, RetryPolicy(
+            max_attempts=3, initial_backoff=0.1))
         proc = retrier.migrate_process(bed.domain, bed.destination)
         with pytest.raises(MigrationFailed, match="3 times"):
             bed.env.run(until=proc)
@@ -126,19 +126,21 @@ class TestRetry:
         with pytest.raises(MigrationFailed, match="down"):
             bed.env.run(until=proc)
 
-    def test_retrier_validation(self, bed):
+    def test_retrier_validation(self):
+        """Bad retry values are rejected where the policy is built, not
+        when a retrier first runs it."""
         from repro.errors import MigrationError
 
-        with pytest.raises(MigrationError):
-            MigrationRetrier(bed.migrator, max_attempts=0)
-        with pytest.raises(MigrationError):
-            MigrationRetrier(bed.migrator, initial_backoff=-1.0)
-        with pytest.raises(MigrationError):
-            MigrationRetrier(bed.migrator, backoff_factor=0.5)
-        with pytest.raises(MigrationError):
-            MigrationRetrier(bed.migrator, max_backoff=0.0)
-        with pytest.raises(MigrationError):
-            MigrationRetrier(bed.migrator, max_backoff=-1.0)
+        with pytest.raises(MigrationError, match="max_attempts"):
+            RetryPolicy(max_attempts=0)
+        with pytest.raises(MigrationError, match="initial_backoff"):
+            RetryPolicy(initial_backoff=-1.0)
+        with pytest.raises(MigrationError, match="backoff_factor"):
+            RetryPolicy(backoff_factor=0.5)
+        with pytest.raises(MigrationError, match="max_backoff"):
+            RetryPolicy(max_backoff=0.0)
+        with pytest.raises(MigrationError, match="max_backoff"):
+            RetryPolicy(max_backoff=-1.0)
 
     def test_backoff_is_capped_at_max_backoff(self, make_bed):
         """Regression: the delay used to grow unboundedly (0.5 * 2**k).
@@ -151,9 +153,9 @@ class TestRetry:
         FaultInjector(bed.env,
                       failing_plan(at=0.02, duration=2.0)).inject(
             bed.migrator)
-        retrier = MigrationRetrier(bed.migrator, max_attempts=5,
-                                   initial_backoff=1.0, backoff_factor=10.0,
-                                   max_backoff=2.0)
+        retrier = MigrationRetrier(bed.migrator, RetryPolicy(
+            max_attempts=5, initial_backoff=1.0, backoff_factor=10.0,
+            max_backoff=2.0))
         proc = retrier.migrate_process(bed.domain, bed.destination)
         report = bed.env.run(until=proc)
         assert report.attempts == 3

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster.accounting import assert_conserved, audit_link_bytes
-from repro.core import MigrationRetrier, ThreePhaseMigration
+from repro.core import (MigrationRetrier, RetryPolicy,
+                        ThreePhaseMigration)
 from repro.errors import MigrationError
 from repro.faults import FaultInjector, FaultPlan
 from repro.net import Compressor, TokenBucket
@@ -123,9 +124,8 @@ class TestMultifdRetry:
         plan = (FaultPlan(send_timeout=0.05)
                 .blackout(duration=0.2, phase="precopy-disk", offset=0.02))
         FaultInjector(bed.env, plan).inject(bed.migrator)
-        retrier = MigrationRetrier(bed.migrator, max_attempts=3,
-                                   initial_backoff=0.3,
-                                   incremental=incremental)
+        retrier = MigrationRetrier(bed.migrator, RetryPolicy(
+            max_attempts=3, initial_backoff=0.3, incremental=incremental))
         proc = retrier.migrate_process(
             bed.domain, bed.destination,
             bed.config.replace(multifd_channels=nchannels))

@@ -3,7 +3,7 @@ for: the *source host* dies mid-migration, restarts, recovers the
 block-bitmap from its stable storage, and the retry completes
 incrementally with fewer disk bytes than a from-scratch restart."""
 
-from repro.core import TRACKING_NAME, MigrationRetrier
+from repro.core import TRACKING_NAME, MigrationRetrier, RetryPolicy
 from repro.faults import FaultInjector, FaultPlan
 
 
@@ -88,9 +88,9 @@ class TestCrashRecoveryMigration:
         plan = FaultPlan(send_timeout=0.05).crash("source", at=0.02,
                                                   down_for=0.5)
         FaultInjector(bed.env, plan).inject(bed.migrator)
-        retrier = MigrationRetrier(bed.migrator, max_attempts=3,
-                                   initial_backoff=0.3, incremental=True,
-                                   wait_for_restart=True)
+        retrier = MigrationRetrier(bed.migrator, RetryPolicy(
+            max_attempts=3, initial_backoff=0.3, incremental=True,
+            wait_for_restart=True))
         proc = retrier.migrate_process(bed.domain, bed.destination, cfg)
         return bed.env.run(until=proc)
 

@@ -101,6 +101,13 @@ class TestCommands:
                      *self.SMALL]) == 0
         assert "Table II" in capsys.readouterr().out
 
+    def test_chaos_both_modes(self, capsys):
+        assert main(["chaos", "--seed", "0", "--mode", "both"]) == 0
+        out = capsys.readouterr().out
+        assert "seed=0 mode=monolithic" in out
+        assert "seed=0 mode=sharded" in out
+        assert out.count("all invariants hold") == 2
+
     def test_locality(self, capsys):
         assert main(["locality", "--workload", "kernelbuild",
                      "--duration", "20", "--warmup", "10",

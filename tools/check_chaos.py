@@ -4,7 +4,7 @@
 Runs randomized-but-reproducible chaos schedules (partitions, link
 flaps, host crashes — all drawn from ``numpy.random.default_rng(seed)``)
 over a migration wave on both the monolithic and sharded cluster
-engines, with retry + health tracking enabled, and checks the four
+engines, with retry + health tracking enabled, and checks the five
 invariants that must survive any schedule:
 
 1. per-link byte conservation (channel ledgers + aborted in-flight
@@ -13,7 +13,9 @@ invariants that must survive any schedule:
    flight, every terminal failure is dead-lettered;
 3. recovered tracking bitmaps cover every still-pending block
    (an incremental retry would lose nothing);
-4. no domain is stranded on a sharded surrogate host.
+4. no domain is stranded on a sharded surrogate host;
+5. every job's attempts match its failure records (plus one for a
+   success), and every dead-lettered job has a failure record.
 
 Usage::
 

@@ -57,7 +57,7 @@ def _run_scheme(scheme: str) -> dict:
 
 def _run_fault_retry() -> dict:
     from repro.analysis.experiments import build_testbed
-    from repro.core import MigrationRetrier
+    from repro.core import MigrationRetrier, RetryPolicy
     from repro.faults import FaultInjector, FaultPlan
 
     bed = build_testbed("specweb", scale=0.01, seed=0)
@@ -69,8 +69,8 @@ def _run_fault_retry() -> dict:
     plan = (FaultPlan(send_timeout=0.05)
             .blackout(duration=0.5, phase="precopy-disk", offset=0.05))
     FaultInjector(bed.env, plan).inject(bed.migrator)
-    retrier = MigrationRetrier(bed.migrator, max_attempts=3,
-                               initial_backoff=0.3, incremental=True)
+    retrier = MigrationRetrier(bed.migrator, RetryPolicy(
+        max_attempts=3, initial_backoff=0.3, incremental=True))
     proc = retrier.migrate_process(bed.domain, bed.destination,
                                    workload_name=bed.workload.name)
     report = bed.env.run(until=proc)
