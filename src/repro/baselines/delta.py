@@ -143,9 +143,7 @@ class DeltaQueueMigration(MigrationScheme):
                 priority=cfg.migration_disk_priority)
             idx = np.arange(block, block + nblocks, dtype=np.int64)
             dest_vbd.import_blocks(idx, stamps, data)
-        if cfg.verify_consistency:
-            src_vbd.assert_identical(dest_vbd)
-            report.consistency_verified = True
+        self._verify(src_vbd, dest_vbd)
         report.extra["io_block_time"] = env.now - replay_started
         report.extra["delta_count"] = self.delta_count
         report.extra["redundant_blocks"] = self.redundant_blocks

@@ -57,8 +57,5 @@ class FreezeAndCopyMigration(MigrationScheme):
         self._switch_over(dest_vbd, pages, cpu)
         yield from self._resume(freeze_span)
         report.ended_at = env.now
-
-        if cfg.verify_consistency:
-            src_vbd.assert_identical(dest_vbd)
-            report.consistency_verified = True
+        self._verify(src_vbd, dest_vbd)
         return report

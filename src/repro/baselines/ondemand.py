@@ -113,12 +113,11 @@ class OnDemandMigration(MigrationScheme):
             source_bitmap=source_bitmap,
             transferred_bitmap=transferred_bitmap,
             config=self.config.replace(postcopy_push=False))
-        # The interceptor must be live *before* the first guest request.
-        dst_driver.interceptor = self.synchronizer.intercept
         env.process(self.synchronizer.run(), name="ondemand:fetch")
 
         yield from self._resume(freeze_span)
         self._notify_phase("fetch")
         report.ended_at = env.now  # the *live* migration is over...
         report.extra["residual_blocks_at_resume"] = self.residual_blocks
+        self._verify(src_vbd, dest_vbd, self.synchronizer.transferred_bitmap)
         return report

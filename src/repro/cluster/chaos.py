@@ -19,7 +19,9 @@ asserts the properties that must survive **any** schedule:
    surrogate stand-in hosts;
 5. **attempts** — every job's ``attempts`` equals its failure records
    plus one for a success, and every dead-lettered job has a
-   :class:`~repro.cluster.scheduler.JobFailure`.
+   :class:`~repro.cluster.scheduler.JobFailure`;
+6. **consistency** — every finished job's report is
+   ``consistency_verified``; no job ended on a ``ConsistencyError``.
 
 Both the monolithic (``build_cluster(wiring="rack")``) and sharded
 (``build_sharded_cluster``) stacks run the same schedule shape, so the
@@ -38,7 +40,7 @@ import numpy as np
 
 from ..core.manager import RetryPolicy
 from ..core.precopy import TRACKING_NAME
-from ..errors import MigrationError, ReproError
+from ..errors import ConsistencyError, MigrationError, ReproError
 from ..faults import FaultPlan
 from .accounting import audit_link_bytes
 from .scheduler import MigrationJob
@@ -217,6 +219,19 @@ def _check_attempts(schedulers) -> list[str]:
     return violations
 
 
+def _check_consistency(schedulers) -> list[str]:
+    violations: list[str] = []
+    for scheduler in schedulers:
+        for job in scheduler.jobs:
+            if job.status == "done" and not job.report.consistency_verified:
+                violations.append(f"consistency: {job.domain.name} "
+                                  f"finished unverified")
+            if isinstance(job.error, ConsistencyError):
+                violations.append(f"consistency: {job.domain.name} "
+                                  f"ended on {job.error}")
+    return violations
+
+
 def _check_bitmaps(hosts, migrators) -> list[str]:
     """Recovered ⊇ true-pending for every surviving partial copy."""
     violations: list[str] = []
@@ -245,7 +260,7 @@ def _check_bitmaps(hosts, migrators) -> list[str]:
                     f"{dest_name} has {partial.nblocks} blocks, "
                     f"source has {src_vbd.nblocks}")
                 continue
-            pending = set(int(i) for i in src_vbd.diff_blocks(partial))
+            pending = set(int(i) for i in partial.lagging_blocks(src_vbd))
             dirty = set(int(i) for i in
                         driver.tracking_bitmap(TRACKING_NAME)
                         .dirty_indices())
@@ -260,7 +275,7 @@ def _check_bitmaps(hosts, migrators) -> list[str]:
 
 
 def check_invariants(target, expected_ids: set[int]) -> list[str]:
-    """All five invariant families against a drained cluster.
+    """All six invariant families against a drained cluster.
 
     ``target`` is a :class:`~repro.cluster.testbed.ClusterBed` or a
     :class:`~repro.cluster.sharded.ShardedCluster`.
@@ -288,6 +303,7 @@ def check_invariants(target, expected_ids: set[int]) -> list[str]:
             audit_link_bytes(target.migrator.migrations))
     violations += _check_placement(hosts, schedulers, expected_ids)
     violations += _check_attempts(schedulers)
+    violations += _check_consistency(schedulers)
     violations += _check_bitmaps(hosts, migrators)
     return violations
 

@@ -182,16 +182,6 @@ class MigrationConfig:
     #: reattach, network fail-over ARP).
     resume_overhead: float = 0.030
 
-    # -- verification ------------------------------------------------------
-    #: After post-copy, assert that destination storage is consistent with
-    #: the source (modulo blocks legitimately overwritten by the guest).
-    verify_consistency: bool = True
-    #: Total simulated time to wait for in-flight guest writes to land
-    #: before declaring the destination inconsistent.
-    verify_retry_budget: float = 1.0
-    #: Interval between consistency re-checks within the budget.
-    verify_retry_interval: float = 5e-3
-
     block_size: int = BLOCK_SIZE
 
     def __post_init__(self) -> None:
@@ -235,10 +225,6 @@ class MigrationConfig:
             raise MigrationError("push_chunk_blocks must be >= 1")
         if self.max_mem_rounds < 1:
             raise MigrationError("need at least one memory round")
-        if self.verify_retry_budget < 0:
-            raise MigrationError("verify_retry_budget cannot be negative")
-        if self.verify_retry_interval <= 0:
-            raise MigrationError("verify_retry_interval must be positive")
         from ..persist.store import SYNC_POLICIES
 
         if self.persist_sync_policy not in SYNC_POLICIES:

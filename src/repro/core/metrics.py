@@ -109,7 +109,7 @@ class MigrationReport:
     #: Per-category wire bytes (disk / memory / bitmap / cpu / pull / control).
     bytes_by_category: dict[str, int] = field(default_factory=dict)
 
-    #: Filled by the consistency check when enabled.
+    #: Set by the scheme's verify step (``MigrationScheme._verify``).
     consistency_verified: bool = False
 
     # -- retry accounting ---------------------------------------------------

@@ -92,6 +92,8 @@ class PostCopySynchronizer:
         self.transferred_bitmap = transferred_bitmap
         self.config = config
         self.stats = PostCopyStats()
+        # Live from here on: it must see the first request after resume.
+        dst_driver.interceptor = self.intercept
 
         #: Still-dirty blocks on the destination, maintained incrementally
         #: for the ``postcopy.dirty_blocks`` gauge (counting the bitmap per
@@ -113,6 +115,10 @@ class PostCopySynchronizer:
         self._workers: list["Process"] = []
         #: Set by :meth:`stop`: the phase was abandoned, not completed.
         self._stopped = False
+        #: Guest writes that cancelled a transfer and have not landed yet,
+        #: and the event :meth:`run` waits on for the last of them.
+        self._landing = 0
+        self._landed: "Event | None" = None
 
     # ------------------------------------------------------------------
     # orchestration
@@ -121,13 +127,12 @@ class PostCopySynchronizer:
     def run(self) -> Generator:
         """Run the phase to completion; returns :class:`PostCopyStats`.
 
-        Installs the destination interceptor for the duration; on return,
-        destination storage is fully synchronized and the source may be
-        shut down (finite dependency, §IV-A-4).
+        Removes the destination interceptor on return, when destination
+        storage is fully synchronized and the source may be shut down
+        (finite dependency, §IV-A-4).
         """
         env = self.env
         self.stats.started_at = env.now
-        self.dst_driver.interceptor = self.intercept
         env.metrics.gauge("postcopy.dirty_blocks").set(self._remaining)
         self._note_if_synchronized()  # the dirty set may already be empty
         procs = [
@@ -153,9 +158,10 @@ class PostCopySynchronizer:
         if leftover:
             raise MigrationError(
                 f"post-copy ended with {leftover} unsynchronized blocks")
-        self.stats.ended_at = (self._synchronized_at
-                               if self._synchronized_at is not None
-                               else env.now)
+        if self._landing:  # cancelling writes still on their way to disk
+            self._landed = env.event()
+            yield self._landed
+        self.stats.ended_at = self._synchronized_at
         return self.stats
 
     def stop(self) -> None:
@@ -210,13 +216,22 @@ class PostCopySynchronizer:
                     bitmap.clear_many(hit)
                     for block in hit.tolist():
                         self._wake(block)  # documented deviation
-            if cancelled:
-                self._remaining -= cancelled
-                metrics = self.env.metrics
-                metrics.counter("postcopy.cancelled_blocks").inc(cancelled)
-                metrics.gauge("postcopy.dirty_blocks").set(self._remaining)
+            if not cancelled:
+                return False
+            self._remaining -= cancelled
+            metrics = self.env.metrics
+            metrics.counter("postcopy.cancelled_blocks").inc(cancelled)
+            metrics.gauge("postcopy.dirty_blocks").set(self._remaining)
             self._note_if_synchronized()
-            return False
+            # Serve it here, so :meth:`run` can wait for it to land.
+            self._landing += 1
+            try:
+                yield from self.dst_driver.serve_direct(request)
+            finally:
+                self._landing -= 1
+                if not self._landing and self._landed is not None:
+                    self._landed.succeed()
+            return True
 
         # Lines 11-13: reads pull only still-dirty blocks.
         if request.nblocks == 1:
@@ -265,8 +280,7 @@ class PostCopySynchronizer:
         # per-message/per-write synchronization check never re-counts.
         if self._synchronized_at is None and self._remaining == 0:
             self._synchronized_at = self.env.now
-            if not self._sync_event.triggered:
-                self._sync_event.succeed()
+            self._sync_event.succeed()
 
     # ------------------------------------------------------------------
     # destination: block reception (paper's second algorithm)
@@ -282,8 +296,16 @@ class PostCopySynchronizer:
                     break
                 raise MigrationError(
                     f"unexpected control message {msg.tag!r} in post-copy")
-            # Lines 2-3: drop blocks a local write has superseded.
             indices = np.asarray(msg.indices, dtype=np.int64)
+            # Lines 4-5: update local disk (for the blocks still dirty on
+            # arrival), clear the bitmap.
+            nlive = int(np.count_nonzero(bitmap.test_many(indices)))
+            if nlive:
+                yield from self.dst_disk.write(
+                    nlive * block_size,
+                    priority=self.config.migration_disk_priority)
+            # Lines 2-3, at the update itself: drop blocks a local write
+            # has superseded, also while the disk was busy.
             keep = bitmap.test_many(indices)
             dropped = int(indices.size - np.count_nonzero(keep))
             self.stats.dropped_blocks += dropped
@@ -292,10 +314,6 @@ class PostCopySynchronizer:
                     dropped)
             live = indices[keep]
             if live.size:
-                # Lines 4-5: update local disk, clear the bitmap.
-                yield from self.dst_disk.write(
-                    int(live.size) * block_size,
-                    priority=self.config.migration_disk_priority)
                 stamps = np.asarray(msg.stamps)[keep]
                 data = msg.data[keep] if msg.data is not None else None
                 self.dst_vbd.import_blocks(live, stamps, data)
@@ -315,10 +333,6 @@ class PostCopySynchronizer:
                 for block in live.tolist():
                     self._wake(block)
                 self._note_if_synchronized()
-        self._note_if_synchronized()
-        if self.transferred_bitmap.any():
-            raise MigrationError(
-                "source finished pushing but destination bitmap is not empty")
         # Tell the source it may stop listening for pulls: its finite
         # dependency ends here.
         yield from self.rev.send(ControlMsg("postcopy-complete"),

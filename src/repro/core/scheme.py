@@ -17,7 +17,8 @@ protected steps :meth:`MigrationScheme._freeze`,
 :meth:`~MigrationScheme._ship_memory`,
 :meth:`~MigrationScheme._switch_over` and
 :meth:`~MigrationScheme._resume`, so downtime means the same thing for
-all of them.
+all of them.  Every scheme ends in the one consistency check,
+:meth:`~MigrationScheme._verify`.
 
 Schemes register themselves with :func:`register_scheme`;
 :meth:`Migrator.migrate(..., scheme="delta-queue")
@@ -31,7 +32,9 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
 
-from ..errors import MigrationError, MigrationFailed, NetworkError
+from ..bitmap import BlockBitmap
+from ..errors import (ConsistencyError, MigrationError, MigrationFailed,
+                      NetworkError)
 from ..net.channel import Channel
 from ..net.messages import CPUStateMsg
 from ..storage.vbd import VirtualBlockDevice
@@ -227,8 +230,7 @@ class MigrationScheme:
             yield from self._execute()
         except NetworkError as exc:
             raise self._fail(exc) from exc
-        if not report.bytes_by_category:
-            report.bytes_by_category = self._ledger_delta(self._ledger_before)
+        report.bytes_by_category = self._ledger_delta(self._ledger_before)
         tracer.end(self._mig_span, **self._end_attrs())
         return report
 
@@ -336,6 +338,27 @@ class MigrationScheme:
                            downtime=report.resumed_at - report.suspended_at)
         env.tracer.end(span, final_dirty_pages=report.final_dirty_pages,
                        **attrs)
+
+    def _verify(self, src_vbd: VirtualBlockDevice,
+                dest_vbd: VirtualBlockDevice,
+                pending: Optional[BlockBitmap] = None) -> None:
+        """The ``verify`` phase, one rule for every scheme: no delivered
+        block (``pending`` marks the rest) is older on the destination.
+        Sets ``report.consistency_verified``, else raises
+        :class:`~repro.errors.ConsistencyError` naming the blocks."""
+        tracer = self.env.tracer
+        span = tracer.begin("phase:verify", category="phase")
+        lagging = dest_vbd.lagging_blocks(src_vbd)
+        if pending is not None and lagging.size:
+            lagging = lagging[~pending.test_many(lagging)]
+        if lagging.size:
+            suffix = ", ..." if lagging.size > 10 else ""
+            tracer.close_open(error="inconsistent after migration")
+            raise ConsistencyError(
+                f"{lagging.size} blocks inconsistent after migration; "
+                f"offending blocks: {lagging[:10].tolist()}{suffix}")
+        self.report.consistency_verified = True
+        tracer.end(span, verified=True)
 
     # -- hooks -------------------------------------------------------------
 

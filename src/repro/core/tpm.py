@@ -331,8 +331,6 @@ class ThreePhaseMigration(MigrationScheme):
             source_bitmap=final_bitmap,
             transferred_bitmap=transferred_bitmap,
             config=cfg)
-        # The interceptor must be live *before* the first guest request.
-        dst_driver.interceptor = synchronizer.intercept
 
         yield from self._resume(
             freeze_span,
@@ -352,36 +350,8 @@ class ThreePhaseMigration(MigrationScheme):
                    dropped=report.postcopy.dropped_blocks,
                    stalled_reads=report.postcopy.stalled_reads)
 
-        # -- wire accounting & verification --------------------------------
-        report.bytes_by_category = self._ledger_delta(self._ledger_before)
         self._stamp_transfer_extras()
-        if cfg.verify_consistency:
-            verify_span = tracer.begin("phase:verify", category="phase")
-            # A guest write may have cancelled a transfer (clearing BM_2,
-            # so the pushed copy was dropped) while its own disk apply is
-            # still in flight.  Such a block looks inconsistent until the
-            # apply lands (at which point the IM bitmap explains it), so
-            # retry briefly rather than quiescing — a zero-think-time
-            # guest never drains, but these transients always resolve.
-            verify_started = env.now
-            deadline = verify_started + cfg.verify_retry_budget
-            while True:
-                unexplained = self._unexplained_diff(src_vbd, dest_vbd,
-                                                     dst_driver)
-                if unexplained.size == 0:
-                    break
-                if env.now >= deadline:
-                    preview = unexplained[:10].tolist()
-                    suffix = ", ..." if unexplained.size > 10 else ""
-                    tracer.close_open(error="inconsistent after migration")
-                    raise MigrationError(
-                        f"{unexplained.size} blocks inconsistent after "
-                        f"migration (waited "
-                        f"{env.now - verify_started:.3f}s); offending "
-                        f"blocks: {preview}{suffix}")
-                yield env.timeout(cfg.verify_retry_interval)
-            report.consistency_verified = True
-            tracer.end(verify_span, verified=True)
+        self._verify(src_vbd, dest_vbd)
         return report
 
     # ------------------------------------------------------------------
@@ -427,7 +397,6 @@ class ThreePhaseMigration(MigrationScheme):
         yield self.fwd.recv()  # destination acknowledges and discards
         report.extra["aborted"] = True
         report.ended_at = self.env.now
-        report.bytes_by_category = self._ledger_delta(self._ledger_before)
         self._stamp_transfer_extras()
         self.env.tracer.instant("migration:aborted", category="migration",
                                 phase=self._phase)
@@ -473,14 +442,3 @@ class ThreePhaseMigration(MigrationScheme):
     def _failure_attrs(self) -> dict:
         return dict(surviving_dirty_blocks=self.report.extra.get(
             "surviving_dirty_blocks", 0))
-
-    def _unexplained_diff(self, src_vbd: VirtualBlockDevice,
-                          dest_vbd: VirtualBlockDevice, dst_driver):
-        """Blocks that differ between the disks *without* a recorded guest
-        write explaining them.  Must be empty for a consistent migration
-        (destination may legitimately diverge only where BM_3 marks)."""
-        diff = src_vbd.diff_blocks(dest_vbd)
-        if diff.size == 0 or not self.config.track_incremental:
-            return diff
-        im_bitmap = dst_driver.tracking_bitmap(IM_TRACKING_NAME)
-        return diff[~im_bitmap.test_many(diff)]

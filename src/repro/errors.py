@@ -27,12 +27,6 @@ class StorageError(ReproError):
     """Raised for invalid virtual-block-device operations."""
 
 
-class ConsistencyError(StorageError):
-    """Raised when a consistency check between two disks (or a disk and its
-    expected contents) fails.  A migration that completes and still raises
-    this indicates an algorithmic bug, never a tolerable condition."""
-
-
 class NetworkError(ReproError):
     """Raised for invalid network-channel operations."""
 
@@ -40,6 +34,11 @@ class NetworkError(ReproError):
 class MigrationError(ReproError):
     """Raised when a migration cannot proceed (bad configuration, source and
     destination disagree about geometry, VM in the wrong lifecycle state)."""
+
+
+class ConsistencyError(StorageError, MigrationError):
+    """An import over a running guest's write, or a delivered block older on
+    the destination: always a bug, so as a MigrationError never retried."""
 
 
 class NoValidHost(MigrationError):

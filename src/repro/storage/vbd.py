@@ -61,6 +61,10 @@ class VirtualBlockDevice:
         integrity tests can checksum actual content.
     """
 
+    # No instance dict: 10,000 devices at 1,000 hosts show in peak RSS.
+    __slots__ = ("nblocks", "block_size", "clock", "_gen", "_data",
+                 "attach_floor")
+
     def __init__(
         self,
         nblocks: int,
@@ -80,6 +84,9 @@ class VirtualBlockDevice:
         self._data: Optional[np.ndarray] = None
         if data:
             self._data = np.zeros((self.nblocks, self.block_size), dtype=np.uint8)
+        #: ``clock.current`` at attach (None while detached): every stamp
+        #: at or above it is a write of the running guest.
+        self.attach_floor: Optional[int] = None
 
     # -- geometry ----------------------------------------------------------
 
@@ -170,12 +177,19 @@ class VirtualBlockDevice:
         stamps: np.ndarray,
         data: Optional[np.ndarray] = None,
     ) -> None:
-        """Install transferred blocks (the destination's disk update)."""
+        """Install transferred blocks (the destination's disk update); never
+        over a write of the running guest (see :attr:`attach_floor`)."""
         indices = self._check_indices(indices)
         stamps = np.asarray(stamps, dtype=np.uint64)
         if stamps.shape != indices.shape:
             raise StorageError(
                 f"stamps shape {stamps.shape} != indices shape {indices.shape}")
+        if self.attach_floor is not None:
+            newer = indices[self._gen[indices] >= self.attach_floor]
+            if newer.size:
+                raise ConsistencyError(
+                    f"import would overwrite {newer.size} blocks the guest "
+                    f"wrote since attach, first: {newer[:10].tolist()}")
         self._gen[indices] = stamps
         if self._data is not None:
             if data is None:
@@ -212,11 +226,6 @@ class VirtualBlockDevice:
         """A copy of all generation stamps (for later diffing)."""
         return self._gen.copy()
 
-    def diff_blocks(self, other: "VirtualBlockDevice") -> np.ndarray:
-        """Block numbers whose content differs between the two devices."""
-        self._require_same_geometry(other)
-        return np.flatnonzero(self._gen != other._gen)
-
     def identical_to(self, other: "VirtualBlockDevice") -> bool:
         """True iff every block matches (stamps, and bytes in byte mode)."""
         self._require_same_geometry(other)
@@ -226,16 +235,15 @@ class VirtualBlockDevice:
             return bool(np.array_equal(self._data, other._data))
         return True
 
-    def assert_identical(self, other: "VirtualBlockDevice") -> None:
-        """Raise :class:`ConsistencyError` listing mismatched blocks if any."""
-        diff = self.diff_blocks(other)
-        if diff.size:
-            sample = diff[:10].tolist()
-            raise ConsistencyError(
-                f"{diff.size} blocks differ between devices; first: {sample}")
-        if (self._data is not None and other._data is not None
-                and not np.array_equal(self._data, other._data)):
-            raise ConsistencyError("stamps match but byte contents differ")
+    def lagging_blocks(self, source: "VirtualBlockDevice") -> np.ndarray:
+        """Blocks this device holds in an older version than ``source``:
+        a lower stamp, or (both byte-backed) equal stamps, unequal bytes."""
+        self._require_same_geometry(source)
+        behind = self._gen < source._gen
+        if self._data is not None and source._data is not None:
+            behind |= ((self._gen == source._gen)
+                       & (self._data != source._data).any(axis=1))
+        return np.flatnonzero(behind)
 
     def checksum(self) -> int:
         """Order-sensitive content checksum (stamps; plus bytes in byte mode)."""

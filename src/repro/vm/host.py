@@ -96,6 +96,7 @@ class Host:
         self._domains[domain.domain_id] = domain
         self._vbds[domain.domain_id] = vbd
         self._drivers[domain.domain_id] = driver
+        vbd.attach_floor = vbd.clock.current
         domain.host = self
         domain.driver = driver
         return driver
@@ -108,6 +109,7 @@ class Host:
             raise MigrationError(
                 f"no domain id {domain_id} on {self.name}") from None
         vbd = self._vbds.pop(domain_id)
+        vbd.attach_floor = None
         self._drivers.pop(domain_id)
         domain.host = None
         domain.driver = None

@@ -27,15 +27,6 @@ class TestValidation:
         with pytest.raises(MigrationError):
             MigrationConfig(max_mem_rounds=0)
 
-    def test_verify_retry_budget_non_negative(self):
-        with pytest.raises(MigrationError):
-            MigrationConfig(verify_retry_budget=-0.1)
-        assert MigrationConfig(verify_retry_budget=0.0)  # zero = one check
-
-    def test_verify_retry_interval_positive(self):
-        with pytest.raises(MigrationError):
-            MigrationConfig(verify_retry_interval=0.0)
-
     def test_rate_limit_positive_when_set(self):
         with pytest.raises(MigrationError):
             MigrationConfig(rate_limit=0)

@@ -1,17 +1,18 @@
-"""Regression tests for two freeze-and-copy bugs.
+"""Regression tests for the freeze-and-copy CPU transfer and the verify step.
 
 1. CPU state must be captured on the *source* before the domain moves and
    restored on the destination — a self-round-trip after detach/attach
    silently resumed from whatever the in-memory object held at that point.
-2. The consistency-verification wait is a configurable budget, and a
-   budget overrun must name the offending blocks and the time spent.
+2. Every scheme checks its destination through the one verify step, and a
+   failure names the offending blocks.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.tpm import ThreePhaseMigration
-from repro.errors import MigrationError
+from repro.core.scheme import MigrationScheme, scheme_names
+from repro.errors import ConsistencyError, MigrationError
+from repro.storage import VirtualBlockDevice
 
 
 class TestCPUStateTransfer:
@@ -57,50 +58,42 @@ class TestCPUStateTransfer:
         assert "scratch" not in bed.domain.cpu.context
 
 
-class TestVerifyBudget:
-    def run_failing_verify(self, bed, monkeypatch, diff, budget=0.05,
-                           interval=0.01):
-        monkeypatch.setattr(
-            ThreePhaseMigration, "_unexplained_diff",
-            lambda self, *args: np.asarray(diff, dtype=np.int64))
-        cfg = bed.config.replace(verify_retry_budget=budget,
-                                 verify_retry_interval=interval)
-        proc = bed.migrator.migrate_process(bed.domain, bed.destination, cfg)
+class TestVerifyStep:
+    """Every scheme ends in the one verify step; a destination that missed
+    an update fails it with the blocks named."""
+
+    def run_missing(self, bed, monkeypatch, blocks, scheme="tpm"):
+        real = MigrationScheme._verify
+
+        def missed_update(self, src_vbd, dest_vbd, pending=None):
+            # The source as it would be after writes to ``blocks`` that
+            # never reached the destination.
+            ahead = VirtualBlockDevice(src_vbd.nblocks, src_vbd.block_size,
+                                       clock=src_vbd.clock)
+            every = np.arange(src_vbd.nblocks)
+            ahead.import_blocks(every, src_vbd.export_blocks(every)[0])
+            for block in blocks:
+                ahead.write(block)
+            if pending is not None:
+                pending.clear_many(np.asarray(blocks))  # count as delivered
+            real(self, ahead, dest_vbd, pending)
+
+        monkeypatch.setattr(MigrationScheme, "_verify", missed_update)
+        proc = bed.migrator.migrate_process(bed.domain, bed.destination,
+                                            scheme=scheme)
         with pytest.raises(MigrationError) as excinfo:
             bed.env.run(until=proc)
+        assert isinstance(excinfo.value, ConsistencyError)
         return str(excinfo.value)
 
-    def test_budget_overrun_names_blocks_and_wait(self, bed, monkeypatch):
-        message = self.run_failing_verify(bed, monkeypatch, [7, 9])
-        assert "2 blocks" in message
-        assert "[7, 9]" in message
-        assert "waited 0.050" in message
+    @pytest.mark.parametrize("scheme", scheme_names())
+    def test_missed_update_names_blocks(self, bed, monkeypatch, scheme):
+        message = self.run_missing(bed, monkeypatch, [7], scheme)
+        assert "1 blocks inconsistent after migration" in message
+        assert "offending blocks: [7]" in message
 
     def test_long_block_list_is_truncated(self, bed, monkeypatch):
-        message = self.run_failing_verify(bed, monkeypatch, list(range(20)))
+        message = self.run_missing(bed, monkeypatch, list(range(20)))
         assert "20 blocks" in message
         assert ", ..." in message
         assert "19" not in message.split("offending")[1]
-
-    def test_zero_budget_fails_on_first_check(self, bed, monkeypatch):
-        message = self.run_failing_verify(bed, monkeypatch, [3], budget=0.0)
-        assert "waited 0.000" in message
-
-    def test_transient_diff_resolves_within_budget(self, bed, monkeypatch):
-        """A diff that clears while waiting must not raise."""
-        calls = {"n": 0}
-        real = ThreePhaseMigration._unexplained_diff
-
-        def flaky(self, *args):
-            calls["n"] += 1
-            if calls["n"] < 3:
-                return np.array([42], dtype=np.int64)
-            return real(self, *args)
-
-        monkeypatch.setattr(ThreePhaseMigration, "_unexplained_diff", flaky)
-        cfg = bed.config.replace(verify_retry_budget=0.5,
-                                 verify_retry_interval=0.01)
-        proc = bed.migrator.migrate_process(bed.domain, bed.destination, cfg)
-        report = bed.env.run(until=proc)
-        assert report.consistency_verified
-        assert calls["n"] >= 3

@@ -43,7 +43,6 @@ def make_postcopy(bed, dirty_blocks, config=None):
         env, bed.source.disk, src_vbd, bed.destination.disk, dest_vbd,
         driver, fwd, rev, source_bitmap=bm1, transferred_bitmap=bm2,
         config=cfg)
-    driver.interceptor = sync.intercept
     return sync, dest_vbd, driver
 
 
@@ -146,12 +145,60 @@ class TestWriteCancelsTransfer:
         stats = run_sync(bed, sync)
         assert stats.dropped_blocks >= 1
         # Destination holds the guest's newer write, not the source copy.
-        diff = bed.vbd.diff_blocks(dest_vbd)
-        assert 299 in diff.tolist()
+        assert dest_vbd.lagging_blocks(bed.vbd).size == 0
+        ahead = bed.vbd.lagging_blocks(dest_vbd)
+        assert 299 in ahead.tolist()
         # ... and that divergence is exactly what the IM bitmap records.
         im = driver.tracking_bitmap("im")
         assert im.test(299)
-        assert set(diff.tolist()) <= set(im.dirty_indices().tolist())
+        assert set(ahead.tolist()) <= set(im.dirty_indices().tolist())
+
+    def test_sync_waits_for_cancelling_write_to_land(self, bed):
+        """A write that cancels the last dirty block declares
+        synchronization when issued, but the destination holds its data
+        only once the disk has served it.  The phase returns then, so the
+        destination verifies at once, and ``ended_at`` stays the
+        synchronization instant."""
+        sync, dest_vbd, _ = make_postcopy(bed, [5])
+        times = {}
+
+        def guest(env):
+            times["issued"] = env.now
+            # 256 blocks (1 MiB) keep the disk busy long after the push
+            # of block 5 has arrived and been dropped.
+            yield from bed.domain.write(0, 256)
+            times["landed"] = env.now
+
+        bed.env.process(guest(bed.env))
+        stats = run_sync(bed, sync)
+        assert stats.dropped_blocks == 1
+        assert stats.ended_at == times["issued"]
+        assert bed.env.now == times["landed"] > stats.ended_at + 5e-3
+        assert dest_vbd.lagging_blocks(bed.vbd).size == 0
+
+    def test_write_during_receive_drops_the_block(self, bed, monkeypatch):
+        """A write that supersedes a block while the receiver is writing
+        the pushed copy to disk still wins: the drop rule holds at the
+        update, so the copy is dropped, not imported and counted twice."""
+        sync, dest_vbd, _ = make_postcopy(bed, [5])
+        disk = bed.destination.disk
+        real_write = disk.write
+        times = {}
+
+        def guest(env):
+            times["issued"] = env.now
+            yield from bed.domain.write(5)
+
+        def write_racing_the_guest(nbytes, priority=0):
+            monkeypatch.setattr(disk, "write", real_write)
+            bed.env.process(guest(bed.env))
+            return real_write(nbytes, priority)
+
+        monkeypatch.setattr(disk, "write", write_racing_the_guest)
+        stats = run_sync(bed, sync)
+        assert (stats.pushed_blocks, stats.dropped_blocks) == (0, 1)
+        assert stats.ended_at == times["issued"]
+        assert dest_vbd.lagging_blocks(bed.vbd).size == 0
 
     def test_write_to_clean_block_tracked_for_im(self, bed):
         sync, _, driver = make_postcopy(bed, [100])

@@ -96,7 +96,7 @@ class TestIncrementalFirstIteration:
         iterations = bed.env.run(until=bed.env.process(proc(bed.env)))
         assert iterations[0].units_sent == 3
         # Only those blocks were copied.
-        assert dest_vbd.diff_blocks(bed.vbd).size == bed.vbd.nblocks - 3
+        assert dest_vbd.lagging_blocks(bed.vbd).size == bed.vbd.nblocks - 3
 
     def test_empty_initial_set(self, bed):
         precopier, _, _ = make_precopier(

@@ -96,7 +96,7 @@ class TestBlockStreamer:
             yield from streamer.stream(subset)
 
         env.run(until=env.process(proc(env)))
-        assert dst.diff_blocks(src).size == 1000 - 4
+        assert dst.lagging_blocks(src).size == 1000 - 4
 
 
 class TestPageStreamer:
@@ -303,4 +303,4 @@ class TestStriping:
             env.run(until=proc)
         lost = np.sort(streamer.unconfirmed_indices())
         assert 0 < lost.size < 1000
-        np.testing.assert_array_equal(lost, dst.diff_blocks(src))
+        np.testing.assert_array_equal(lost, dst.lagging_blocks(src))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConsistencyError, StorageError
+from repro.sim import Environment
 from repro.storage import GenerationClock, VirtualBlockDevice
+from repro.vm import Domain, GuestMemory, Host
 
 
 class TestGenerationClock:
@@ -90,7 +92,7 @@ class TestTransfer:
         idx = np.arange(5)
         stamps, _ = src.export_blocks(idx)
         dst.import_blocks(idx, stamps)
-        assert dst.diff_blocks(src).tolist() == [5, 6, 7, 8, 9]
+        assert dst.lagging_blocks(src).tolist() == [5, 6, 7, 8, 9]
 
     def test_import_shape_mismatch(self):
         disk = VirtualBlockDevice(10)
@@ -138,24 +140,77 @@ class TestByteMode:
             disk.import_blocks(np.array([0]), np.array([5], dtype=np.uint64))
 
 
-class TestConsistency:
-    def test_assert_identical_passes(self):
-        clock = GenerationClock()
-        a = VirtualBlockDevice(5, clock=clock)
-        b = VirtualBlockDevice(5, clock=clock)
-        a.assert_identical(b)
+class TestAttachFloor:
+    """While a host has the device attached, no import may overwrite a
+    write the running guest made there."""
 
-    def test_assert_identical_reports_blocks(self):
+    def attached(self):
+        """A source copy and a destination holding the same blocks, the
+        destination attached to a running domain."""
+        env = Environment()
+        host = Host(env, "dst")
+        src = VirtualBlockDevice(10, clock=host.clock)
+        src.write(0, 10)
+        dst = host.prepare_vbd(10)
+        idx = np.arange(10)
+        dst.import_blocks(idx, src.export_blocks(idx)[0])
+        domain = Domain(env, GuestMemory(4, clock=host.clock))
+        host.attach_domain(domain, dst)
+        return host, domain, src, dst
+
+    def test_rejects_import_over_write_made_after_attach(self):
+        _, _, src, dst = self.attached()
+        dst.write(3)
+        dst.write(7)
+        before = dst.snapshot()
+        idx = np.array([2, 3, 7])
+        with pytest.raises(ConsistencyError,
+                           match=r"2 blocks the guest wrote.*\[3, 7\]"):
+            dst.import_blocks(idx, src.export_blocks(idx)[0])
+        assert np.array_equal(dst.snapshot(), before)  # nothing installed
+
+    def test_accepts_import_over_stamps_from_before_attach(self):
+        """The delta-queue replay: older deltas land over a newer bulk
+        copy, which is fine while the guest has not written there."""
+        _, _, src, dst = self.attached()
+        first = src.export_blocks(np.array([4]))[0]
+        dst.import_blocks(np.array([4]), first - 1)  # lowers the stamp
+        dst.import_blocks(np.array([4]), first)
+        assert dst.identical_to(src)
+
+    def test_detached_accepts_any_import(self):
+        host, domain, src, dst = self.attached()
+        dst.write(3)
+        host.detach_domain(domain.domain_id)
+        assert dst.attach_floor is None
+        dst.import_blocks(np.array([3]), src.export_blocks(np.array([3]))[0])
+        assert dst.identical_to(src)
+
+
+class TestConsistency:
+    def test_lagging_blocks_empty_when_identical(self):
         clock = GenerationClock()
         a = VirtualBlockDevice(5, clock=clock)
         b = VirtualBlockDevice(5, clock=clock)
-        a.write(2)
-        with pytest.raises(ConsistencyError, match=r"\[2\]"):
-            a.assert_identical(b)
+        assert a.lagging_blocks(b).size == 0
+        a.write(1)  # newer than b: ahead, not lagging
+        assert a.lagging_blocks(b).size == 0
+
+    def test_lagging_blocks_names_older_blocks(self):
+        clock = GenerationClock()
+        a = VirtualBlockDevice(5, block_size=8, clock=clock, data=True)
+        b = VirtualBlockDevice(5, block_size=8, clock=clock, data=True)
+        b.write(2)
+        idx = np.arange(5)
+        stamps, data = b.export_blocks(idx)
+        data[4] ^= 0xFF  # same stamp, different bytes
+        a.import_blocks(idx, stamps, data)
+        b.write(0)
+        assert a.lagging_blocks(b).tolist() == [0, 4]
 
     def test_geometry_mismatch(self):
         with pytest.raises(StorageError):
-            VirtualBlockDevice(5).diff_blocks(VirtualBlockDevice(6))
+            VirtualBlockDevice(5).lagging_blocks(VirtualBlockDevice(6))
 
     def test_checksum_changes_on_write(self):
         disk = VirtualBlockDevice(5)
