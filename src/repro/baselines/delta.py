@@ -139,8 +139,7 @@ class DeltaQueueMigration(MigrationScheme):
         while self._queue:
             block, nblocks, stamps, data = self._queue.popleft()
             yield from self.destination.disk.write(
-                nblocks * dest_vbd.block_size,
-                priority=cfg.migration_disk_priority)
+                nblocks * dest_vbd.block_size)
             idx = np.arange(block, block + nblocks, dtype=np.int64)
             dest_vbd.import_blocks(idx, stamps, data)
         self._verify(src_vbd, dest_vbd)

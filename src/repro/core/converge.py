@@ -11,19 +11,19 @@ converge:
 * **Observation point** — the end of every disk pre-copy iteration, with
   that iteration's :class:`~repro.core.metrics.IterationStats` (the same
   dirty-rate/transfer-rate numbers the proactive stop reads).
-* **Trigger** — ``dirty_rate > dirty_rate_stop_fraction * transfer_rate``
+* **Trigger** — :attr:`~repro.core.metrics.IterationStats.outruns_transfer`
   (the exact condition that would otherwise stop the pre-copy).
 * **Actuation** — the domain's :attr:`~repro.vm.domain.Domain.write_throttle`
   factor: every guest *write* is stretched to ``factor ×`` its unthrottled
   duration, scaling a closed-loop writer's inter-write delay and hence its
   dirty rate by ``~1/factor``.  Reads and memory touches are untouched
   (the disk dirty rate is what blocks convergence here).
-* **Escalation** — first step jumps to ``auto_converge_start``, each
-  further trigger adds ``auto_converge_step``, capped at
-  ``auto_converge_max_factor``.  Once capped, the controller stops
-  escalating and the normal stop conditions (including the proactive
-  stop) terminate the pre-copy — rounds stay bounded either way via
-  ``auto_converge_max_iterations``.
+* **Escalation** — first step jumps to :data:`THROTTLE_START`, each
+  further trigger adds :data:`THROTTLE_STEP`, capped at
+  :data:`THROTTLE_MAX`.  Once capped, the controller stops escalating and
+  the normal stop conditions (including the proactive stop) terminate
+  the pre-copy — rounds stay bounded either way via
+  :data:`MAX_ITERATIONS`.
 * **Release** — the throttle is dropped at freeze (the guest suspends
   anyway, and it must resume unthrottled on the destination) and on every
   abort/failure path.
@@ -39,22 +39,32 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .config import MigrationConfig
 from .metrics import IterationStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment
     from ..vm.domain import Domain
 
+#: First write-throttle factor (2.0 makes every guest write take twice as
+#: long end-to-end).
+THROTTLE_START = 2.0
+#: Additive factor increment per further escalation step.
+THROTTLE_STEP = 2.0
+#: Ceiling on the throttle factor (QEMU caps its CPU throttle at 99%; a
+#: factor of 16 is a comparable ~94% write-rate reduction).
+THROTTLE_MAX = 16.0
+#: Pre-copy iteration cap replacing ``max_disk_iterations`` while
+#: auto-converge is on: throttling needs room to bite, but the pre-copy
+#: must still terminate in bounded rounds.
+MAX_ITERATIONS = 30
+
 
 class AutoConvergeController:
     """Steps up guest write throttling until the pre-copy converges."""
 
-    def __init__(self, env: "Environment", domain: "Domain",
-                 config: MigrationConfig) -> None:
+    def __init__(self, env: "Environment", domain: "Domain") -> None:
         self.env = env
         self.domain = domain
-        self.config = config
         #: Current throttle factor (1.0 = unthrottled).
         self.factor = 1.0
         #: Escalation log: (simulated time, factor) per step taken.
@@ -63,28 +73,21 @@ class AutoConvergeController:
     @property
     def maxed(self) -> bool:
         """True once the throttle cannot be tightened further."""
-        return self.factor >= self.config.auto_converge_max_factor
+        return self.factor >= THROTTLE_MAX
 
     def observe(self, record: IterationStats) -> bool:
         """Inspect one finished iteration; returns True if it escalated.
 
         Escalates exactly when the proactive-stop condition holds — the
-        iteration dirtied faster than ``dirty_rate_stop_fraction`` of what
-        it transferred — and the throttle still has headroom.
+        iteration dirtied faster than it could transfer — and the throttle
+        still has headroom.
         """
-        cfg = self.config
-        if record.duration <= 0:
-            return False
-        if (record.dirty_rate
-                <= cfg.dirty_rate_stop_fraction * record.transfer_rate):
-            return False
-        if self.maxed:
+        if not record.outruns_transfer or self.maxed:
             return False
         if self.factor <= 1.0:
-            self.factor = cfg.auto_converge_start
+            self.factor = THROTTLE_START
         else:
-            self.factor = min(self.factor + cfg.auto_converge_step,
-                              cfg.auto_converge_max_factor)
+            self.factor = min(self.factor + THROTTLE_STEP, THROTTLE_MAX)
         self.domain.write_throttle = self.factor
         self.steps.append((self.env.now, self.factor))
         self.env.metrics.gauge("autoconverge.throttle").set(self.factor)

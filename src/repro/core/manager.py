@@ -148,10 +148,9 @@ class Migrator:
                 report=report)
 
         fwd_link, rev_link = self.link_between(source, destination)
-        limiter = (TokenBucket(self.env, cfg.rate_limit, cfg.rate_limit_burst)
+        limiter = (TokenBucket(self.env, cfg.rate_limit)
                    if cfg.rate_limit else NullLimiter())
-        compressor = (Compressor(ratio=cfg.compression_ratio,
-                                 ratios=cfg.compression_ratios)
+        compressor = (Compressor(ratio=cfg.compression_ratio)
                       if cfg.compress else None)
         fwd = Channel(self.env, fwd_link, limiter=limiter,
                       name=f"mig:{source.name}->{destination.name}",

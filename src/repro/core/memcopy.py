@@ -21,6 +21,9 @@ from .transfer import PageStreamer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment
 
+#: Hard cap on memory pre-copy rounds (Xen uses a similar cap).
+MAX_MEM_ROUNDS = 30
+
 
 class MemoryPreCopier:
     """Runs the iterative memory pre-copy for one migration.
@@ -85,7 +88,7 @@ class MemoryPreCopier:
 
     def _should_continue(self, record: IterationStats, round_no: int) -> bool:
         cfg = self.config
-        if round_no >= cfg.max_mem_rounds:
+        if round_no >= MAX_MEM_ROUNDS:
             return False
         if record.dirty_at_end <= cfg.mem_dirty_threshold_pages:
             return False

@@ -21,6 +21,11 @@ from typing import Optional
 from ..units import MiB, fmt_bytes, fmt_time
 
 
+#: Proactive stop (§IV-A-1): an iteration that dirtied units faster than
+#: this fraction of its transfer rate cannot converge by iterating.
+PROACTIVE_STOP_FRACTION = 0.9
+
+
 @dataclass
 class IterationStats:
     """One disk pre-copy iteration (or one memory pre-copy round)."""
@@ -48,6 +53,13 @@ class IterationStats:
     def dirty_rate(self) -> float:
         """Units dirtied per second during this iteration."""
         return self.dirty_at_end / self.duration if self.duration > 0 else 0.0
+
+    @property
+    def outruns_transfer(self) -> bool:
+        """The proactive-stop test: this iteration dirtied units faster
+        than :data:`PROACTIVE_STOP_FRACTION` of its transfer rate (never
+        true of an instantaneous iteration)."""
+        return self.dirty_rate > PROACTIVE_STOP_FRACTION * self.transfer_rate
 
 
 @dataclass

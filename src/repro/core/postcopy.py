@@ -301,9 +301,7 @@ class PostCopySynchronizer:
             # arrival), clear the bitmap.
             nlive = int(np.count_nonzero(bitmap.test_many(indices)))
             if nlive:
-                yield from self.dst_disk.write(
-                    nlive * block_size,
-                    priority=self.config.migration_disk_priority)
+                yield from self.dst_disk.write(nlive * block_size)
             # Lines 2-3, at the update itself: drop blocks a local write
             # has superseded, also while the disk was busy.
             keep = bitmap.test_many(indices)
@@ -392,9 +390,7 @@ class PostCopySynchronizer:
         """Read blocks from the (frozen) source disk and send them."""
         self.source_bitmap.clear_many(blocks)
         block_size = self.src_vbd.block_size
-        yield from self.src_disk.read(
-            int(blocks.size) * block_size,
-            priority=self.config.migration_disk_priority)
+        yield from self.src_disk.read(int(blocks.size) * block_size)
         stamps, data = self.src_vbd.export_blocks(blocks)
         msg = BlockDataMsg(blocks, stamps, data, block_size, pulled=pulled)
         # Post-copy is never throttled: the paper's rate limit applies to

@@ -25,6 +25,7 @@ import numpy as np
 from ..bitmap import make_bitmap, union_indices
 from ..storage.blkback import BackendDriver
 from .config import MigrationConfig
+from .converge import MAX_ITERATIONS as AUTO_CONVERGE_MAX_ITERATIONS
 from .metrics import IterationStats
 from .transfer import BlockStreamer
 
@@ -170,7 +171,7 @@ class DiskPreCopier:
         # Auto-converge trades the tight iteration cap for a larger (but
         # still hard) bound: throttling needs a few rounds to bite.
         limit = (cfg.max_disk_iterations if self.converge is None
-                 else cfg.auto_converge_max_iterations)
+                 else AUTO_CONVERGE_MAX_ITERATIONS)
         if iteration >= limit:
             return False
         if record.dirty_at_end <= cfg.disk_dirty_threshold_blocks:
@@ -183,9 +184,7 @@ class DiskPreCopier:
             # guest an iteration before judging convergence.
             return True
         # Proactive stop: dirtying faster than we can send.
-        if (record.duration > 0
-                and record.dirty_rate
-                > cfg.dirty_rate_stop_fraction * record.transfer_rate):
+        if record.outruns_transfer:
             return False
         # No forward progress: the dirty set is not shrinking.
         if record.dirty_at_end >= record.units_sent and iteration > 1:

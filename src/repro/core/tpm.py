@@ -178,21 +178,15 @@ class ThreePhaseMigration(MigrationScheme):
 
             cache_nbytes = cfg.delta_cache_mb * MiB
             disk_delta = self._disk_delta = DeltaCache(
-                cache_nbytes, src_vbd.block_size,
-                delta_ratio=cfg.delta_ratio,
-                encode_throughput=cfg.delta_throughput, name="delta.disk")
+                cache_nbytes, src_vbd.block_size, name="delta.disk")
             if cfg.include_memory:
                 page_delta = self._page_delta = DeltaCache(
-                    cache_nbytes, domain.memory.page_size,
-                    delta_ratio=cfg.delta_ratio,
-                    encode_throughput=cfg.delta_throughput,
-                    name="delta.mem")
+                    cache_nbytes, domain.memory.page_size, name="delta.mem")
         converge = None
         if cfg.auto_converge:
             from .converge import AutoConvergeController
 
-            converge = self._converge = AutoConvergeController(
-                env, domain, cfg)
+            converge = self._converge = AutoConvergeController(env, domain)
         block_streamer = BlockStreamer(
             env, self.source.disk, src_vbd, self.destination.disk,
             dest_vbd, self.fwd, cfg, lanes=self._lanes, delta=disk_delta)
@@ -216,11 +210,7 @@ class ThreePhaseMigration(MigrationScheme):
         if cfg.persist_bitmap:
             store = self._store = self.source.bitmap_store(
                 domain.domain_id, purpose="precopy",
-                nbits=src_vbd.nblocks,
-                policy=cfg.persist_sync_policy,
-                flush_every=cfg.persist_flush_every,
-                region_bits=cfg.persist_region_bits,
-                snapshot_every=cfg.persist_snapshot_every)
+                nbits=src_vbd.nblocks, policy=cfg.persist_sync_policy)
             if not store.is_open:
                 # A fresh session: everything the first iteration will
                 # move is pending.  A retry finds the prior attempt's (or
@@ -314,14 +304,12 @@ class ThreePhaseMigration(MigrationScheme):
         transferred_bitmap.set_many(bitmap_msg.dirty_indices)
 
         # BM_3: new writes on the destination, for a later IM (§V).
-        if cfg.track_incremental:
-            dst_driver.start_tracking(
-                IM_TRACKING_NAME,
-                make_bitmap(dest_vbd.nblocks, cfg.bitmap_layout,
-                            leaf_bits=cfg.leaf_bits))
+        dst_driver.start_tracking(
+            IM_TRACKING_NAME,
+            make_bitmap(dest_vbd.nblocks, cfg.bitmap_layout,
+                        leaf_bits=cfg.leaf_bits))
         # Carried bitmaps (divergence maps, backup-chain tracking) follow
-        # the domain regardless of IM tracking — a backup chain must not
-        # silently stop accumulating deltas because IM is off.
+        # the domain too.
         for name, bitmap in self.extra_im_bitmaps.items():
             dst_driver.start_tracking(name, bitmap)
 

@@ -11,7 +11,7 @@ Pipeline shape and invariants (see docs/TRANSFER.md for the full layer
 guide):
 
 * **Stages couple through a bounded Store.**  The reader may run at most
-  ``config.pipeline_depth`` chunks ahead of the sender; the writer is
+  :data:`PIPELINE_DEPTH` chunks ahead of the sender; the writer is
   driven by channel delivery, which the channel keeps in send order.
   Backpressure therefore propagates stage to stage: a slow network stalls
   the reader once the buffer fills, a slow destination disk stalls
@@ -54,6 +54,11 @@ from .config import MigrationConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment
+
+#: Chunks a lane may hold read-but-unsent (the reader→sender buffer).
+#: Two lets the source disk read the next chunk while one is on the wire;
+#: more would only buffer memory against a slow network.
+PIPELINE_DEPTH = 2
 
 
 @dataclass
@@ -148,7 +153,7 @@ class BlockStreamer:
         in chunk order (lane ``k % N`` gets chunk ``k``); head-of-line
         blocking on a full lane buffer is deliberate, it is what one read
         stream into N sockets does.  Each lane has its own
-        ``pipeline_depth`` buffer and sender/writer pair, and the batch
+        :data:`PIPELINE_DEPTH` buffer and sender/writer pair, and the batch
         commits only once every lane's writer has drained.
         """
         indices = np.asarray(indices, dtype=np.int64)
@@ -158,19 +163,16 @@ class BlockStreamer:
             return StreamStats()
 
         env = self.env
-        cfg = self.config
         block_size = self.src_vbd.block_size
-        prio = cfg.migration_disk_priority
-        chunks = self._chunks = split_chunks(indices, cfg.chunk_blocks)
+        chunks = self._chunks = split_chunks(indices, self.config.chunk_blocks)
         written = self._written = [False] * len(chunks)
         lanes = _lanes_for(self.lanes, self.channel, len(chunks))
         n = len(lanes)
-        buffers = [Store(env, capacity=cfg.pipeline_depth) for _ in range(n)]
+        buffers = [Store(env, capacity=PIPELINE_DEPTH) for _ in range(n)]
 
         def reader(env):
             for k, chunk in enumerate(chunks):
-                yield from self.src_disk.read(chunk.size * block_size,
-                                              priority=prio)
+                yield from self.src_disk.read(chunk.size * block_size)
                 stamps, data = self.src_vbd.export_blocks(chunk)
                 yield buffers[k % n].put(
                     BlockDataMsg(chunk, stamps, data, block_size))
@@ -193,8 +195,7 @@ class BlockStreamer:
             chan = lanes[lane]
             for k in range(lane, len(chunks), n):
                 msg = yield chan.recv()
-                yield from self.dst_disk.write(msg.nblocks * block_size,
-                                               priority=prio)
+                yield from self.dst_disk.write(msg.nblocks * block_size)
                 self.dst_vbd.import_blocks(msg.indices, msg.stamps, msg.data)
                 written[k] = True
                 if self.chunk_written is not None:

@@ -105,8 +105,7 @@ class Channel:
         mailbox happens :attr:`Link.latency` later, preserving send order.
         ``limited=False`` bypasses the rate limiter (e.g. the tiny control
         handshakes, or post-copy traffic when only pre-copy is throttled).
-        ``category`` both labels the byte ledger entry and selects the
-        compressor's per-kind ratio.
+        ``category`` labels the byte ledger entry.
         """
         if not isinstance(message, Message):
             raise NetworkError(f"cannot send non-Message {message!r}")
@@ -115,7 +114,7 @@ class Channel:
         if (self.compressor is not None
                 and payload >= self.COMPRESS_THRESHOLD):
             yield self.env.timeout(self.compressor.compress_time(payload))
-            wire_payload = self.compressor.wire_nbytes(payload, kind=category)
+            wire_payload = self.compressor.wire_nbytes(payload)
             decompress = self.compressor.decompress_time(payload)
             self.bytes_saved += payload - wire_payload
             nbytes = wire_payload + (message.wire_nbytes - payload)

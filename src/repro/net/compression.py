@@ -7,21 +7,12 @@ shrinks the payload by a configurable ratio; headers are not compressed.
 Whether compression helps depends on the bottleneck: on a fast LAN the
 disk is the limit and compression only burns CPU, while on a rate-limited
 or WAN path it buys real time — the compression bench demonstrates both
-regimes.
-
-Different payload kinds compress differently: guest memory pages are
-zero-heavy (high ratios), raw disk blocks are mixed OS-image data
-(~2:1), and delta-encoded chunks are already dense.  :attr:`ratios` maps
-a payload kind — the channel's send *category* (``"disk"``, ``"memory"``,
-...) — to its own ratio; kinds not listed fall back to :attr:`ratio`, so
-the default (``ratios=None``) is byte-identical to the single-ratio
-model.
+regimes.  One ratio applies to every payload kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
 
 from ..errors import NetworkError
 from ..units import MiB
@@ -29,39 +20,23 @@ from ..units import MiB
 
 @dataclass(frozen=True)
 class Compressor:
-    """A stream compressor with per-kind ratios and a fixed CPU cost."""
+    """A stream compressor with a fixed ratio and CPU cost."""
 
-    #: Achieved compression ratio on bulk payloads (2.0 = halves them)
-    #: when the payload kind has no entry in :attr:`ratios`.
+    #: Achieved compression ratio on bulk payloads (2.0 = halves them).
     ratio: float = 2.0
     #: Sender-side CPU throughput, bytes of *input* per second (lzo/lz4
     #: class codecs on 2008 hardware manage a few hundred MB/s).
     compress_throughput: float = 300 * MiB
     #: Receiver-side decompression throughput (typically faster).
     decompress_throughput: float = 600 * MiB
-    #: Optional payload-kind → ratio overrides (kind = channel category).
-    ratios: Optional[Mapping[str, float]] = None
 
     def __post_init__(self) -> None:
         if self.ratio < 1.0:
             raise NetworkError(f"compression ratio must be >= 1, got {self.ratio}")
         if self.compress_throughput <= 0 or self.decompress_throughput <= 0:
             raise NetworkError("compression throughput must be positive")
-        if self.ratios is not None:
-            for kind, ratio in self.ratios.items():
-                if ratio < 1.0:
-                    raise NetworkError(
-                        f"compression ratio for kind {kind!r} must be >= 1,"
-                        f" got {ratio}")
 
-    def ratio_for(self, kind: Optional[str] = None) -> float:
-        """The ratio applied to payloads of ``kind`` (None = default)."""
-        if self.ratios is not None and kind is not None:
-            return self.ratios.get(kind, self.ratio)
-        return self.ratio
-
-    def wire_nbytes(self, payload_nbytes: int,
-                    kind: Optional[str] = None) -> int:
+    def wire_nbytes(self, payload_nbytes: int) -> int:
         """Bytes the payload occupies on the wire after compression.
 
         Nonempty payloads never compress below one byte; an empty payload
@@ -70,7 +45,7 @@ class Compressor:
         """
         if payload_nbytes <= 0:
             return 0
-        return max(int(payload_nbytes / self.ratio_for(kind)), 1)
+        return max(int(payload_nbytes / self.ratio), 1)
 
     def compress_time(self, payload_nbytes: int) -> float:
         """Sender CPU seconds to compress the payload (ratio-independent:

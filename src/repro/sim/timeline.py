@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -67,15 +67,3 @@ class Timeline:
         """Sum of all values recorded for ``name``."""
         _, values = self.series(name)
         return float(values.sum()) if values.size else 0.0
-
-    def merge(self, other: "Timeline", prefix: str = "") -> None:
-        """Fold ``other``'s samples into this timeline, optionally prefixed."""
-        for name, samples in other._samples.items():
-            self._samples[prefix + name].extend(samples)
-
-    def clear(self, names: Iterable[str] | None = None) -> None:
-        if names is None:
-            self._samples.clear()
-        else:
-            for name in names:
-                self._samples.pop(name, None)

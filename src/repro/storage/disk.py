@@ -6,9 +6,9 @@ depressed while migration reads the disk at a high rate) and the observation
 that "disk I/O throughput is the bottleneck of the whole system" (§VI-C-3).
 
 The model is a single-server queue: one request is serviced at a time, for
-``seek_time + nbytes / bandwidth`` seconds.  Requests carry a priority so
-guest I/O can be favoured over bulk migration reads if desired.  Migration
-code keeps its transfers in modest chunks, so FIFO service naturally
+``seek_time + nbytes / bandwidth`` seconds.  Guest and migration requests
+all run at one priority: a real spindle privileges neither side, and the
+migration keeps its transfers in modest chunks, so first-come service
 approximates bandwidth sharing.
 """
 
@@ -83,18 +83,18 @@ class PhysicalDisk:
         else:
             self.bytes_read += nbytes
 
-    def io(self, nbytes: int, is_write: bool, priority: int = 0) -> Generator:
+    def io(self, nbytes: int, is_write: bool) -> Generator:
         """Simulate one disk operation; ``yield from`` inside a process.
 
-        Queues behind other operations (lower ``priority`` is served first)
-        and then occupies the disk for the operation's service time.
+        Queues behind other operations and then occupies the disk for the
+        operation's service time.
         """
         if nbytes < 0:
             raise StorageError(f"negative I/O size {nbytes}")
         # try/finally rather than the context-manager form: this runs once
         # per simulated I/O and the protocol calls are pure overhead here.
         spindle = self.spindle
-        grant = spindle.acquire(priority)
+        grant = spindle.acquire()
         try:
             yield grant
             service = self.service(nbytes, is_write)
@@ -103,13 +103,13 @@ class PhysicalDisk:
             spindle.release(grant)
         self.account(service, nbytes, is_write)
 
-    def read(self, nbytes: int, priority: int = 0) -> Generator:
+    def read(self, nbytes: int) -> Generator:
         """Generator helper for a read of ``nbytes``."""
-        return self.io(nbytes, is_write=False, priority=priority)
+        return self.io(nbytes, is_write=False)
 
-    def write(self, nbytes: int, priority: int = 0) -> Generator:
+    def write(self, nbytes: int) -> Generator:
         """Generator helper for a write of ``nbytes``."""
-        return self.io(nbytes, is_write=True, priority=priority)
+        return self.io(nbytes, is_write=True)
 
     @property
     def queue_length(self) -> int:

@@ -49,6 +49,9 @@ class Workload(abc.ABC):
         #: Callbacks fired with the 0-based pass index when a phased
         #: workload (e.g. Bonnie++) starts a new benchmark pass.
         self.pass_observers: list = []
+        #: Set by :meth:`stop`; the next :meth:`read` or :meth:`write`
+        #: ends the loop instead of issuing.
+        self._stopping = False
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -63,14 +66,29 @@ class Workload(abc.ABC):
         """Spawn the workload loop as a simulation process."""
         if self.domain is None:
             raise ReproError(f"workload {self.name!r} is not bound to a domain")
+        self._stopping = False
         self.process = env.process(self._guarded_run(env),
                                    name=f"workload:{self.name}")
         return self.process
 
     def stop(self) -> None:
-        """Interrupt the workload loop (end of an experiment)."""
-        if self.process is not None and self.process.is_alive:
-            self.process.interrupt("stop")
+        """End the workload loop (end of an experiment) at an operation
+        boundary.
+
+        A disk request the guest has issued always completes: cutting a
+        write short after it has cancelled a post-copy transfer would
+        leave the block with neither the pushed copy nor the guest's data.
+        So while the domain has a request in flight the loop runs on to
+        its next :meth:`read` or :meth:`write`, which ends it instead of
+        issuing; otherwise the loop is interrupted at once.
+        """
+        self._stopping = True
+        process = self.process
+        if process is None or not process.is_alive:
+            return
+        driver = self.domain.driver
+        if driver is None or not driver.inflight:
+            process.interrupt("stop")
 
     def _guarded_run(self, env: "Environment") -> Generator:
         try:
@@ -102,10 +120,14 @@ class Workload(abc.ABC):
 
     def read(self, block: int, nblocks: int = 1) -> Generator:
         """Guest disk read (gated on the domain running)."""
+        if self._stopping:
+            raise Interrupt("stop")
         return self.domain.read(block, nblocks)
 
     def write(self, block: int, nblocks: int = 1) -> Generator:
         """Guest disk write (gated on the domain running)."""
+        if self._stopping:
+            raise Interrupt("stop")
         return self.domain.write(block, nblocks)
 
     def touch(self, pages: np.ndarray) -> Generator:
@@ -138,17 +160,6 @@ class Workload(abc.ABC):
         pages = dirtier.pages(dt, self.rng)
         if pages.size:
             yield from self.touch(pages)
-
-    def mean_throughput(self, t_start: float, t_end: float,
-                        series: str = "throughput") -> float:
-        """Mean bytes/second recorded in ``[t_start, t_end)``."""
-        if self.timeline is None or t_end <= t_start:
-            return 0.0
-        times, values = self.timeline.series(f"{self.name}:{series}")
-        if times.size == 0:
-            return 0.0
-        mask = (times >= t_start) & (times < t_end)
-        return float(values[mask].sum()) / (t_end - t_start)
 
 
 class IdleWorkload(Workload):

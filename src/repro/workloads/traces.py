@@ -185,10 +185,9 @@ class TraceReplay(Workload):
                 yield from self.domain.ensure_running()
                 if block_size is None:
                     block_size = self.domain.vbd.block_size
-                kind = (IOKind.WRITE if trace.kinds[i] == KIND_WRITE
-                        else IOKind.READ)
-                yield from self.domain.io(kind, int(trace.blocks[i]),
-                                          int(trace.nblocks[i]))
+                issue = (self.write if trace.kinds[i] == KIND_WRITE
+                         else self.read)
+                yield from issue(int(trace.blocks[i]), int(trace.nblocks[i]))
                 self.account(int(trace.nblocks[i]) * block_size)
             self.passes += 1
             if not self.loop:

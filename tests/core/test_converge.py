@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import AutoConvergeController, MigrationConfig
+from repro.core import AutoConvergeController
+from repro.core.converge import MAX_ITERATIONS
 from repro.core.metrics import IterationStats
 from repro.sim import Environment
 from repro.units import MB
@@ -26,9 +27,8 @@ def domain(env):
     return Domain(env, GuestMemory(16))
 
 
-def make_controller(env, domain, **over):
-    cfg = MigrationConfig(auto_converge=True, **over)
-    return AutoConvergeController(env, domain, cfg)
+def make_controller(env, domain):
+    return AutoConvergeController(env, domain)
 
 
 class TestAutoConvergeController:
@@ -46,19 +46,18 @@ class TestAutoConvergeController:
         assert ctrl.factor == 1.0
 
     def test_escalation_sequence_start_step_cap(self, env, domain):
-        ctrl = make_controller(env, domain, auto_converge_start=2.0,
-                               auto_converge_step=2.0,
-                               auto_converge_max_factor=7.0)
+        ctrl = make_controller(env, domain)
         diabolical = record(units_sent=100, dirty_at_end=200)
         factors = []
         while ctrl.observe(diabolical):
             factors.append(ctrl.factor)
             assert domain.write_throttle == ctrl.factor
-        assert factors == [2.0, 4.0, 6.0, 7.0]
+        # Starts at 2, adds 2 per step, caps at 16.
+        assert factors == [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0]
         assert ctrl.maxed
         # Once capped, further diabolical iterations do not escalate.
         assert ctrl.observe(diabolical) is False
-        assert len(ctrl.steps) == 4
+        assert len(ctrl.steps) == 8
 
     def test_release_resets_throttle(self, env, domain):
         ctrl = make_controller(env, domain)
@@ -134,7 +133,8 @@ class TestAutoConvergeMigration:
         # Converged: the final pre-copy round got under the threshold.
         assert last.dirty_at_end <= cfg.disk_dirty_threshold_blocks
         # ...in bounded rounds, with the escalation recorded.
-        assert len(report.disk_iterations) <= cfg.auto_converge_max_iterations
+        assert MAX_ITERATIONS == 30
+        assert len(report.disk_iterations) <= MAX_ITERATIONS
         assert report.extra["auto_converge_steps"] >= 1
         assert report.extra["auto_converge_final_factor"] > 1.0
         log = report.extra["auto_converge_log"]

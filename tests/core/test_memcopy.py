@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import MemoryPreCopier, MigrationConfig, PageStreamer
+from repro.core.memcopy import MAX_MEM_ROUNDS
 from repro.net import Channel, Link
 from repro.sim import Environment
 from repro.storage import GenerationClock
@@ -65,17 +66,22 @@ class TestDirtyMemory:
         assert src.dirty_count() <= 64 + 8
 
     def test_round_cap(self, env):
-        rng = np.random.default_rng(0)
-
+        """A dirtier just slower than the link shrinks every round a
+        little, so neither the threshold nor the convergence check ever
+        fires: the 30-round cap is what ends the pre-copy."""
         def dirtier(env, mem):
+            page = 0
             while True:
-                mem.touch(rng.integers(0, 512, size=64))  # WSS = all pages
-                yield env.timeout(0.0005)
+                mem.touch(np.array([page % 512]))  # a fresh page each tick
+                page += 1
+                yield env.timeout(3.5e-5)
 
-        cfg = MigrationConfig(mem_chunk_pages=64,
-                              mem_dirty_threshold_pages=1, max_mem_rounds=4)
+        cfg = MigrationConfig(mem_chunk_pages=64, mem_dirty_threshold_pages=1)
         rounds, _, _ = run_memcopy(env, dirty_proc=dirtier, config=cfg)
-        assert len(rounds) <= 4
+        assert MAX_MEM_ROUNDS == 30
+        assert len(rounds) == MAX_MEM_ROUNDS
+        last = rounds[-1]
+        assert cfg.mem_dirty_threshold_pages < last.dirty_at_end < last.units_sent
 
     def test_nonconvergence_stops_early(self, env):
         rng = np.random.default_rng(0)
@@ -85,8 +91,7 @@ class TestDirtyMemory:
                 mem.touch(rng.integers(0, 512, size=128))
                 yield env.timeout(0.0002)
 
-        cfg = MigrationConfig(mem_chunk_pages=64,
-                              mem_dirty_threshold_pages=1, max_mem_rounds=30)
+        cfg = MigrationConfig(mem_chunk_pages=64, mem_dirty_threshold_pages=1)
         rounds, _, _ = run_memcopy(env, dirty_proc=dirtier, config=cfg)
         # Dirtying outruns sending: must bail long before the cap.
-        assert len(rounds) < 30
+        assert len(rounds) < MAX_MEM_ROUNDS

@@ -11,6 +11,7 @@ import pytest
 from repro.bitmap import FlatBitmap
 from repro.core import MigrationConfig, PostCopySynchronizer
 from repro.errors import MigrationError
+from repro.workloads import Workload
 
 
 def make_postcopy(bed, dirty_blocks, config=None):
@@ -189,16 +190,45 @@ class TestWriteCancelsTransfer:
             times["issued"] = env.now
             yield from bed.domain.write(5)
 
-        def write_racing_the_guest(nbytes, priority=0):
+        def write_racing_the_guest(nbytes):
             monkeypatch.setattr(disk, "write", real_write)
             bed.env.process(guest(bed.env))
-            return real_write(nbytes, priority)
+            return real_write(nbytes)
 
         monkeypatch.setattr(disk, "write", write_racing_the_guest)
         stats = run_sync(bed, sync)
         assert (stats.pushed_blocks, stats.dropped_blocks) == (0, 1)
         assert stats.ended_at == times["issued"]
         assert dest_vbd.lagging_blocks(bed.vbd).size == 0
+
+    def test_stopped_workload_write_still_lands(self, bed):
+        """Stopping the workload mid-write does not cut the write short:
+        it has already cancelled the push of block 5, so only its own
+        data can bring that block up to date."""
+        sync, dest_vbd, _ = make_postcopy(bed, [5])
+
+        class BigWriter(Workload):
+            name = "bigwriter"
+
+            def run(self, env):
+                while True:
+                    yield from self.write(0, 256)
+                    self.account(256 * bed.vbd.block_size)
+
+        workload = BigWriter()
+        workload.bind(bed.domain)
+        sync_proc = bed.env.process(sync.run())
+        workload.start(bed.env)
+        bed.env.run(until=1e-3)  # the write is queued or in service
+        assert bed.domain.driver.inflight == 1
+        assert not sync.transferred_bitmap.test(5)
+        workload.stop()
+        stats = bed.env.run(until=sync_proc)
+        bed.env.run()
+        assert stats.dropped_blocks == 1
+        assert dest_vbd.lagging_blocks(bed.vbd).size == 0
+        assert workload.ops == 1  # the issued write completed, no more
+        assert not workload.process.is_alive
 
     def test_write_to_clean_block_tracked_for_im(self, bed):
         sync, _, driver = make_postcopy(bed, [100])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import DiskPreCopier, MigrationConfig, TRACKING_NAME
+from repro.core.metrics import PROACTIVE_STOP_FRACTION, IterationStats
 from repro.core.transfer import BlockStreamer
 
 
@@ -74,8 +75,7 @@ class TestDirtyDisk:
         # A writer dirtying far faster than the link can drain.
         bed.random_writer(region=(0, 1900), interval=0.0002, nblocks=16)
         cfg = bed.config.replace(max_disk_iterations=10,
-                                 disk_dirty_threshold_blocks=1,
-                                 dirty_rate_stop_fraction=0.5)
+                                 disk_dirty_threshold_blocks=1)
         precopier, _, _ = make_precopier(bed, config=cfg)
 
         def proc(env):
@@ -83,6 +83,22 @@ class TestDirtyDisk:
 
         iterations = bed.env.run(until=bed.env.process(proc(bed.env)))
         assert len(iterations) < 10  # stopped proactively, not by the cap
+        assert iterations[-1].outruns_transfer
+        assert not any(it.outruns_transfer for it in iterations[:-1])
+
+    def test_proactive_stop_fraction_is_nine_tenths(self):
+        """The stop fires once the dirty rate passes 0.9 of the transfer
+        rate, short of the rates being equal."""
+        assert PROACTIVE_STOP_FRACTION == 0.9
+
+        def record(dirtied, duration=1.0):
+            return IterationStats(index=2, units_sent=100, bytes_sent=0,
+                                  started_at=0.0, ended_at=duration,
+                                  dirty_at_end=dirtied)
+
+        assert not record(90).outruns_transfer
+        assert record(91).outruns_transfer
+        assert not record(500, duration=0.0).outruns_transfer  # instantaneous
 
 
 class TestIncrementalFirstIteration:

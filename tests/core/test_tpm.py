@@ -142,11 +142,3 @@ class TestConfigVariants:
             times[label] = (report.precopy_disk_ended_at
                             - report.precopy_disk_started_at)
         assert times["slow"] > 1.5 * times["fast"]
-
-    def test_no_im_tracking_when_disabled(self, bed):
-        from repro.errors import StorageError
-
-        bed.migrate(bed.config.replace(track_incremental=False))
-        driver = bed.destination.driver_of(bed.domain.domain_id)
-        with pytest.raises(StorageError):
-            driver.tracking_bitmap(IM_TRACKING_NAME)

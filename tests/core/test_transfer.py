@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import BlockStreamer, MigrationConfig, PageStreamer
+from repro.core import transfer
+from repro.core.transfer import PIPELINE_DEPTH
 from repro.net import Channel, Link
 from repro.sim import Environment
 from repro.storage import GenerationClock, PhysicalDisk, VirtualBlockDevice
@@ -182,13 +184,13 @@ class TestStriping:
     """Streamer-level multifd behaviour: lanes are plain channels over the
     base channel's link."""
 
-    def _stream(self, env, nblocks, *, nlanes, pipeline_depth):
+    def _stream(self, env, nblocks, *, nlanes):
         src, dst, sd, dd, _ = make_disk_pair(env, nblocks=nblocks)
         src.write(0, nblocks)
         link = Link(env, 125 * MB, 0)
         chan = Channel(env, link)
         lanes = [Channel(env, link, name=f"fd{i}") for i in range(nlanes)]
-        cfg = MigrationConfig(chunk_blocks=64, pipeline_depth=pipeline_depth)
+        cfg = MigrationConfig(chunk_blocks=64)
         streamer = BlockStreamer(env, sd, src, dd, dst, chan, cfg,
                                  lanes=lanes)
 
@@ -199,24 +201,25 @@ class TestStriping:
         assert dst.identical_to(src)
         return stats, lanes
 
-    @pytest.mark.parametrize("depth", [1, 2, 8])
+    @pytest.mark.parametrize("depth", [1, PIPELINE_DEPTH, 8])
     @pytest.mark.parametrize("nchannels", [2, 4])
-    def test_pipeline_depth_times_multifd(self, depth, nchannels):
-        """Every depth x fan-out combination moves all blocks and spreads
-        traffic across every lane (each buffer is depth-bounded, so a slow
-        lane backpressures the shared reader without deadlock)."""
+    def test_pipeline_depth_times_multifd(self, depth, nchannels,
+                                          monkeypatch):
+        """Every fan-out moves all blocks and spreads traffic across every
+        lane at the shipped depth of 2 and at the edges around it (each
+        lane buffer is depth-bounded, so a slow lane backpressures the
+        shared reader without deadlock)."""
+        assert PIPELINE_DEPTH == 2
+        monkeypatch.setattr(transfer, "PIPELINE_DEPTH", depth)
         env = Environment()
-        stats, lanes = self._stream(env, 1000, nlanes=nchannels,
-                                    pipeline_depth=depth)
+        stats, lanes = self._stream(env, 1000, nlanes=nchannels)
         assert stats.units_sent == 1000
         assert all(chan.total_bytes > 0 for chan in lanes)
         assert sum(chan.total_bytes for chan in lanes) == stats.bytes_sent
 
     def test_striped_byte_total_matches_single_channel(self):
-        baseline, _ = self._stream(Environment(), 1000, nlanes=0,
-                                   pipeline_depth=4)
-        striped, _ = self._stream(Environment(), 1000, nlanes=4,
-                                  pipeline_depth=4)
+        baseline, _ = self._stream(Environment(), 1000, nlanes=0)
+        striped, _ = self._stream(Environment(), 1000, nlanes=4)
         assert striped.bytes_sent == baseline.bytes_sent
         assert striped.units_sent == baseline.units_sent
 
@@ -260,8 +263,7 @@ class TestStriping:
             src, dst, sd, dd, _ = make_disk_pair(env, nblocks=70)
             src.write(0, 70)
             streamer = BlockStreamer(env, sd, src, dd, dst, chan,
-                                     MigrationConfig(chunk_blocks=10,
-                                                     pipeline_depth=8),
+                                     MigrationConfig(chunk_blocks=10),
                                      lanes=lanes)
         else:
             src_mem = GuestMemory(70)

@@ -88,6 +88,22 @@ class TestCompressedChannel:
             times[label] = e.run(until=e.process(sender(e)))
         assert times["compressed"] < 0.7 * times["plain"]
 
+    def test_one_ratio_for_every_category(self, env):
+        """Identical payloads shrink by the same ratio on the disk and the
+        memory streams: the send category only labels the ledger."""
+        chan = Channel(env, Link(env, 125 * MB, 0),
+                       compressor=Compressor(ratio=2.0))
+
+        def sender(env):
+            for category in ("disk", "memory"):
+                yield from chan.send(BlockDataMsg(np.arange(512),
+                                                  np.arange(512)),
+                                     category=category)
+
+        env.run(until=env.process(sender(env)))
+        assert (chan.bytes_by_category["disk"]
+                == chan.bytes_by_category["memory"])
+
     def test_delivery_stays_fifo(self, env):
         """A small uncompressed message must not overtake a big compressed
         one that is still being decompressed at the receiver."""
@@ -135,64 +151,3 @@ class TestCompressedMigration:
         assert report.migrated_bytes < 0.65 * (bed.vbd.nbytes
                                                + bed.domain.memory.nbytes)
 
-
-class TestPerKindRatios:
-    def test_ratio_for_known_and_unknown_kinds(self):
-        comp = Compressor(ratio=2.0, ratios={"memory": 4.0, "disk": 1.5})
-        assert comp.ratio_for("memory") == 4.0
-        assert comp.ratio_for("disk") == 1.5
-        assert comp.ratio_for("control") == 2.0  # falls back to the default
-        assert comp.ratio_for(None) == 2.0
-
-    def test_wire_nbytes_uses_kind(self):
-        comp = Compressor(ratio=2.0, ratios={"memory": 4.0})
-        assert comp.wire_nbytes(4096) == 2048
-        assert comp.wire_nbytes(4096, kind="memory") == 1024
-        assert comp.wire_nbytes(4096, kind="disk") == 2048
-
-    def test_no_ratios_mapping_behaves_like_before(self):
-        plain = Compressor(ratio=3.0)
-        assert plain.ratios is None
-        assert plain.ratio_for("memory") == 3.0
-        assert plain.wire_nbytes(3000, kind="memory") == 1000
-
-    def test_invalid_per_kind_ratio(self):
-        with pytest.raises(NetworkError):
-            Compressor(ratios={"memory": 0.5})
-
-    def test_channel_applies_per_category_ratio(self, env):
-        """The send category selects the compression ratio: identical
-        payloads shrink differently on the memory vs disk streams."""
-        comp = Compressor(ratio=2.0, ratios={"memory": 8.0, "disk": 2.0})
-        chan = Channel(env, Link(env, 125 * MB, 0), compressor=comp)
-
-        def sender(env):
-            yield from chan.send(BlockDataMsg(np.arange(512),
-                                              np.arange(512)),
-                                 category="disk")
-            yield from chan.send(BlockDataMsg(np.arange(512),
-                                              np.arange(512)),
-                                 category="memory")
-
-        env.run(until=env.process(sender(env)))
-        disk_bytes = chan.bytes_by_category["disk"]
-        mem_bytes = chan.bytes_by_category["memory"]
-        assert mem_bytes < disk_bytes
-        # 8:1 vs 2:1 on the payload; headers ride uncompressed.
-        assert disk_bytes / mem_bytes > 2.5
-
-    def test_migration_with_per_kind_ratios(self, make_bed):
-        """Config plumbing: compression_ratios reaches the channel, and a
-        high memory ratio shrinks only the memory category."""
-        reports = {}
-        for label, ratios in (("flat", None), ("split", {"memory": 10.0})):
-            bed = make_bed()
-            cfg = bed.config.replace(compress=True,
-                                     compression_ratios=ratios)
-            report = bed.migrate(cfg)
-            assert report.consistency_verified
-            reports[label] = report
-        flat = reports["flat"].bytes_by_category
-        split = reports["split"].bytes_by_category
-        assert split["memory"] < flat["memory"]
-        assert split["disk"] == flat["disk"]

@@ -39,7 +39,7 @@ def _simulate():
             finally:
                 lock.release(grant)
             # A migration-style read through the same spindle.
-            yield from host.disk.io(4096, is_write=False, priority=1)
+            yield from host.disk.io(4096, is_write=False)
 
     procs = [env.process(guest(env, first)) for first in (0, 500)]
     procs += [env.process(contender(env, prio)) for prio in (0, 1, 2)]

@@ -52,23 +52,8 @@ class TestTimeline:
         with pytest.raises(ValueError):
             tl.windowed_rate("x", window=0)
 
-    def test_merge_with_prefix(self, env):
-        a, b = Timeline(env), Timeline(env)
-        b.record_at("x", 1.0, 2.0)
-        a.merge(b, prefix="b:")
-        assert a.total("b:x") == 2.0
-
     def test_series_names_sorted(self, env):
         tl = Timeline(env)
         tl.record_at("zebra", 0, 1)
         tl.record_at("apple", 0, 1)
         assert tl.series_names == ["apple", "zebra"]
-
-    def test_clear_selected(self, env):
-        tl = Timeline(env)
-        tl.record_at("x", 0, 1)
-        tl.record_at("y", 0, 1)
-        tl.clear(["x"])
-        assert tl.series_names == ["y"]
-        tl.clear()
-        assert tl.series_names == []

@@ -55,21 +55,24 @@ class TestIO:
         assert done[0][0] == pytest.approx(1.0)
         assert done[1][0] == pytest.approx(2.0)
 
-    def test_priority_favours_guest(self, env):
+    def test_guest_op_served_between_bulk_chunks(self, env):
+        """Requests are served in arrival order at one priority, so a guest
+        op that arrives while a bulk chunk is in service runs before the
+        next chunk: chunking is what interleaves migration with the guest."""
         disk = PhysicalDisk(env, read_bandwidth=10 * MiB,
                             write_bandwidth=10 * MiB, seek_time=0)
         order = []
 
         def bulk(env):
             # Two back-to-back bulk ops; the guest op arrives between them.
-            yield from disk.read(10 * MiB, priority=5)
+            yield from disk.read(10 * MiB)
             order.append("bulk1")
-            yield from disk.read(10 * MiB, priority=5)
+            yield from disk.read(10 * MiB)
             order.append("bulk2")
 
         def guest(env):
             yield env.timeout(0.5)
-            yield from disk.read(1 * MiB, priority=0)
+            yield from disk.read(1 * MiB)
             order.append("guest")
 
         env.process(bulk(env))

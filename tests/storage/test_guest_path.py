@@ -103,8 +103,8 @@ class TestDiskAccounting:
         # Migration reads go through PhysicalDisk.io ...
         plain_io = disk.io
 
-        def recording_io(nbytes, is_write, priority=0):
-            yield from plain_io(nbytes, is_write, priority)
+        def recording_io(nbytes, is_write):
+            yield from plain_io(nbytes, is_write)
             served.append((nbytes, is_write))
 
         disk.io = recording_io

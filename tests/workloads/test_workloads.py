@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.throughput import mean_rate
 from repro.errors import ReproError
 from repro.sim import Environment, Timeline
 from repro.workloads import (
@@ -43,12 +44,16 @@ class TestFramework:
         assert bed.timeline.total("idle:throughput") == 1000
 
     def test_mean_throughput(self, bed):
+        """What a workload accounts is read back as a rate by
+        :func:`mean_rate` over its ``<name>:throughput`` series."""
         wl = IdleWorkload()
         wl.bind(bed.domain, bed.timeline)
-        bed.timeline.record_at("idle:throughput", 0.5, 100)
-        bed.timeline.record_at("idle:throughput", 1.5, 300)
-        assert wl.mean_throughput(0, 2) == pytest.approx(200.0)
-        assert wl.mean_throughput(2, 2) == 0.0
+        wl.account(100)
+        bed.env.run(until=1.5)
+        wl.account(300)
+        series = f"{wl.name}:throughput"
+        assert mean_rate(bed.timeline, series, 0, 2) == pytest.approx(200.0)
+        assert mean_rate(bed.timeline, series, 2, 2) == 0.0
 
 
 class TestSpecWeb:
