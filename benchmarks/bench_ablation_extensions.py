@@ -132,8 +132,8 @@ def test_secondary_nic(benchmark, scale):
             bed.run_for(20.0)
             report = bed.migrate()
             dump_trace(bed.env, f"secondary_nic_{mode}")
-            base = mean_rate(bed.timeline, "specweb:throughput", 0, 20)
-            during = mean_rate(bed.timeline, "specweb:throughput",
+            base = mean_rate(bed.metrics, "specweb:throughput", 0, 20)
+            during = mean_rate(bed.metrics, "specweb:throughput",
                                report.started_at, report.ended_at)
             out[mode] = (base, during, report)
         # The caveat: a disk-bound guest gains nothing from the 2nd NIC.
@@ -143,7 +143,7 @@ def test_secondary_nic(benchmark, scale):
         bed.run_for(20.0)
         report = bed.migrate()
         disk_bound = performance_overhead(
-            bed.timeline, "bonnie:write",
+            bed.metrics, "bonnie:write",
             migration_window=(report.precopy_disk_started_at,
                               report.precopy_disk_ended_at),
             baseline_window=(0.0, 20.0))

@@ -16,6 +16,7 @@ from repro.analysis import (
     mean_rate,
     performance_overhead,
     run_figure_experiment,
+    windowed_rate,
 )
 
 
@@ -24,20 +25,20 @@ def test_fig5_series(benchmark, scale):
                            scale=scale, migration_start=60.0, tail=120.0,
                            observe=observing())
     dump_trace(bed.env, "fig5_specweb")
-    tl = bed.timeline
+    metrics = bed.metrics
     window = 10.0
-    centres, rates = tl.windowed_rate("specweb:throughput", window,
-                                      t_end=bed.env.now)
+    centres, rates = windowed_rate(metrics, "specweb:throughput", window,
+                                   t_end=bed.env.now)
     # Print a decimated series: the figure's curve, one row per ~60 s.
     step = max(len(centres) // 24, 1)
     rows = [[f"{t:.0f}", r / 2**20] for t, r in
             zip(centres[::step], rates[::step])]
     overhead = performance_overhead(
-        tl, "specweb:throughput",
+        metrics, "specweb:throughput",
         migration_window=(report.started_at, report.ended_at),
         baseline_window=(0.0, 60.0))
-    baseline = mean_rate(tl, "specweb:throughput", 0.0, 60.0)
-    disrupted = disruption_time(tl, "specweb:throughput",
+    baseline = mean_rate(metrics, "specweb:throughput", 0.0, 60.0)
+    disrupted = disruption_time(metrics, "specweb:throughput",
                                 (report.started_at, report.ended_at),
                                 baseline, bin_width=5.0, threshold=0.85)
     chart = ascii_timeseries(

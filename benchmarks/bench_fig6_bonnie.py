@@ -17,6 +17,7 @@ from repro.analysis import (
     format_table,
     performance_overhead,
     run_figure_experiment,
+    windowed_rate,
 )
 from repro.core import MigrationConfig
 from repro.units import MB
@@ -28,7 +29,7 @@ def _phase_overheads(bed, report, baseline_end):
     out = {}
     for s in SERIES:
         result = performance_overhead(
-            bed.timeline, f"bonnie:{s}",
+            bed.metrics, f"bonnie:{s}",
             migration_window=(report.precopy_disk_started_at,
                               report.precopy_disk_ended_at),
             baseline_window=(0.0, baseline_end))
@@ -50,16 +51,13 @@ def test_fig6_series(benchmark, scale):
              f"{overheads[s].overhead_fraction * 100:.0f} %"]
             for s in SERIES]
     # Render the figure's curve: aggregate write-phase throughput.
-    times, values = bed.timeline.series("bonnie:write")
+    centres, rates = windowed_rate(bed.metrics, "bonnie:write",
+                                   max(bed.env.now / 72, 1.0),
+                                   t_end=bed.env.now)
     chart = ""
-    if times.size:
-        import numpy as _np
-
-        window = max(bed.env.now / 72, 1.0)
-        edges = _np.arange(0.0, bed.env.now + window, window)
-        sums, _ = _np.histogram(times, bins=edges, weights=values)
+    if centres.size:
         chart = ascii_timeseries(
-            (edges[:-1] + edges[1:]) / 2, sums / window / 1024,
+            centres, rates / 1024,
             width=72, height=10,
             title=f"Figure 6 — Bonnie++ write(2) throughput (KB/s),"
                   f" scale={scale}",

@@ -26,7 +26,7 @@ def run_with_limit(limit):
     report = bed.migrate(config=cfg)
     bed.run_for(10.0)
     impact = performance_overhead(
-        bed.timeline, "bonnie:write",
+        bed.metrics, "bonnie:write",
         migration_window=(report.precopy_disk_started_at,
                           report.precopy_disk_ended_at),
         baseline_window=(0.0, WARMUP))

@@ -15,7 +15,7 @@ Quickstart::
 Subpackages
 -----------
 ``repro.sim``
-    Discrete-event engine (environment, processes, resources, timelines).
+    Discrete-event engine (environment, processes, resources, shards).
 ``repro.bitmap``
     Flat and layered block-bitmaps, granularity arithmetic.
 ``repro.storage``

@@ -25,7 +25,9 @@ from .throughput import (
     disruption_time,
     mean_rate,
     performance_overhead,
+    read_series,
     stall_free,
+    windowed_rate,
 )
 
 __all__ = [
@@ -49,10 +51,12 @@ __all__ = [
     "paper_vs_measured",
     "sparkline",
     "performance_overhead",
+    "read_series",
     "run_figure_experiment",
     "run_locality_experiment",
     "run_table1_experiment",
     "run_table2_experiment",
     "run_tracking_overhead_experiment",
     "stall_free",
+    "windowed_rate",
 ]

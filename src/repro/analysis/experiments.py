@@ -18,7 +18,8 @@ import numpy as np
 
 from ..core import MigrationConfig, MigrationReport, Migrator
 from ..errors import ReproError
-from ..sim import Environment, Timeline
+from ..obs import MetricsRegistry, Tracer
+from ..sim import Environment
 from ..storage import PhysicalDisk
 from ..units import Gbps, KiB, MiB
 from ..vm import Domain, GuestMemory, Host
@@ -66,7 +67,6 @@ class Testbed:
     domain: Domain
     workload: Workload
     migrator: Migrator
-    timeline: Timeline
     config: MigrationConfig
     scale: float = 1.0
 
@@ -80,7 +80,8 @@ class Testbed:
 
     @property
     def metrics(self):
-        """The environment's metrics registry (no-op unless observing)."""
+        """The environment's metrics registry: every workload series, and
+        the migration's own instruments."""
         return self.env.metrics
 
     def dump_trace(self, path: str, fmt: str = "chrome") -> str:
@@ -195,19 +196,19 @@ def build_testbed(
     the same link the migration uses; ``"secondary"`` — responses get
     their own dedicated NIC at ``link_bandwidth``.
 
-    ``observe=True`` installs a live :class:`~repro.obs.Tracer` and
-    :class:`~repro.obs.MetricsRegistry` on the environment (see
-    ``docs/OBSERVABILITY.md``); recording never advances the simulated
-    clock, so results are numerically identical either way.
+    The environment always carries a live
+    :class:`~repro.obs.MetricsRegistry`: the workload's series live there,
+    for :mod:`repro.analysis.throughput` to read.  ``observe=True`` adds a
+    live :class:`~repro.obs.Tracer` (see ``docs/OBSERVABILITY.md``);
+    recording never advances the simulated clock, so results are
+    numerically identical either way.
     """
     if not 0 < scale <= 1:
         raise ReproError(f"scale must be in (0, 1], got {scale}")
     env = Environment()
+    env.metrics = MetricsRegistry(env)
     if observe:
-        from ..obs import install
-
-        install(env)
-    timeline = Timeline(env)
+        env.tracer = Tracer(env)
     clock = GenerationClock()
     source = Host(env, "source",
                   PhysicalDisk(env, disk_read_bw, disk_write_bw, seek_time),
@@ -248,10 +249,9 @@ def build_testbed(
                             name="service-nic")
     elif service_nic is not None:
         raise ReproError(f"unknown service_nic mode {service_nic!r}")
-    wl.bind(domain, timeline, service_link=service_link)
+    wl.bind(domain, service_link=service_link)
 
-    return Testbed(env, source, destination, domain, wl, migrator, timeline,
-                   cfg, scale)
+    return Testbed(env, source, destination, domain, wl, migrator, cfg, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ The five metrics the paper defines:
 * **amount of migrated data** — all bytes on the wire, protocol included;
 * **performance overhead** — service throughput during vs without migration.
 
-Disruption and overhead are computed post-hoc from throughput timelines
-(:mod:`repro.analysis.throughput`); the rest live on the report.
+Disruption and overhead are computed post-hoc from the workload
+throughput series (:mod:`repro.analysis.throughput`); the rest live on
+the report.
 """
 
 from __future__ import annotations

@@ -72,7 +72,7 @@ def _counter_events(metrics: MetricsRegistry,
         inst = metrics.get(name)
         if inst is None or inst.kind == "histogram":
             continue  # histograms have no sensible counter-track rendering
-        for t, value in inst.samples:
+        for t, value in zip(inst.times, inst.values):
             events.append({
                 "name": name,
                 "cat": inst.kind,

@@ -20,14 +20,15 @@ Instrument semantics:
 * :class:`Histogram` — value distribution; samples are ``(t, value)``
   per observation, with count/sum/min/max and percentiles on demand.
 
-``bucketed(dt)`` on any instrument folds its samples into fixed-width
-time buckets — the form the Chrome-trace exporter and the throughput
-plots consume.
+Each instrument stores its samples as two ``array('d')`` columns,
+``times`` and ``values``, so a long-running series costs 16 bytes a
+sample.  :mod:`repro.analysis.throughput` reads them back as rates.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,50 +36,29 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class _Instrument:
-    """Shared sample storage: a list of ``(time, value)`` pairs."""
+    """Shared sample storage: parallel ``times`` and ``values`` columns."""
 
     kind = "instrument"
 
     def __init__(self, env: "Environment", name: str) -> None:
         self.env = env
         self.name = name
-        #: ``(simulated time, value)`` pairs in record order.
-        self.samples: list[tuple[float, float]] = []
+        #: Simulated time of each sample, in record order.
+        self.times = array("d")
+        #: Value of each sample, parallel to :attr:`times`.
+        self.values = array("d")
 
     def _record(self, value: float) -> None:
-        self.samples.append((self.env.now, float(value)))
+        self.times.append(self.env.now)
+        self.values.append(value)
 
-    def bucketed(self, dt: float) -> list[tuple[float, float]]:
-        """Fold samples into ``dt``-wide buckets as ``(bucket_start, value)``.
-
-        Counters report the *increase* within each bucket; gauges and
-        histograms report the last (respectively mean) value seen.  Empty
-        buckets are omitted.
-        """
-        if dt <= 0:
-            raise ValueError(f"bucket width must be positive, got {dt}")
-        if not self.samples:
-            return []
-        buckets: dict[int, list[tuple[float, float]]] = {}
-        for t, v in self.samples:
-            buckets.setdefault(int(t // dt), []).append((t, v))
-        out = []
-        prev_total = 0.0
-        for idx in sorted(buckets):
-            group = buckets[idx]
-            if self.kind == "counter":
-                total = group[-1][1]
-                out.append((idx * dt, total - prev_total))
-                prev_total = total
-            elif self.kind == "gauge":
-                out.append((idx * dt, group[-1][1]))
-            else:  # histogram: mean of the observations in the bucket
-                out.append((idx * dt,
-                            sum(v for _, v in group) / len(group)))
-        return out
+    @property
+    def samples(self) -> list[tuple[float, float]]:
+        """``(simulated time, value)`` pairs in record order."""
+        return list(zip(self.times, self.values))
 
     def summary(self) -> dict:
-        return {"kind": self.kind, "samples": len(self.samples)}
+        return {"kind": self.kind, "samples": len(self.times)}
 
 
 class Counter(_Instrument):
@@ -143,11 +123,11 @@ class Histogram(_Instrument):
 
     def percentile(self, q: float) -> float:
         """The ``q``-quantile (0..1) of all observations, 0.0 when empty."""
-        if not self.samples:
+        if not self.values:
             return 0.0
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        ordered = sorted(v for _, v in self.samples)
+        ordered = sorted(self.values)
         idx = min(int(q * len(ordered)), len(ordered) - 1)
         return ordered[idx]
 
@@ -234,9 +214,6 @@ class _NullInstrument:
 
     def observe(self, value: float) -> None:
         return None
-
-    def bucketed(self, dt: float) -> list:
-        return []
 
     def percentile(self, q: float) -> float:
         return 0.0

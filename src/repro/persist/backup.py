@@ -26,8 +26,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..bitmap import make_bitmap
-from ..bitmap.layered import DEFAULT_LEAF_BITS
+from ..bitmap import FlatBitmap
 from ..errors import PersistError
 from ..storage.vbd import VirtualBlockDevice
 from .store import BitmapStore
@@ -87,16 +86,11 @@ class BackupChain:
     lives on — and recovers with — the host.
     """
 
-    def __init__(self, domain: "Domain", policy: str = "wal",
-                 flush_every: int = 64, region_bits: int = 4096,
-                 snapshot_every: int = 4096, layout: str = "flat",
-                 leaf_bits: int = DEFAULT_LEAF_BITS) -> None:
+    def __init__(self, domain: "Domain", policy: str = "wal") -> None:
         host = domain.host
         if host is None:
             raise PersistError("domain is not attached to a host")
         self.domain = domain
-        self.layout = layout
-        self.leaf_bits = leaf_bits
         vbd = host.vbd_of(domain.domain_id)
         self.nblocks = vbd.nblocks
         self.block_size = vbd.block_size
@@ -104,11 +98,10 @@ class BackupChain:
         self._seq = 0
         self.store: BitmapStore = host.bitmap_store(
             domain.domain_id, purpose="backup", nbits=self.nblocks,
-            policy=policy, flush_every=flush_every,
-            region_bits=region_bits, snapshot_every=snapshot_every)
+            policy=policy)
         # Everything is pending until the first full backup exists.
         self.store.open_session(None)
-        inner = make_bitmap(self.nblocks, layout, leaf_bits=leaf_bits)
+        inner = FlatBitmap(self.nblocks)
         inner.set_all()
         self._bitmap = PersistentBitmap(inner, self.store)
         self._register(self._bitmap)
@@ -199,7 +192,7 @@ class BackupChain:
         """
         if not self.store.recoverable:
             raise PersistError("backup tracking store has nothing to recover")
-        bitmap, info = self.store.recover(self.layout, self.leaf_bits)
+        bitmap, info = self.store.recover()
         self._bitmap = PersistentBitmap(bitmap, self.store, recovered=True)
         self._register(self._bitmap)
         return info

@@ -11,7 +11,6 @@ from .events import AllOf, Event, Interrupt, Timeout, NORMAL, URGENT
 from .process import Process
 from .resources import Request, Resource, Store
 from .sharded import Shard, ShardedEngine
-from .timeline import Timeline
 
 __all__ = [
     "AllOf",
@@ -25,7 +24,6 @@ __all__ = [
     "Shard",
     "ShardedEngine",
     "Store",
-    "Timeline",
     "Timeout",
     "URGENT",
 ]

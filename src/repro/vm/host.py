@@ -156,14 +156,12 @@ class Host:
         purpose: str = "precopy",
         nbits: Optional[int] = None,
         policy: str = "wal",
-        flush_every: int = 64,
-        region_bits: int = 4096,
-        snapshot_every: int = 4096,
     ) -> BitmapStore:
         """The durable bitmap store for ``(domain_id, purpose)`` on this
-        host's stable storage, created on first use.
+        host's stable storage, created on first use with
+        :class:`~repro.persist.store.BitmapStore`'s default knobs.
 
-        An existing store is returned as-is (its policy knobs are fixed at
+        An existing store is returned as-is (its policy is fixed at
         creation): the store *is* the persisted state, so a restarted host
         finds the pre-crash instance here and recovers from it.
         """
@@ -172,10 +170,7 @@ class Host:
         if store is None:
             if nbits is None:
                 nbits = self.vbd_of(domain_id).nblocks
-            store = BitmapStore(nbits, policy=policy,
-                                flush_every=flush_every,
-                                region_bits=region_bits,
-                                snapshot_every=snapshot_every)
+            store = BitmapStore(nbits, policy=policy)
             self._bitmap_stores[key] = store
         return store
 

@@ -3,7 +3,8 @@
 A :class:`Workload` is a simulation process bound to a :class:`Domain`.
 It issues disk requests through the domain (so they traverse blkback and
 are intercepted/tracked like real guest I/O), dirties guest memory, and
-records application-level throughput into a :class:`Timeline` — the series
+records application-level throughput into the environment's metrics
+registry, one ``<workload>:<series>`` instrument per series — the series
 the paper's Figures 5 and 6 plot.
 
 Workloads are *closed-loop*: each operation completes before the next
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 import numpy as np
 
 from ..errors import ReproError
-from ..sim import Interrupt, Timeline
+from ..sim import Interrupt
 from ..vm.domain import Domain
 from .iomodel import MemoryDirtier
 
@@ -30,13 +31,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Workload(abc.ABC):
     """Base class for guest applications."""
 
-    #: Short identifier used as the timeline-series prefix.
+    #: Short identifier used as the metric-series prefix.
     name: str = "workload"
 
     def __init__(self, seed: int = 0) -> None:
         self.rng = np.random.default_rng(seed)
         self.domain: Optional[Domain] = None
-        self.timeline: Optional[Timeline] = None
         self.process: Optional["Process"] = None
         #: Optional egress NIC for client-facing traffic.  When it is the
         #: same link the migration uses, service responses contend with
@@ -52,14 +52,15 @@ class Workload(abc.ABC):
         #: Set by :meth:`stop`; the next :meth:`read` or :meth:`write`
         #: ends the loop instead of issuing.
         self._stopping = False
+        #: Instruments by series, taken from the registry ``_metrics``.
+        self._metrics = None
+        self._series: dict = {}
 
     # -- lifecycle -----------------------------------------------------------
 
-    def bind(self, domain: Domain, timeline: Optional[Timeline] = None,
-             service_link=None) -> None:
+    def bind(self, domain: Domain, service_link=None) -> None:
         """Attach to the domain whose guest this workload plays."""
         self.domain = domain
-        self.timeline = timeline
         self.service_link = service_link
 
     def start(self, env: "Environment") -> "Process":
@@ -107,16 +108,27 @@ class Workload(abc.ABC):
         for observer in self.pass_observers:
             observer(index)
 
+    def _instrument(self, series: str, kind: str):
+        """The ``name:series`` instrument of the environment's registry."""
+        metrics = self.domain.env.metrics
+        if metrics is not self._metrics:
+            self._metrics, self._series = metrics, {}
+        inst = self._series.get(series)
+        if inst is None:
+            inst = self._series[series] = getattr(metrics, kind)(
+                f"{self.name}:{series}")
+        return inst
+
     def record(self, series: str, value: float) -> None:
-        """Record a throughput/latency sample under ``name:series``."""
-        if self.timeline is not None:
-            self.timeline.record(f"{self.name}:{series}", value)
+        """Observe a latency-like sample in the ``name:series`` histogram."""
+        self._instrument(series, "histogram").observe(value)
 
     def account(self, nbytes: int, series: str = "throughput") -> None:
-        """Count ``nbytes`` of application-level progress."""
+        """Count ``nbytes`` of application-level progress in the
+        ``name:series`` counter."""
         self.ops += 1
         self.bytes_processed += nbytes
-        self.record(series, nbytes)
+        self._instrument(series, "counter").inc(nbytes)
 
     def read(self, block: int, nblocks: int = 1) -> Generator:
         """Guest disk read (gated on the domain running)."""

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis import (
     build_testbed,
     make_workload,
+    read_series,
     run_figure_experiment,
     run_locality_experiment,
     run_table1_experiment,
@@ -81,7 +82,7 @@ class TestRunners:
     def test_figure_runner_produces_series(self):
         report, bed = run_figure_experiment("specweb", scale=SCALE,
                                             migration_start=2.0, tail=3.0)
-        times, values = bed.timeline.series("specweb:throughput")
+        times, values = read_series(bed.metrics, "specweb:throughput")
         assert times.size > 0
         assert times[-1] > report.ended_at  # workload ran past migration
 

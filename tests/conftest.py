@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import MigrationConfig, Migrator
 from repro.net import Channel, Link
-from repro.sim import Environment, Timeline
+from repro.sim import Environment
 from repro.storage import GenerationClock, PhysicalDisk
 from repro.units import MB, MiB
 from repro.vm import Domain, GuestMemory, Host
@@ -57,7 +57,6 @@ class MiniBed:
         self.domain = Domain(env, GuestMemory(npages, clock=self.clock),
                              name="vm")
         self.source.attach_domain(self.domain, self.vbd)
-        self.timeline = Timeline(env)
         self.migrator = Migrator(env, self.config)
         self.migrator.connect(self.source, self.destination,
                               bandwidth=link_bw, latency=latency)

@@ -95,8 +95,8 @@ class TestServiceNic:
             bed.start_workload()
             bed.run_for(20.0)
             report = bed.migrate()
-            baseline = mean_rate(bed.timeline, "specweb:throughput", 0, 20)
-            during = mean_rate(bed.timeline, "specweb:throughput",
+            baseline = mean_rate(bed.metrics, "specweb:throughput", 0, 20)
+            during = mean_rate(bed.metrics, "specweb:throughput",
                                report.started_at, report.ended_at)
             rates[mode] = during / baseline
         # Secondary NIC protects the service; a shared port does not.
@@ -113,7 +113,7 @@ class TestServiceNic:
         bed.run_for(20.0)
         report = bed.migrate()
         result = performance_overhead(
-            bed.timeline, "bonnie:write",
+            bed.metrics, "bonnie:write",
             migration_window=(report.precopy_disk_started_at,
                               report.precopy_disk_ended_at),
             baseline_window=(0.0, 20.0))

@@ -85,8 +85,8 @@ class TestFigureFiveShape:
         report, bed = run_table1_experiment("specweb", scale=SCALE,
                                             warmup=20.0)
         bed.run_for(20.0)
-        baseline = mean_rate(bed.timeline, "specweb:throughput", 0.0, 20.0)
-        during = mean_rate(bed.timeline, "specweb:throughput",
+        baseline = mean_rate(bed.metrics, "specweb:throughput", 0.0, 20.0)
+        during = mean_rate(bed.metrics, "specweb:throughput",
                            report.started_at, report.ended_at)
         assert during > 0.85 * baseline
 
@@ -96,7 +96,7 @@ class TestVideoFluency:
         report, bed = run_table1_experiment("video", scale=SCALE,
                                             warmup=10.0)
         bed.run_for(10.0)
-        assert stall_free(bed.timeline, "video:read_latency",
+        assert stall_free(bed.metrics, "video:read_latency",
                           (0.0, bed.env.now), threshold=2.0)
         assert bed.workload.stalls == 0
 
@@ -106,10 +106,9 @@ class TestFigureSixShape:
         report, bed = run_table1_experiment("bonnie", scale=SCALE,
                                             warmup=20.0)
         bed.run_for(30.0)
-        tl = bed.timeline
         series = "bonnie:write"
         result = performance_overhead(
-            tl, series,
+            bed.metrics, series,
             migration_window=(report.precopy_disk_started_at,
                               report.precopy_disk_ended_at),
             baseline_window=(0.0, 20.0))
@@ -123,7 +122,7 @@ class TestFigureSixShape:
                                                 warmup=20.0, config=cfg)
             bed.run_for(10.0)
             overhead = performance_overhead(
-                bed.timeline, "bonnie:write",
+                bed.metrics, "bonnie:write",
                 migration_window=(report.precopy_disk_started_at,
                                   report.precopy_disk_ended_at),
                 baseline_window=(0.0, 20.0))

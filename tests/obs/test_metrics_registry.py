@@ -1,4 +1,5 @@
-"""MetricsRegistry unit tests: instruments, bucketing, and the null path."""
+"""MetricsRegistry unit tests: instruments, sample columns, and the null
+path."""
 
 import pytest
 
@@ -26,6 +27,8 @@ class TestCounter:
         c.inc(50)
         assert c.total == 150
         assert c.samples == [(0.0, 100.0), (1.0, 150.0)]
+        assert c.times.tolist() == [0.0, 1.0]
+        assert c.values.tolist() == [100.0, 150.0]
 
     def test_same_name_same_instrument(self, env, registry):
         assert registry.counter("x") is registry.counter("x")
@@ -34,15 +37,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             registry.counter("x").inc(-1)
 
-    def test_bucketed_reports_deltas(self, env, registry):
-        c = registry.counter("bytes")
-        c.inc(10)          # t=0
-        advance(env, 1.5)
-        c.inc(10)          # t=1.5
-        advance(env, 2.0)
-        c.inc(5)           # t=3.5
-        assert c.bucketed(1.0) == [(0.0, 10.0), (1.0, 10.0), (3.0, 5.0)]
-
 
 class TestGauge:
     def test_last_write_wins(self, env, registry):
@@ -50,7 +44,6 @@ class TestGauge:
         g.set(10)
         g.set(3)
         assert g.value == 3.0
-        assert g.bucketed(1.0) == [(0.0, 3.0)]
 
     def test_kind_collision_raises(self, env, registry):
         registry.counter("x")
@@ -79,12 +72,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             h.percentile(1.5)
 
-    def test_bucketed_means(self, env, registry):
-        h = registry.histogram("stall")
-        h.observe(1.0)
-        h.observe(3.0)
-        assert h.bucketed(1.0) == [(0.0, 2.0)]
-
 
 class TestRegistry:
     def test_names_prefix_sorted(self, env, registry):
@@ -96,10 +83,6 @@ class TestRegistry:
         assert len(registry) == 3
         assert "chan.disk.bytes" in registry
         assert registry.get("nope") is None
-
-    def test_bucket_width_must_be_positive(self, env, registry):
-        with pytest.raises(ValueError):
-            registry.counter("x").bucketed(0.0)
 
     def test_snapshot(self, env, registry):
         registry.counter("c").inc(5)
@@ -123,7 +106,7 @@ class TestNullMetrics:
     def test_null_instrument_is_inert(self):
         inst = NULL_METRICS.counter("x")
         assert inst.total == 0.0 and inst.samples == []
-        assert inst.bucketed(1.0) == [] and inst.percentile(0.5) == 0.0
+        assert inst.percentile(0.5) == 0.0
         assert inst.summary() == {}
 
     def test_fresh_environment_uses_null_metrics(self):

@@ -4,7 +4,7 @@ recovery of the tracking bitmap, and carry-across-migration."""
 import pytest
 
 from repro.errors import PersistError
-from repro.persist import BackupChain, backup_tracking_name
+from repro.persist import BackupChain, BitmapStore, backup_tracking_name
 
 
 def write_blocks(bed, blocks):
@@ -147,8 +147,14 @@ class TestCrashRecovery:
             chain.recover_tracking()
 
     def test_recovery_never_undermarks_with_lazy_policy(self, byte_bed):
-        chain = BackupChain(byte_bed.domain, policy="snapshot",
+        # A lazy store with 16-bit guard regions, installed as the host's
+        # backup store before the chain takes it over.
+        store = BitmapStore(live_vbd(byte_bed).nblocks, policy="snapshot",
                             region_bits=16)
+        did = byte_bed.domain.domain_id
+        byte_bed.source._bitmap_stores[(did, "backup")] = store
+        chain = BackupChain(byte_bed.domain)
+        assert chain.store is store
         chain.full_backup()
         write_blocks(byte_bed, [40, 41, 200])
         byte_bed.source.crash()            # staged journal tail lost

@@ -68,7 +68,7 @@ class TestRecorder:
         recorder = TraceRecorder(bed.env, driver)
         wl = KernelBuild(seed=3, source_region=(0, 500),
                          output_region=(500, 300))
-        wl.bind(bed.domain, bed.timeline)
+        wl.bind(bed.domain)
         wl.start(bed.env)
         bed.env.run(until=3.0)
         wl.stop()
@@ -99,7 +99,7 @@ class TestReplay:
         recorder = TraceRecorder(origin.env, driver)
         wl = KernelBuild(seed=3, source_region=(0, 500),
                          output_region=(500, 300))
-        wl.bind(origin.domain, origin.timeline)
+        wl.bind(origin.domain)
         wl.start(origin.env)
         origin.env.run(until=3.0)
         wl.stop()
@@ -109,7 +109,7 @@ class TestReplay:
         # ...replay it on a fresh one: same requests hit the driver.
         target = make_bed()
         replay = TraceReplay(trace)
-        replay.bind(target.domain, target.timeline)
+        replay.bind(target.domain)
         replay.start(target.env)
         target.env.run(until=10.0)
         tdriver = target.source.driver_of(target.domain.domain_id)
@@ -123,7 +123,7 @@ class TestReplay:
         for scale_label, ts in (("slow", 1.0), ("fast", 3.0)):
             bed = make_bed()
             replay = TraceReplay(trace, time_scale=ts)
-            replay.bind(bed.domain, bed.timeline)
+            replay.bind(bed.domain)
             proc = replay.start(bed.env)
             bed.env.run(until=proc)
             done[scale_label] = bed.env.now
@@ -132,7 +132,7 @@ class TestReplay:
     def test_loop_mode(self, make_bed):
         bed = make_bed()
         replay = TraceReplay(make_trace(), loop=True, time_scale=10.0)
-        replay.bind(bed.domain, bed.timeline)
+        replay.bind(bed.domain)
         replay.start(bed.env)
         bed.env.run(until=2.0)
         assert replay.passes >= 2
@@ -143,7 +143,7 @@ class TestReplay:
         """A replayed trace keeps running across a live migration."""
         bed = make_bed()
         replay = TraceReplay(make_trace(), loop=True, time_scale=5.0)
-        replay.bind(bed.domain, bed.timeline)
+        replay.bind(bed.domain)
         replay.start(bed.env)
         bed.env.run(until=0.5)
         report = bed.migrate()

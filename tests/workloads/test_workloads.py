@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis.throughput import mean_rate
+from repro.analysis.throughput import mean_rate, read_series
 from repro.errors import ReproError
-from repro.sim import Environment, Timeline
+from repro.obs import MetricsRegistry
 from repro.workloads import (
     BonniePlusPlus,
     IdleWorkload,
@@ -16,8 +16,15 @@ from repro.workloads import (
 )
 
 
+@pytest.fixture
+def metrics(bed):
+    """A live registry on the bed's environment, where series land."""
+    bed.env.metrics = MetricsRegistry(bed.env)
+    return bed.env.metrics
+
+
 def attach(bed, workload):
-    workload.bind(bed.domain, bed.timeline)
+    workload.bind(bed.domain)
     workload.start(bed.env)
     return workload
 
@@ -35,25 +42,46 @@ class TestFramework:
         bed.env.run()
         assert not wl.process.is_alive
 
-    def test_account_updates_counters_and_timeline(self, bed):
+    def test_account_updates_counters_and_timeline(self, bed, metrics):
         wl = IdleWorkload()
-        wl.bind(bed.domain, bed.timeline)
+        wl.bind(bed.domain)
         wl.account(1000)
         assert wl.ops == 1
         assert wl.bytes_processed == 1000
-        assert bed.timeline.total("idle:throughput") == 1000
+        assert metrics.counter("idle:throughput").total == 1000
 
-    def test_mean_throughput(self, bed):
+    def test_mean_throughput(self, bed, metrics):
         """What a workload accounts is read back as a rate by
         :func:`mean_rate` over its ``<name>:throughput`` series."""
         wl = IdleWorkload()
-        wl.bind(bed.domain, bed.timeline)
+        wl.bind(bed.domain)
         wl.account(100)
         bed.env.run(until=1.5)
         wl.account(300)
         series = f"{wl.name}:throughput"
-        assert mean_rate(bed.timeline, series, 0, 2) == pytest.approx(200.0)
-        assert mean_rate(bed.timeline, series, 2, 2) == 0.0
+        assert mean_rate(metrics, series, 0, 2) == pytest.approx(200.0)
+        assert mean_rate(metrics, series, 2, 2) == 0.0
+
+    def test_series_follow_a_replaced_registry(self, bed, metrics):
+        """Instruments are cached per registry: installing a new one
+        sends later samples there, not to the old one."""
+        wl = IdleWorkload()
+        wl.bind(bed.domain)
+        wl.account(100)
+        fresh = bed.env.metrics = MetricsRegistry(bed.env)
+        wl.account(300)
+        assert metrics.counter("idle:throughput").total == 100
+        assert fresh.counter("idle:throughput").total == 300
+
+    def test_latency_series_is_a_histogram(self, bed, metrics):
+        wl = IdleWorkload()
+        wl.bind(bed.domain)
+        wl.record("latency", 0.25)
+        wl.record("latency", 0.5)
+        hist = metrics.get("idle:latency")
+        assert hist.kind == "histogram"
+        assert list(hist.values) == [0.25, 0.5]
+        assert wl.ops == 0  # a latency sample is not progress
 
 
 class TestSpecWeb:
@@ -109,10 +137,10 @@ class TestVideo:
         achieved = wl.bytes_processed / 20.0
         assert achieved == pytest.approx(wl.stream_rate, rel=0.15)
 
-    def test_records_read_latency(self, bed):
+    def test_records_read_latency(self, bed, metrics):
         wl = self.make(bed)
         bed.env.run(until=10.0)
-        times, values = bed.timeline.series("video:read_latency")
+        times, values = read_series(metrics, "video:read_latency")
         assert times.size > 0
         assert (values >= 0).all()
 
@@ -133,11 +161,11 @@ class TestBonnie:
         defaults.update(kw)
         return attach(bed, BonniePlusPlus(**defaults))
 
-    def test_cycles_through_phases(self, bed):
+    def test_cycles_through_phases(self, bed, metrics):
         wl = self.make(bed)
         bed.env.run(until=30.0)
         for series in ("putc", "write", "rewrite", "getc", "seeks"):
-            assert bed.timeline.total(f"bonnie:{series}") > 0, series
+            assert metrics.counter(f"bonnie:{series}").total > 0, series
         assert wl.passes >= 1
 
     def test_saturates_disk(self, bed):
@@ -146,13 +174,13 @@ class TestBonnie:
         disk = bed.source.disk
         assert disk.utilization(10.0) > 0.5
 
-    def test_putc_respects_cpu_cap(self, bed):
+    def test_putc_respects_cpu_cap(self, bed, metrics):
         from repro.units import MiB
 
         wl = self.make(bed, putc_rate=5 * MiB,
                        file_region=(0, 1280))  # 5 MiB file
         bed.env.run(until=1.0)
-        putc_bytes = bed.timeline.total("bonnie:putc")
+        putc_bytes = metrics.counter("bonnie:putc").total
         assert putc_bytes <= 5 * MiB * 1.2
 
 
