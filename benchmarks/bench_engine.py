@@ -4,10 +4,13 @@ Each ticker is a process that sleeps a fixed period (a ``Timeout``) and
 ticks again until the horizon.  Four variants:
 
 * ``plain``: every tick is one timeout; no event is dispatched inline.
-* ``resource``: every 10 tickers share a capacity-1 ``Resource``; a tick
-  takes it with ``acquire``, holds it for a short service time and
-  releases it, the shape of a guest write on a disk spindle.  An idle
-  resource is granted inline, without a heap round trip.
+* ``spindle``: every 10 tickers share a ``Spindle`` (a capacity-1 FIFO
+  server); a tick takes it with ``acquire``, holds it for a short
+  service time and releases it, the shape of a guest write on a disk.
+  An idle spindle is granted inline, without a heap round trip.  On a
+  checkout that predates ``Spindle`` the variant times the same ticks on
+  a capacity-1 ``Resource`` (with ``acquire`` where it has one, else
+  ``request()``).
 
 each with the calendar queue engaged (the default threshold; 10,000
 pending timeouts cross it) and with it off (``calendar_threshold=None``).
@@ -36,8 +39,8 @@ import time
 import numpy as np
 
 TICKERS = 10_000
-#: Tickers per shared resource in the ``resource`` variants.
-PER_RESOURCE = 10
+#: Tickers per shared server in the ``spindle`` variants.
+PER_SERVER = 10
 HORIZON = 10.0
 SERVICE = 1e-4
 REPEAT = 5
@@ -45,30 +48,37 @@ REPEAT = 5
 
 def one_pass(tickers: int, horizon: float, shared: bool, calendar: bool):
     """Run one variant on a fresh environment; (seconds, events, inline)."""
-    from repro.sim import Environment, Resource
+    from repro import sim
 
-    env = Environment() if calendar else Environment(calendar_threshold=None)
-    resources = [Resource(env) for _ in range(tickers // PER_RESOURCE)]
-    # Versions before Resource.acquire time the same ticks with request().
-    acquire = getattr(Resource, "acquire", Resource.request)
+    env = (sim.Environment() if calendar
+           else sim.Environment(calendar_threshold=None))
+    server = getattr(sim, "Spindle", None)
+    if server is not None:
+        acquire = server.acquire
+    else:
+        # Older versions: a capacity-1 Resource, granted inline by
+        # Resource.acquire where it exists, else by request().
+        server = sim.Resource
+        acquire = getattr(server, "acquire", server.request)
+    servers = [server(env) for _ in range(tickers // PER_SERVER)]
 
     def ticker(env, i):
         # Irrational phases keep tick times distinct, so a tick usually
-        # finds its resource idle and nothing else due at the same time.
+        # finds its server idle and nothing else due at the same time.
         period = 1.0 + (i % 97) * 1e-3
         yield env.timeout(i * 0.6180339887 % 1.0)
         if not shared:
             while env.now < horizon:
                 yield env.timeout(period)
             return
-        resource = resources[i // PER_RESOURCE]
+        spindle = servers[i // PER_SERVER]
         while env.now < horizon:
-            grant = acquire(resource)
+            grant = acquire(spindle)
             try:
                 yield grant
                 yield env.timeout(SERVICE)
             finally:
-                resource.release(grant)
+                spindle.release(grant)
             yield env.timeout(period)
 
     for i in range(tickers):
@@ -102,7 +112,7 @@ def main(argv=None) -> int:
             events, inline = runs[0][1], runs[0][2]
             us = [seconds / events * 1e6 for seconds, _, _ in runs]
             q1, median, q3 = np.percentile(us, [25, 50, 75])
-            name = "resource" if shared else "plain"
+            name = "spindle" if shared else "plain"
             queue = "calendar" if calendar else "heap"
             print(f"{name:<8} {queue:<8} {events:>9,} events  "
                   f"{inline / events:6.1%} inline  "

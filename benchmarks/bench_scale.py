@@ -22,8 +22,14 @@ of the sharded engine at scale, not just a stopwatch.
 
 Usage::
 
-    python benchmarks/bench_scale.py            # 1,000 hosts / 10,000 VMs
-    python benchmarks/bench_scale.py --smoke    # 64 hosts, CI-sized
+    python benchmarks/bench_scale.py              # 1,000 hosts / 10,000 VMs
+    python benchmarks/bench_scale.py --pairs 10   # median and IQR of 10 pairs
+    python benchmarks/bench_scale.py --smoke      # 64 hosts, CI-sized
+
+One pass is one monolithic and one sharded run, and its speedup is the
+ratio of their wall times.  A single pass swings with the machine, so
+``--pairs N`` runs ``N`` passes, alternating which leg goes first, and
+reports the median speedup with its quartiles.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ import gc
 import os
 import sys
 from time import perf_counter
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -131,15 +139,19 @@ def run_sharded(racks: int, hosts_per_rack: int, vms_per_host: int,
 
 
 def compare_once(racks: int, hosts_per_rack: int, vms_per_host: int,
-                 per_rack: int = EVACUATE_PER_RACK) -> dict:
+                 per_rack: int = EVACUATE_PER_RACK,
+                 sharded_first: bool = False) -> dict:
     """One mono + one sharded run of the identical wave; asserts the
     simulated makespans agree to float precision.  The legs build
-    independent testbeds, and ``gc.collect()`` between them keeps the
-    sharded leg from paying GC debt run up by the monolithic one."""
-    mono = run_monolithic(racks, hosts_per_rack, vms_per_host, per_rack)
-    gc.collect()
-    shard = run_sharded(racks, hosts_per_rack, vms_per_host, per_rack)
-    gc.collect()
+    independent testbeds, and ``gc.collect()`` between them keeps either
+    leg from paying GC debt run up by the other."""
+    legs = {}
+    for leg in (("sharded", "mono") if sharded_first
+                else ("mono", "sharded")):
+        run = run_sharded if leg == "sharded" else run_monolithic
+        legs[leg] = run(racks, hosts_per_rack, vms_per_host, per_rack)
+        gc.collect()
+    mono, shard = legs["mono"], legs["sharded"]
     drift = abs(mono["makespan"] - shard["makespan"])
     assert drift < 1e-9, (
         f"sharded diverged from monolithic: makespan "
@@ -158,7 +170,13 @@ def main(argv=None) -> int:
     parser.add_argument("--vms-per-host", type=int, default=None)
     parser.add_argument("--evacuate-per-rack", type=int,
                         default=EVACUATE_PER_RACK)
+    parser.add_argument("--pairs", type=int, default=1,
+                        help="interleaved monolithic/sharded passes; "
+                             "reports the median speedup and its "
+                             "quartiles (default: %(default)s)")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     geo = dict(SMOKE if args.smoke else FULL)
     for key in ("racks", "hosts_per_rack", "vms_per_host"):
@@ -172,8 +190,20 @@ def main(argv=None) -> int:
           f"racks; evacuating {moved} VMs intra-rack "
           f"(+{nvms} background tickers)")
 
-    out = compare_once(per_rack=args.evacuate_per_rack, **geo)
+    speedups = []
+    for i in range(args.pairs):
+        out = compare_once(per_rack=args.evacuate_per_rack,
+                           sharded_first=bool(i % 2), **geo)
+        speedups.append(out["speedup"])
+        if args.pairs > 1:
+            print(f"pair {i + 1}/{args.pairs} "
+                  f"({'sharded' if i % 2 else 'monolithic'} first): "
+                  f"monolithic {out['mono']['wall_s']:.3f} s, "
+                  f"sharded {out['sharded']['wall_s']:.3f} s, "
+                  f"speedup {out['speedup']:.2f}x")
     rows = [("monolithic", out["mono"]), ("sharded", out["sharded"])]
+    if args.pairs > 1:
+        print("last pair:")
     print(f"{'engine':<12} {'wall':>10} {'events':>10} {'ev/s':>10} "
           f"{'sim makespan':>14}")
     for label, res in rows:
@@ -184,6 +214,10 @@ def main(argv=None) -> int:
     print(f"speedup: {out['speedup']:.2f}x "
           f"({out['sharded']['windows']} sync windows); "
           f"makespans identical; byte ledgers conserved on both engines")
+    if args.pairs > 1:
+        q1, median, q3 = np.percentile(speedups, [25, 50, 75])
+        print(f"speedup over {args.pairs} pairs: median {median:.2f}x "
+              f"[{q1:.2f}x, {q3:.2f}x], IQR {q3 - q1:.2f}x")
     return 0
 
 

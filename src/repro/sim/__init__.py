@@ -9,7 +9,7 @@ processes yielding events) but is implemented from scratch here.
 from .engine import Environment
 from .events import AllOf, Event, Interrupt, Timeout, NORMAL, URGENT
 from .process import Process
-from .resources import Request, Resource, Store
+from .resources import Request, Resource, Spindle, Store
 from .sharded import Shard, ShardedEngine
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "Resource",
     "Shard",
     "ShardedEngine",
+    "Spindle",
     "Store",
     "Timeout",
     "URGENT",

@@ -44,7 +44,7 @@ class Environment:
     loop always pops an entry at ``now``.  An entry at ``now`` that is
     the heap head is therefore provably the next event dispatched, and
     :meth:`Process._resume <repro.sim.process.Process._resume>` and
-    :meth:`Resource.acquire <repro.sim.resources.Resource.acquire>`
+    :meth:`Spindle.acquire <repro.sim.resources.Spindle.acquire>`
     dispatch it inline: the event ids, the order and
     :attr:`events_processed` are unchanged, only the heap round trip
     goes.  :meth:`step` never sets ``_sole``, so it never dispatches

@@ -8,7 +8,7 @@ that ``yield`` events; the engine resumes them when the event fires.
 The engine is small, but it is not off the hot path: event dispatch is the
 largest single layer of every benchmark workload (40–61 % of wall time), so
 the per-event paths — ``Timeout`` construction, ``Process._resume``, the
-``Resource`` grant — are written as fast lanes, and an event that is
+``Spindle`` grant — are written as fast lanes, and an event that is
 provably the next one dispatched runs inline (see ``Environment``).  Bulk
 work (bitmaps, block scans) stays in vectorized NumPy.
 """

@@ -1,7 +1,9 @@
-"""Shared-resource primitives: :class:`Resource` and :class:`Store`.
+"""Shared-resource primitives: :class:`Spindle`, :class:`Resource` and
+:class:`Store`.
 
-These model contention — e.g. a physical disk that can serve a bounded
-number of in-flight operations, or a bounded queue of migration messages.
+These model contention — a disk that serves one operation at a time, a
+link wire or a bounded pool of admission slots, a bounded queue of
+migration messages.
 """
 
 from __future__ import annotations
@@ -17,14 +19,120 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Environment
 
 
+class Spindle:
+    """A capacity-1 server that grants in arrival order: a disk spindle.
+
+    A process takes the server with :meth:`acquire`, yields the returned
+    grant as its very next statement (a grant that is already processed
+    may skip that yield), and hands the grant back to :meth:`release`
+    when done (in a ``finally``)::
+
+        grant = spindle.acquire()
+        try:
+            yield grant
+            yield env.timeout(service_time)
+        finally:
+            spindle.release(grant)
+
+    It serves the same order, with the same event ids and the same
+    :attr:`Environment.events_processed <repro.sim.engine.Environment.events_processed>`,
+    as a ``Resource(env, capacity=1)`` whose requests all share one
+    priority, without that class's priority heap, sequence numbers,
+    :class:`Request` objects and tombstones.  A grant is a plain
+    :class:`Event`:
+
+    - **inline**, when the grant is provably the next event the running
+      :meth:`~repro.sim.engine.Environment.run` loop would dispatch —
+      the loop is dispatching an event whose sole callback is the caller,
+      the server is idle (so nobody waits) and no heap entry is due at
+      ``now`` (see ``Environment``, "Inline dispatch").  It takes the
+      event id a pushed grant would have taken and counts as one
+      processed event, but touches no heap: :meth:`acquire` returns an
+      already-processed event, made once per spindle, so the ``yield``
+      continues at once;
+    - **pushed at request time**, when the server is idle but the grant
+      cannot run inline: it is triggered and pushed at ``now`` the way
+      :meth:`Event.succeed` would;
+    - **queued**, when the server is busy: it is triggered by ``succeed()``
+      when the holder ahead of it releases.
+
+    Releasing a grant that is still queued withdraws it (an interrupted
+    or abandoned wait); releasing one that no longer holds the server
+    does nothing.
+    """
+
+    __slots__ = ("env", "busy", "_waiting", "_granted")
+
+    def __init__(self, env: "Environment") -> None:
+        self.env = env
+        #: The grant holding the server, or None while it is idle.
+        self.busy: Optional[Event] = None
+        #: Grants waiting in arrival order, or None while none waits: the
+        #: list is made for the first waiter and dropped with the last, so
+        #: an idle or uncontended spindle holds no queue.
+        self._waiting: Optional[list[Event]] = None
+        #: The already-processed event an inline grant hands out (made on
+        #: first use; one holder at a time, so one event serves them all).
+        self._granted: Optional[Event] = None
+
+    @property
+    def queue_length(self) -> int:
+        """Number of grants waiting for the server."""
+        return 0 if self._waiting is None else len(self._waiting)
+
+    def acquire(self) -> Event:
+        """Claim the server; the caller's next statement yields the grant."""
+        env = self.env
+        if self.busy is None:
+            if env._sole:
+                queue = env._queue
+                if not queue or queue[0][0] > env._now:
+                    env._eid += 1
+                    env.events_processed += 1
+                    granted = self._granted
+                    if granted is None:
+                        granted = self._granted = Event(env)
+                        granted._value = None
+                        granted.callbacks = None
+                    self.busy = granted
+                    return granted
+            grant = self.busy = Event(env)
+            grant._value = None
+            eid = env._eid = env._eid + 1
+            heapq.heappush(env._queue, (env._now, NORMAL, eid, grant))
+            return grant
+        grant = Event(env)
+        if self._waiting is None:
+            self._waiting = [grant]
+        else:
+            self._waiting.append(grant)
+        return grant
+
+    def release(self, grant: Event) -> None:
+        """Return the server (or withdraw a waiting grant)."""
+        if grant is self.busy:
+            waiting = self._waiting
+            if waiting is None:
+                self.busy = None
+            else:
+                head = self.busy = waiting.pop(0)
+                if not waiting:
+                    self._waiting = None
+                head.succeed()
+        elif self._waiting is not None and grant in self._waiting:
+            self._waiting.remove(grant)
+            if not self._waiting:
+                self._waiting = None
+
+
 class Request(Event):
     """A pending claim on a :class:`Resource`; fires when capacity is granted.
 
     Usable as a context manager so that the resource is always released::
 
-        with disk.request() as req:
+        with wire.request() as req:
             yield req
-            yield env.timeout(service_time)
+            yield env.timeout(transmit_time)
     """
 
     __slots__ = ("resource", "priority", "_cancelled")
@@ -60,11 +168,13 @@ class Resource:
     Cancelling a queued request (releasing it before it was granted) is
     *lazy*: the heap entry is left in place, flagged, and skipped when it
     eventually surfaces in :meth:`_grant` — O(log n) instead of the O(n)
-    rebuild-and-reheapify a physical removal would cost.
+    rebuild-and-reheapify a physical removal would cost.  For one server
+    whose requests all share a priority, :class:`Spindle` serves the same
+    order more cheaply.
     """
 
     __slots__ = ("env", "capacity", "users", "_waiting", "_seq",
-                 "_ncancelled", "_granted")
+                 "_ncancelled")
 
     def __init__(self, env: "Environment", capacity: int = 1) -> None:
         if capacity < 1:
@@ -78,10 +188,6 @@ class Resource:
         self._seq = 0
         #: Entries in ``_waiting`` that are lazily-cancelled tombstones.
         self._ncancelled = 0
-        #: The already-processed event :meth:`acquire` hands out for an
-        #: inline grant (made on first use); it stands in :attr:`users`
-        #: for each unit it holds.
-        self._granted: Optional[Event] = None
 
     @property
     def count(self) -> int:
@@ -97,42 +203,8 @@ class Resource:
         """Claim one unit of capacity (lower ``priority`` wins)."""
         return Request(self, priority)
 
-    def acquire(self, priority: int = 0) -> Event:
-        """:meth:`request` for a process whose next statement yields the grant.
-
-        Returns the event to yield and later pass to :meth:`release`.  When
-        the grant is provably the next event the running loop would
-        dispatch — a :meth:`~repro.sim.engine.Environment.run` loop is
-        dispatching an event whose sole callback is the caller, nothing
-        waits here, capacity is free and no heap entry is due at ``now``
-        — the grant happens inline: it takes the event id and sequence
-        number a :class:`Request` would have taken, counts as one
-        processed event, and returns an already-processed event, so the
-        ``yield`` continues at once with no heap round trip.  Otherwise
-        this is exactly ``request(priority)``.
-        """
-        env = self.env
-        if (env._sole and not self._waiting
-                and len(self.users) < self.capacity):
-            queue = env._queue
-            if not queue or queue[0][0] > env._now:
-                env._eid += 1
-                env.events_processed += 1
-                self._seq += 1
-                granted = self._granted
-                if granted is None:
-                    granted = self._granted = Event(env)
-                    granted._value = None
-                    granted.callbacks = None
-                self.users.append(granted)
-                return granted
-        return Request(self, priority)
-
-    def release(self, request: Event) -> None:
-        """Return ``request``'s unit of capacity and grant the next waiter.
-
-        Takes a :class:`Request` or an inline grant from :meth:`acquire`.
-        """
+    def release(self, request: Request) -> None:
+        """Return ``request``'s unit of capacity and grant the next waiter."""
         try:
             self.users.remove(request)
         except ValueError:

@@ -131,14 +131,17 @@ class BackendDriver:
         """Serve one request; ``yield from`` inside a process.
 
         ``guest`` is the domain issuing the request, as
-        :meth:`~repro.vm.domain.Domain.io` passes it.  When the request
-        first runs it then waits while the guest is suspended, moves to
-        the driver of the guest's current host if the guest migrated in
-        between, and, for a write under auto-converge, stretches the
-        request to ``write_throttle ×`` its natural duration.
+        :meth:`~repro.vm.domain.Domain.io` (and its ``read``/``write``
+        forms) pass it.  When the request first runs it then waits while
+        the guest is suspended, moves to the driver of the guest's
+        current host if the guest migrated in between, and, for a write
+        under auto-converge, stretches the request to
+        ``write_throttle ×`` its natural duration.
 
-        This is the one generator frame of a guest I/O: the disk's
-        queue-and-service steps run here rather than in a nested
+        This is the one generator frame of a guest I/O: the disk's two
+        steps, take the spindle and
+        :meth:`~repro.storage.disk.PhysicalDisk.occupy` it, run here
+        rather than in a nested
         :meth:`PhysicalDisk.io <repro.storage.disk.PhysicalDisk.io>`.
         """
         stretch = 0.0
@@ -174,16 +177,15 @@ class BackendDriver:
                 nbytes = request.nblocks * request.block_size
                 grant = spindle.acquire()
                 try:
-                    yield grant
-                    service = disk.service(nbytes, is_write)
-                    yield service
+                    if grant.callbacks is not None:  # else granted inline
+                        yield grant
+                    yield disk.occupy(nbytes, is_write)
                 finally:
                     spindle.release(grant)
-                disk.account(service, nbytes, is_write)
                 self._apply(request, nbytes)
         finally:
             self._inflight -= 1
-            if self._inflight == 0:
+            if self._inflight == 0 and self._drained:
                 drained, self._drained = self._drained, []
                 for event in drained:
                     event.succeed()

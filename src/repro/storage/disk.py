@@ -5,11 +5,18 @@ between them is what produces the paper's Figure 6 (Bonnie++ throughput
 depressed while migration reads the disk at a high rate) and the observation
 that "disk I/O throughput is the bottleneck of the whole system" (§VI-C-3).
 
-The model is a single-server queue: one request is serviced at a time, for
+The model is a single-server queue, :class:`~repro.sim.Spindle`: one
+request is serviced at a time, in arrival order, for
 ``seek_time + nbytes / bandwidth`` seconds.  Guest and migration requests
 all run at one priority: a real spindle privileges neither side, and the
 migration keeps its transfers in modest chunks, so first-come service
 approximates bandwidth sharing.
+
+One operation is two steps on the disk: take :attr:`PhysicalDisk.spindle`,
+then :meth:`PhysicalDisk.occupy` it for the service time.  Migration reads
+run them in :meth:`PhysicalDisk.io`; a guest request runs the same two
+steps inside its one generator frame in
+:meth:`BackendDriver.submit <repro.storage.blkback.BackendDriver.submit>`.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from ..errors import StorageError
-from ..sim import Resource, Timeout
+from ..sim import Spindle, Timeout
 from ..units import MiB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,35 +60,29 @@ class PhysicalDisk:
         self.write_bandwidth = float(write_bandwidth)
         self.seek_time = float(seek_time)
         #: The single server every operation queues for (one at a time).
-        self.spindle = Resource(env, capacity=1)
+        self.spindle = Spindle(env)
         #: Lifetime counters.
         self.bytes_read = 0
         self.bytes_written = 0
         self.ops = 0
         self.busy_time = 0.0
 
-    def service_time(self, nbytes: int, is_write: bool) -> float:
-        """Time to service one operation of ``nbytes`` (excluding queueing)."""
-        bandwidth = self.write_bandwidth if is_write else self.read_bandwidth
-        return self.seek_time + nbytes / bandwidth
+    def occupy(self, nbytes: int, is_write: bool) -> Timeout:
+        """Hold the granted spindle for one operation of ``nbytes``.
 
-    # :meth:`io` is one operation: queue on :attr:`spindle`, occupy it
-    # for :meth:`service`, release it, then :meth:`account`.  The guest
-    # path in blkback runs those same steps inside its own generator
-    # frame instead of nesting a second one.
-
-    def service(self, nbytes: int, is_write: bool) -> Timeout:
-        """Occupy the (granted) spindle for one operation's service time."""
-        return Timeout(self.env, self.service_time(nbytes, is_write))
-
-    def account(self, service: Timeout, nbytes: int, is_write: bool) -> None:
-        """Charge one completed operation to the lifetime counters."""
-        self.busy_time += service.delay
-        self.ops += 1
+        Returns the service timeout (``seek_time + nbytes / bandwidth``) to
+        yield, and charges the operation to the lifetime counters as its
+        service starts.
+        """
         if is_write:
+            delay = self.seek_time + nbytes / self.write_bandwidth
             self.bytes_written += nbytes
         else:
+            delay = self.seek_time + nbytes / self.read_bandwidth
             self.bytes_read += nbytes
+        self.ops += 1
+        self.busy_time += delay
+        return Timeout(self.env, delay)
 
     def io(self, nbytes: int, is_write: bool) -> Generator:
         """Simulate one disk operation; ``yield from`` inside a process.
@@ -96,12 +97,11 @@ class PhysicalDisk:
         spindle = self.spindle
         grant = spindle.acquire()
         try:
-            yield grant
-            service = self.service(nbytes, is_write)
-            yield service
+            if grant.callbacks is not None:  # else granted inline
+                yield grant
+            yield self.occupy(nbytes, is_write)
         finally:
             spindle.release(grant)
-        self.account(service, nbytes, is_write)
 
     def read(self, nbytes: int) -> Generator:
         """Generator helper for a read of ``nbytes``."""

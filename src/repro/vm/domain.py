@@ -115,7 +115,27 @@ class Domain:
     # -- guest operations ------------------------------------------------
 
     def io(self, kind: IOKind, block: int, nblocks: int = 1) -> Generator:
-        """Issue one disk request through the current host's backend driver.
+        """One disk request of ``kind``: :meth:`read` or :meth:`write`."""
+        if kind is IOKind.WRITE:
+            return self.write(block, nblocks)
+        return self.read(block, nblocks)
+
+    # read() and write() each build their request in place: they run
+    # once per guest I/O, where one more call is measurable.
+
+    def read(self, block: int, nblocks: int = 1) -> Generator:
+        """Read ``nblocks`` blocks from ``block``; see :meth:`write`."""
+        driver = self.driver
+        if driver is None:
+            raise MigrationError(f"{self} is not attached to a host")
+        return driver.submit(
+            IORequest(IOKind.READ, block, nblocks, domain_id=self.domain_id,
+                      block_size=driver.vbd.block_size),
+            self)
+
+    def write(self, block: int, nblocks: int = 1) -> Generator:
+        """Write ``nblocks`` blocks from ``block`` through the current
+        host's backend driver.
 
         Returns the request's generator; ``yield from`` it inside a
         process.  The whole guest path runs in that one frame,
@@ -129,15 +149,9 @@ class Domain:
         if driver is None:
             raise MigrationError(f"{self} is not attached to a host")
         return driver.submit(
-            IORequest(kind, block, nblocks, domain_id=self.domain_id,
+            IORequest(IOKind.WRITE, block, nblocks, domain_id=self.domain_id,
                       block_size=driver.vbd.block_size),
             self)
-
-    def read(self, block: int, nblocks: int = 1) -> Generator:
-        return self.io(IOKind.READ, block, nblocks)
-
-    def write(self, block: int, nblocks: int = 1) -> Generator:
-        return self.io(IOKind.WRITE, block, nblocks)
 
     def touch_memory(self, indices: np.ndarray) -> None:
         """Dirty guest pages (no simulated time; CPU work is the caller's)."""

@@ -2,7 +2,7 @@
 
 ``Environment.run`` dispatches an event inline when it is provably the
 next one off the heap (``Process._resume`` continuing into a just-yielded
-event, ``Resource.acquire`` granting an idle resource); ``step()`` never
+event, ``Spindle.acquire`` granting an idle spindle); ``step()`` never
 does.  A randomly generated process program is driven both ways and the
 traces — ``(now, process name, step)`` at every op boundary and resume —
 must match entry for entry, with the same ``events_processed`` and the
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Interrupt, Resource
+from repro.sim import Environment, Interrupt, Resource, Spindle
 
 DELAYS = (0.0, 0.0, 0.0, 0.25, 1.0, 2.5)
 NRES = 2
@@ -70,6 +70,7 @@ class Program:
         self.env = env
         self.trace = []
         self.resources = [Resource(env, capacity=c) for c in capacities]
+        self.spindles = [Spindle(env) for _ in range(NRES)]
         self.signals = [env.event() for _ in range(NSIGNALS)]
         self.started = set()
         #: Whether any op boundary saw the calendar engaged (not traced:
@@ -118,10 +119,12 @@ class Program:
         if kind == "timeout":
             yield env.timeout(op[1])
         elif kind in ("acquire", "request", "spawn_between"):
-            res, prio, hold = self.resources[op[1]], op[2], op[3]
+            prio, hold = op[2], op[3]
             if kind == "acquire":
-                grant = res.acquire(prio)
+                res = self.spindles[op[1]]  # one priority: prio unused
+                grant = res.acquire()
             else:
+                res = self.resources[op[1]]
                 grant = res.request(prio)
                 if kind == "spawn_between":
                     # An URGENT init lands at ``now`` between the request
@@ -230,13 +233,18 @@ CORNERS = {
     # An URGENT init between the request and its yield.
     "spawn_between": [[("spawn_between", 0, 0, 0.0), ("acquire", 0, 0, 0.0)]],
     # Interrupted while queued for the resource, with a priority waiter.
-    "interrupt_waiting": [[("acquire", 0, 0, 2.5)],
-                          [("acquire", 0, 1, 1.0)],
+    "interrupt_waiting": [[("request", 0, 0, 2.5)],
+                          [("request", 0, 1, 1.0)],
                           [("timeout", 1.0), ("interrupt", 1),
-                           ("acquire", 0, 2, 0.0)]],
+                           ("request", 0, 2, 0.0)]],
+    # Interrupted while queued for the spindle, with a waiter behind.
+    "interrupt_waiting_spindle": [[("acquire", 0, 0, 2.5)],
+                                  [("acquire", 0, 0, 1.0)],
+                                  [("timeout", 1.0), ("interrupt", 1),
+                                   ("acquire", 0, 0, 0.0)]],
     # A cancelled request under a zero-delay AllOf.
     "cancel_all_of": [[("cancel", 0, 1, 0.25), ("all_of", (0.0, 0.0))],
-                      [("acquire", 0, 0, 1.0), ("all_of", (0.0, 1.0))]],
+                      [("request", 0, 0, 1.0), ("all_of", (0.0, 1.0))]],
 }
 
 
@@ -269,7 +277,7 @@ class TestRunMatchesStep:
 class TestInlineFires:
     def test_idle_resource_grants_inline(self):
         env = Environment()
-        res = Resource(env)
+        res = Spindle(env)
 
         def user(env):
             grant = res.acquire()
@@ -283,11 +291,11 @@ class TestInlineFires:
         env.process(user(env))
         env.run()
         assert env.events_inline == 1
-        assert res.count == 0 and env.now == 1
+        assert res.busy is None and env.now == 1
 
-    def test_contended_acquire_is_a_request(self):
+    def test_contended_acquire_waits_on_the_heap(self):
         env = Environment()
-        res = Resource(env)
+        res = Spindle(env)
         grants = []
 
         def user(env):
@@ -341,7 +349,7 @@ class TestInlineFires:
 
     def test_step_never_dispatches_inline(self):
         env = Environment()
-        res = Resource(env)
+        res = Spindle(env)
 
         def user(env):
             grant = res.acquire()

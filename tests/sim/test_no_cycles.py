@@ -9,7 +9,7 @@ cyclic collector, which shows up as peak memory on large runs.
 
 import gc
 
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Spindle
 from repro.storage import GenerationClock, PhysicalDisk
 from repro.storage.block import IOKind
 from repro.vm import Domain, GuestMemory, Host
@@ -22,7 +22,7 @@ def _simulate():
     vbd = host.prepare_vbd(1_000)
     domain = Domain(env, GuestMemory(64, clock=clock), name="vm")
     host.attach_domain(domain, vbd)
-    lock = Resource(env, capacity=1)
+    lock = Spindle(env)
 
     def guest(env, first):
         for i in range(20):
@@ -30,19 +30,20 @@ def _simulate():
             yield from domain.io(kind, (first + 7 * i) % 1_000, 2)
             yield env.timeout(0.001)
 
-    def contender(env, prio):
+    def contender(env, hold):
         for _ in range(10):
-            grant = lock.acquire(prio)
+            grant = lock.acquire()
             try:
                 yield grant
-                yield env.timeout(0.002)
+                yield env.timeout(hold)
             finally:
                 lock.release(grant)
             # A migration-style read through the same spindle.
             yield from host.disk.io(4096, is_write=False)
 
     procs = [env.process(guest(env, first)) for first in (0, 500)]
-    procs += [env.process(contender(env, prio)) for prio in (0, 1, 2)]
+    procs += [env.process(contender(env, hold))
+              for hold in (0.002, 0.0, 0.003)]
     env.run()
     assert all(not proc.is_alive for proc in procs)
     assert vbd.nblocks == 1_000 and env.events_inline > 0

@@ -17,8 +17,17 @@ class TestServiceTime:
     def test_read_time(self, env):
         disk = PhysicalDisk(env, read_bandwidth=100 * MiB,
                             write_bandwidth=50 * MiB, seek_time=0.001)
-        assert disk.service_time(100 * MiB, is_write=False) == pytest.approx(1.001)
-        assert disk.service_time(50 * MiB, is_write=True) == pytest.approx(1.001)
+
+        def proc(env):
+            yield from disk.read(100 * MiB)
+            read_done = env.now
+            yield from disk.write(50 * MiB)
+            return read_done, env.now - read_done
+
+        read_s, write_s = env.run(until=env.process(proc(env)))
+        assert read_s == pytest.approx(1.001)
+        assert write_s == pytest.approx(1.001)
+        assert disk.busy_time == pytest.approx(2.002)
 
     def test_invalid_parameters(self, env):
         with pytest.raises(StorageError):

@@ -52,6 +52,56 @@ class TestInflight:
                         "tracked": True}
         assert driver.inflight == 0
 
+    def test_quiesce_wakes_when_the_last_inflight_write_completes(
+            self, env, host, domain):
+        driver = host.driver_of(domain.domain_id)
+        unwaited = driver._drained
+        # Uncontended writes with no one in quiesce() leave the waiter
+        # list alone when the in-flight count returns to zero.
+        env.run(until=env.process(domain.write(0, 256)))
+        assert driver._drained is unwaited and not unwaited
+        woke = []
+
+        def migrator(env):
+            yield env.timeout(0.01)  # both writes are in flight
+            yield from driver.quiesce()
+            woke.append((env.now, driver.inflight))
+
+        start = env.now
+        env.process(domain.write(7, 256))
+        env.process(domain.write(9, 256))
+        env.process(migrator(env))
+        env.run()
+        # The second write queues behind the first on the spindle.
+        assert woke == [(pytest.approx(start + 0.2), 0)]
+        assert not driver._drained
+
+    def test_quiesce_follows_a_request_to_the_new_hosts_driver(
+            self, env, host, domain):
+        old = host.driver_of(domain.domain_id)
+        # The request is built against the old host's driver but first
+        # runs after the domain moved: the new host's driver serves it.
+        write = domain.write(7, 256)
+        target = Host(env, "h1", PhysicalDisk(env, BW, BW, seek_time=0))
+        host.detach_domain(domain.domain_id)
+        new = target.attach_domain(domain, target.prepare_vbd(1000))
+        woke = {}
+
+        def migrator(env, name, driver):
+            yield env.timeout(0.01)
+            woke[name, "inflight"] = driver.inflight
+            yield from driver.quiesce()
+            woke[name] = env.now
+
+        env.process(write)
+        env.process(migrator(env, "old", old))
+        env.process(migrator(env, "new", new))
+        env.run()
+        assert woke == {("old", "inflight"): 0, "old": pytest.approx(0.01),
+                        ("new", "inflight"): 1, "new": pytest.approx(0.1)}
+        assert int(new.vbd.read(7)[0]) > 0 and old.writes == 0
+        assert not new._drained
+
     def test_tracking_overhead_charged_per_tracked_write(self, env, host):
         dom = Domain(env, GuestMemory(16), name="vm")
         driver = host.attach_domain(dom, host.prepare_vbd(1000),
@@ -139,4 +189,6 @@ class TestDiskAccounting:
         assert disk.bytes_read == sum(reads)
         assert disk.bytes_written == sum(writes)
         assert disk.busy_time == pytest.approx(
-            sum(disk.service_time(n, w) for n, w in served), rel=1e-12)
+            sum(disk.seek_time
+                + n / (disk.write_bandwidth if w else disk.read_bandwidth)
+                for n, w in served), rel=1e-12)

@@ -1,7 +1,8 @@
-"""Semantic pins for the guest I/O path (Domain.io -> BackendDriver.submit).
+"""Semantic pins for the guest I/O path (Domain.write/read ->
+BackendDriver.submit).
 
-A guest request runs in one generator frame, built when ``domain.io()``
-is called.  These tests pin what must still happen when the request
+A guest request runs in one generator frame, built when ``domain.write()``
+(or ``read()``/``io()``) is called.  These tests pin what must still happen when the request
 first *runs*: the suspend gate, the choice of host, the auto-converge
 stretch and the detach check.
 """
