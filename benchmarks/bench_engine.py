@@ -1,7 +1,7 @@
 """Event-engine microbenchmark: 10,000 tickers on one Environment.
 
 Each ticker is a process that sleeps a fixed period (a ``Timeout``) and
-ticks again until the horizon.  Four variants:
+ticks again until the horizon.  Three variants:
 
 * ``plain``: every tick is one timeout; no event is dispatched inline.
 * ``spindle``: every 10 tickers share a ``Spindle`` (a capacity-1 FIFO
@@ -11,12 +11,22 @@ ticks again until the horizon.  Four variants:
   checkout that predates ``Spindle`` the variant times the same ticks on
   a capacity-1 ``Resource`` (with ``acquire`` where it has one, else
   ``request()``).
+* ``guest``: the same ticks as real guest writes.  Every 10 tickers are
+  domains attached to one ``Host``, whose ``PhysicalDisk`` takes exactly
+  the ``spindle`` service time per write; a tick is
+  ``yield from domain.write(block, 2)`` through the domain's
+  ``BackendDriver``.  It dispatches the same events as ``spindle``, so
+  the difference between the two is the guest write path: ``Domain``,
+  ``IORequest``, ``BackendDriver.submit`` and ``VirtualBlockDevice.write``.
 
 each with the calendar queue engaged (the default threshold; 10,000
 pending timeouts cross it) and with it off (``calendar_threshold=None``).
 For each variant the benchmark prints the events dispatched, the share of
 them dispatched inline, and the median wall time per event over
-``REPEAT`` passes with its quartiles.
+``REPEAT`` passes with its quartiles.  The passes of the three variants
+alternate; each ``guest`` pass is paired with the ``spindle`` pass just
+before it, and the benchmark prints the median and quartiles of their
+difference per write: what the guest write path costs above the engine.
 
 Run standalone::
 
@@ -39,15 +49,37 @@ import time
 import numpy as np
 
 TICKERS = 10_000
-#: Tickers per shared server in the ``spindle`` variants.
+#: Tickers per shared server in the ``spindle`` and ``guest`` variants.
 PER_SERVER = 10
 HORIZON = 10.0
 SERVICE = 1e-4
 REPEAT = 5
+#: Blocks per VBD in the ``guest`` variant; each write covers two.
+NBLOCKS = 16
+VARIANTS = ("plain", "spindle", "guest")
 
 
-def one_pass(tickers: int, horizon: float, shared: bool, calendar: bool):
-    """Run one variant on a fresh environment; (seconds, events, inline)."""
+def guest_domains(env, tickers: int) -> list:
+    """``tickers`` domains, each on one of ``tickers // PER_SERVER`` hosts
+    whose disk serves any write in exactly :data:`SERVICE` seconds."""
+    from repro.storage import PhysicalDisk
+    from repro.vm import Domain, GuestMemory, Host
+
+    domains = []
+    for k in range(tickers // PER_SERVER):
+        disk = PhysicalDisk(env, float("inf"), float("inf"),
+                            seek_time=SERVICE)
+        host = Host(env, f"h{k}", disk)
+        for j in range(PER_SERVER):
+            domain = Domain(env, GuestMemory(1), name=f"vm{k}-{j}")
+            host.attach_domain(domain, host.prepare_vbd(NBLOCKS))
+            domains.append(domain)
+    return domains
+
+
+def one_pass(tickers: int, horizon: float, variant: str, calendar: bool):
+    """Run one variant on a fresh environment;
+    (seconds, events, inline, ticks)."""
     from repro import sim
 
     env = (sim.Environment() if calendar
@@ -60,33 +92,46 @@ def one_pass(tickers: int, horizon: float, shared: bool, calendar: bool):
         # Resource.acquire where it exists, else by request().
         server = sim.Resource
         acquire = getattr(server, "acquire", server.request)
-    servers = [server(env) for _ in range(tickers // PER_SERVER)]
+    servers = ([server(env) for _ in range(tickers // PER_SERVER)]
+               if variant == "spindle" else None)
+    domains = guest_domains(env, tickers) if variant == "guest" else None
 
     def ticker(env, i):
         # Irrational phases keep tick times distinct, so a tick usually
         # finds its server idle and nothing else due at the same time.
         period = 1.0 + (i % 97) * 1e-3
+        ticks = 0
         yield env.timeout(i * 0.6180339887 % 1.0)
-        if not shared:
+        if variant == "plain":
             while env.now < horizon:
                 yield env.timeout(period)
-            return
-        spindle = servers[i // PER_SERVER]
-        while env.now < horizon:
-            grant = acquire(spindle)
-            try:
-                yield grant
-                yield env.timeout(SERVICE)
-            finally:
-                spindle.release(grant)
-            yield env.timeout(period)
+                ticks += 1
+        elif variant == "spindle":
+            spindle = servers[i // PER_SERVER]
+            while env.now < horizon:
+                grant = acquire(spindle)
+                try:
+                    yield grant
+                    yield env.timeout(SERVICE)
+                finally:
+                    spindle.release(grant)
+                yield env.timeout(period)
+                ticks += 1
+        else:
+            domain = domains[i]
+            block = i % (NBLOCKS - 1)
+            while env.now < horizon:
+                yield from domain.write(block, 2)
+                yield env.timeout(period)
+                ticks += 1
+        return ticks
 
-    for i in range(tickers):
-        env.process(ticker(env, i))
+    procs = [env.process(ticker(env, i)) for i in range(tickers)]
     started = time.perf_counter()
     env.run()
     elapsed = time.perf_counter() - started
-    return elapsed, env.events_processed, getattr(env, "events_inline", 0)
+    return (elapsed, env.events_processed, getattr(env, "events_inline", 0),
+            sum(proc.value for proc in procs))
 
 
 def main(argv=None) -> int:
@@ -104,19 +149,28 @@ def main(argv=None) -> int:
                                 else (TICKERS, HORIZON, REPEAT))
     print(f"{tickers} tickers to t={horizon:g} s, "
           f"median [quartiles] of {repeat}")
-    for shared in (False, True):
-        for calendar in (True, False):
-            one_pass(tickers, horizon, shared, calendar)  # warm-up
-            runs = [one_pass(tickers, horizon, shared, calendar)
-                    for _ in range(repeat)]
-            events, inline = runs[0][1], runs[0][2]
-            us = [seconds / events * 1e6 for seconds, _, _ in runs]
+    for calendar in (True, False):
+        queue = "calendar" if calendar else "heap"
+        for variant in VARIANTS:
+            one_pass(tickers, horizon, variant, calendar)  # warm-up
+        runs = {variant: [] for variant in VARIANTS}
+        for _ in range(repeat):
+            for variant in VARIANTS:
+                runs[variant].append(
+                    one_pass(tickers, horizon, variant, calendar))
+        for variant in VARIANTS:
+            _, events, inline, _ = runs[variant][0]
+            us = [seconds / events * 1e6 for seconds, *_ in runs[variant]]
             q1, median, q3 = np.percentile(us, [25, 50, 75])
-            name = "spindle" if shared else "plain"
-            queue = "calendar" if calendar else "heap"
-            print(f"{name:<8} {queue:<8} {events:>9,} events  "
+            print(f"{variant:<8} {queue:<8} {events:>9,} events  "
                   f"{inline / events:6.1%} inline  "
                   f"{median:.3f} us/event [{q1:.3f}, {q3:.3f}]")
+        writes = runs["guest"][0][3]
+        above = [(guest[0] - spindle[0]) / writes * 1e6
+                 for spindle, guest in zip(runs["spindle"], runs["guest"])]
+        q1, median, q3 = np.percentile(above, [25, 50, 75])
+        print(f"guest    {queue:<8} {writes:>9,} writes  "
+              f"{median:.3f} us/write above spindle [{q1:.3f}, {q3:.3f}]")
     return 0
 
 

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 import numpy as np
 
 from ..bitmap import make_bitmap, union_indices
+from ..errors import NetworkError
 from ..storage.blkback import BackendDriver
 from .config import MigrationConfig
 from .converge import MAX_ITERATIONS as AUTO_CONVERGE_MAX_ITERATIONS
@@ -31,6 +32,7 @@ from .transfer import BlockStreamer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment
+    from ..vm.host import Host
 
 #: Name under which the pre-copy dirty bitmap registers on the driver.
 TRACKING_NAME = "precopy"
@@ -42,6 +44,7 @@ class DiskPreCopier:
     def __init__(
         self,
         env: "Environment",
+        source: "Host",
         driver: BackendDriver,
         streamer: BlockStreamer,
         config: MigrationConfig,
@@ -52,6 +55,10 @@ class DiskPreCopier:
         converge=None,
     ) -> None:
         self.env = env
+        #: The host that owns ``driver``.  A crash of it drops the
+        #: tracking bitmap, so the run fails with
+        #: :class:`~repro.errors.NetworkError` before its next bitmap swap.
+        self.source = source
         self.driver = driver
         self.streamer = streamer
         self.config = config
@@ -94,6 +101,8 @@ class DiskPreCopier:
         """Execute the iterations; returns ``list[IterationStats]``."""
         cfg = self.config
         vbd = self.driver.vbd
+        source = self.source
+        crashes = source.crash_count
 
         # Start tracking *before* the first block is read so no write is
         # ever missed (paper: blkback starts monitoring, then blkd copies).
@@ -157,6 +166,12 @@ class DiskPreCopier:
             if not self._should_continue(record, iteration, escalated):
                 break
 
+            # The last chunk can land after the source died: its send had
+            # already passed the channel's crash check.
+            if source.crash_count != crashes:
+                raise NetworkError(
+                    f"source {source.name!r} crashed during disk pre-copy "
+                    f"iteration {iteration}")
             # Iteration boundary: hand the dirty map to blkd, reset tracking.
             tracking = self._fresh_bitmap()
             old = self.driver.swap_tracking(TRACKING_NAME, tracking)

@@ -232,7 +232,7 @@ class ThreePhaseMigration(MigrationScheme):
 
             block_streamer.chunk_written = confirm_clear
         precopier = DiskPreCopier(
-            env, src_driver, block_streamer, cfg,
+            env, self.source, src_driver, block_streamer, cfg,
             initial_indices=initial_indices,
             abort_requested=lambda: self._abort_requested,
             resume=self.resume, store=store, converge=converge)

@@ -35,6 +35,13 @@ WriteObserver = Callable[[IORequest], None]
 class BackendDriver:
     """Intercepting block backend for one attached domain."""
 
+    # No instance dict: one driver per attached domain, 10,000 at 1,000
+    # hosts, and every guest I/O reads several of these fields.
+    __slots__ = ("env", "disk", "vbd", "_tracking", "interceptor",
+                 "_observers", "tracking_op_overhead", "crashed", "reads",
+                 "writes", "bytes_read", "bytes_written", "_inflight",
+                 "_drained")
+
     def __init__(
         self,
         env: "Environment",
@@ -51,10 +58,10 @@ class BackendDriver:
         self._tracking: dict[str, BlockBitmap] = {}
         #: Post-copy hook; when set, every guest request is routed through it.
         self.interceptor: Optional[Interceptor] = None
-        #: Synchronous write observers (locality analysis, throughput logs).
-        self.write_observers: list[WriteObserver] = []
-        #: Synchronous observers of *every* applied request (trace capture).
-        self.request_observers: list[WriteObserver] = []
+        #: ``(request_observers, write_observers)``, made on first access
+        #: to either list: an unobserved request tests this one field.
+        self._observers: Optional[
+            tuple[list[WriteObserver], list[WriteObserver]]] = None
         #: Extra simulated latency charged per tracked write operation — the
         #: cost of marking the bitmap (Table III's overhead, normally ~0).
         self.tracking_op_overhead = float(tracking_op_overhead)
@@ -69,7 +76,25 @@ class BackendDriver:
         self.bytes_written = 0
         #: Requests submitted but not yet completed.
         self._inflight = 0
-        self._drained: list = []
+        #: Events of :meth:`quiesce` callers; None while nobody waits.
+        self._drained: Optional[list] = None
+
+    # -- observers ---------------------------------------------------------
+
+    @property
+    def request_observers(self) -> list[WriteObserver]:
+        """Synchronous observers of *every* applied request (trace capture)."""
+        return self._observer_lists()[0]
+
+    @property
+    def write_observers(self) -> list[WriteObserver]:
+        """Synchronous write observers (locality analysis, throughput logs)."""
+        return self._observer_lists()[1]
+
+    def _observer_lists(self) -> tuple[list[WriteObserver], list[WriteObserver]]:
+        if self._observers is None:
+            self._observers = ([], [])
+        return self._observers
 
     # -- dirty tracking ------------------------------------------------------
 
@@ -144,6 +169,7 @@ class BackendDriver:
         rather than in a nested
         :meth:`PhysicalDisk.io <repro.storage.disk.PhysicalDisk.io>`.
         """
+        is_write = request.kind is IOKind.WRITE
         stretch = 0.0
         if guest is not None:
             if not guest.running:
@@ -155,7 +181,7 @@ class BackendDriver:
                 request.block_size = driver.vbd.block_size
                 yield from driver.submit(request, guest)
                 return
-            if request.kind is IOKind.WRITE:
+            if is_write:
                 # Auto-converge: QEMU slows the vCPU; stretching the I/O
                 # has the same closed-loop effect on the dirty rate.
                 stretch = guest.write_throttle - 1.0
@@ -167,7 +193,6 @@ class BackendDriver:
             if self.interceptor is not None:
                 handled = yield from self.interceptor(request)
             if not handled:
-                is_write = request.kind is IOKind.WRITE
                 if self._tracking and is_write:
                     overhead = self.tracking_op_overhead
                     if overhead:
@@ -182,11 +207,11 @@ class BackendDriver:
                     yield disk.occupy(nbytes, is_write)
                 finally:
                     spindle.release(grant)
-                self._apply(request, nbytes)
+                self._apply(request, nbytes, is_write)
         finally:
             self._inflight -= 1
             if self._inflight == 0 and self._drained:
-                drained, self._drained = self._drained, []
+                drained, self._drained = self._drained, None
                 for event in drained:
                     event.succeed()
         if stretch:
@@ -209,6 +234,8 @@ class BackendDriver:
         """
         while self._inflight > 0:
             event = self.env.event()
+            if self._drained is None:
+                self._drained = []
             self._drained.append(event)
             yield event
 
@@ -227,20 +254,25 @@ class BackendDriver:
         Split out so the post-copy path can perform the disk timing itself
         (e.g. after a pulled block arrives) and then apply.
         """
-        self._apply(request, request.nbytes)
+        self._apply(request, request.nbytes, request.kind is IOKind.WRITE)
 
-    def _apply(self, request: IORequest, nbytes: int) -> None:
-        """:meth:`apply` with the request's byte count already computed."""
+    def _apply(self, request: IORequest, nbytes: int, is_write: bool) -> None:
+        """:meth:`apply` with the request's byte count and kind already
+        computed."""
         if self.crashed:
             return
-        for observer in self.request_observers:
-            observer(request)
-        if request.kind is IOKind.WRITE:
-            self.vbd.write(request.block, request.nblocks)
-            for bitmap in self._tracking.values():
-                bitmap.set_range(request.block, request.nblocks)
-            for observer in self.write_observers:
+        observers = self._observers
+        if observers is not None:
+            for observer in observers[0]:
                 observer(request)
+        if is_write:
+            self.vbd.write(request.block, request.nblocks)
+            if self._tracking:
+                for bitmap in self._tracking.values():
+                    bitmap.set_range(request.block, request.nblocks)
+            if observers is not None:
+                for observer in observers[1]:
+                    observer(request)
             self.writes += 1
             self.bytes_written += nbytes
         else:

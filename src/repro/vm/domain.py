@@ -34,6 +34,12 @@ class DomainState(enum.Enum):
 class Domain:
     """One virtual machine."""
 
+    # No instance dict: 10,000 domains at 1,000 hosts, and every guest
+    # I/O reads several of these fields.
+    __slots__ = ("env", "memory", "cpu", "name", "domain_id", "running",
+                 "write_throttle", "host", "driver", "_resumed",
+                 "suspended_at", "resumed_at")
+
     _next_id = 1
 
     def __init__(
@@ -52,7 +58,9 @@ class Domain:
             domain_id = Domain._next_id
             Domain._next_id += 1
         self.domain_id = domain_id
-        self.state = DomainState.RUNNING
+        #: False while suspended: the execution gate every guest I/O
+        #: tests (a plain field, read once per request).
+        self.running = True
         #: Auto-converge write throttle (1.0 = unthrottled).  When > 1,
         #: every guest write takes ``factor ×`` its unthrottled duration
         #: end-to-end, scaling a closed-loop writer's dirty rate by
@@ -80,24 +88,24 @@ class Domain:
         return self.host.vbd_of(self.domain_id)
 
     @property
-    def running(self) -> bool:
-        return self.state is DomainState.RUNNING
+    def state(self) -> DomainState:
+        return DomainState.RUNNING if self.running else DomainState.SUSPENDED
 
     # -- lifecycle -------------------------------------------------------
 
     def suspend(self) -> None:
         """Pause execution (start of freeze-and-copy)."""
-        if self.state is not DomainState.RUNNING:
+        if not self.running:
             raise MigrationError(f"{self} is already suspended")
-        self.state = DomainState.SUSPENDED
+        self.running = False
         self.suspended_at = self.env.now
         self._resumed = self.env.event()
 
     def resume(self) -> None:
         """Continue execution (on whichever host the domain is attached to)."""
-        if self.state is not DomainState.SUSPENDED:
+        if self.running:
             raise MigrationError(f"{self} is not suspended")
-        self.state = DomainState.RUNNING
+        self.running = True
         self.resumed_at = self.env.now
         resumed, self._resumed = self._resumed, None
         if resumed is not None:
@@ -109,7 +117,7 @@ class Domain:
         Workload code calls this before every operation; the accumulated
         blocking is the guest-visible downtime.
         """
-        while self.state is DomainState.SUSPENDED:
+        while not self.running:
             yield self._resumed
 
     # -- guest operations ------------------------------------------------
@@ -120,8 +128,9 @@ class Domain:
             return self.write(block, nblocks)
         return self.read(block, nblocks)
 
-    # read() and write() each build their request in place: they run
-    # once per guest I/O, where one more call is measurable.
+    # read() and write() each build their request in place, with
+    # positional arguments: they run once per guest I/O, where one more
+    # call or keyword is measurable.
 
     def read(self, block: int, nblocks: int = 1) -> Generator:
         """Read ``nblocks`` blocks from ``block``; see :meth:`write`."""
@@ -129,8 +138,8 @@ class Domain:
         if driver is None:
             raise MigrationError(f"{self} is not attached to a host")
         return driver.submit(
-            IORequest(IOKind.READ, block, nblocks, domain_id=self.domain_id,
-                      block_size=driver.vbd.block_size),
+            IORequest(IOKind.READ, block, nblocks, self.domain_id,
+                      driver.vbd.block_size),
             self)
 
     def write(self, block: int, nblocks: int = 1) -> Generator:
@@ -149,8 +158,8 @@ class Domain:
         if driver is None:
             raise MigrationError(f"{self} is not attached to a host")
         return driver.submit(
-            IORequest(IOKind.WRITE, block, nblocks, domain_id=self.domain_id,
-                      block_size=driver.vbd.block_size),
+            IORequest(IOKind.WRITE, block, nblocks, self.domain_id,
+                      driver.vbd.block_size),
             self)
 
     def touch_memory(self, indices: np.ndarray) -> None:

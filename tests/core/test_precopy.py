@@ -15,7 +15,7 @@ def make_precopier(bed, config=None, initial=None):
     dest_vbd = bed.destination.prepare_vbd(bed.vbd.nblocks)
     streamer = BlockStreamer(bed.env, bed.source.disk, bed.vbd,
                              bed.destination.disk, dest_vbd, fwd, cfg)
-    return DiskPreCopier(bed.env, driver, streamer, cfg,
+    return DiskPreCopier(bed.env, bed.source, driver, streamer, cfg,
                          initial_indices=initial), dest_vbd, driver
 
 
@@ -123,3 +123,55 @@ class TestIncrementalFirstIteration:
 
         iterations = bed.env.run(until=bed.env.process(proc(bed.env)))
         assert iterations[0].units_sent == 0
+
+
+class TestSourceCrashAtIterationEnd:
+    """A source crash after the last send of an iteration but before the
+    destination writes its last chunk: the channel's crash check has
+    passed, the crash dropped the tracking bitmap, and the iteration ends
+    above the dirty threshold.  The attempt must fail as MigrationFailed
+    naming the crash, not escape the run as a StorageError from the
+    bitmap swap."""
+
+    @staticmethod
+    def crash_on_last_chunk(bed, monkeypatch, restart):
+        from repro.core import tpm
+
+        last = bed.vbd.nblocks - 1
+        crashed = []
+
+        def hook(indices):
+            if not crashed and int(indices[-1]) == last:
+                crashed.append(bed.env.now)
+                bed.source.crash()
+                if restart:
+                    bed.source.restart()
+
+        def streamer(*args, **kwargs):
+            made = BlockStreamer(*args, **kwargs)
+            made.chunk_written = hook
+            return made
+
+        monkeypatch.setattr(tpm, "BlockStreamer", streamer)
+        return crashed
+
+    @pytest.mark.parametrize("restart", [False, True],
+                             ids=["permanent", "restarted"])
+    def test_attempt_fails_as_migration_failed(self, bed, monkeypatch,
+                                               restart):
+        from repro.errors import MigrationFailed
+
+        crashed = self.crash_on_last_chunk(bed, monkeypatch, restart)
+        bed.random_writer(region=(0, 500), interval=0.002, seed=3)
+        proc = bed.migrator.migrate_process(bed.domain, bed.destination)
+        with pytest.raises(MigrationFailed,
+                           match="source 'source' crashed during disk "
+                                 "pre-copy iteration 1") as failed:
+            bed.env.run(until=proc)
+        assert len(crashed) == 1
+        report = failed.value.report
+        assert report.extra["failed_phase"] == "precopy-disk"
+        assert len(report.disk_iterations) == 0  # never returned
+        assert bed.domain.host is bed.source
+        assert bed.source.crashed is not restart
+        assert bed.domain.running is restart

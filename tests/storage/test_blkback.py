@@ -14,6 +14,7 @@ from repro.storage import (
     write,
 )
 from repro.units import MiB
+from repro.vm import Domain, GuestMemory, Host
 
 
 @pytest.fixture
@@ -164,6 +165,35 @@ class TestObservers:
         run_request(env, driver, write(4, 2))
         run_request(env, driver, read(4, 2))
         assert log == [(4, 2)]
+
+    def test_observers_added_after_traffic_see_later_requests(self, env):
+        # The lists are made on first access: a driver that has already
+        # served requests unobserved must still notify late observers.
+        host = Host(env, "h0")
+        dom = Domain(env, GuestMemory(4))
+        driver = host.attach_domain(dom, host.prepare_vbd(100))
+        env.run(until=env.process(dom.write(0, 2)))
+        requests, writes = [], []
+        driver.request_observers.append(lambda r: requests.append(r.block))
+        driver.write_observers.append(lambda r: writes.append(r.block))
+        env.run(until=env.process(dom.write(7, 2)))
+        env.run(until=env.process(dom.read(9)))
+        assert requests == [7, 9] and writes == [7]
+        assert driver.writes == 2 and driver.reads == 1
+
+    def test_removed_observer_is_not_called(self, env, driver):
+        log = []
+        observer = log.append
+        driver.write_observers.append(observer)
+        driver.write_observers.remove(observer)
+        run_request(env, driver, write(4, 2))
+        assert log == [] and driver.writes == 1
+
+
+class TestSlots:
+    def test_undeclared_attribute_rejected(self, driver):
+        with pytest.raises(AttributeError):
+            driver.write_observer = []  # typo of write_observers
 
 
 class TestRequestTypes:

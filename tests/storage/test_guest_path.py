@@ -173,7 +173,8 @@ class TestDiskAccounting:
         streamer = BlockStreamer(env, disk, bed.vbd, bed.destination.disk,
                                  bed.destination.prepare_vbd(bed.vbd.nblocks),
                                  fwd, bed.config)
-        precopier = DiskPreCopier(env, driver, streamer, bed.config)
+        precopier = DiskPreCopier(env, bed.source, driver, streamer,
+                                  bed.config)
 
         def migration(env):
             return (yield from precopier.run())

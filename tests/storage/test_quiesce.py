@@ -104,3 +104,30 @@ class TestInflight:
         env.run()
         assert state["stamp"] > 0
         assert state["tracked"]
+
+
+class TestNoWaiter:
+    def test_quiesce_on_a_driver_that_never_had_a_waiter(self, env, driver):
+        # Nothing in flight: quiesce returns without making an event.
+        def idle(env):
+            yield from driver.quiesce()
+            return env.now
+
+        assert env.run(until=env.process(idle(env))) == 0.0
+
+        # Requests drained before anyone waited leave no waiter behind,
+        # and a later quiesce still wakes on the next drain.
+        def traffic(env):
+            yield from driver.submit(write(0, 256))  # 1 MiB -> 0.1 s
+
+        env.run(until=env.process(traffic(env)))
+        woke = []
+
+        def late(env):
+            yield env.timeout(0.05)
+            yield from driver.quiesce()
+            woke.append(env.now)
+
+        env.process(traffic(env))
+        env.run(until=env.process(late(env)))
+        assert woke == [pytest.approx(0.2)] and driver.inflight == 0

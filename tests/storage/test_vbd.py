@@ -47,6 +47,34 @@ class TestGeometry:
             disk.write(0, 0)
 
 
+class TestShortWritePath:
+    """Stamps-only writes of up to 8 blocks take a short path; it must
+    behave exactly as the checked ``arange`` path does."""
+
+    @pytest.mark.parametrize("block, nblocks", [(-1, 1), (0, 0), (0, -2),
+                                                (9, 2), (10, 1), (3, 8)])
+    def test_bad_extent_raises_the_checked_message(self, block, nblocks):
+        disk = VirtualBlockDevice(10)
+        with pytest.raises(StorageError) as checked:
+            disk._check_extent(block, nblocks)
+        with pytest.raises(StorageError) as short:
+            disk.write(block, nblocks)
+        assert str(short.value) == str(checked.value)
+        assert disk.clock.current == 1  # no stamp issued
+        assert not disk.read(0, 10).any()
+
+    @pytest.mark.parametrize("nblocks", range(1, 10))
+    def test_same_stamps_and_clock_as_the_arange_path(self, nblocks):
+        # A byte-backed device always takes the arange path.
+        short = VirtualBlockDevice(20, clock=GenerationClock(41))
+        full = VirtualBlockDevice(20, clock=GenerationClock(41), data=True)
+        for disk in (short, full):
+            assert disk.write(3, nblocks) == 41
+            assert disk.write(5, nblocks) == 41 + nblocks
+        assert short.snapshot().tolist() == full.snapshot().tolist()
+        assert short.clock.current == full.clock.current == 41 + 2 * nblocks
+
+
 class TestWriteRead:
     def test_fresh_disk_is_all_zero_generation(self):
         disk = VirtualBlockDevice(5)

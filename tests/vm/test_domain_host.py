@@ -68,6 +68,10 @@ class TestPlacement:
 
 
 class TestLifecycle:
+    def test_undeclared_attribute_rejected(self, domain):
+        with pytest.raises(AttributeError):
+            domain.runing = False  # typo of running
+
     def test_suspend_resume_cycle(self, env, domain):
         assert domain.running
         domain.suspend()
