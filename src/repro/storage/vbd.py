@@ -119,26 +119,15 @@ class VirtualBlockDevice:
         unless an explicit ``payload`` (shape ``(nblocks, block_size)``) is
         given.
         """
-        if (self._data is None and 0 <= block and 0 < nblocks <= 8
-                and block + nblocks <= self.nblocks):
-            # The short stamps-only extents guest writes overwhelmingly
-            # are: scalar stores straight from the clock, ~2x cheaper than
-            # materialising an arange, and no range object for one or two
-            # blocks.  Anything else, bad extents included, takes the
-            # checked path below.
-            clock = self.clock
-            first = clock._next
-            clock._next = first + nblocks
-            gen = self._gen
-            gen[block] = first
-            if nblocks == 2:
-                gen[block + 1] = first + 1
-            elif nblocks > 2:
-                for i in range(1, nblocks):
-                    gen[block + i] = first + i
-            return first
         self._check_extent(block, nblocks)
         first = self.clock.tick(nblocks)
+        if self._data is None and nblocks <= 8:
+            # Scalar stamp stores: ~2x cheaper than materialising an arange
+            # for the short extents guest writes overwhelmingly are.
+            gen = self._gen
+            for i in range(nblocks):
+                gen[block + i] = first + i
+            return first
         self._gen[block:block + nblocks] = np.arange(
             first, first + nblocks, dtype=np.uint64)
         if self._data is not None:
