@@ -21,12 +21,21 @@ ticks again until the horizon.  Three variants:
 
 each with the calendar queue engaged (the default threshold; 10,000
 pending timeouts cross it) and with it off (``calendar_threshold=None``).
-For each variant the benchmark prints the events dispatched, the share of
-them dispatched inline, and the median wall time per event over
-``REPEAT`` passes with its quartiles.  The passes of the three variants
-alternate; each ``guest`` pass is paired with the ``spindle`` pass just
-before it, and the benchmark prints the median and quartiles of their
-difference per write: what the guest write path costs above the engine.
+``plain`` is timed under each form of ``Environment.run``:
+
+* ``run()``: until no events remain;
+* ``until=t``: ``run(until=t)`` for a ``t`` past every ticker's last tick;
+* ``until=event``: ``run(until=<AllOf of the tickers>)``.
+
+Every ``plain`` pass builds that ``AllOf``, so the three forms dispatch
+the same events; the benchmark exits 1 if they do not.  ``spindle`` and
+``guest`` are timed under ``run()``.  For each leg the benchmark prints
+the events dispatched, the share of them dispatched inline, and the
+median wall time per event over ``REPEAT`` passes with its quartiles.
+The passes of the five legs alternate; each ``guest`` pass is paired
+with the ``spindle`` pass just before it, and the benchmark prints the
+median and quartiles of their difference per write: what the guest
+write path costs above the engine.
 
 Run standalone::
 
@@ -56,7 +65,11 @@ SERVICE = 1e-4
 REPEAT = 5
 #: Blocks per VBD in the ``guest`` variant; each write covers two.
 NBLOCKS = 16
-VARIANTS = ("plain", "spindle", "guest")
+#: The ways ``Environment.run`` is called; ``plain`` runs under each.
+FORMS = ("run()", "until=t", "until=event")
+#: (variant, run form) legs; ``guest`` directly follows ``spindle``.
+LEGS = tuple(("plain", form) for form in FORMS) + (
+    ("spindle", "run()"), ("guest", "run()"))
 
 
 def guest_domains(env, tickers: int) -> list:
@@ -77,8 +90,9 @@ def guest_domains(env, tickers: int) -> list:
     return domains
 
 
-def one_pass(tickers: int, horizon: float, variant: str, calendar: bool):
-    """Run one variant on a fresh environment;
+def one_pass(tickers: int, horizon: float, variant: str, form: str,
+             calendar: bool):
+    """Run one variant under one run form on a fresh environment;
     (seconds, events, inline, ticks)."""
     from repro import sim
 
@@ -127,8 +141,16 @@ def one_pass(tickers: int, horizon: float, variant: str, calendar: bool):
         return ticks
 
     procs = [env.process(ticker(env, i)) for i in range(tickers)]
+    until = None
+    if variant == "plain":
+        done = env.all_of(procs)
+        if form == "until=t":
+            # Past every last tick: a ticker's period is under 1.1 s.
+            until = horizon + 2.0
+        elif form == "until=event":
+            until = done
     started = time.perf_counter()
-    env.run()
+    env.run(until=until)
     elapsed = time.perf_counter() - started
     return (elapsed, env.events_processed, getattr(env, "events_inline", 0),
             sum(proc.value for proc in procs))
@@ -151,25 +173,30 @@ def main(argv=None) -> int:
           f"median [quartiles] of {repeat}")
     for calendar in (True, False):
         queue = "calendar" if calendar else "heap"
-        for variant in VARIANTS:
-            one_pass(tickers, horizon, variant, calendar)  # warm-up
-        runs = {variant: [] for variant in VARIANTS}
+        for leg in LEGS:
+            one_pass(tickers, horizon, *leg, calendar)  # warm-up
+        runs = {leg: [] for leg in LEGS}
         for _ in range(repeat):
-            for variant in VARIANTS:
-                runs[variant].append(
-                    one_pass(tickers, horizon, variant, calendar))
-        for variant in VARIANTS:
-            _, events, inline, _ = runs[variant][0]
-            us = [seconds / events * 1e6 for seconds, *_ in runs[variant]]
+            for leg in LEGS:
+                runs[leg].append(one_pass(tickers, horizon, *leg, calendar))
+        counts = {(events, ticks) for leg in LEGS if leg[0] == "plain"
+                  for _, events, _, ticks in runs[leg]}
+        if len(counts) != 1:
+            print(f"the run forms dispatch different events: {counts}")
+            return 1
+        for leg in LEGS:
+            _, events, inline, _ = runs[leg][0]
+            us = [seconds / events * 1e6 for seconds, *_ in runs[leg]]
             q1, median, q3 = np.percentile(us, [25, 50, 75])
-            print(f"{variant:<8} {queue:<8} {events:>9,} events  "
+            print(f"{leg[0]:<8} {leg[1]:<12} {queue:<8} {events:>9,} events  "
                   f"{inline / events:6.1%} inline  "
                   f"{median:.3f} us/event [{q1:.3f}, {q3:.3f}]")
-        writes = runs["guest"][0][3]
-        above = [(guest[0] - spindle[0]) / writes * 1e6
-                 for spindle, guest in zip(runs["spindle"], runs["guest"])]
+        spindle, guest = runs[("spindle", "run()")], runs[("guest", "run()")]
+        writes = guest[0][3]
+        above = [(after[0] - before[0]) / writes * 1e6
+                 for before, after in zip(spindle, guest)]
         q1, median, q3 = np.percentile(above, [25, 50, 75])
-        print(f"guest    {queue:<8} {writes:>9,} writes  "
+        print(f"guest    {'':<12} {queue:<8} {writes:>9,} writes  "
               f"{median:.3f} us/write above spindle [{q1:.3f}, {q3:.3f}]")
     return 0
 

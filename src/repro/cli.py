@@ -284,10 +284,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     Each seed drives a randomized-but-reproducible fault schedule
     (partitions, link flaps, host crashes) against a cluster running a
-    migration wave with retry + health tracking on, then asserts byte
-    conservation, placement integrity, bitmap coverage,
-    surrogate-leak freedom and attempt accounting.  Exit code 1 (with the seed printed) on any
-    violation, so CI failures replay exactly.
+    migration wave with retry + health tracking on, then asserts the
+    six invariant families: byte conservation, placement integrity,
+    bitmap coverage, surrogate-leak freedom, attempt accounting and
+    consistency verification.  Exit code 1 (with the seed printed) on
+    any violation, so CI failures replay exactly.
     """
     from .cluster.chaos import ChaosConfig, run_chaos
     from .core import RetryPolicy

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Iterable, Optional
 
 from ..errors import SimulationError, StaleSchedulingError
@@ -32,17 +33,18 @@ class Environment:
     code can call them unconditionally at zero recording cost.  Install
     live instances with :func:`repro.obs.install` to start recording.
 
-    **Inline dispatch.**  The three dispatch loops in :meth:`run` keep
-    their bodies inline (local bindings; the loop runs once per event and
-    dominates wall-clock at cluster scale), and each records in
+    **Inline dispatch.**  :meth:`run` has one dispatch loop for all its
+    forms, with its body inline (local bindings; the loop runs once per
+    event and dominates wall-clock at cluster scale), and it records in
     :attr:`_sole` whether the event it is dispatching has exactly one
     callback.  While that holds and the callback is a running process,
-    the next thing the loop would do is pop the heap head: far calendar
-    buckets only hold times later than ``now``, a ``run(until=<event>)``
-    stop hook would be a second callback (so ``_sole`` is false while it
-    is present), and ``now <= horizon`` under ``run(until=<t>)``, so the
-    loop always pops an entry at ``now``.  An entry at ``now`` that is
-    the heap head is therefore provably the next event dispatched, and
+    the next thing the loop would do is pop the heap head: the stop
+    flag of ``run(until=<event>)`` is set only by a stop hook, which
+    would be a second callback (so ``_sole`` is false while it runs),
+    far calendar buckets only hold times later than ``now``, and
+    ``now <= horizon``, so the loop always pops an entry at ``now``.  An
+    entry at ``now`` that is the heap head is therefore provably the
+    next event dispatched, and
     :meth:`Process._resume <repro.sim.process.Process._resume>` and
     :meth:`Spindle.acquire <repro.sim.resources.Spindle.acquire>`
     dispatch it inline: the event ids, the order and
@@ -94,7 +96,7 @@ class Environment:
         self._cal_k = 0
         self._cal_threshold = int(calendar_threshold or 0)
         self._eid = 0
-        #: True while a :meth:`run` loop dispatches an event with exactly
+        #: True while the :meth:`run` loop dispatches an event with exactly
         #: one callback (see "Inline dispatch" above); never set by
         #: :meth:`step`.
         self._sole = False
@@ -107,7 +109,7 @@ class Environment:
         #: kept as a plain int so the hot loop stays cheap either way).
         self.events_processed = 0
         #: Of those, the events dispatched off the heap by :meth:`step`
-        #: or a :meth:`run` loop (the rest were dispatched inline).
+        #: or the :meth:`run` loop (the rest were dispatched inline).
         self._popped = 0
 
     # -- clock ---------------------------------------------------------------
@@ -170,17 +172,22 @@ class Environment:
             bucket.append(entry)
         self._far_count += 1
 
-    def _pull_far(self, limit_key: Optional[int] = None) -> bool:
+    def _pull_far(self, horizon: float = math.inf) -> bool:
         """Merge the earliest far bucket into the near heap.
 
-        Returns False (and merges nothing) when no buckets remain or the
-        earliest bucket's key exceeds ``limit_key``.  The near heap's list
-        identity is preserved — the inlined ``_run`` loops hold an alias.
+        Returns False (and merges nothing) when no buckets remain or, for
+        a finite ``horizon``, the earliest bucket's key exceeds
+        ``int(horizon / width)``.  ``int(t / width)`` is monotone in
+        ``t``, so every event at or before the horizon lives in a bucket
+        keyed at or before that bound: pulling up to it never strands an
+        in-horizon event in the far calendar.  The near heap's list
+        identity is preserved — the inlined :meth:`run` loop holds an
+        alias.
         """
         if not self._far_count:
             return False
         key = self._far_keys[0]
-        if limit_key is not None and key > limit_key:
+        if horizon < math.inf and key > int(horizon / self._cal_width):
             return False
         heapq.heappop(self._far_keys)
         bucket = self._far.pop(key)
@@ -235,7 +242,7 @@ class Environment:
         self._cal_k = 0
 
     def _maybe_adapt(self) -> None:
-        """Periodic load check from the dispatch loops: engage the calendar
+        """Periodic load check from the dispatch loop: engage the calendar
         above the threshold, drop back to the plain heap when the pending
         set shrinks below ``_CAL_LO``."""
         if self._cal_width:
@@ -277,87 +284,38 @@ class Environment:
 
         * ``until=None`` — run until no events remain.
         * ``until=<number>`` — run until the clock reaches that time.
+          ``until=math.inf`` is ``until=None``: it runs until no events
+          remain and leaves the clock at the last event dispatched.
         * ``until=<Event>`` — run until that event is processed and return
           its value (raising if it failed).
-        """
-        return self._run(until)
 
-    def _run(self, until: "float | Event | None") -> Any:
+        One loop serves all three forms: it dispatches while the stop
+        event (if any) is unprocessed and the queue head is at or before
+        the horizon (``until`` as a number, else ``inf``).
+        """
+        horizon = math.inf
+        stopped = False
+        if isinstance(until, Event):
+            if until.callbacks is None:  # already processed
+                stopped = True
+            else:
+                def stop(_event: Event) -> None:
+                    nonlocal stopped
+                    stopped = True
+                until.callbacks.append(stop)
+        elif until is not None:
+            horizon = float(until)
+            if not horizon >= self._now:  # also rejects NaN
+                raise StaleSchedulingError(
+                    f"cannot run until {horizon!r}; clock is already at "
+                    f"{self._now!r}")
+
         queue = self._queue
         heappop = heapq.heappop
         processed = 0
-
-        if until is None:
-            try:
-                while queue or self._far_count:
-                    while queue:
-                        when, _prio, _eid, event = heappop(queue)
-                        self._now = when
-                        processed += 1
-                        callbacks, event.callbacks = event.callbacks, None
-                        self._sole = len(callbacks) == 1
-                        for callback in callbacks:
-                            callback(event)
-                        if not event._ok and not event._defused:
-                            if isinstance(event._value, BaseException):
-                                raise event._value
-                            raise SimulationError(
-                                f"unhandled event failure: {event._value!r}")
-                        if not processed & 2047:
-                            self._maybe_adapt()
-                    if not self._pull_far():
-                        break
-            finally:
-                self._sole = False
-                self.events_processed += processed
-                self._popped += processed
-            return None
-
-        if isinstance(until, Event):
-            stop_event = until
-            if stop_event.callbacks is not None:  # not yet processed
-                done = [False]
-                stop_event.callbacks.append(
-                    lambda _e: done.__setitem__(0, True))
-                try:
-                    while not done[0]:
-                        if not queue and not self._pull_far():
-                            raise SimulationError(
-                                f"run(until={stop_event!r}) but the event "
-                                f"queue drained first")
-                        when, _prio, _eid, event = heappop(queue)
-                        self._now = when
-                        processed += 1
-                        callbacks, event.callbacks = event.callbacks, None
-                        self._sole = len(callbacks) == 1
-                        for callback in callbacks:
-                            callback(event)
-                        if not event._ok and not event._defused:
-                            if isinstance(event._value, BaseException):
-                                raise event._value
-                            raise SimulationError(
-                                f"unhandled event failure: {event._value!r}")
-                        if not processed & 2047:
-                            self._maybe_adapt()
-                finally:
-                    self._sole = False
-                    self.events_processed += processed
-                    self._popped += processed
-            if not stop_event._ok:
-                # Defuse in the already-processed case too: raising here
-                # hands the failure to the caller, so the watchdog in
-                # step() must not surface it a second time.
-                stop_event.defuse()
-                raise stop_event.value
-            return stop_event.value
-
-        horizon = float(until)
-        if horizon < self._now:
-            raise StaleSchedulingError(
-                f"cannot run until {horizon!r}; clock is already at {self._now!r}")
         try:
             while True:
-                while queue and queue[0][0] <= horizon:
+                while not stopped and queue and queue[0][0] <= horizon:
                     when, _prio, _eid, event = heappop(queue)
                     self._now = when
                     processed += 1
@@ -372,26 +330,34 @@ class Environment:
                             f"unhandled event failure: {event._value!r}")
                     if not processed & 2047:
                         self._maybe_adapt()
-                # int(t / width) is monotone in t, so every event at or
-                # before the horizon lives in a bucket keyed at or before
-                # int(horizon / width); pulling up to that key can never
-                # strand an in-horizon event in the far calendar.
-                width = self._cal_width
-                if not width or not self._pull_far(int(horizon / width)):
+                if stopped or not self._pull_far(horizon):
                     break
         finally:
             self._sole = False
             self.events_processed += processed
             self._popped += processed
-        self._now = horizon
-        width = self._cal_width
-        if width:
-            # The clock jumped past dispatched events, so re-anchor the
-            # current-bucket key: triggered events insert at ``now`` on the
-            # near heap, which is only order-safe while no far bucket at or
-            # before ``int(now / width)`` exists (all such buckets were
-            # pulled above).
-            key = int(horizon / width)
-            if key > self._cal_k:
-                self._cal_k = key
+
+        if isinstance(until, Event):
+            if not stopped:
+                raise SimulationError(
+                    f"run(until={until!r}) but the event queue drained first")
+            if not until._ok:
+                # Defuse in the already-processed case too: raising here
+                # hands the failure to the caller, so the watchdog in
+                # step() must not surface it a second time.
+                until.defuse()
+                raise until.value
+            return until.value
+        if horizon < math.inf:
+            self._now = horizon
+            width = self._cal_width
+            if width:
+                # The clock jumped past dispatched events, so re-anchor the
+                # current-bucket key: triggered events insert at ``now`` on
+                # the near heap, which is only order-safe while no far
+                # bucket at or before ``int(now / width)`` exists (all such
+                # buckets were pulled above).
+                key = int(horizon / width)
+                if key > self._cal_k:
+                    self._cal_k = key
         return None

@@ -40,6 +40,7 @@ scenario produce identical states, reports, and byte ledgers.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Optional
 
 from ..errors import SimulationError
@@ -186,16 +187,9 @@ class ShardedEngine:
             # No possible cross-shard influence (send() requires a
             # registered source, and there are none): run each shard's
             # whole remaining span in one hot pass.
-            self.windows += 1
-            if until is None:
-                for shard in shards:
-                    shard.env.run()
-                return True
-            for shard in shards:
-                if shard.env.now < until or shard.env.peek() <= until:
-                    shard.env.run(until=float(until))
-            return True
-        horizon = t_next + self.lookahead
+            horizon = math.inf
+        else:
+            horizon = t_next + self.lookahead
         if until is not None and horizon > until:
             horizon = float(until)
         self.windows += 1

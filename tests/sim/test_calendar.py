@@ -8,6 +8,7 @@ cancelled resource requests sitting in a drained bucket, and ``peek()`` /
 ``run(until=)`` across bucket boundaries.
 """
 
+import math
 import random
 
 import pytest
@@ -246,6 +247,28 @@ class TestAdaptiveEngagement:
         assert env._cal_width == 0.0
         assert env._far_count == 0
         assert fired == list(range(6200))
+
+    def test_run_until_inf_with_calendar_engaged_is_run(self):
+        def tickers(env, fired):
+            def ticker(env, i):
+                for _ in range(60):
+                    yield env.timeout(1.0 + i * 0.01)
+                    fired.append((env.now, i))
+            for i in range(50):
+                env.process(ticker(env, i))
+
+        env = Environment(calendar_threshold=8)
+        fired = []
+        tickers(env, fired)
+        env.run(until=math.inf)
+        assert env._cal_width > 0.0        # engaged by the load check
+        ref = Environment(calendar_threshold=8)
+        ref_fired = []
+        tickers(ref, ref_fired)
+        ref.run()
+        assert fired == ref_fired
+        assert env.events_processed == ref.events_processed
+        assert env.now == ref.now == fired[-1][0]
 
     def test_disabled_threshold_never_engages(self):
         env = Environment(calendar_threshold=None)

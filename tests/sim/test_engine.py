@@ -1,5 +1,7 @@
 """Unit tests for the Environment event loop."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError, StaleSchedulingError
@@ -25,6 +27,22 @@ class TestClock:
         env.run(until=2)
         with pytest.raises(StaleSchedulingError):
             env.run(until=1)
+
+    def test_run_until_nan_is_rejected(self, env):
+        env.timeout(1)
+        with pytest.raises(StaleSchedulingError):
+            env.run(until=math.nan)
+        assert env.now == 0
+
+    def test_run_until_inf_is_run(self, env):
+        # An infinite horizon runs until no events remain, like run(),
+        # and leaves the clock at the last event, not at infinity.
+        env.timeout(2.5)
+        env.run(until=math.inf)
+        assert env.now == 2.5
+        later = env.timeout(1.0)
+        env.run()
+        assert later.processed and env.now == 3.5
 
     def test_peek_empty_queue(self, env):
         assert env.peek() == float("inf")
@@ -140,3 +158,39 @@ class TestRunUntilEvent:
         with pytest.raises(ValueError):
             env.run(until=ev)
         assert ev._defused
+
+    def test_waiter_added_after_stop_hook_resumes_before_return(self, env):
+        """A process that starts waiting on the until-event after run()
+        began has its callback behind the stop hook; it must still be
+        resumed before run() returns, with the event count of a step()
+        loop."""
+
+        def scenario(env):
+            stop = env.event()
+            seen = []
+
+            def late_waiter(env):
+                yield env.timeout(1)
+                value = yield stop
+                seen.append((env.now, value))
+
+            def trigger(env):
+                yield env.timeout(2)
+                stop.succeed("go")
+
+            env.process(late_waiter(env))
+            env.process(trigger(env))
+            env.timeout(5)
+            return stop, seen
+
+        stop, seen = scenario(env)
+        assert env.run(until=stop) == "go"
+        assert seen == [(2, "go")]
+
+        ref = Environment()
+        ref_stop, ref_seen = scenario(ref)
+        while not ref_stop.processed:
+            ref.step()
+        assert ref_seen == seen
+        assert env.events_processed == ref.events_processed
+        assert env.now == ref.now == 2

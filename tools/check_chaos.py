@@ -4,8 +4,8 @@
 Runs randomized-but-reproducible chaos schedules (partitions, link
 flaps, host crashes — all drawn from ``numpy.random.default_rng(seed)``)
 over a migration wave on both the monolithic and sharded cluster
-engines, with retry + health tracking enabled, and checks the five
-invariants that must survive any schedule:
+engines, with retry + health tracking enabled, and checks the six
+invariant families that must survive any schedule:
 
 1. per-link byte conservation (channel ledgers + aborted in-flight
    sends == wire counters);
@@ -15,7 +15,9 @@ invariants that must survive any schedule:
    (an incremental retry would lose nothing);
 4. no domain is stranded on a sharded surrogate host;
 5. every job's attempts match its failure records (plus one for a
-   success), and every dead-lettered job has a failure record.
+   success), and every dead-lettered job has a failure record;
+6. every finished job's report is consistency-verified, and no job
+   ended on a ``ConsistencyError``.
 
 Usage::
 
