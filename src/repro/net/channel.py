@@ -40,10 +40,11 @@ Invariants the rest of the stack relies on (see docs/TRANSFER.md):
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from typing import TYPE_CHECKING, Generator, Optional, Union
 
 from ..errors import NetworkError
-from ..sim import Event, Store
+from ..sim import URGENT, Event, Store
 from .link import Link
 from .messages import Message
 from .ratelimit import NullLimiter, TokenBucket
@@ -145,19 +146,29 @@ class Channel:
             raise NetworkError(
                 f"{self.name}: sender {sender.name!r} crashed with the "
                 "send in flight")
-        self.env.process(self._deliver(message, decompress),
-                         name=f"{self.name}:deliver")
+        # Delivery is two callbacks: an URGENT event at ``now`` fixes the
+        # arrival time, and the landing timeout deposits the message.
+        launch = Event(self.env)
+        launch._value = None
+        launch.callbacks.append(partial(self._launch, message, decompress))
+        self.env.schedule(launch, priority=URGENT)
 
-    def _deliver(self, message: Message, decompress_time: float = 0.0
-                 ) -> Generator:
-        arrival = self.env.now + self.link.effective_latency + decompress_time
+    def _launch(self, message: Message, decompress_time: float,
+                _event: Event) -> None:
+        now = self.env.now
         # A small fast message must not overtake a large one still being
         # decompressed: clamp to the previous message's arrival.
-        arrival = max(arrival, self._delivery_floor)
-        self._delivery_floor = arrival
-        if arrival > self.env.now:
-            yield self.env.timeout(arrival - self.env.now)
-        yield self._mailbox.put(message)
+        arrival = self._delivery_floor = max(
+            now + self.link.effective_latency + decompress_time,
+            self._delivery_floor)
+        if arrival > now:
+            self.env.timeout(arrival - now, message).callbacks.append(
+                self._land)
+        else:
+            self._mailbox.put(message)
+
+    def _land(self, timeout: Event) -> None:
+        self._mailbox.put(timeout._value)
 
     # -- receiving -------------------------------------------------------
 
