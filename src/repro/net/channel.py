@@ -146,21 +146,20 @@ class Channel:
             raise NetworkError(
                 f"{self.name}: sender {sender.name!r} crashed with the "
                 "send in flight")
-        # Delivery is two callbacks: an URGENT event at ``now`` fixes the
-        # arrival time, and the landing timeout deposits the message.
+        # Delivered by two callbacks, not a process: _deliver, then _land.
         launch = Event(self.env)
         launch._value = None
-        launch.callbacks.append(partial(self._launch, message, decompress))
+        launch.callbacks.append(partial(self._deliver, message, decompress))
         self.env.schedule(launch, priority=URGENT)
 
-    def _launch(self, message: Message, decompress_time: float,
-                _event: Event) -> None:
+    def _deliver(self, message: Message, decompress_time: float,
+                 _launch: Event) -> None:
         now = self.env.now
+        arrival = now + self.link.effective_latency + decompress_time
         # A small fast message must not overtake a large one still being
         # decompressed: clamp to the previous message's arrival.
-        arrival = self._delivery_floor = max(
-            now + self.link.effective_latency + decompress_time,
-            self._delivery_floor)
+        arrival = max(arrival, self._delivery_floor)
+        self._delivery_floor = arrival
         if arrival > now:
             self.env.timeout(arrival - now, message).callbacks.append(
                 self._land)
