@@ -146,7 +146,8 @@ class Channel:
             raise NetworkError(
                 f"{self.name}: sender {sender.name!r} crashed with the "
                 "send in flight")
-        # Delivered by two callbacks, not a process: _deliver, then _land.
+        # The arrival is fixed by an URGENT event at ``now``, not here, so
+        # that the delivery keeps its place in the event order.
         launch = Event(self.env)
         launch._value = None
         launch.callbacks.append(partial(self._deliver, message, decompress))
