@@ -1,7 +1,7 @@
 """Event-engine microbenchmark: 10,000 tickers on one Environment.
 
 Each ticker is a process that sleeps a fixed period (a ``Timeout``) and
-ticks again until the horizon.  Three variants:
+ticks again until the horizon.  Four variants:
 
 * ``plain``: every tick is one timeout; no event is dispatched inline.
 * ``spindle``: every 10 tickers share a ``Spindle`` (a capacity-1 FIFO
@@ -18,6 +18,10 @@ ticks again until the horizon.  Three variants:
   ``BackendDriver``.  It dispatches the same events as ``spindle``, so
   the difference between the two is the guest write path: ``Domain``,
   ``IORequest``, ``BackendDriver.submit`` and ``VirtualBlockDevice.write``.
+* ``channel``: every tick sends one control message on a ``Channel``;
+  every 10 tickers share one channel over its own link, drained by one
+  receiver process.  A tick is ``yield from chan.send(msg)``, so this
+  leg times the send path and the message's delivery into the mailbox.
 
 each with the calendar queue engaged (the default threshold; 10,000
 pending timeouts cross it) and with it off (``calendar_threshold=None``).
@@ -28,14 +32,16 @@ pending timeouts cross it) and with it off (``calendar_threshold=None``).
 * ``until=event``: ``run(until=<AllOf of the tickers>)``.
 
 Every ``plain`` pass builds that ``AllOf``, so the three forms dispatch
-the same events; the benchmark exits 1 if they do not.  ``spindle`` and
-``guest`` are timed under ``run()``.  For each leg the benchmark prints
-the events dispatched, the share of them dispatched inline, and the
-median wall time per event over ``REPEAT`` passes with its quartiles.
-The passes of the five legs alternate; each ``guest`` pass is paired
-with the ``spindle`` pass just before it, and the benchmark prints the
-median and quartiles of their difference per write: what the guest
-write path costs above the engine.
+the same events; the benchmark exits 1 if they do not.  ``spindle``,
+``guest`` and ``channel`` are timed under ``run()``.  For each leg the
+benchmark prints the events dispatched, the share of them dispatched
+inline, and the median wall time per event over ``REPEAT`` passes with
+its quartiles.  The passes of the six legs alternate; each ``guest``
+pass is paired with the ``spindle`` pass just before it, and the
+benchmark prints the median and quartiles of their difference per
+write: what the guest write path costs above the engine.  For
+``channel`` it prints the messages delivered, the events dispatched per
+message and the median wall time per message with its quartiles.
 
 Run standalone::
 
@@ -44,8 +50,10 @@ Run standalone::
     python benchmarks/bench_engine.py --smoke          # 3,000 tickers, 1 pass
 
 and alternate the first two commands to compare versions on one machine.
-The event counts must match between versions: inline dispatch changes
-how an event is dispatched, never which events there are.
+The event counts of ``plain``, ``spindle`` and ``guest`` must match
+between versions: inline dispatch changes how an event is dispatched,
+never which events there are.  ``channel`` counts the events a delivery
+costs, so it moves when delivery changes shape.
 """
 
 from __future__ import annotations
@@ -65,11 +73,13 @@ SERVICE = 1e-4
 REPEAT = 5
 #: Blocks per VBD in the ``guest`` variant; each write covers two.
 NBLOCKS = 16
+#: Link latency of the ``channel`` variant: every delivery waits it out.
+LATENCY = 1e-3
 #: The ways ``Environment.run`` is called; ``plain`` runs under each.
 FORMS = ("run()", "until=t", "until=event")
 #: (variant, run form) legs; ``guest`` directly follows ``spindle``.
 LEGS = tuple(("plain", form) for form in FORMS) + (
-    ("spindle", "run()"), ("guest", "run()"))
+    ("spindle", "run()"), ("guest", "run()"), ("channel", "run()"))
 
 
 def guest_domains(env, tickers: int) -> list:
@@ -109,6 +119,21 @@ def one_pass(tickers: int, horizon: float, variant: str, form: str,
     servers = ([server(env) for _ in range(tickers // PER_SERVER)]
                if variant == "spindle" else None)
     domains = guest_domains(env, tickers) if variant == "guest" else None
+    delivered = [0]
+    if variant == "channel":
+        from repro.net import Channel, ControlMsg, Link
+
+        chans = [Channel(env, Link(env, latency=LATENCY))
+                 for _ in range(tickers // PER_SERVER)]
+        message = ControlMsg("tick")
+
+        def receiver(env, chan):
+            while True:
+                yield chan.recv()
+                delivered[0] += 1
+
+        for chan in chans:
+            env.process(receiver(env, chan))
 
     def ticker(env, i):
         # Irrational phases keep tick times distinct, so a tick usually
@@ -129,6 +154,12 @@ def one_pass(tickers: int, horizon: float, variant: str, form: str,
                     yield env.timeout(SERVICE)
                 finally:
                     spindle.release(grant)
+                yield env.timeout(period)
+                ticks += 1
+        elif variant == "channel":
+            chan = chans[i // PER_SERVER]
+            while env.now < horizon:
+                yield from chan.send(message)
                 yield env.timeout(period)
                 ticks += 1
         else:
@@ -152,8 +183,11 @@ def one_pass(tickers: int, horizon: float, variant: str, form: str,
     started = time.perf_counter()
     env.run(until=until)
     elapsed = time.perf_counter() - started
+    ticks = sum(proc.value for proc in procs)
+    if variant == "channel" and delivered[0] != ticks:
+        raise RuntimeError(f"{ticks} messages sent, {delivered[0]} delivered")
     return (elapsed, env.events_processed, getattr(env, "events_inline", 0),
-            sum(proc.value for proc in procs))
+            ticks)
 
 
 def main(argv=None) -> int:
@@ -198,6 +232,13 @@ def main(argv=None) -> int:
         q1, median, q3 = np.percentile(above, [25, 50, 75])
         print(f"guest    {'':<12} {queue:<8} {writes:>9,} writes  "
               f"{median:.3f} us/write above spindle [{q1:.3f}, {q3:.3f}]")
+        channel = runs[("channel", "run()")]
+        _, events, _, messages = channel[0]
+        us = [seconds / messages * 1e6 for seconds, *_ in channel]
+        q1, median, q3 = np.percentile(us, [25, 50, 75])
+        print(f"channel  {'':<12} {queue:<8} {messages:>9,} messages  "
+              f"{events / messages:.3f} events/message  "
+              f"{median:.3f} us/message [{q1:.3f}, {q3:.3f}]")
     return 0
 
 

@@ -9,6 +9,7 @@ from repro.net import (
     BitmapMsg,
     BlockDataMsg,
     Channel,
+    Compressor,
     ControlMsg,
     CPUStateMsg,
     DeltaMsg,
@@ -17,7 +18,7 @@ from repro.net import (
     PullRequestMsg,
     TokenBucket,
 )
-from repro.sim import Environment
+from repro.sim import Environment, Process
 from repro.units import MB
 from repro.vm.host import Host
 
@@ -177,6 +178,112 @@ class TestChannel:
         # The bytes crossed the wire, so they stay booked; nothing arrives.
         assert chan.bytes_by_category["disk"] == chan.link.bytes_sent > 0
         assert chan.pending == 0
+
+
+#: Processed events one delivered message costs beyond its send: the
+#: URGENT launch event at the send's end, the landing timeout and the
+#: mailbox's put event.
+EVENTS_PER_DELIVERY = 3
+
+
+class TestDelivery:
+    def test_arrival_is_clamped_to_the_previous_arrival(self, env):
+        latency = 0.01
+        comp = Compressor(compress_throughput=1000 * MB,
+                          decompress_throughput=10 * MB)
+        chan = Channel(env, Link(env, bandwidth=100 * MB, latency=latency),
+                       compressor=comp)
+        big = lambda: BlockDataMsg(np.arange(64), np.arange(64))  # noqa: E731
+        # A large message decompresses for ~26 ms, so the control message
+        # and the small compressed one behind it are clamped to its
+        # arrival; the last one, sent a second later, is not.
+        msgs = [big(), ControlMsg("ctl"),
+                BlockDataMsg(np.arange(2), np.arange(2)), big()]
+        ends, decompress = [], []
+
+        def sender(env):
+            for i, msg in enumerate(msgs):
+                if i == len(msgs) - 1:
+                    yield env.timeout(1.0)
+                yield from chan.send(msg, category="disk")
+                ends.append(env.now)
+                payload = msg.payload_nbytes
+                decompress.append(comp.decompress_time(payload)
+                                  if payload >= chan.COMPRESS_THRESHOLD
+                                  else 0.0)
+
+        got = []
+
+        def receiver(env):
+            for _ in msgs:
+                msg = yield chan.recv()
+                got.append((msg, env.now))
+
+        env.process(sender(env))
+        env.process(receiver(env))
+        env.run()
+        assert [msg for msg, _ in got] == msgs
+        floor, expected, clamped = 0.0, [], []
+        for end, extra in zip(ends, decompress):
+            unclamped = end + latency + extra
+            clamped.append(unclamped < floor)
+            floor = max(unclamped, floor)
+            expected.append(floor)
+        assert clamped == [False, True, True, False]
+        assert [at for _, at in got] == pytest.approx(expected, abs=1e-12)
+
+    def test_zero_latency_lands_in_the_step_after_the_send(self, env):
+        chan = Channel(env, Link(env, bandwidth=100 * MB, latency=0))
+        ends = []
+
+        def sender(env):
+            yield from chan.send(ControlMsg("now"))
+            ends.append(env.now)
+
+        env.process(sender(env))
+        while not ends:
+            env.step()
+        assert chan.pending == 0
+        # The next event due is the send's URGENT launch event, and it
+        # deposits the message itself: no landing timeout at ``now``.
+        env.step()
+        assert chan.pending == 1 and env.now == ends[0]
+
+    def test_delivery_costs_fixed_events_and_starts_no_process(
+            self, monkeypatch):
+        started = []
+        init = Process.__init__
+
+        def counting_init(self, *args, **kwargs):
+            started.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Process, "__init__", counting_init)
+        n = 8
+
+        def run(through_channel):
+            env = Environment()
+            link = Link(env, bandwidth=100 * MB, latency=0.01)
+            chan = Channel(env, link)
+
+            def sender(env):
+                for i in range(n):
+                    msg = ControlMsg(f"m{i}")
+                    if through_channel:
+                        yield from chan.send(msg)
+                    else:
+                        yield from link.transmit(msg.wire_nbytes)
+
+            env.process(sender(env))
+            env.run()
+            return env.events_processed, chan.pending
+
+        wire_only, _ = run(False)
+        assert len(started) == 1
+        events, delivered = run(True)
+        assert delivered == n
+        assert events - wire_only == n * EVENTS_PER_DELIVERY
+        assert len(started) == 2  # the sender only
 
 
 class TestChannelPair:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Interrupt, Resource, Spindle
+from repro.sim import URGENT, Environment, Interrupt, Resource, Spindle
 
 DELAYS = (0.0, 0.0, 0.0, 0.25, 1.0, 2.5)
 NRES = 2
@@ -39,13 +39,15 @@ def _op(kind, rng_choice, nprocs):
         # Then wait on the signal itself (joining the other waiters' many
         # callbacks) or on a zero-delay timeout.
         return (kind, rng_choice(range(NSIGNALS)), rng_choice((False, True)))
+    if kind == "post":
+        return (kind, rng_choice(range(NSIGNALS)), delay())
     if kind in ("join", "interrupt"):
         return (kind, rng_choice(range(nprocs)))
     return (kind, delay())  # timeout, spawn
 
 
 KINDS = ("timeout", "acquire", "request", "spawn_between", "cancel",
-         "all_of", "wait", "fire", "join", "interrupt", "spawn")
+         "all_of", "wait", "fire", "join", "interrupt", "spawn", "post")
 
 
 @st.composite
@@ -168,6 +170,29 @@ class Program:
         elif kind == "spawn":
             env.process(self.child(f"{name}.{i}", op[1]))
             yield env.timeout(0)
+        elif kind == "post":
+            self.post(name, i, self.signals[op[1]], op[2])
+            yield env.timeout(0)
+
+    def post(self, name, i, signal, delay):
+        """The shape of a channel delivery: an URGENT event at ``now``
+        whose plain callback schedules a timeout, whose callback fires
+        ``signal``.  Both callbacks run as an event's sole callback."""
+        env = self.env
+
+        def land(_timeout):
+            self.log(name, f"{i}:land")
+            if not signal.triggered:
+                signal.succeed(i)
+
+        def launch(_event):
+            self.log(name, f"{i}:launch")
+            env.timeout(delay).callbacks.append(land)
+
+        event = env.event()
+        event._value = None
+        event.callbacks.append(launch)
+        env.schedule(event, priority=URGENT)
 
 
 def _build(spec, threshold, engage):
@@ -242,6 +267,11 @@ CORNERS = {
                                   [("acquire", 0, 0, 1.0)],
                                   [("timeout", 1.0), ("interrupt", 1),
                                    ("acquire", 0, 0, 0.0)]],
+    # A channel-delivery shape at zero and non-zero delay, its signal
+    # waited on by another process and by the poster itself.
+    "post_then_wait": [[("post", 0, 0.0), ("wait", 0), ("post", 1, 1.0)],
+                       [("wait", 0), ("wait", 1)],
+                       [("post", 1, 0.25), ("acquire", 0, 0, 0.0)]],
     # A cancelled request under a zero-delay AllOf.
     "cancel_all_of": [[("cancel", 0, 1, 0.25), ("all_of", (0.0, 0.0))],
                       [("request", 0, 0, 1.0), ("all_of", (0.0, 1.0))]],

@@ -9,6 +9,9 @@ cyclic collector, which shows up as peak memory on large runs.
 
 import gc
 
+import numpy as np
+
+from repro.net import BlockDataMsg, Channel, Compressor, ControlMsg, Link
 from repro.sim import Environment, Spindle
 from repro.storage import GenerationClock, PhysicalDisk
 from repro.storage.block import IOKind
@@ -41,12 +44,27 @@ def _simulate():
             # A migration-style read through the same spindle.
             yield from host.disk.io(4096, is_write=False)
 
+    # Channel deliveries: a launch callback, then a landing timeout's.
+    chan = Channel(env, Link(env, latency=0.001), compressor=Compressor())
+    msgs = [BlockDataMsg(np.arange(4), np.arange(4)) if i % 2
+            else ControlMsg(f"m{i}") for i in range(12)]
+
+    def sender(env):
+        for msg in msgs:
+            yield from chan.send(msg, category="disk")
+
+    def receiver(env):
+        for msg in msgs:
+            assert (yield chan.recv()) is msg
+
     procs = [env.process(guest(env, first)) for first in (0, 500)]
     procs += [env.process(contender(env, hold))
               for hold in (0.002, 0.0, 0.003)]
+    procs += [env.process(sender(env)), env.process(receiver(env))]
     env.run()
     assert all(not proc.is_alive for proc in procs)
     assert vbd.nblocks == 1_000 and env.events_inline > 0
+    assert chan.bytes_saved > 0 and chan.pending == 0
     # Host and Domain point at each other while attached, by design.
     host.detach_domain(domain.domain_id)
 
