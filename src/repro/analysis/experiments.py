@@ -11,10 +11,8 @@ Every function here is deterministic given ``seed``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Optional
 
 from ..core import MigrationConfig, MigrationReport, Migrator
 from ..errors import ReproError

@@ -5,7 +5,7 @@ Builds the layer above the point-to-point
 :class:`~repro.cluster.scheduler.ClusterScheduler` that runs many
 migrations concurrently over a shared
 :class:`~repro.net.topology.Topology` with admission control and
-per-link in-flight limits, one HostManager placement pipeline for
+per-link in-flight limits, one HostManager placement pass for
 evacuation and rebalancing, a per-link byte-conservation audit, and a
 failure-recovery stack — per-host circuit breakers
 (:mod:`~repro.cluster.health`), retry with re-placement and
@@ -28,8 +28,7 @@ from .accounting import LinkAudit, assert_conserved, audit_link_bytes
 from .chaos import ChaosConfig, ChaosReport, check_invariants, run_chaos
 from .churn import ChurnConfig, ChurnGenerator
 from .health import CircuitBreaker, HealthMonitor
-from .hostmanager import (HostManager, HostState, PlacementSpec,
-                          register_filter, register_weigher)
+from .hostmanager import HostManager, HostState
 from .scheduler import ClusterScheduler, JobFailure, MigrationJob
 from .sharded import ShardedCluster, build_sharded_cluster
 from .slo import SLOReport, TenantSLO, makespan_percentiles, slo_report
@@ -51,7 +50,6 @@ __all__ = [
     "LinkAudit",
     "MigrationJob",
     "NoValidHost",
-    "PlacementSpec",
     "RetryPolicy",
     "SLOReport",
     "ShardedCluster",
@@ -62,8 +60,6 @@ __all__ = [
     "build_sharded_cluster",
     "check_invariants",
     "makespan_percentiles",
-    "register_filter",
-    "register_weigher",
     "run_chaos",
     "slo_report",
 ]

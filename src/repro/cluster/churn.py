@@ -13,14 +13,14 @@ ledgers — churn is reproducible, not noise.
 
 Action kinds:
 
-* ``arrival`` — a new VM materializes on a pipeline-chosen host of one
+* ``arrival`` — a new VM materializes on a placement-chosen host of one
   shard (per-shard Poisson streams drawn from ``default_rng((seed,
   shard))``, so shard ``i``'s stream is independent of how many other
   shards exist);
 * ``departure`` — a random resident VM shuts down and detaches;
 * ``maintenance`` — rolling: the next host (global order) enters a
-  maintenance window, is evacuated through the HostManager pipeline
-  (which now refuses maintenance hosts as destinations), and exits the
+  maintenance window, is evacuated through the HostManager placement
+  pass (which refuses maintenance hosts as destinations), and exits the
   window after ``maintenance_hold`` seconds;
 * ``rack_failure`` — a correlated failure: every host in the chosen
   rack crashes at once through the existing fault planner
@@ -39,11 +39,10 @@ from ..errors import NoValidHost, ReproError
 from ..faults.plan import FaultPlan
 from ..vm.domain import Domain
 from ..vm.memory import GuestMemory
-from .hostmanager import PlacementSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment
-    from .sharded import ClusterShard, ShardedCluster
+    from .sharded import ShardedCluster
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,7 @@ class ChurnGenerator:
         cfg = self.config
         shard = self.cluster.shards[action.shard_index]
         try:
-            host = shard.scheduler.hostmanager.select(PlacementSpec())
+            host = shard.scheduler.hostmanager.select()
         except NoValidHost:
             return  # the rack is full/down; the arrival bounces
         vbd = host.prepare_vbd(cfg.vm_nblocks)

@@ -17,8 +17,8 @@ contend for links.  :class:`ClusterScheduler` turns the point-to-point
   overlapping link sets can never deadlock;
 * **placement** — every destination decision (evacuate, rebalance, and
   re-placement of queued jobs whose target died) flows through one
-  :class:`~repro.cluster.hostmanager.HostManager` filter/weigher
-  pipeline, so no choice can land on a crashed or in-maintenance host.
+  :class:`~repro.cluster.hostmanager.HostManager` placement pass, so
+  no choice can land on a crashed or in-maintenance host.
 
 Every job runs its attempts through one
 :class:`~repro.core.manager.MigrationRetrier` under the scheduler's
@@ -36,7 +36,7 @@ from ..core.manager import MigrationRetrier, Migrator, RetryPolicy
 from ..core.metrics import MigrationReport
 from ..errors import AdmissionRejected, MigrationError, NoValidHost
 from ..sim import Resource
-from .hostmanager import HostManager, PlacementSpec
+from .hostmanager import HostManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.config import MigrationConfig
@@ -186,7 +186,7 @@ class ClusterScheduler:
         #: host name -> migrations currently scheduled *toward* that host
         #: but not yet completed (placement looks at planned load).
         self._inbound: dict[str, int] = {}
-        #: The placement pipeline.  The default manager shares this
+        #: The placement pass.  The default manager shares this
         #: scheduler's live inbound map, so HostState.planned_load tracks
         #: submissions without explicit refresh calls.
         self.hostmanager = hostmanager if hostmanager is not None else \
@@ -196,12 +196,9 @@ class ClusterScheduler:
         # tracks submissions.
         self.hostmanager._inbound = self._inbound
         if health is not None:
-            # Placement consults the breakers: wire the monitor onto the
-            # manager and make sure the ``healthy`` filter runs.
+            # Placement consults the breakers: the monitor on the
+            # manager switches its ``healthy`` filter on.
             self.hostmanager.health = health
-            if "healthy" not in self.hostmanager.filter_names:
-                self.hostmanager.filter_names = (
-                    *self.hostmanager.filter_names, "healthy")
 
     # -- introspection -----------------------------------------------------
 
@@ -335,12 +332,12 @@ class ClusterScheduler:
         between attempts.
 
         A replaceable job whose destination is down, in maintenance or
-        behind an open breaker moves to the pipeline's pick; explicit
-        submissions and cross-rack surrogates (whose transplant is keyed
-        to the original target) keep theirs.  Returns the new
+        behind an open breaker moves to the placement pass's pick;
+        explicit submissions and cross-rack surrogates (whose transplant
+        is keyed to the original target) keep theirs.  Returns the new
         destination, or None when the job keeps its target; raises
         :class:`~repro.errors.NoValidHost` when no host passes the
-        pipeline.
+        filters.
         """
         destination = job.destination
         if not job.replaceable or getattr(destination, "is_surrogate",
@@ -352,8 +349,7 @@ class ClusterScheduler:
         if destination.available and (health is None
                                       or health.healthy(destination.name)):
             return None
-        replacement = self.hostmanager.select(
-            PlacementSpec(domain=job.domain))
+        replacement = self.hostmanager.select(job.domain)
         if replacement is destination:
             return None
         self.env.tracer.instant("cluster:replace", category="cluster",
@@ -442,14 +438,14 @@ class ClusterScheduler:
 
     def place(self, domain: "Domain") -> "Host":
         """Choose a destination for one domain through the HostManager
-        filter/weigher pipeline."""
-        return self.hostmanager.select(PlacementSpec(domain=domain))
+        placement pass."""
+        return self.hostmanager.select(domain)
 
     def evacuate(self, host: "Host", scheme: str = "tpm",
                  workload_name: str = "unknown") -> list[MigrationJob]:
         """Schedule every domain off ``host`` (maintenance drain).
 
-        Destinations flow through the HostManager pipeline against
+        Destinations flow through the HostManager placement pass against
         planned load, so a burst of simultaneous placements spreads
         across the cluster.  Returns the submitted jobs; drive the env
         (or :meth:`drain`) to execute them.
@@ -468,7 +464,7 @@ class ClusterScheduler:
 
     def rebalance(self, scheme: str = "tpm") -> list[MigrationJob]:
         """One pass of load spreading: move domains off hosts above the
-        ceiling of the mean planned load onto pipeline-chosen targets.
+        ceiling of the mean planned load onto placement-chosen targets.
 
         Loads come from the manager's host states, so cross-rack
         surrogate stand-ins are neither counted nor drained.
@@ -495,9 +491,8 @@ class ClusterScheduler:
                 full = [name for name, load in loads.items()
                         if load >= ceiling]
                 try:
-                    destination = self.hostmanager.select(
-                        PlacementSpec(domain=domain, source=host),
-                        exclude=full)
+                    destination = self.hostmanager.select(domain,
+                                                          exclude=full)
                 except NoValidHost:
                     break
                 scheduled.add(domain.domain_id)

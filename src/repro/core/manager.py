@@ -37,7 +37,7 @@ from .config import MigrationConfig
 from .metrics import MigrationReport
 from .precopy import TRACKING_NAME
 from .scheme import MigrationScheme, get_scheme
-from .tpm import IM_TRACKING_NAME, ThreePhaseMigration
+from .tpm import IM_TRACKING_NAME
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment, Process

@@ -17,7 +17,6 @@ the report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..units import MiB, fmt_bytes, fmt_time
 

@@ -43,8 +43,8 @@ class ConsistencyError(StorageError, MigrationError):
 
 class NoValidHost(MigrationError):
     """Raised when placement runs out of candidates: every host in the
-    cluster was eliminated by the active filter chain (crashed, in a
-    maintenance window, over capacity, failing affinity, ...).
+    cluster was eliminated by the placement filters (crashed, in a
+    maintenance window, over capacity, uplink saturated, breaker open).
 
     Carries a per-filter elimination breakdown so callers can report
     *why* the cluster had no room, nova-style.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from ..units import KiB
 from .base import Workload
 from .iomodel import FreshAppendModel, MemoryDirtier, UniformModel
 

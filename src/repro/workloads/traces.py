@@ -16,7 +16,7 @@ the testbed with *their own* I/O trace.  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 import numpy as np
 

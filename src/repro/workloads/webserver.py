@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from ..units import KiB, MiB
+from ..units import KiB
 from .base import Workload
 from .iomodel import FreshAppendModel, MemoryDirtier, UniformModel
 

@@ -4,7 +4,7 @@ HealthMonitor feeds (job outcomes, injector crash events, polling)."""
 import pytest
 
 from repro.cluster import CircuitBreaker, HealthMonitor, build_cluster
-from repro.cluster.hostmanager import HostManager, PlacementSpec
+from repro.cluster.hostmanager import HostManager
 from repro.errors import MigrationError, NoValidHost
 from repro.faults import FaultInjector, FaultPlan
 from repro.sim import Environment
@@ -117,12 +117,12 @@ class TestHealthyFilter:
     def test_open_breaker_excludes_host_from_placement(self):
         bed = build_cluster(nhosts=3, vms_per_host=1, health=True, **SMALL)
         mon = bed.scheduler.health
-        assert "healthy" in bed.scheduler.hostmanager.filter_names
+        assert bed.scheduler.hostmanager.health is mon
         for _ in range(mon.failure_threshold):
             mon.record_failure("host01")
         domain = bed.domains_on(bed.hosts[0])[0]
-        choice = bed.scheduler.hostmanager.select(
-            PlacementSpec(domain=domain), exclude=("host00",))
+        choice = bed.scheduler.hostmanager.select(domain,
+                                                  exclude=("host00",))
         assert choice.name == "host02"
 
     def test_all_breakers_open_means_no_valid_host(self):
@@ -132,5 +132,4 @@ class TestHealthyFilter:
             mon.record_failure("host01")
         domain = bed.domains_on(bed.hosts[0])[0]
         with pytest.raises(NoValidHost):
-            bed.scheduler.hostmanager.select(
-                PlacementSpec(domain=domain), exclude=("host00",))
+            bed.scheduler.hostmanager.select(domain, exclude=("host00",))

@@ -8,34 +8,33 @@ answers exactly like a manager built from scratch on the same topology.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import (ClusterScheduler, HostManager, NoValidHost,
-                           PlacementSpec, build_cluster)
+from repro.cluster import (ClusterScheduler, HealthMonitor, HostManager,
+                           NoValidHost, build_cluster)
 from repro.vm import Host
 
-FILTERS = ("up", "capacity", "affinity", "link-headroom")
-WEIGHERS = (("least-loaded", 1.0), ("locality", 0.5), ("spread", 0.25))
 LINK_HEADROOM = 2
 
 
-def make_manager(topology, capacity, inbound, links):
-    manager = HostManager(topology, filters=FILTERS, weighers=WEIGHERS,
-                          capacity=capacity, inbound=inbound,
-                          link_headroom=LINK_HEADROOM)
+def make_manager(topology, capacity, inbound, links, health):
+    manager = HostManager(topology, capacity=capacity, inbound=inbound,
+                          link_headroom=LINK_HEADROOM, health=health,
+                          locality=0.5, spread=0.25)
     for name, count in links.items():
         manager.note_link(name, count)
     return manager
 
 
-def answers(manager, topology, specs):
+def answers(manager, topology, domains):
     """Everything placement can tell about the cluster right now."""
     out = []
-    for spec in specs:
+    for domain in domains:
         try:
-            survivors = [state.name for state in manager.filter_hosts(spec)]
+            survivors = [state.name
+                         for state in manager.filter_hosts(domain)]
         except NoValidHost as exc:
             survivors = ("NoValidHost", exc.eliminated)
         try:
-            chosen = manager.select(spec).name
+            chosen = manager.select(domain).name
         except NoValidHost as exc:
             chosen = ("NoValidHost", exc.eliminated)
         out.append((survivors, chosen))
@@ -53,6 +52,7 @@ STEP = st.one_of(
     st.tuples(st.just("capacity"), st.sampled_from((None, 1, 2, 3))),
     st.tuples(st.just("connect"), st.integers(0, 2)),
     st.tuples(st.just("move"), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("breaker"), st.integers(0, 99)),
 )
 
 
@@ -66,7 +66,10 @@ class TestCacheCoherence:
         inbound: dict = {}
         links: dict = {}
         capacity = None
-        manager = make_manager(topology, capacity, inbound, links)
+        # Simulated time stays at 0, so an opened breaker stays open
+        # until the step resets it.
+        health = HealthMonitor(bed.env)
+        manager = make_manager(topology, capacity, inbound, links, health)
         added = 0
 
         for step in steps:
@@ -91,7 +94,6 @@ class TestCacheCoherence:
             elif kind == "capacity":
                 capacity = step[1]
                 manager.capacity = capacity
-                manager.refresh()
             elif kind == "connect":
                 host = Host(bed.env, f"extra{added:02d}")
                 added += 1
@@ -104,16 +106,21 @@ class TestCacheCoherence:
                     domain = bed.domains_on(source)[0]
                     _, vbd = source.detach_domain(domain.domain_id)
                     target.attach_domain(domain, vbd)
+            elif kind == "breaker":
+                name = hosts[step[1] % len(hosts)].name
+                if health.healthy(name):
+                    health.breaker(name).force_open(bed.env.now)
+                else:
+                    health.breaker(name).reset()
 
-            specs = [PlacementSpec(), PlacementSpec(required_rack="rack1",
-                                                    anti_affinity=("host04",))]
+            domains = [None]
             resident = next((d for d in bed.domains if d.host is not None),
                             None)
             if resident is not None:
-                specs.append(PlacementSpec(domain=resident))
-            fresh = make_manager(topology, capacity, inbound, links)
-            assert answers(manager, topology, specs) == \
-                answers(fresh, topology, specs), step
+                domains.append(resident)
+            fresh = make_manager(topology, capacity, inbound, links, health)
+            assert answers(manager, topology, domains) == \
+                answers(fresh, topology, domains), step
 
 
 class TestInvalidation:
@@ -133,11 +140,11 @@ class TestInvalidation:
         bed = build_cluster(nhosts=4, vms_per_host=1, wiring="rack",
                             rack_size=2, nblocks=64, npages=16)
         manager = bed.scheduler.hostmanager
-        assert manager.select(PlacementSpec()).name == "host00"
+        assert manager.select().name == "host00"
         late = Host(bed.env, "aaa-late")
         bed.migrator.topology.connect(late, "rack1")
         # Empty and first by name: the rebuilt states pick it up.
-        assert manager.select(PlacementSpec()) is late
+        assert manager.select() is late
         assert manager.state_of(late).rack == "rack1"
 
     def test_rack_of_follows_retagging(self):
@@ -151,11 +158,10 @@ class TestInvalidation:
     def test_scheduler_rewired_inbound_map_is_read(self):
         bed = build_cluster(nhosts=4, vms_per_host=1, wiring="rack",
                             rack_size=2, nblocks=64, npages=16)
-        manager = HostManager(bed.migrator.topology,
-                              weighers=("spread",))
+        manager = HostManager(bed.migrator.topology, spread=1.0)
         scheduler = ClusterScheduler(bed.env, bed.migrator,
                                      hostmanager=manager)
         domain = bed.domains_on(bed.host("host03"))[0]
         scheduler.submit(domain, bed.host("host00"))
         assert manager.state_of("host00").inbound == 1
-        assert manager.select(PlacementSpec()).name == "host01"
+        assert manager.select().name == "host01"

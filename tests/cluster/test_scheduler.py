@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import (HostManager, JobFailure, NoValidHost,
-                           PlacementSpec, assert_conserved, audit_link_bytes,
+                           assert_conserved, audit_link_bytes,
                            build_cluster)
 from repro.errors import MigrationError, ReproError
 from repro.storage import PhysicalDisk
@@ -201,43 +201,25 @@ class TestRebalance:
 
 
 class TestPolicies:
-    """The retired placement policies as HostManager weigher settings."""
+    """The retired placement policies under the default least-loaded
+    score."""
 
     def test_round_robin_cycles_destinations(self):
-        # ``spread`` on a single burst from zero inbound load fans out
-        # in host-name order, as round-robin did.
+        # Equal resident loads: each placement in a burst raises its
+        # target's planned load, so the burst fans out in host-name
+        # order, as round-robin did.
         bed = build_cluster(nhosts=4, vms_per_host=3, **SMALL)
-        bed.scheduler.hostmanager.weigher_spec = [("spread", 1.0)]
         jobs = bed.scheduler.evacuate(bed.hosts[0])
         assert [j.destination.name for j in jobs] == [
             "host01", "host02", "host03"]
         bed.scheduler.drain(jobs)
         assert all(job.succeeded for job in jobs)
 
-    def test_round_robin_ignores_resident_load(self):
-        bed = build_cluster(nhosts=4, vms_per_host=3, **SMALL)
-        for host in bed.hosts[2:]:
-            for domain in list(host.domains):
-                host.detach_domain(domain.domain_id)
-        bed.scheduler.hostmanager.weigher_spec = [("spread", 1.0)]
-        jobs = bed.scheduler.evacuate(bed.hosts[0])
-        assert [j.destination.name for j in jobs] == [
-            "host01", "host02", "host03"]
-
-    def test_pack_smallest_name_concentrates(self):
-        # No weighers: every score ties and the host name decides.
-        bed = build_cluster(nhosts=4, vms_per_host=2, **SMALL)
-        bed.scheduler.hostmanager.weigher_spec = []
-        jobs = bed.scheduler.evacuate(bed.hosts[0])
-        assert {j.destination.name for j in jobs} == {"host01"}
-        bed.scheduler.drain(jobs)
-        assert len(bed.hosts[1].domains) == 4
-
     def test_least_loaded_prefers_lightest_host(self):
         bed = build_cluster(nhosts=3, vms_per_host=0, **SMALL)
         manager = HostManager(bed.migrator.topology,
                               inbound={"host01": 3, "host02": 1})
-        pick = manager.select(PlacementSpec(source=bed.hosts[0]))
+        pick = manager.select(exclude=("host00",))
         assert pick is bed.hosts[2]
 
 

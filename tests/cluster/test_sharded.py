@@ -134,7 +134,7 @@ class TestCrossRack:
         # A committed cross-rack migration leaves a cached surrogate
         # host in the source shard's topology; placement must not offer
         # it (the real capacity lives in another shard).
-        from repro.cluster import NoValidHost, PlacementSpec
+        from repro.cluster import NoValidHost
         cluster = sharded()
         job = cluster.submit(cluster.domains[0], "host03")
         cluster.drain([job])
@@ -142,10 +142,10 @@ class TestCrossRack:
         shard = cluster.shard_of("host00")
         assert "host03" in shard.surrogates
         manager = shard.scheduler.hostmanager
-        names = [s.name for s in manager.filter_hosts(PlacementSpec())]
+        names = [s.name for s in manager.filter_hosts()]
         assert names == ["host00", "host01"]
         with pytest.raises(NoValidHost):
-            manager.select(PlacementSpec(), exclude=["host00", "host01"])
+            manager.select(exclude=["host00", "host01"])
 
     def test_sharded_evacuation_stays_intra_rack(self):
         cluster = sharded(hosts_per_rack=3)

@@ -160,11 +160,8 @@ def _run_placement_burst() -> dict:
     # A richer pipeline than the default: capacity, uplink headroom and
     # three weighers, on a scheduler that rewires the manager onto its
     # own inbound map.
-    manager = HostManager(
-        topology, filters=("up", "capacity", "affinity", "link-headroom"),
-        weighers=(("least-loaded", 1.0), ("locality", 0.5),
-                  ("spread", 0.25)),
-        capacity=4, link_headroom=2)
+    manager = HostManager(topology, capacity=4, link_headroom=2,
+                          locality=0.5, spread=0.25)
     scheduler = ClusterScheduler(bed.env, bed.migrator, max_concurrent=3,
                                  config=bed.config, hostmanager=manager)
     domains = sorted(bed.domains, key=lambda d: d.domain_id)
