@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core import MigrationConfig, MigrationReport, Migrator
-from ..errors import ReproError
+from ..core import SCHEMES, MigrationConfig, MigrationReport, Migrator
+from ..errors import MigrationError, ReproError
 from ..obs import MetricsRegistry, Tracer
 from ..sim import Environment
 from ..storage import PhysicalDisk
@@ -352,35 +352,29 @@ def run_locality_experiment(workload: str, duration: float = 120.0,
     return tracker.stats(), bed
 
 
-#: The five registered schemes (TPM + the four §II baselines); kept as a
-#: tuple for CLI choices.  The authoritative list is the scheme registry
-#: (:func:`repro.core.scheme.scheme_names`).
-BASELINE_SCHEMES = ("tpm", "freeze-and-copy", "on-demand", "delta-queue",
-                    "shared-storage")
-
-
 def run_baseline_experiment(scheme: str, workload: str = "specweb",
                             scale: float = 0.01, seed: int = 0,
                             config: Optional[MigrationConfig] = None,
                             warmup: float = 10.0, tail: float = 20.0,
-                            observe: bool = False,
-                            **scheme_kwargs):
+                            observe: bool = False):
     """Run one migration scheme (TPM or a baseline) on the shared testbed.
 
     Every scheme — TPM included — goes through
-    :meth:`~repro.core.manager.Migrator.migrate`'s registry dispatch, so
-    they all share the same harness: channel wiring, rate limiting,
-    history recording, fault injection, and tracing.
+    :meth:`~repro.core.manager.Migrator.migrate`, so they all share the
+    same harness: channel wiring, rate limiting, history recording, fault
+    injection, and tracing.
 
     Returns ``(report, bed, migration)``; the migration object exposes
     scheme-specific state such as the on-demand baseline's residual
     dependency.  ``tail`` seconds of post-migration run time let the
     on-demand baseline accumulate that behaviour before the experiment
-    ends.
+    ends.  An unknown ``scheme`` raises
+    :class:`~repro.errors.MigrationError` before any testbed is built.
     """
-    from ..core.scheme import get_scheme
-
-    get_scheme(scheme)  # validate before building anything
+    if scheme not in SCHEMES:
+        raise MigrationError(
+            f"unknown migration scheme {scheme!r}; choose one of: "
+            f"{', '.join(SCHEMES)}")
     bed = build_testbed(workload, scale=scale, seed=seed, config=config,
                         observe=observe)
     bed.start_workload()
@@ -388,10 +382,10 @@ def run_baseline_experiment(scheme: str, workload: str = "specweb",
 
     proc = bed.migrator.migrate_process(
         bed.domain, bed.destination, config, workload_name=workload,
-        scheme=scheme, scheme_kwargs=scheme_kwargs or None)
+        scheme=scheme)
     report = bed.env.run(until=proc)
     bed.run_for(tail)
-    return report, bed, bed.migrator.last_migration
+    return report, bed, bed.migrator.migrations[-1]
 
 
 def run_tracking_overhead_experiment(

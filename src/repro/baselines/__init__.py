@@ -15,6 +15,9 @@ All four run on exactly the same testbed substrate as TPM, so their
 reports are directly comparable (see ``benchmarks/bench_ablation_baselines.py``).
 """
 
+# The scheme table in repro.core.manager imports this package's modules;
+# loading repro.core first lets it do so however the import began.
+from .. import core  # noqa: F401
 from .delta import DeltaQueueMigration
 from .freeze_copy import FreezeAndCopyMigration
 from .ondemand import OnDemandMigration, availability

@@ -24,7 +24,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from ..core.scheme import MigrationScheme, register_scheme
+from ..core.scheme import MigrationScheme
 from ..core.transfer import BlockStreamer
 from ..errors import NetworkError
 from ..net.channel import Channel
@@ -33,12 +33,10 @@ from ..storage.block import IORequest
 from ..storage.vbd import VirtualBlockDevice
 
 
-@register_scheme
 class DeltaQueueMigration(MigrationScheme):
     """Whole-system migration with forward-and-replay storage sync."""
 
     name = "delta-queue"
-    aliases = ("delta",)
 
     def __init__(self, *args,
                  throttle_watermark: Optional[int] = None, **kwargs) -> None:

@@ -14,16 +14,14 @@ from typing import Generator
 
 import numpy as np
 
-from ..core.scheme import MigrationScheme, register_scheme
+from ..core.scheme import MigrationScheme
 from ..core.transfer import BlockStreamer
 
 
-@register_scheme
 class FreezeAndCopyMigration(MigrationScheme):
     """Suspend → copy everything → resume."""
 
     name = "freeze-and-copy"
-    aliases = ("freeze-copy",)
 
     def _execute(self) -> Generator:
         env = self.env

@@ -20,7 +20,7 @@ from typing import Generator, Optional
 
 from ..bitmap import FlatBitmap
 from ..core.postcopy import PostCopySynchronizer
-from ..core.scheme import MigrationScheme, register_scheme
+from ..core.scheme import MigrationScheme
 
 
 def availability(p: float, machines: int = 2) -> float:
@@ -30,12 +30,10 @@ def availability(p: float, machines: int = 2) -> float:
     return p ** machines
 
 
-@register_scheme
 class OnDemandMigration(MigrationScheme):
     """Live memory migration with delayed, access-driven storage fetching."""
 
     name = "on-demand"
-    aliases = ("ondemand",)
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..core.scheme import MigrationScheme, register_scheme
+from ..core.scheme import MigrationScheme
 
 
-@register_scheme
 class SharedStorageMigration(MigrationScheme):
     """Memory+CPU live migration over shared disk storage."""
 
     name = "shared-storage"
-    aliases = ("shared",)
 
     def _execute(self) -> Generator:
         report = self.report

@@ -35,7 +35,7 @@ from .analysis import (
     run_table2_experiment,
 )
 from .analysis.experiments import run_baseline_experiment
-from .core import MigrationConfig, get_scheme, scheme_names
+from .core import SCHEMES, MigrationConfig
 from .units import fmt_bytes, fmt_time
 
 WORKLOADS = ("specweb", "video", "bonnie", "kernelbuild", "idle")
@@ -119,12 +119,12 @@ def _run_migration(args: argparse.Namespace, observe: bool, **baseline):
     """One ``--scheme`` migration on the experiment testbed.
 
     Returns ``(scheme, report, bed, migration)``: ``scheme`` is the
-    canonical name (aliases resolved), ``migration`` the scheme object
-    (None for TPM).  ``baseline`` keywords (``tail``) go to
+    scheme's name, ``migration`` the scheme object (None for TPM).
+    ``baseline`` keywords (``tail``) go to
     :func:`run_baseline_experiment` for non-TPM schemes.
     """
     config = _config_from(args)
-    scheme = get_scheme(args.scheme).name
+    scheme = args.scheme
     if scheme == "tpm":
         report, bed = run_table1_experiment(
             args.workload, scale=args.scale, seed=args.seed,
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         "migrate", help="run one migration and print the report")
     _add_common(p_migrate)
     _add_config(p_migrate)
-    p_migrate.add_argument("--scheme", choices=scheme_names(aliases=True),
+    p_migrate.add_argument("--scheme", choices=SCHEMES,
                            default="tpm", help="migration scheme")
     p_migrate.add_argument("--roundtrip", action="store_true",
                            help="also migrate back (IM) after --dwell")
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run one traced migration and dump the trace file")
     _add_common(p_trace)
     _add_config(p_trace)
-    p_trace.add_argument("--scheme", choices=scheme_names(aliases=True),
+    p_trace.add_argument("--scheme", choices=SCHEMES,
                          default="tpm", help="migration scheme")
     p_trace.add_argument("--out", metavar="PATH",
                          default="migration.trace.json",
@@ -490,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evac.add_argument("--per-link-limit", type=int, default=None,
                         help="max in-flight migrations per link "
                              "(default: unlimited)")
-    p_evac.add_argument("--scheme", choices=scheme_names(aliases=True), default="tpm",
+    p_evac.add_argument("--scheme", choices=SCHEMES, default="tpm",
                         help="migration scheme (default: tpm)")
     p_evac.add_argument("--nblocks", type=int, default=2048,
                         help="VBD blocks per VM (default: 2048)")

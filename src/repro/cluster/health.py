@@ -14,11 +14,11 @@ cluster's memory of recent failure:
   and :meth:`poll` scans of live ``host.crashed`` flags.
 
 The scheduler consults the monitor in three places (all default-off, so
-the bit-identical equivalence gate never sees it): the registered
-``healthy`` HostManager filter keeps suspect hosts out of placement, the
-admission path sheds new work when :meth:`open_fraction` crosses a
-threshold, and the retry loop re-places jobs whose destination's breaker
-opened mid-flight.
+the bit-identical equivalence gate never sees it): the HostManager's
+``healthy`` filter keeps suspect hosts out of placement, the admission
+path sheds new work when :meth:`open_fraction` crosses a threshold, and
+the retry loop re-places jobs whose destination's breaker opened
+mid-flight.
 
 Breaker semantics:
 
@@ -26,8 +26,14 @@ Breaker semantics:
   it open (a success resets the streak);
 * **open** — the host receives nothing for ``recovery_time`` simulated
   seconds, then lapses to half-open;
-* **half-open** — the next placement is the probe: success closes the
-  breaker, failure re-opens it (and restarts the recovery clock).
+* **half-open** — the next job sent there is the probe: success closes
+  the breaker, failure re-opens it (and restarts the recovery clock).
+
+Asking is free: :meth:`HealthMonitor.healthy` and
+:meth:`CircuitBreaker.would_allow` change nothing, so a placement pass
+may ask about every candidate.  Only :meth:`HealthMonitor.admit` (the
+scheduler, for the one host it sends a job to) takes a half-open
+breaker's probe.
 """
 
 from __future__ import annotations
@@ -79,20 +85,24 @@ class CircuitBreaker:
             return HALF_OPEN
         return OPEN
 
+    def would_allow(self, now: float) -> bool:
+        """Would :meth:`allows` admit a placement at ``now``?  A pure
+        query: closed yes, open no, half-open while no probe is out."""
+        state = self.state(now)
+        return state == CLOSED or (state == HALF_OPEN
+                                   and not self._half_open_pending)
+
     def allows(self, now: float) -> bool:
         """May this host receive a placement at ``now``?
 
         Closed: yes.  Open: no.  Half-open: one probe at a time — the
-        first caller gets through, the rest wait for its verdict.
+        first caller gets through and takes the probe, the rest wait for
+        its verdict.
         """
-        state = self.state(now)
-        if state == CLOSED:
-            return True
-        if state == OPEN:
+        if not self.would_allow(now):
             return False
-        if self._half_open_pending:
-            return False
-        self._half_open_pending = True
+        if self.opened_at is not None:
+            self._half_open_pending = True
         return True
 
     def record_success(self, now: float) -> None:
@@ -201,9 +211,16 @@ class HealthMonitor:
     def healthy(self, name: str) -> bool:
         """May ``name`` receive a placement right now?
 
+        A pure query: it takes no half-open probe (:meth:`admit` does).
         Hosts without recorded history are healthy; this never creates a
         breaker, so read-only queries stay allocation-free.
         """
+        state = self.breakers.get(name)
+        return state is None or state.would_allow(self.env.now)
+
+    def admit(self, name: str) -> bool:
+        """Send a job to ``name`` if it is healthy; a half-open host's
+        one probe is then taken until the job's verdict comes in."""
         state = self.breakers.get(name)
         return state is None or state.allows(self.env.now)
 

@@ -13,8 +13,10 @@ Filters (hard constraints), checked in this order:
   :attr:`HostManager.capacity`, when set;
 * ``link-headroom`` — the host's uplink carries fewer than
   :attr:`HostManager.link_headroom` in-flight migrations, when set;
-* ``healthy`` — the host's circuit breaker is not open, when a
-  :class:`~repro.cluster.health.HealthMonitor` is set.
+* ``healthy`` — the host's circuit breaker is closed, or half-open
+  with its one probe not yet taken, when a
+  :class:`~repro.cluster.health.HealthMonitor` is set.  The pass only
+  asks; the scheduler takes the probe for the host it sends a job to.
 
 Each survivor then scores::
 

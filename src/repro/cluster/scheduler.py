@@ -84,7 +84,6 @@ class MigrationJob:
     report: Optional[MigrationReport] = None
     error: Optional[Exception] = None
     process: Optional["Process"] = None
-    scheme_kwargs: dict = field(default_factory=dict)
     #: True for jobs whose destination the *scheduler* chose (evacuate /
     #: rebalance): if that destination crashes or enters maintenance
     #: while the job queues, admission re-places it.  Explicitly
@@ -235,7 +234,6 @@ class ClusterScheduler:
     def submit(self, domain: "Domain", destination: "Host",
                scheme: str = "tpm", workload_name: str = "unknown",
                config: Optional["MigrationConfig"] = None,
-               scheme_kwargs: Optional[dict] = None,
                replaceable: bool = False,
                deadline: Optional[float] = None) -> MigrationJob:
         """Queue one migration; returns its :class:`MigrationJob`.
@@ -255,7 +253,6 @@ class ClusterScheduler:
         job = MigrationJob(domain=domain, destination=destination,
                            scheme=scheme, workload_name=workload_name,
                            submitted_at=self.env.now,
-                           scheme_kwargs=dict(scheme_kwargs or {}),
                            replaceable=replaceable, deadline=deadline,
                            scheduler=self)
         self.jobs.append(job)
@@ -334,8 +331,10 @@ class ClusterScheduler:
         A replaceable job whose destination is down, in maintenance or
         behind an open breaker moves to the placement pass's pick;
         explicit submissions and cross-rack surrogates (whose transplant
-        is keyed to the original target) keep theirs.  Returns the new
-        destination, or None when the job keeps its target; raises
+        is keyed to the original target) keep theirs.  The host a
+        replaceable job is sent to, kept or new, takes its half-open
+        breaker's one probe.  Returns the new destination, or None when
+        the job keeps its target; raises
         :class:`~repro.errors.NoValidHost` when no host passes the
         filters.
         """
@@ -347,11 +346,13 @@ class ClusterScheduler:
         if health is not None:
             health.poll(self.migrator.topology.hosts.values())
         if destination.available and (health is None
-                                      or health.healthy(destination.name)):
+                                      or health.admit(destination.name)):
             return None
         replacement = self.hostmanager.select(job.domain)
         if replacement is destination:
             return None
+        if health is not None:
+            health.admit(replacement.name)
         self.env.tracer.instant("cluster:replace", category="cluster",
                                 domain=job.domain.name, old=destination.name,
                                 new=replacement.name, attempt=attempt)
@@ -407,7 +408,6 @@ class ClusterScheduler:
                     job.report = yield from self._retrier.migrate(
                         job.domain, job.destination, cfg,
                         workload_name=job.workload_name, scheme=job.scheme,
-                        scheme_kwargs=job.scheme_kwargs or None,
                         deadline=job.deadline, observer=job)
                     job.status = "done"
                     job.attempts = job.report.attempts

@@ -20,13 +20,12 @@ Typical use::
 
 from .config import MigrationConfig
 from .converge import AutoConvergeController
-from .manager import MigrationRetrier, Migrator, RetryPolicy
+from .manager import SCHEMES, MigrationRetrier, Migrator, RetryPolicy
 from .memcopy import MemoryPreCopier
 from .metrics import IterationStats, MigrationReport, PostCopyStats
 from .postcopy import PostCopySynchronizer
 from .precopy import DiskPreCopier, TRACKING_NAME
-from .scheme import (MigrationScheme, get_scheme, register_scheme,
-                     scheme_names)
+from .scheme import MigrationScheme
 from .tpm import IM_TRACKING_NAME, ThreePhaseMigration
 from .transfer import BlockStreamer, PageStreamer, StreamStats
 
@@ -44,9 +43,7 @@ __all__ = [
     "Migrator",
     "PageStreamer",
     "RetryPolicy",
-    "get_scheme",
-    "register_scheme",
-    "scheme_names",
+    "SCHEMES",
     "PostCopyStats",
     "PostCopySynchronizer",
     "StreamStats",

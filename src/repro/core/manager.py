@@ -22,6 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
+from ..baselines.delta import DeltaQueueMigration
+from ..baselines.freeze_copy import FreezeAndCopyMigration
+from ..baselines.ondemand import OnDemandMigration
+from ..baselines.shared_storage import SharedStorageMigration
 from ..errors import MigrationError, MigrationFailed, StorageError
 from ..persist.backup import BACKUP_TRACKING_PREFIX
 from ..net.channel import Channel
@@ -36,11 +40,20 @@ from ..vm.host import Host
 from .config import MigrationConfig
 from .metrics import MigrationReport
 from .precopy import TRACKING_NAME
-from .scheme import MigrationScheme, get_scheme
-from .tpm import IM_TRACKING_NAME
+from .scheme import MigrationScheme
+from .tpm import IM_TRACKING_NAME, ThreePhaseMigration
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment, Process
+
+#: The migration schemes, keyed by :attr:`MigrationScheme.name`: the
+#: paper's Three-Phase Migration and the four §II baselines it is
+#: compared against.  The set is closed; :meth:`Migrator.migrate` takes
+#: exactly these names.
+SCHEMES: dict[str, type[MigrationScheme]] = {
+    cls.name: cls for cls in (
+        ThreePhaseMigration, FreezeAndCopyMigration, OnDemandMigration,
+        DeltaQueueMigration, SharedStorageMigration)}
 
 
 class Migrator:
@@ -74,13 +87,11 @@ class Migrator:
         self.history: list[MigrationReport] = []
         #: domain_id -> in-flight migration (for :meth:`abort`).
         self.active_migrations: dict[int, MigrationScheme] = {}
-        #: The most recently constructed migration object (any scheme);
-        #: gives experiments access to scheme-specific state (e.g. the
-        #: on-demand baseline's residual-dependency counters).
-        self.last_migration: Optional[MigrationScheme] = None
         #: Every migration object ever constructed, in order — keeps the
         #: per-channel byte ledgers reachable for cluster-level
-        #: conservation audits (see :mod:`repro.cluster.accounting`).
+        #: conservation audits (see :mod:`repro.cluster.accounting`) and
+        #: gives experiments scheme-specific state (e.g. the on-demand
+        #: baseline's residual-dependency counters).
         self.migrations: list[MigrationScheme] = []
 
     # -- topology ----------------------------------------------------------
@@ -109,18 +120,16 @@ class Migrator:
     def migrate(self, domain: Domain, destination: Host,
                 config: Optional[MigrationConfig] = None,
                 workload_name: str = "unknown",
-                scheme: str = "tpm",
-                scheme_kwargs: Optional[dict] = None) -> Generator:
+                scheme: str = "tpm") -> Generator:
         """Migrate ``domain`` to ``destination``; returns the report.
 
         ``yield from`` inside a process (or use :meth:`migrate_process`).
-        ``scheme`` selects any registered migration scheme (``"tpm"``,
-        ``"freeze-and-copy"``, ``"on-demand"``, ``"delta-queue"``,
-        ``"shared-storage"`` or an alias); every scheme runs through the
-        same harness, so history recording, fault injection, retry, and
-        tracing behave identically across them.  ``scheme_kwargs`` is
-        passed to the scheme's constructor (e.g. ``throttle_watermark``
-        for the delta baseline).
+        ``scheme`` names one of the :data:`SCHEMES` (``"tpm"``,
+        ``"freeze-and-copy"``, ``"on-demand"``, ``"delta-queue"`` or
+        ``"shared-storage"``); any other name raises
+        :class:`~repro.errors.MigrationError`.  Every scheme runs through
+        the same harness, so history recording, fault injection, retry,
+        and tracing behave identically across them.
 
         With the default TPM scheme, incremental migration is chosen
         automatically when the destination still holds a stale copy of
@@ -128,7 +137,11 @@ class Migrator:
         since the last migration.
         """
         cfg = config if config is not None else self.config
-        scheme_cls = get_scheme(scheme)
+        scheme_cls = SCHEMES.get(scheme)
+        if scheme_cls is None:
+            raise MigrationError(
+                f"unknown migration scheme {scheme!r}; choose one of: "
+                f"{', '.join(SCHEMES)}")
         source = domain.host
         if source is None:
             raise MigrationError(f"{domain} is not running on any host")
@@ -159,7 +172,7 @@ class Migrator:
                       name=f"mig:{destination.name}->{source.name}",
                       sender=destination)
 
-        kwargs = dict(scheme_kwargs) if scheme_kwargs else {}
+        im_kwargs = {}
         partial_key = (domain.domain_id, destination.name)
         stale_key = (domain.domain_id, destination.name)
         dest_vbd = None
@@ -213,14 +226,12 @@ class Migrator:
                 if name.startswith(BACKUP_TRACKING_PREFIX):
                     extra_im[name] = src_driver.tracking_bitmap(name)
 
-            kwargs.update(im_bitmap=im_bitmap,
-                          dest_vbd=dest_vbd, extra_im_bitmaps=extra_im,
-                          resume=resume)
+            im_kwargs = dict(im_bitmap=im_bitmap, dest_vbd=dest_vbd,
+                             extra_im_bitmaps=extra_im, resume=resume)
 
         migration = scheme_cls(
             self.env, domain, source, destination, fwd, rev, cfg,
-            workload_name=workload_name, **kwargs)
-        self.last_migration = migration
+            workload_name=workload_name, **im_kwargs)
         self.migrations.append(migration)
         if self.fault_injector is not None:
             migration.phase_observers.append(self.fault_injector.on_phase)
@@ -319,12 +330,11 @@ class Migrator:
     def migrate_process(self, domain: Domain, destination: Host,
                         config: Optional[MigrationConfig] = None,
                         workload_name: str = "unknown",
-                        scheme: str = "tpm",
-                        scheme_kwargs: Optional[dict] = None) -> "Process":
+                        scheme: str = "tpm") -> "Process":
         """Spawn :meth:`migrate` as a process; run it with ``env.run``."""
         return self.env.process(
             self.migrate(domain, destination, config, workload_name,
-                         scheme=scheme, scheme_kwargs=scheme_kwargs),
+                         scheme=scheme),
             name=f"migrate:{domain.name}->{destination.name}")
 
     def has_stale_copy(self, domain: Domain, host: Host) -> bool:
@@ -398,14 +408,13 @@ class MigrationRetrier:
                 config: Optional[MigrationConfig] = None,
                 workload_name: str = "unknown",
                 scheme: str = "tpm",
-                scheme_kwargs: Optional[dict] = None,
                 deadline: Optional[float] = None,
                 observer=None) -> Generator:
         """Migrate with retries; returns the final attempt's report.
 
-        ``yield from`` inside a process.  Any registered ``scheme`` may
-        be retried, though only IM-aware schemes (TPM) resume
-        incrementally — the others restart from scratch each attempt.
+        ``yield from`` inside a process.  Any ``scheme`` may be retried,
+        though only IM-aware schemes (TPM) resume incrementally — the
+        others restart from scratch each attempt.
         The report carries the retry accounting: ``attempts``,
         ``failed_attempts``, ``backoff_time``.  Once the policy's
         ``max_attempts`` attempts have all died it raises
@@ -435,7 +444,7 @@ class MigrationRetrier:
             try:
                 report = yield from self.migrator.migrate(
                     domain, destination, config, workload_name,
-                    scheme=scheme, scheme_kwargs=scheme_kwargs)
+                    scheme=scheme)
             except MigrationError as failure:
                 if observer is not None:
                     observer.attempt_failed(attempt, destination, failure)
@@ -489,10 +498,9 @@ class MigrationRetrier:
     def migrate_process(self, domain: Domain, destination: Host,
                         config: Optional[MigrationConfig] = None,
                         workload_name: str = "unknown",
-                        scheme: str = "tpm",
-                        scheme_kwargs: Optional[dict] = None) -> "Process":
+                        scheme: str = "tpm") -> "Process":
         """Spawn :meth:`migrate` as a process; run it with ``env.run``."""
         return self.env.process(
             self.migrate(domain, destination, config, workload_name,
-                         scheme=scheme, scheme_kwargs=scheme_kwargs),
+                         scheme=scheme),
             name=f"retry-migrate:{domain.name}->{destination.name}")

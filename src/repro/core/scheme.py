@@ -1,4 +1,4 @@
-"""Unified migration-scheme framework and scheme registry.
+"""Unified migration-scheme framework.
 
 Every migration scheme — the paper's Three-Phase Migration and the four
 §II baselines it is compared against — shares the same scaffolding: a
@@ -20,10 +20,11 @@ protected steps :meth:`MigrationScheme._freeze`,
 all of them.  Every scheme ends in the one consistency check,
 :meth:`~MigrationScheme._verify`.
 
-Schemes register themselves with :func:`register_scheme`;
+The set of schemes is closed: :data:`~repro.core.manager.SCHEMES` maps
+each scheme's :attr:`~MigrationScheme.name` to its class, and
 :meth:`Migrator.migrate(..., scheme="delta-queue")
-<repro.core.manager.Migrator.migrate>` resolves the name through
-:func:`get_scheme` and runs any of them through one code path.
+<repro.core.manager.Migrator.migrate>` looks the name up there and runs
+any of them through one code path.
 """
 
 from __future__ import annotations
@@ -50,53 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment
     from ..vm.cpu import CPUState
 
-#: Scheme name -> scheme class.  Aliases map to the same class.
-SCHEME_REGISTRY: dict[str, type] = {}
-
-
-def register_scheme(cls: type) -> type:
-    """Class decorator: add ``cls`` to the scheme registry by its name
-    (and any :attr:`MigrationScheme.aliases`)."""
-    if not getattr(cls, "name", None):
-        raise MigrationError(f"{cls.__name__} has no scheme name")
-    for key in (cls.name, *getattr(cls, "aliases", ())):
-        existing = SCHEME_REGISTRY.get(key)
-        if existing is not None and existing is not cls:
-            raise MigrationError(
-                f"scheme name {key!r} already registered to "
-                f"{existing.__name__}")
-        SCHEME_REGISTRY[key] = cls
-    return cls
-
-
-def _load_builtin_schemes() -> None:
-    """Import the modules that register the built-in schemes."""
-    from .. import baselines  # noqa: F401  (registers the four baselines)
-    from . import tpm  # noqa: F401  (registers "tpm")
-
-
-def get_scheme(name: str) -> type:
-    """Resolve a registered scheme class by name or alias."""
-    _load_builtin_schemes()
-    try:
-        return SCHEME_REGISTRY[name]
-    except KeyError:
-        raise MigrationError(
-            f"unknown migration scheme {name!r}; registered: "
-            f"{', '.join(scheme_names())}") from None
-
-
-def scheme_names(aliases: bool = False) -> tuple[str, ...]:
-    """Canonical names of all registered schemes (sorted).
-
-    ``aliases=True`` includes every alias as well.
-    """
-    _load_builtin_schemes()
-    if aliases:
-        return tuple(sorted(SCHEME_REGISTRY))
-    return tuple(sorted({cls.name for cls in SCHEME_REGISTRY.values()}))
-
-
 class MigrationScheme:
     """Base class for one whole-system migration, source → destination.
 
@@ -116,10 +70,9 @@ class MigrationScheme:
        the migration span.
     """
 
-    #: Registry key; also stamped on every report this scheme produces.
+    #: Key in :data:`~repro.core.manager.SCHEMES`; also stamped on every
+    #: report this scheme produces.
     name: str = ""
-    #: Extra registry keys resolving to this scheme.
-    aliases: tuple[str, ...] = ()
     #: True when the scheme honours :meth:`request_abort` before commit.
     supports_abort: bool = False
     #: True when the scheme participates in the Migrator's Incremental

@@ -33,7 +33,7 @@ from ..vm.host import Host
 from .config import MigrationConfig
 from .postcopy import PostCopySynchronizer
 from .precopy import TRACKING_NAME, DiskPreCopier
-from .scheme import MigrationScheme, register_scheme
+from .scheme import MigrationScheme
 from .transfer import BlockStreamer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 IM_TRACKING_NAME = "im"
 
 
-@register_scheme
 class ThreePhaseMigration(MigrationScheme):
     """One whole-system live migration, source → destination."""
 

@@ -11,8 +11,9 @@ from repro.analysis import (
     run_table1_experiment,
     run_table2_experiment,
 )
+from repro.analysis import experiments
 from repro.analysis.experiments import run_baseline_experiment
-from repro.errors import ReproError
+from repro.errors import MigrationError, ReproError
 from repro.workloads import (
     BonniePlusPlus,
     IdleWorkload,
@@ -92,9 +93,15 @@ class TestRunners:
         assert stats.write_ops > 0
         assert 0.0 <= stats.op_rewrite_fraction <= 1.0
 
-    def test_baseline_runner_unknown_scheme(self):
-        with pytest.raises(ReproError):
-            run_baseline_experiment("teleport", scale=SCALE)
+    def test_baseline_runner_unknown_scheme(self, monkeypatch):
+        # Rejected before any testbed is built; "delta" was an alias.
+        def no_testbed(*args, **kwargs):
+            raise AssertionError("testbed built for an unknown scheme")
+
+        monkeypatch.setattr(experiments, "build_testbed", no_testbed)
+        for name in ("teleport", "delta"):
+            with pytest.raises(MigrationError, match=repr(name)):
+                run_baseline_experiment(name, scale=SCALE)
 
     def test_baseline_runner_tpm_path(self):
         report, _, mig = run_baseline_experiment("tpm", "idle", scale=SCALE,

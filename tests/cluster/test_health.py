@@ -84,7 +84,19 @@ class TestHealthMonitor:
         assert not mon.healthy("h") and mon.state_of("h") == "open"
         env.run(until=2.0)
         assert mon.state_of("h") == "half-open"
-        assert mon.healthy("h")  # admits the single probe
+        assert mon.healthy("h")  # its single probe is free
+
+    def test_healthy_is_a_query_admit_takes_the_probe(self):
+        env = Environment()
+        mon = HealthMonitor(env, failure_threshold=1, recovery_time=1.0)
+        mon.record_failure("h")
+        env.run(until=1.0)
+        assert mon.healthy("h") and mon.healthy("h")
+        assert mon.admit("h")           # one job goes: the probe
+        assert not mon.healthy("h") and not mon.admit("h")
+        mon.record_success("h")
+        assert mon.healthy("h") and mon.admit("h") and mon.admit("h")
+        assert mon.admit("never-seen") and "never-seen" not in mon.breakers
 
     def test_open_fraction_counts_only_open(self):
         env = Environment()
@@ -133,3 +145,50 @@ class TestHealthyFilter:
         domain = bed.domains_on(bed.hosts[0])[0]
         with pytest.raises(NoValidHost):
             bed.scheduler.hostmanager.select(domain, exclude=("host00",))
+
+    def test_placement_pass_takes_no_half_open_probe(self):
+        # A half-open host that loses the scoring keeps its probe free:
+        # the pass only asks, so the next placement still sees it.
+        bed = build_cluster(nhosts=4, vms_per_host=1, **SMALL)
+        mon = HealthMonitor(bed.env, recovery_time=0.5)
+        manager = HostManager(bed.migrator.topology, health=mon)
+        mon.breaker("host03").force_open(0.0)
+        bed.env.run(until=1.0)
+        assert mon.state_of("host03") == "half-open"
+        domain = bed.domains_on(bed.hosts[0])[0]
+        assert manager.select(domain).name == "host01"
+        assert [state.name for state in manager.filter_hosts(domain)] == [
+            "host01", "host02", "host03"]
+
+    def test_evacuation_sends_the_probe_to_a_half_open_host(self):
+        # The pass picks the empty half-open host; the job's own admission
+        # takes the probe and runs there, and its success closes the
+        # breaker.
+        bed = build_cluster(nhosts=4, vms_per_host=1, health=True, **SMALL)
+        mon = bed.scheduler.health
+        empty = bed.hosts[3]
+        for domain in list(empty.domains):
+            empty.detach_domain(domain.domain_id)
+        mon.breaker("host03").force_open(0.0)
+        bed.env.run(until=mon.recovery_time)
+        assert mon.state_of("host03") == "half-open"
+        jobs = bed.scheduler.evacuate(bed.hosts[0])
+        bed.scheduler.drain(jobs)
+        assert [job.destination for job in jobs] == [empty]
+        assert jobs[0].succeeded
+        assert mon.state_of("host03") == "closed"
+
+    def test_one_probe_at_a_time(self):
+        bed = build_cluster(nhosts=4, vms_per_host=1, health=True, **SMALL)
+        mon = bed.scheduler.health
+        target = bed.hosts[3]
+        mon.breaker(target.name).force_open(0.0)
+        bed.env.run(until=mon.recovery_time)
+        first, second = (
+            bed.scheduler.submit(bed.domains_on(host)[0], target,
+                                 replaceable=True)
+            for host in bed.hosts[:2])
+        bed.scheduler.drain([first, second])
+        assert first.destination is target
+        assert second.destination is not target
+        assert first.succeeded and second.succeeded

@@ -10,7 +10,8 @@
 import numpy as np
 import pytest
 
-from repro.core.scheme import MigrationScheme, scheme_names
+from repro.core import SCHEMES
+from repro.core.scheme import MigrationScheme
 from repro.errors import ConsistencyError, MigrationError
 from repro.storage import VirtualBlockDevice
 
@@ -86,7 +87,7 @@ class TestVerifyStep:
         assert isinstance(excinfo.value, ConsistencyError)
         return str(excinfo.value)
 
-    @pytest.mark.parametrize("scheme", scheme_names())
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_missed_update_names_blocks(self, bed, monkeypatch, scheme):
         message = self.run_missing(bed, monkeypatch, [7], scheme)
         assert "1 blocks inconsistent after migration" in message

@@ -10,7 +10,7 @@ top of that drain rather than overlapping it.
 
 import pytest
 
-from repro.core.scheme import scheme_names
+from repro.core import SCHEMES
 from repro.obs import install
 
 SUSPEND_OVERHEAD = 0.020
@@ -35,7 +35,7 @@ def busy_writer(bed):
     return bed.env.process(proc(bed.env), name="busy-writer")
 
 
-@pytest.fixture(params=scheme_names())
+@pytest.fixture(params=sorted(SCHEMES))
 def frozen(request, make_bed):
     """One migration of a busy guest under ``request.param``, traced."""
     bed = make_bed()
@@ -50,7 +50,7 @@ def frozen(request, make_bed):
     proc = bed.migrator.migrate_process(bed.domain, bed.destination, config,
                                         scheme=request.param)
     report = bed.env.run(until=proc)
-    migration = bed.migrator.last_migration
+    migration = bed.migrator.migrations[-1]
     if hasattr(migration, "stop"):
         migration.stop()
     return bed, report, applied

@@ -294,7 +294,7 @@ class TestChannelPair:
         bed = make_bed()
         report = bed.migrate(bed.config.replace(rate_limit=50 * MB))
         assert report.consistency_verified
-        migration = bed.migrator.last_migration
+        migration = bed.migrator.migrations[-1]
         assert isinstance(migration.fwd.limiter, TokenBucket)
         assert not isinstance(migration.rev.limiter, TokenBucket)
         assert migration.fwd.name == "mig:source->destination"

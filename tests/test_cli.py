@@ -1,8 +1,11 @@
 """Tests for the repro-sim command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import SCHEMES
 
 
 class TestParser:
@@ -23,6 +26,18 @@ class TestParser:
     def test_invalid_scheme_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["migrate", "--scheme", "teleport"])
+
+    def test_scheme_choices_are_the_scheme_table(self):
+        parser = build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        schemed = {}
+        for command, sub in commands.choices.items():
+            for action in sub._actions:
+                if "--scheme" in action.option_strings:
+                    schemed[command] = list(action.choices)
+        assert schemed == {command: list(SCHEMES)
+                           for command in ("migrate", "trace", "evacuate")}
 
 
 class TestCommands:
@@ -58,8 +73,8 @@ class TestCommands:
         assert "residual dependency" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["migrate", "trace"])
-    def test_scheme_alias_runs_like_canonical_name(self, command, capsys,
-                                                   monkeypatch, tmp_path):
+    def test_on_demand_dependency_is_stopped(self, command, capsys,
+                                             monkeypatch, tmp_path):
         from repro.baselines.ondemand import OnDemandMigration
 
         stops = []
@@ -68,7 +83,7 @@ class TestCommands:
                             lambda self: stops.append(real_stop(self)))
         extra = (["--dwell", "2"] if command == "migrate"
                  else ["--out", str(tmp_path / "t.json")])
-        assert main([command, "--scheme", "ondemand", "--workload", "idle",
+        assert main([command, "--scheme", "on-demand", "--workload", "idle",
                      *extra, *self.SMALL]) == 0
         out = capsys.readouterr().out
         assert "on-demand migration" in out

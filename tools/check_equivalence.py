@@ -242,10 +242,10 @@ def _run_delta_stack() -> dict:
 
 def scenarios() -> dict:
     """Name -> thunk for every fixture scenario (deterministic order)."""
-    from repro.analysis.experiments import BASELINE_SCHEMES
+    from repro.core import SCHEMES
 
     table = {}
-    for scheme in BASELINE_SCHEMES:
+    for scheme in SCHEMES:
         table[f"scheme:{scheme}"] = (
             lambda scheme=scheme: _run_scheme(scheme))
     table["fault-retry:incremental"] = _run_fault_retry

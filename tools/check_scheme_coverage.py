@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Check that every registered migration scheme is exercised by tests.
+"""Check that every migration scheme is exercised by tests.
 
-Loads the scheme registry (``repro.core.scheme``), then scans every
-``test_*.py``/``bench_*.py`` file under ``tests/`` and ``benchmarks/``
-for string literals naming each canonical scheme.  A scheme that no test
-mentions is a coverage hole: someone added ``@register_scheme`` without
-wiring the scheme into the parity/comparison suites, so it would ship
-without ever having been run through ``Migrator.migrate``.
+Loads the scheme table (``repro.core.SCHEMES``), then scans every
+``*.py`` file under ``tests/`` and ``benchmarks/`` for string literals
+naming each scheme.  A scheme that no test mentions is a coverage hole:
+someone added it to the table without wiring it into the
+parity/comparison suites, so it would ship without ever having been run
+through ``Migrator.migrate``.
 
-Also fails when a test tree references a scheme name that is *not*
-registered — usually a typo'd string that would only surface as a
+Also fails when a test tree passes ``scheme=`` a name that is *not* in
+the table — usually a typo'd string that would only surface as a
 runtime ``unknown migration scheme`` error.
 
 Exit status 0 when every scheme is covered and every reference resolves,
@@ -26,16 +26,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SCAN_DIRS = ("tests", "benchmarks")
 
 #: String literals that look like scheme names: lowercase words joined
-#: by dashes (matches every registry key; plain words like "tpm" too).
+#: by dashes (matches every scheme name; plain words like "tpm" too).
 NAME_RE = re.compile(r"""["']([a-z][a-z0-9]*(?:-[a-z0-9]+)*)["']""")
 
 
-def registered_schemes() -> tuple[set[str], set[str]]:
-    """(canonical names, all registry keys incl. aliases)."""
+def table_names() -> set[str]:
+    """The names in the scheme table."""
     sys.path.insert(0, str(ROOT / "src"))
-    from repro.core.scheme import scheme_names
+    from repro.core import SCHEMES
 
-    return set(scheme_names()), set(scheme_names(aliases=True))
+    return set(SCHEMES)
 
 
 def scan_literals() -> dict[str, set[str]]:
@@ -53,14 +53,14 @@ def scan_literals() -> dict[str, set[str]]:
 
 
 def main() -> int:
-    canonical, all_keys = registered_schemes()
+    names = table_names()
     literals = scan_literals()
 
     errors = []
-    for name in sorted(canonical):
+    for name in sorted(names):
         if name not in literals:
             errors.append(
-                f"scheme {name!r} is registered but no test or benchmark "
+                f"scheme {name!r} is in the table but no test or benchmark "
                 f"under {'/'.join(SCAN_DIRS)} mentions it")
         else:
             files = sorted(literals[name])
@@ -79,14 +79,14 @@ def main() -> int:
             for match in usage_re.finditer(
                     path.read_text(encoding="utf-8")):
                 name = match.group(1)
-                if name not in all_keys:
+                if name not in names:
                     errors.append(
                         f"{path.relative_to(ROOT)}: scheme={name!r} "
-                        f"is not a registered scheme or alias")
+                        f"is not a migration scheme")
 
     for err in errors:
         print(f"ERROR: {err}")
-    print(f"check_scheme_coverage: {len(canonical)} schemes, "
+    print(f"check_scheme_coverage: {len(names)} schemes, "
           f"{len(errors)} problem(s)")
     return 1 if errors else 0
 
