@@ -1,16 +1,16 @@
 """Event-engine microbenchmark: 10,000 tickers on one Environment.
 
 Each ticker is a process that sleeps a fixed period (a ``Timeout``) and
-ticks again until the horizon.  Four variants:
+ticks again until the horizon.  Five variants:
 
 * ``plain``: every tick is one timeout; no event is dispatched inline.
-* ``spindle``: every 10 tickers share a ``Spindle`` (a capacity-1 FIFO
-  server); a tick takes it with ``acquire``, holds it for a short
-  service time and releases it, the shape of a guest write on a disk.
-  An idle spindle is granted inline, without a heap round trip.  On a
-  checkout that predates ``Spindle`` the variant times the same ticks on
-  a capacity-1 ``Resource`` (with ``acquire`` where it has one, else
-  ``request()``).
+* ``spindle``: every 10 tickers share a ``Spindle`` (a capacity-1
+  server, here FIFO: every tick at one priority); a tick takes it with
+  ``acquire``, holds it for a short service time and releases it, the
+  shape of a guest write on a disk.  An idle spindle is granted inline,
+  without a heap round trip.  On a checkout that predates ``Spindle``
+  the variant times the same ticks on a capacity-1 ``Resource`` (with
+  ``acquire`` where it has one, else ``request()``).
 * ``guest``: the same ticks as real guest writes.  Every 10 tickers are
   domains attached to one ``Host``, whose ``PhysicalDisk`` takes exactly
   the ``spindle`` service time per write; a tick is
@@ -22,6 +22,10 @@ ticks again until the horizon.  Four variants:
   every 10 tickers share one channel over its own link, drained by one
   receiver process.  A tick is ``yield from chan.send(msg)``, so this
   leg times the send path and the message's delivery into the mailbox.
+* ``routed``: the ``channel`` leg over a two-hop ``RoutedPath`` (host →
+  switch → host, each hop a link like the ``channel`` leg's), so every
+  message takes two link wires in turn; every other tick sends at
+  priority 1, so frames of two priorities share the wires.
 
 each with the calendar queue engaged (the default threshold; 10,000
 pending timeouts cross it) and with it off (``calendar_threshold=None``).
@@ -33,15 +37,18 @@ pending timeouts cross it) and with it off (``calendar_threshold=None``).
 
 Every ``plain`` pass builds that ``AllOf``, so the three forms dispatch
 the same events; the benchmark exits 1 if they do not.  ``spindle``,
-``guest`` and ``channel`` are timed under ``run()``.  For each leg the
-benchmark prints the events dispatched, the share of them dispatched
-inline, and the median wall time per event over ``REPEAT`` passes with
-its quartiles.  The passes of the six legs alternate; each ``guest``
-pass is paired with the ``spindle`` pass just before it, and the
-benchmark prints the median and quartiles of their difference per
-write: what the guest write path costs above the engine.  For
-``channel`` it prints the messages delivered, the events dispatched per
-message and the median wall time per message with its quartiles.
+``guest``, ``channel`` and ``routed`` are timed under ``run()``.  For
+each leg the benchmark prints the events dispatched, the share of them
+dispatched inline, and the median wall time per event over ``REPEAT``
+passes with its quartiles.  The passes of the seven legs alternate;
+each ``guest`` pass is paired with the ``spindle`` pass just before it,
+and the benchmark prints the median and quartiles of their difference
+per write: what the guest write path costs above the engine.  For
+``channel`` and ``routed`` it prints the messages delivered, the events
+dispatched per message and the median wall time per message with its
+quartiles; for ``routed`` also the wire grants per message (frames that
+crossed a hop, from the hops' byte counters).  The leg's line above it
+carries its inline share.
 
 Run standalone::
 
@@ -53,7 +60,8 @@ and alternate the first two commands to compare versions on one machine.
 The event counts of ``plain``, ``spindle`` and ``guest`` must match
 between versions: inline dispatch changes how an event is dispatched,
 never which events there are.  ``channel`` counts the events a delivery
-costs, so it moves when delivery changes shape.
+costs, and ``routed`` those of a delivery and its wire grants, so they
+move when delivery changes shape.
 """
 
 from __future__ import annotations
@@ -77,9 +85,12 @@ NBLOCKS = 16
 LATENCY = 1e-3
 #: The ways ``Environment.run`` is called; ``plain`` runs under each.
 FORMS = ("run()", "until=t", "until=event")
+#: Hops of the ``routed`` variant's path (host -> switch -> host).
+HOPS = 2
 #: (variant, run form) legs; ``guest`` directly follows ``spindle``.
 LEGS = tuple(("plain", form) for form in FORMS) + (
-    ("spindle", "run()"), ("guest", "run()"), ("channel", "run()"))
+    ("spindle", "run()"), ("guest", "run()"), ("channel", "run()"),
+    ("routed", "run()"))
 
 
 def guest_domains(env, tickers: int) -> list:
@@ -103,7 +114,7 @@ def guest_domains(env, tickers: int) -> list:
 def one_pass(tickers: int, horizon: float, variant: str, form: str,
              calendar: bool):
     """Run one variant under one run form on a fresh environment;
-    (seconds, events, inline, ticks)."""
+    (seconds, events, inline, ticks, wire grants)."""
     from repro import sim
 
     env = (sim.Environment() if calendar
@@ -120,11 +131,18 @@ def one_pass(tickers: int, horizon: float, variant: str, form: str,
                if variant == "spindle" else None)
     domains = guest_domains(env, tickers) if variant == "guest" else None
     delivered = [0]
-    if variant == "channel":
+    links = []
+    if variant in ("channel", "routed"):
         from repro.net import Channel, ControlMsg, Link
+        from repro.net.topology import RoutedPath
 
-        chans = [Channel(env, Link(env, latency=LATENCY))
-                 for _ in range(tickers // PER_SERVER)]
+        def path(k):
+            hops = [Link(env, latency=LATENCY, name=f"h{k}:{j}")
+                    for j in range(HOPS if variant == "routed" else 1)]
+            links.extend(hops)
+            return hops[0] if variant == "channel" else RoutedPath(hops)
+
+        chans = [Channel(env, path(k)) for k in range(tickers // PER_SERVER)]
         message = ControlMsg("tick")
 
         def receiver(env, chan):
@@ -156,10 +174,12 @@ def one_pass(tickers: int, horizon: float, variant: str, form: str,
                     spindle.release(grant)
                 yield env.timeout(period)
                 ticks += 1
-        elif variant == "channel":
+        elif variant in ("channel", "routed"):
             chan = chans[i // PER_SERVER]
+            urgent = variant == "routed"
             while env.now < horizon:
-                yield from chan.send(message)
+                yield from chan.send(message,
+                                     priority=ticks & 1 if urgent else 0)
                 yield env.timeout(period)
                 ticks += 1
         else:
@@ -184,10 +204,13 @@ def one_pass(tickers: int, horizon: float, variant: str, form: str,
     env.run(until=until)
     elapsed = time.perf_counter() - started
     ticks = sum(proc.value for proc in procs)
-    if variant == "channel" and delivered[0] != ticks:
+    if links and delivered[0] != ticks:
         raise RuntimeError(f"{ticks} messages sent, {delivered[0]} delivered")
+    # Every frame a wire carried was one grant of that wire.
+    grants = (sum(link.bytes_sent for link in links) // message.wire_nbytes
+              if links else 0)
     return (elapsed, env.events_processed, getattr(env, "events_inline", 0),
-            ticks)
+            ticks, grants)
 
 
 def main(argv=None) -> int:
@@ -214,12 +237,12 @@ def main(argv=None) -> int:
             for leg in LEGS:
                 runs[leg].append(one_pass(tickers, horizon, *leg, calendar))
         counts = {(events, ticks) for leg in LEGS if leg[0] == "plain"
-                  for _, events, _, ticks in runs[leg]}
+                  for _, events, _, ticks, _ in runs[leg]}
         if len(counts) != 1:
             print(f"the run forms dispatch different events: {counts}")
             return 1
         for leg in LEGS:
-            _, events, inline, _ = runs[leg][0]
+            _, events, inline, *_ = runs[leg][0]
             us = [seconds / events * 1e6 for seconds, *_ in runs[leg]]
             q1, median, q3 = np.percentile(us, [25, 50, 75])
             print(f"{leg[0]:<8} {leg[1]:<12} {queue:<8} {events:>9,} events  "
@@ -232,13 +255,16 @@ def main(argv=None) -> int:
         q1, median, q3 = np.percentile(above, [25, 50, 75])
         print(f"guest    {'':<12} {queue:<8} {writes:>9,} writes  "
               f"{median:.3f} us/write above spindle [{q1:.3f}, {q3:.3f}]")
-        channel = runs[("channel", "run()")]
-        _, events, _, messages = channel[0]
-        us = [seconds / messages * 1e6 for seconds, *_ in channel]
-        q1, median, q3 = np.percentile(us, [25, 50, 75])
-        print(f"channel  {'':<12} {queue:<8} {messages:>9,} messages  "
-              f"{events / messages:.3f} events/message  "
-              f"{median:.3f} us/message [{q1:.3f}, {q3:.3f}]")
+        for variant in ("channel", "routed"):
+            leg = runs[(variant, "run()")]
+            _, events, _, messages, grants = leg[0]
+            us = [seconds / messages * 1e6 for seconds, *_ in leg]
+            q1, median, q3 = np.percentile(us, [25, 50, 75])
+            wires = (f"{grants / messages:.3f} grants/message  "
+                     if variant == "routed" else "")
+            print(f"{variant:<8} {'':<12} {queue:<8} {messages:>9,} messages  "
+                  f"{events / messages:.3f} events/message  {wires}"
+                  f"{median:.3f} us/message [{q1:.3f}, {q3:.3f}]")
     return 0
 
 

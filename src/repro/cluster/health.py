@@ -27,7 +27,9 @@ Breaker semantics:
 * **open** — the host receives nothing for ``recovery_time`` simulated
   seconds, then lapses to half-open;
 * **half-open** — the next job sent there is the probe: success closes
-  the breaker, failure re-opens it (and restarts the recovery clock).
+  the breaker, failure re-opens it (and restarts the recovery clock);
+  an attempt that dies with its *source* gives the probe back with no
+  verdict (:meth:`HealthMonitor.release_probe`).
 
 Asking is free: :meth:`HealthMonitor.healthy` and
 :meth:`CircuitBreaker.would_allow` change nothing, so a placement pass
@@ -105,6 +107,11 @@ class CircuitBreaker:
             self._half_open_pending = True
         return True
 
+    def release_probe(self) -> None:
+        """Give back a half-open probe with no verdict (its attempt died
+        for a reason that says nothing about this host)."""
+        self._half_open_pending = False
+
     def record_success(self, now: float) -> None:
         """A migration toward this host completed."""
         self.consecutive_failures = 0
@@ -175,6 +182,12 @@ class HealthMonitor:
     def record_failure(self, name: str) -> None:
         self.breaker(name).record_failure(self.env.now)
         self.env.metrics.counter("cluster.health.failures").inc()
+
+    def release_probe(self, name: str) -> None:
+        """Free ``name``'s half-open probe without a verdict."""
+        state = self.breakers.get(name)
+        if state is not None:
+            state.release_probe()
 
     def note_crash(self, name: str, at: Optional[float] = None) -> None:
         """Fault-injector crash listener: trip the breaker immediately."""

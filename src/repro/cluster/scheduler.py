@@ -285,7 +285,8 @@ class ClusterScheduler:
                         destination: "Host", exc: Exception) -> None:
         """Count one failed attempt, append a structured
         :class:`JobFailure` and feed the health monitor (the destination
-        is charged unless the *source* is the crashed party)."""
+        is charged unless the *source* is the crashed party; then it only
+        gets back the half-open probe the attempt held)."""
         job.attempts = attempt
         report = getattr(exc, "report", None)
         phase = (report.extra.get("failed_phase", "unknown")
@@ -301,6 +302,8 @@ class ClusterScheduler:
             source = job.domain.host
             if source is None or not source.crashed:
                 self.health.record_failure(destination.name)
+            else:
+                self.health.release_probe(destination.name)
 
     def _dead_letter(self, job: MigrationJob) -> None:
         self.dead_letter.append(job)

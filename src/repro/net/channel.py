@@ -165,10 +165,10 @@ class Channel:
             self.env.timeout(arrival - now, message).callbacks.append(
                 self._land)
         else:
-            self._mailbox.put(message)
+            self._mailbox.deposit(message)
 
     def _land(self, timeout: Event) -> None:
-        self._mailbox.put(timeout._value)
+        self._mailbox.deposit(timeout._value)
 
     # -- receiving -------------------------------------------------------
 

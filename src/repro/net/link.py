@@ -1,8 +1,9 @@
 """Point-to-point network link model.
 
 One :class:`Link` is a single transmission direction with a serialization
-resource (one frame on the wire at a time), a line rate, and a propagation
-latency.  A :class:`DuplexLink` bundles the two directions of a full-duplex
+wire (a :class:`~repro.sim.Spindle`: one frame on the wire at a time, the
+most urgent waiting frame next), a line rate, and a propagation latency.
+A :class:`DuplexLink` bundles the two directions of a full-duplex
 Ethernet connection — migration data flows source→destination while pull
 requests flow destination→source without contending with it.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from ..errors import NetworkError
-from ..sim import Resource
+from ..sim import Spindle
 from ..units import Gbps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,7 +38,7 @@ class Link:
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
         self.name = name
-        self._wire = Resource(env, capacity=1)
+        self._wire = Spindle(env)
         self.bytes_sent = 0
         self.busy_time = 0.0
         #: Cached ``(registry, counter)`` for the per-transmit byte metric,
@@ -64,8 +65,11 @@ class Link:
         """Occupy the wire for ``nbytes``; ``yield from`` inside a process.
 
         Returns once the last byte is on the wire — add :attr:`latency`
-        before the receiver may see it (the channel does this).  ``priority``
-        lets urgent traffic (pulled blocks) jump the queue.
+        before the receiver may see it (the channel does this).  Frames
+        take the wire one at a time; a waiting frame with a lower
+        ``priority`` goes first (urgent traffic such as pulled blocks
+        jumps the queue), and frames of one priority go in arrival order.
+        An idle wire is granted inline (see :class:`~repro.sim.Spindle`).
 
         With a fault state installed, a transmit starting inside a blackout
         stalls until the window ends (or raises
@@ -75,8 +79,13 @@ class Link:
         """
         if nbytes < 0:
             raise NetworkError(f"negative transmit size {nbytes}")
-        with self._wire.request(priority=priority) as grant:
-            yield grant
+        # try/finally rather than a context manager, as in PhysicalDisk.io:
+        # this runs once per message per hop.
+        wire = self._wire
+        grant = wire.acquire(priority)
+        try:
+            if grant.callbacks is not None:  # else granted inline
+                yield grant
             if self.faults is not None:
                 yield from self.faults.gate(self)
                 duration = (self.transmission_time(nbytes)
@@ -85,6 +94,8 @@ class Link:
                 duration = self.transmission_time(nbytes)
             yield self.env.timeout(duration)
             self.busy_time += duration
+        finally:
+            wire.release(grant)
         self.bytes_sent += nbytes
         metrics = self.env.metrics
         cached = self._bytes_counter

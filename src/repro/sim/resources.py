@@ -1,15 +1,18 @@
 """Shared-resource primitives: :class:`Spindle`, :class:`Resource` and
 :class:`Store`.
 
-These model contention — a disk that serves one operation at a time, a
-link wire or a bounded pool of admission slots, a bounded queue of
-migration messages.
+These model contention — a disk or a link wire that serves one
+operation at a time (a :class:`Spindle`), a bounded pool of admission
+slots (a :class:`Resource`), a queue of migration messages (a
+:class:`Store`).
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import deque
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import SimulationError
@@ -20,24 +23,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Spindle:
-    """A capacity-1 server that grants in arrival order: a disk spindle.
+    """A capacity-1 server that grants by priority: a disk spindle or a
+    link wire.
 
     A process takes the server with :meth:`acquire`, yields the returned
     grant as its very next statement (a grant that is already processed
     may skip that yield), and hands the grant back to :meth:`release`
     when done (in a ``finally``)::
 
-        grant = spindle.acquire()
+        grant = spindle.acquire(priority)
         try:
-            yield grant
+            if grant.callbacks is not None:  # else granted inline
+                yield grant
             yield env.timeout(service_time)
         finally:
             spindle.release(grant)
 
-    It serves the same order, with the same event ids and the same
+    Waiters are granted lowest ``priority`` first, and in arrival order
+    within one priority.  That is the order a ``Resource(env,
+    capacity=1)`` serves, and the spindle serves it with the same event
+    ids and the same
     :attr:`Environment.events_processed <repro.sim.engine.Environment.events_processed>`,
-    as a ``Resource(env, capacity=1)`` whose requests all share one
-    priority, without that class's priority heap, sequence numbers,
+    without that class's priority heap, sequence numbers,
     :class:`Request` objects and tombstones.  A grant is a plain
     :class:`Event`:
 
@@ -67,10 +74,11 @@ class Spindle:
         self.env = env
         #: The grant holding the server, or None while it is idle.
         self.busy: Optional[Event] = None
-        #: Grants waiting in arrival order, or None while none waits: the
-        #: list is made for the first waiter and dropped with the last, so
-        #: an idle or uncontended spindle holds no queue.
-        self._waiting: Optional[list[Event]] = None
+        #: ``(priority, grant)`` pairs in grant order (priority, then
+        #: arrival), or None while none waits: the list is made for the
+        #: first waiter and dropped with the last, so an idle or
+        #: uncontended spindle holds no queue.
+        self._waiting: Optional[list[tuple[int, Event]]] = None
         #: The already-processed event an inline grant hands out (made on
         #: first use; one holder at a time, so one event serves them all).
         self._granted: Optional[Event] = None
@@ -80,8 +88,9 @@ class Spindle:
         """Number of grants waiting for the server."""
         return 0 if self._waiting is None else len(self._waiting)
 
-    def acquire(self) -> Event:
-        """Claim the server; the caller's next statement yields the grant."""
+    def acquire(self, priority: int = 0) -> Event:
+        """Claim the server (lower ``priority`` is granted first); the
+        caller's next statement yields the grant."""
         env = self.env
         if self.busy is None:
             if env._sole:
@@ -102,27 +111,35 @@ class Spindle:
             heapq.heappush(env._queue, (env._now, NORMAL, eid, grant))
             return grant
         grant = Event(env)
-        if self._waiting is None:
-            self._waiting = [grant]
+        waiting = self._waiting
+        if waiting is None:
+            self._waiting = [(priority, grant)]
+        elif priority >= waiting[-1][0]:
+            waiting.append((priority, grant))
         else:
-            self._waiting.append(grant)
+            # Behind every waiter of the same or a lower priority.
+            waiting.insert(bisect_right(waiting, priority, key=itemgetter(0)),
+                           (priority, grant))
         return grant
 
     def release(self, grant: Event) -> None:
         """Return the server (or withdraw a waiting grant)."""
+        waiting = self._waiting
         if grant is self.busy:
-            waiting = self._waiting
             if waiting is None:
                 self.busy = None
             else:
-                head = self.busy = waiting.pop(0)
+                head = self.busy = waiting.pop(0)[1]
                 if not waiting:
                     self._waiting = None
                 head.succeed()
-        elif self._waiting is not None and grant in self._waiting:
-            self._waiting.remove(grant)
-            if not self._waiting:
-                self._waiting = None
+        elif waiting is not None:
+            for i, entry in enumerate(waiting):
+                if entry[1] is grant:
+                    del waiting[i]
+                    if not waiting:
+                        self._waiting = None
+                    return
 
 
 class Request(Event):
@@ -130,9 +147,9 @@ class Request(Event):
 
     Usable as a context manager so that the resource is always released::
 
-        with wire.request() as req:
+        with slots.request() as req:
             yield req
-            yield env.timeout(transmit_time)
+            yield env.timeout(hold_time)
     """
 
     __slots__ = ("resource", "priority", "_cancelled")
@@ -168,9 +185,9 @@ class Resource:
     Cancelling a queued request (releasing it before it was granted) is
     *lazy*: the heap entry is left in place, flagged, and skipped when it
     eventually surfaces in :meth:`_grant` — O(log n) instead of the O(n)
-    rebuild-and-reheapify a physical removal would cost.  For one server
-    whose requests all share a priority, :class:`Spindle` serves the same
-    order more cheaply.
+    rebuild-and-reheapify a physical removal would cost.  It serves the
+    scheduler's capacity-N slots; for one server, :class:`Spindle` serves
+    the same order more cheaply.
     """
 
     __slots__ = ("env", "capacity", "users", "_waiting", "_seq",
@@ -248,7 +265,12 @@ class Resource:
 
 
 class Store:
-    """An unbounded-or-bounded FIFO of Python objects with blocking get/put."""
+    """An unbounded-or-bounded FIFO of Python objects with blocking get/put.
+
+    :meth:`put` returns an event that fires once the item is accepted;
+    :meth:`deposit` is the event-free form for an item that is never
+    refused (a channel's mailbox deposits every delivered message).
+    """
 
     __slots__ = ("env", "capacity", "items", "_getters", "_putters")
 
@@ -274,6 +296,21 @@ class Store:
         else:
             self._putters.append((event, item))
         return event
+
+    def deposit(self, item: Any) -> None:
+        """Deposit ``item`` at once, making no put event.
+
+        The oldest waiting getter, if any, fires with it at ``now``,
+        exactly as after :meth:`put`.  Raises
+        :class:`~repro.errors.SimulationError` when the store is full.
+        """
+        if len(self.items) >= self.capacity:
+            raise SimulationError("cannot deposit into a full store")
+        if self._getters:
+            # A getter waits only while no item is queued: hand it over.
+            self._getters.popleft().succeed(item)
+        else:
+            self.items.append(item)
 
     def get(self) -> Event:
         """Withdraw the oldest item; the returned event fires with the item."""

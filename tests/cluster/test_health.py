@@ -3,7 +3,8 @@ HealthMonitor feeds (job outcomes, injector crash events, polling)."""
 
 import pytest
 
-from repro.cluster import CircuitBreaker, HealthMonitor, build_cluster
+from repro.cluster import (CircuitBreaker, HealthMonitor, RetryPolicy,
+                           build_cluster)
 from repro.cluster.hostmanager import HostManager
 from repro.errors import MigrationError, NoValidHost
 from repro.faults import FaultInjector, FaultPlan
@@ -42,6 +43,15 @@ class TestCircuitBreaker:
         assert b.state(5.0) == "half-open"
         assert b.allows(5.0)        # the probe gets through
         assert not b.allows(5.0)    # everyone else waits for its verdict
+
+    def test_released_probe_goes_to_the_next_caller(self):
+        b = CircuitBreaker("h", failure_threshold=1, recovery_time=5.0)
+        b.record_failure(0.0)
+        assert b.allows(5.0)
+        b.release_probe()           # no verdict: still half-open
+        assert b.state(5.0) == "half-open" and b.trips == 1
+        assert b.allows(5.0)
+        assert not b.allows(5.0)
 
     def test_probe_success_closes_probe_failure_reopens(self):
         b = CircuitBreaker("h", failure_threshold=1, recovery_time=5.0)
@@ -192,3 +202,27 @@ class TestHealthyFilter:
         assert first.destination is target
         assert second.destination is not target
         assert first.succeeded and second.succeeded
+
+    def test_source_crash_frees_the_probe_without_a_verdict(self):
+        # The probe job's first attempt dies because its *source* crashed:
+        # no verdict on host03, but the probe comes back, so the retry
+        # takes it again instead of leaving host03 out of placement.
+        bed = build_cluster(nhosts=4, vms_per_host=1, health=True,
+                            retry=RetryPolicy(max_attempts=3,
+                                              wait_for_restart=True),
+                            **SMALL)
+        mon = bed.scheduler.health
+        target = bed.hosts[3]
+        mon.breaker(target.name).force_open(0.0)
+        bed.env.run(until=mon.recovery_time)
+        job = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0], target,
+                                   replaceable=True)
+        plan = FaultPlan().crash("host00", at=bed.env.now + 0.002,
+                                 down_for=0.3)
+        FaultInjector(bed.env, plan).inject(bed.migrator)
+        bed.scheduler.drain([job])
+        assert job.attempts == 2 and job.succeeded
+        assert job.destination is target
+        assert mon.state_of(target.name) == "closed"
+        assert target.name in [
+            state.name for state in bed.scheduler.hostmanager.filter_hosts()]

@@ -181,9 +181,9 @@ class TestChannel:
 
 
 #: Processed events one delivered message costs beyond its send: the
-#: URGENT launch event at the send's end, the landing timeout and the
-#: mailbox's put event.
-EVENTS_PER_DELIVERY = 3
+#: URGENT launch event at the send's end and the landing timeout.  The
+#: deposit into the mailbox makes no event of its own.
+EVENTS_PER_DELIVERY = 2
 
 
 class TestDelivery:
@@ -284,6 +284,49 @@ class TestDelivery:
         assert delivered == n
         assert events - wire_only == n * EVENTS_PER_DELIVERY
         assert len(started) == 2  # the sender only
+
+    def test_deposit_into_an_idle_mailbox_makes_no_event(self, env):
+        chan = Channel(env, Link(env, bandwidth=100 * MB, latency=0.01))
+        ends = []
+
+        def sender(env):
+            yield from chan.send(ControlMsg("idle"))
+            ends.append(env.now)
+
+        env.process(sender(env))
+        while not chan.pending:
+            eid = env._eid
+            env.step()
+        # The step that deposited was the landing timeout's; it handed out
+        # no event id and left nothing behind on the queue.
+        assert env.now == pytest.approx(ends[0] + 0.01)
+        assert env._eid == eid and env.peek() == float("inf")
+
+    def test_deposit_wakes_waiting_receivers_at_now_in_send_order(self, env):
+        latency = 0.01
+        chan = Channel(env, Link(env, bandwidth=100 * MB, latency=latency))
+        msgs = [ControlMsg(f"m{i}") for i in range(3)]
+        ends, got = [], []
+
+        def receiver(env, k):
+            msg = yield chan.recv()
+            got.append((k, msg, env.now))
+
+        def sender(env):
+            for msg in msgs:
+                yield from chan.send(msg)
+                ends.append(env.now)
+
+        for k in range(len(msgs)):
+            env.process(receiver(env, k))
+        env.process(sender(env))
+        env.run()
+        assert chan.pending == 0
+        # Each waiting recv() resumes at its message's arrival: the first
+        # waiter with the first message sent, and so on.
+        assert [(k, msg) for k, msg, _ in got] == list(enumerate(msgs))
+        assert [at for *_, at in got] == pytest.approx(
+            [end + latency for end in ends], abs=1e-12)
 
 
 class TestChannelPair:

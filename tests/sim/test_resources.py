@@ -155,3 +155,34 @@ class TestStore:
     def test_invalid_capacity(self, env):
         with pytest.raises(SimulationError):
             Store(env, capacity=0)
+
+    def test_deposit_makes_no_event_and_wakes_getters_in_order(self, env):
+        store = Store(env)
+        store.deposit("a")
+        assert env._eid == 0 and env.peek() == float("inf")
+        got = []
+
+        def consumer(env, k):
+            item = yield store.get()
+            got.append((k, item, env.now))
+
+        for k in range(3):
+            env.process(consumer(env, k))
+        env.run()
+        assert got == [(0, "a", 0)] and len(store) == 0
+
+        def producer(env):
+            yield env.timeout(1)
+            store.deposit("b")
+            store.deposit("c")
+
+        env.process(producer(env))
+        env.run()
+        assert got[1:] == [(1, "b", 1), (2, "c", 1)]
+
+    def test_deposit_into_a_full_store_raises(self, env):
+        store = Store(env, capacity=1)
+        store.deposit("a")
+        with pytest.raises(SimulationError):
+            store.deposit("b")
+        assert list(store.items) == ["a"]

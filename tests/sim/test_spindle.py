@@ -1,13 +1,13 @@
-"""``Spindle`` is a capacity-1 ``Resource`` at one priority, only cheaper.
+"""``Spindle`` is a capacity-1 ``Resource``, only cheaper.
 
-A random program of processes takes servers, holds them, withdraws
-waiting grants, interrupts and joins each other and spawns children that
-take a server at once.  It runs once on ``Spindle``
-(``acquire``/``release``) and once on ``Resource(capacity=1)``
-(``request``/``release``), and the two traces — every op boundary and
-grant with the time and the last event id handed out — must match entry
-for entry, with the same ``events_processed`` wherever a ``run`` call
-returns.
+A random program of processes takes servers at mixed priorities, holds
+them, withdraws waiting grants, interrupts and joins each other and
+spawns children that take a server at once.  It runs once on
+``Spindle`` (``acquire``/``release``) and once on
+``Resource(capacity=1)`` (``request``/``release``) with the same
+priorities, and the two traces — every op boundary and grant with the
+time and the last event id handed out — must match entry for entry, with
+the same ``events_processed`` wherever a ``run`` call returns.
 """
 
 import pytest
@@ -19,6 +19,9 @@ from repro.sim import Environment, Interrupt, Resource, Spindle
 #: Zero delays dominate: same-time arrivals are where order is decided.
 DELAYS = (0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 2.0)
 NSERVERS = 2
+#: Ties at priority 0 are the common case (every disk request and bulk
+#: frame); 1 and 2 jump the queue the way pulled blocks do.
+PRIORITIES = (0, 0, 1, 2)
 #: Marker timeouts with a plain callback, so the pending set has a time
 #: span for the calendar to size its buckets.
 MARKERS = (0.5, 1.0, 2.0, 3.5, 6.0)
@@ -27,13 +30,14 @@ MARKERS = (0.5, 1.0, 2.0, 3.5, 6.0)
 def op_strategy(nprocs):
     server = st.integers(0, NSERVERS - 1)
     delay = st.sampled_from(DELAYS)
+    priority = st.sampled_from(PRIORITIES)
     return st.one_of(
-        st.tuples(st.just("use"), server, delay),
-        st.tuples(st.just("withdraw"), server, delay),
+        st.tuples(st.just("use"), server, delay, priority),
+        st.tuples(st.just("withdraw"), server, delay, priority),
         st.tuples(st.just("timeout"), delay),
         st.tuples(st.just("interrupt"), st.integers(0, nprocs - 1)),
         st.tuples(st.just("join"), st.integers(0, nprocs - 1)),
-        st.tuples(st.just("spawn"), server, delay),
+        st.tuples(st.just("spawn"), server, delay, priority),
     )
 
 
@@ -66,8 +70,9 @@ class Program:
     def mark(self, label):
         self.trace.append(("stop", label, self.env.events_processed))
 
-    def take(self, server):
-        return server.acquire() if self.spindle else server.request()
+    def take(self, server, priority):
+        return (server.acquire(priority) if self.spindle
+                else server.request(priority))
 
     def body(self, name, ops):
         self.started.add(name)
@@ -84,7 +89,7 @@ class Program:
         kind = op[0]
         if kind == "use":
             server = self.servers[op[1]]
-            grant = self.take(server)
+            grant = self.take(server, op[3])
             try:
                 yield grant
                 self.log(name, f"{i}:granted")
@@ -95,7 +100,7 @@ class Program:
             # Give up after ``op[2]``: a grant still queued then is
             # withdrawn, one that came in time is held until then.
             server = self.servers[op[1]]
-            grant = self.take(server)
+            grant = self.take(server, op[3])
             try:
                 yield env.timeout(op[2])
             finally:
@@ -110,7 +115,7 @@ class Program:
                 yield target
         elif kind == "spawn":
             # The child's URGENT init lands at ``now`` before any grant.
-            env.process(self.body(f"{name}.{i}", [("use", op[1], op[2])]),
+            env.process(self.body(f"{name}.{i}", [("use", *op[1:])]),
                         name=f"{name}.{i}")
             yield env.timeout(0)
         elif kind == "interrupt":
@@ -163,13 +168,24 @@ class TestSpindleMatchesResource:
     def test_corners(self, threshold):
         corners = [
             # Three arrivals at the same time on one idle server.
-            [[("use", 0, 1.0)], [("use", 0, 1.0)], [("use", 0, 0.0)]],
+            [[("use", 0, 1.0, 0)], [("use", 0, 1.0, 0)],
+             [("use", 0, 0.0, 0)]],
             # A waiter withdraws before its grant; the one behind it is
             # served at the holder's release.
-            [[("use", 0, 2.0)], [("withdraw", 0, 1.0)], [("use", 0, 0.5)]],
+            [[("use", 0, 2.0, 0)], [("withdraw", 0, 1.0, 0)],
+             [("use", 0, 0.5, 0)]],
             # A waiter interrupted while queued.
-            [[("use", 0, 2.0)], [("use", 0, 1.0)],
-             [("timeout", 1.0), ("interrupt", 1), ("use", 0, 0.0)]],
+            [[("use", 0, 2.0, 0)], [("use", 0, 1.0, 0)],
+             [("timeout", 1.0), ("interrupt", 1), ("use", 0, 0.0, 0)]],
+            # A later, more urgent waiter overtakes; equal ones keep
+            # their arrival order.
+            [[("use", 0, 1.0, 0)], [("use", 0, 1.0, 2)],
+             [("use", 0, 1.0, 1)], [("use", 0, 1.0, 1)],
+             [("use", 0, 0.0, 0)]],
+            # The most urgent waiter withdraws; the next in priority order
+            # takes the server.
+            [[("use", 0, 2.0, 0)], [("use", 0, 1.0, 2)],
+             [("withdraw", 0, 1.0, 0)], [("use", 0, 0.5, 1)]],
         ]
         for spec in corners:
             for until_t in (0.0, 1.0):
@@ -224,3 +240,40 @@ class TestSpindle:
         env.run()
         spindle.release(grants[0])  # released already
         assert spindle.busy is None and env.now == 2.0
+
+    def test_priority_handoff_skips_a_withdrawn_waiter(self):
+        env = Environment()
+        spindle = Spindle(env)
+        order = []
+
+        def user(env, name, priority, hold):
+            grant = spindle.acquire(priority)
+            try:
+                if grant.callbacks is not None:
+                    yield grant
+                order.append((name, env.now))
+                yield env.timeout(hold)
+            finally:
+                spindle.release(grant)
+
+        def quitter(env):
+            # Queues ahead of everyone, then gives up while still waiting.
+            grant = spindle.acquire(-1)
+            try:
+                yield env.timeout(0.5)
+            finally:
+                spindle.release(grant)
+
+        env.process(user(env, "holder", 5, 1.0))
+        env.run(until=0.1)
+        for name, priority in (("bulk-a", 1), ("urgent", 0), ("bulk-b", 1)):
+            env.process(user(env, name, priority, 1.0))
+        env.process(quitter(env))
+        env.run(until=0.2)
+        assert spindle.queue_length == 4
+        env.run(until=0.6)
+        assert spindle.queue_length == 3
+        env.run()
+        assert order == [("holder", 0.0), ("urgent", 1.0), ("bulk-a", 2.0),
+                         ("bulk-b", 3.0)]
+        assert spindle.busy is None and spindle._waiting is None
