@@ -82,15 +82,12 @@ class Testbed:
         the migration's own instruments."""
         return self.env.metrics
 
-    def dump_trace(self, path: str, fmt: str = "chrome") -> str:
-        """Write the collected trace to ``path`` (``chrome`` or ``json``)."""
-        from ..obs import dump_chrome_trace, dump_json
+    def dump_trace(self, path: str) -> str:
+        """Write the collected trace to ``path`` as a Chrome trace
+        (:func:`repro.obs.dump_json` writes the raw record)."""
+        from ..obs import dump_chrome_trace
 
-        if fmt == "chrome":
-            return dump_chrome_trace(path, self.env.tracer, self.env.metrics)
-        if fmt == "json":
-            return dump_json(path, self.env.tracer, self.env.metrics)
-        raise ReproError(f"unknown trace format {fmt!r}")
+        return dump_chrome_trace(path, self.env.tracer, self.env.metrics)
 
     def run_for(self, seconds: float) -> None:
         """Advance the simulation by ``seconds``."""
@@ -166,6 +163,14 @@ def make_workload(name: str, nblocks: int, npages: int, seed: int,
     raise ReproError(f"unknown workload {name!r}")
 
 
+#: The testbed disks' SATA2-era sustained rates and seek time, calibrated
+#: so the effective migration rate lands near the paper's ~49 MB/s (39 GB
+#: in ~800 s).
+DISK_READ_BW = 60 * MiB
+DISK_WRITE_BW = 52 * MiB
+SEEK_TIME = 0.5e-3
+
+
 def build_testbed(
     workload: str = "specweb",
     scale: float = 1.0,
@@ -173,11 +178,6 @@ def build_testbed(
     config: Optional[MigrationConfig] = None,
     link_bandwidth: float = 1 * Gbps,
     link_latency: float = 100e-6,
-    #: SATA2-era sustained rates; calibrated so the effective migration
-    #: rate lands near the paper's ~49 MB/s (39 GB in ~800 s).
-    disk_read_bw: float = 60 * MiB,
-    disk_write_bw: float = 52 * MiB,
-    seek_time: float = 0.5e-3,
     prefill: "bool | float" = True,
     service_nic: Optional[str] = None,
     observe: bool = False,
@@ -209,11 +209,11 @@ def build_testbed(
         env.tracer = Tracer(env)
     clock = GenerationClock()
     source = Host(env, "source",
-                  PhysicalDisk(env, disk_read_bw, disk_write_bw, seek_time),
+                  PhysicalDisk(env, DISK_READ_BW, DISK_WRITE_BW, SEEK_TIME),
                   clock)
     destination = Host(env, "destination",
-                       PhysicalDisk(env, disk_read_bw, disk_write_bw,
-                                    seek_time),
+                       PhysicalDisk(env, DISK_READ_BW, DISK_WRITE_BW,
+                                    SEEK_TIME),
                        clock)
 
     nblocks = max(int(FULL_DISK_BLOCKS * scale), 256)
@@ -271,13 +271,11 @@ def run_table1_experiment(workload: str, scale: float = 1.0, seed: int = 0,
 
 
 def run_table2_experiment(workload: str, scale: float = 1.0, seed: int = 0,
-                          config: Optional[MigrationConfig] = None,
                           warmup: float = 20.0, dwell: float = 30.0,
                           observe: bool = False,
                           ) -> tuple[MigrationReport, MigrationReport, Testbed]:
     """Table II: primary TPM, dwell on the destination, IM back."""
-    bed = build_testbed(workload, scale=scale, seed=seed, config=config,
-                        observe=observe)
+    bed = build_testbed(workload, scale=scale, seed=seed, observe=observe)
     bed.start_workload()
     bed.run_for(warmup)
     primary = bed.migrate()
@@ -288,14 +286,14 @@ def run_table2_experiment(workload: str, scale: float = 1.0, seed: int = 0,
     return primary, back, bed
 
 
-def run_figure_experiment(workload: str, scale: float = 1.0, seed: int = 0,
+def run_figure_experiment(workload: str, scale: float = 1.0,
                           config: Optional[MigrationConfig] = None,
                           migration_start: float = 60.0,
                           tail: float = 120.0,
                           observe: bool = False,
                           ) -> tuple[MigrationReport, Testbed]:
     """Figures 5/6: throughput time series around one migration."""
-    bed = build_testbed(workload, scale=scale, seed=seed, config=config,
+    bed = build_testbed(workload, scale=scale, config=config,
                         observe=observe)
     bed.start_workload()
     bed.run_for(migration_start)
@@ -390,7 +388,7 @@ def run_baseline_experiment(scheme: str, workload: str = "specweb",
 
 def run_tracking_overhead_experiment(
     workload: str = "bonnie", duration: float = 60.0, scale: float = 0.02,
-    seed: int = 0, tracking_op_overhead: float = 5e-6,
+    tracking_op_overhead: float = 5e-6,
 ) -> tuple[float, float]:
     """Table III (simulated side): guest throughput with vs without the
     block-bitmap marking cost on the write path.
@@ -403,7 +401,7 @@ def run_tracking_overhead_experiment(
 
     rates = []
     for tracked in (False, True):
-        bed = build_testbed(workload, scale=scale, seed=seed)
+        bed = build_testbed(workload, scale=scale)
         driver = bed.source.driver_of(bed.domain.domain_id)
         driver.tracking_op_overhead = tracking_op_overhead
         if tracked:

@@ -44,16 +44,16 @@ def byte_range_to_blocks(
     return first, last - first + 1
 
 
-def sectors_to_block(sector: int, block_size: int = BLOCK_SIZE) -> int:
+def sectors_to_block(sector: int) -> int:
     """Block number containing ``sector`` (512 B sectors)."""
     if sector < 0:
         raise BitmapError(f"negative sector {sector}")
-    return sector * SECTOR_SIZE // block_size
+    return sector * SECTOR_SIZE // BLOCK_SIZE
 
 
-def block_to_sectors(block: int, block_size: int = BLOCK_SIZE) -> range:
+def block_to_sectors(block: int) -> range:
     """The range of sector numbers covered by ``block``."""
-    per_block = block_size // SECTOR_SIZE
+    per_block = BLOCK_SIZE // SECTOR_SIZE
     return range(block * per_block, (block + 1) * per_block)
 
 

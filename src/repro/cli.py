@@ -12,18 +12,20 @@ Examples::
     repro-sim table1 --workload video --scale 0.1
     repro-sim table2 --workload specweb --scale 0.05 --dwell 60
     repro-sim locality --workload kernelbuild
-    repro-sim trace --workload specweb --out specweb.trace.json
     repro-sim scale --racks 25 --hosts-per-rack 40 --rack-failure 10
 
-Any trace written with ``--trace``/``trace`` in the default ``chrome``
-format loads directly into ``chrome://tracing`` or https://ui.perfetto.dev.
+``migrate --trace PATH`` also prints the span tree, the phase durations
+and the wire counters.  Any trace written with ``--trace`` in the default
+``chrome`` format loads directly into ``chrome://tracing`` or
+https://ui.perfetto.dev.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .analysis import (
     PAPER_LOCALITY,
@@ -41,15 +43,34 @@ from .units import fmt_bytes, fmt_time
 WORKLOADS = ("specweb", "video", "bonnie", "kernelbuild", "idle")
 
 
+def _checked(kind: type, ok: Callable[[float], bool], what: str):
+    """An argparse ``type=``: parse with ``kind``, then require ``ok``, so
+    a bad number is a one-line usage error (exit status 2)."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in its messages
+    return parse
+
+
+_scale = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_seconds = _checked(float, lambda v: v >= 0, "a number of seconds >= 0")
+_interval = _checked(float, lambda v: v > 0, "a number of seconds > 0")
+_count = _checked(int, lambda v: v >= 0, "a count >= 0")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workload", choices=WORKLOADS, default="specweb",
                         help="guest workload (default: specweb)")
-    parser.add_argument("--scale", type=float, default=0.02,
-                        help="testbed scale factor, 1.0 = paper geometry "
-                             "(default: 0.02)")
+    parser.add_argument("--scale", type=_scale, default=0.02,
+                        help="testbed scale factor in (0, 1], 1.0 = paper "
+                             "geometry (default: 0.02)")
     parser.add_argument("--seed", type=int, default=0,
                         help="random seed (default: 0)")
-    parser.add_argument("--warmup", type=float, default=20.0,
+    parser.add_argument("--warmup", type=_seconds, default=20.0,
                         help="seconds of workload before migrating "
                              "(default: 20)")
 
@@ -81,10 +102,41 @@ def _add_trace(parser: argparse.ArgumentParser) -> None:
                              "raw span/metric dump")
 
 
-def _maybe_dump_trace(args: argparse.Namespace, bed) -> None:
-    if getattr(args, "trace", None):
-        path = bed.dump_trace(args.trace, fmt=args.trace_format)
+def _maybe_dump_trace(args: argparse.Namespace, env) -> None:
+    """Write ``env``'s trace to ``--trace`` in ``--trace-format``."""
+    if args.trace:
+        from .obs import dump_chrome_trace, dump_json
+
+        if args.trace_format == "chrome":
+            path = dump_chrome_trace(args.trace, env.tracer, env.metrics)
+        else:
+            path = dump_json(args.trace, env.tracer, env.metrics)
         print(f"trace written to {path} ({args.trace_format} format)")
+
+
+def _print_trace(env) -> None:
+    """The span tree (chunk transfers collapsed), the phase durations and
+    the wire counters of a traced run."""
+    from .obs.export import phase_durations
+
+    tracer, metrics = env.tracer, env.metrics
+    nchunks = sum(1 for s in tracer.spans if s.category == "transfer")
+    print(f"span tree ({len(tracer.spans)} spans, "
+          f"{nchunks} chunk transfers collapsed):")
+    for depth, span in tracer.walk():
+        if span.category == "transfer":
+            continue
+        print(f"  {'  ' * depth}{span.name:<28s} {fmt_time(span.duration)}")
+    phases = phase_durations(tracer)
+    if phases:
+        print("phase durations:",
+              ", ".join(f"{k}={fmt_time(v)}" for k, v in phases.items()))
+    counters = [name for name in metrics.names()
+                if name.startswith(("chan.", "link."))]
+    if counters:
+        print("wire counters:")
+        for name in sorted(counters):
+            print(f"  {name:<28s} {fmt_bytes(metrics.get(name).total)}")
 
 
 def _config_from(args: argparse.Namespace) -> MigrationConfig:
@@ -152,39 +204,9 @@ def cmd_migrate(args: argparse.Namespace) -> int:
               f"still only on the source "
               f"({'alive' if migration.dependency_alive else 'done'})")
         migration.stop()
-    _maybe_dump_trace(args, bed)
-    return 0
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Run one traced migration and print the span tree + key metrics."""
-    from .obs.export import phase_durations
-
-    scheme, report, bed, migration = _run_migration(args, observe=True)
-    if scheme == "on-demand":
-        migration.stop()
-    _print_report(report, f"{scheme} migration")
-
-    tracer = bed.tracer
-    nchunks = sum(1 for s in tracer.spans if s.category == "transfer")
-    print(f"span tree ({len(tracer.spans)} spans, "
-          f"{nchunks} chunk transfers collapsed):")
-    for depth, span in tracer.walk():
-        if span.category == "transfer":
-            continue
-        print(f"  {'  ' * depth}{span.name:<28s} {fmt_time(span.duration)}")
-    phases = phase_durations(tracer)
-    if phases:
-        print("phase durations:",
-              ", ".join(f"{k}={fmt_time(v)}" for k, v in phases.items()))
-    counters = [name for name in bed.metrics.names()
-                if name.startswith(("chan.", "link."))]
-    if counters:
-        print("wire counters:")
-        for name in sorted(counters):
-            print(f"  {name:<28s} {fmt_bytes(bed.metrics.get(name).total)}")
-    path = bed.dump_trace(args.out, fmt=args.trace_format)
-    print(f"trace written to {path} ({args.trace_format} format)")
+    if args.trace:
+        _print_trace(bed.env)
+    _maybe_dump_trace(args, bed.env)
     return 0
 
 
@@ -215,13 +237,7 @@ def cmd_evacuate(args: argparse.Namespace) -> int:
            if not a.conserved]
     print(f"per-link byte accounting: "
           f"{'conserved' if not bad else f'{len(bad)} MISMATCHES'}")
-    if args.trace:
-        from .obs import dump_chrome_trace, dump_json
-
-        dump = (dump_chrome_trace if args.trace_format == "chrome"
-                else dump_json)
-        path = dump(args.trace, bed.env.tracer, bed.env.metrics)
-        print(f"trace written to {path} ({args.trace_format} format)")
+    _maybe_dump_trace(args, bed.env)
     return 0 if not bad and all(j.succeeded for j in jobs) else 1
 
 
@@ -454,27 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
                            default="tpm", help="migration scheme")
     p_migrate.add_argument("--roundtrip", action="store_true",
                            help="also migrate back (IM) after --dwell")
-    p_migrate.add_argument("--dwell", type=float, default=30.0,
+    p_migrate.add_argument("--dwell", type=_seconds, default=30.0,
                            help="seconds on the destination before the "
                                 "return trip (default: 30)")
     _add_trace(p_migrate)
     p_migrate.set_defaults(func=cmd_migrate)
-
-    p_trace = sub.add_parser(
-        "trace", help="run one traced migration and dump the trace file")
-    _add_common(p_trace)
-    _add_config(p_trace)
-    p_trace.add_argument("--scheme", choices=SCHEMES,
-                         default="tpm", help="migration scheme")
-    p_trace.add_argument("--out", metavar="PATH",
-                         default="migration.trace.json",
-                         help="trace output path "
-                              "(default: migration.trace.json)")
-    p_trace.add_argument("--trace-format", choices=("chrome", "json"),
-                         default="chrome",
-                         help="'chrome' loads into chrome://tracing "
-                              "(default); 'json' is the raw dump")
-    p_trace.set_defaults(func=cmd_trace)
 
     p_evac = sub.add_parser(
         "evacuate", help="drain one host of a simulated cluster")
@@ -572,10 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
         "backup", help="run a bitmap-driven incremental backup chain")
     _add_common(p_backup)
     _add_config(p_backup)
-    p_backup.add_argument("--increments", type=int, default=4,
+    p_backup.add_argument("--increments", type=_count, default=4,
                           help="incremental backups after the full "
                                "(default: 4)")
-    p_backup.add_argument("--interval", type=float, default=10.0,
+    p_backup.add_argument("--interval", type=_interval, default=10.0,
                           help="simulated seconds between incrementals "
                                "(default: 10)")
     p_backup.add_argument("--sync-policy",
@@ -594,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_t2 = sub.add_parser("table2", help="reproduce a Table II row")
     _add_common(p_t2)
-    p_t2.add_argument("--dwell", type=float, default=30.0)
+    p_t2.add_argument("--dwell", type=_seconds, default=30.0)
     p_t2.set_defaults(func=cmd_table2)
 
     p_loc = sub.add_parser("locality",

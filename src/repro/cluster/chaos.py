@@ -51,6 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Modes the harness can run; "sharded" uses one simulation per rack.
 MODES = ("monolithic", "sharded")
+#: Every chaos plan's send timeout: a blacked-out send fails after this.
+SEND_TIMEOUT = 0.25
 
 
 @dataclass
@@ -72,7 +74,6 @@ class ChaosConfig:
     #: Fault activation times are drawn uniformly from [0, horizon);
     #: keep it inside the job wave or the faults hit an idle cluster.
     horizon: float = 1.2
-    send_timeout: float = 0.25
     retry: RetryPolicy = field(default_factory=lambda: RetryPolicy(
         max_attempts=3, initial_backoff=0.2, max_backoff=2.0))
     health: bool = True
@@ -123,7 +124,7 @@ def random_plan(config: ChaosConfig, rng: np.random.Generator) -> FaultPlan:
     hosts (half of them transient, with a restart).  All times land in
     ``[0, horizon)`` so faults overlap the job wave.
     """
-    plan = FaultPlan(send_timeout=config.send_timeout)
+    plan = FaultPlan(send_timeout=SEND_TIMEOUT)
     racks = [f"rack{r}" for r in range(config.nracks)]
     nhosts = config.nracks * config.hosts_per_rack
     hosts = [f"host{i:02d}" for i in range(nhosts)]

@@ -189,13 +189,13 @@ class HealthMonitor:
         if state is not None:
             state.release_probe()
 
-    def note_crash(self, name: str, at: Optional[float] = None) -> None:
-        """Fault-injector crash listener: trip the breaker immediately."""
-        self.breaker(name).force_open(self.env.now if at is None else at)
+    def note_crash(self, name: str, at: float) -> None:
+        """Fault-injector crash listener: trip the breaker at ``at``."""
+        self.breaker(name).force_open(at)
         self._crashed_seen.add(name)
         self.env.metrics.counter("cluster.health.crashes").inc()
 
-    def note_restart(self, name: str, at: Optional[float] = None) -> None:
+    def note_restart(self, name: str, at: float) -> None:
         """Restart listener: the host is back, but stays suspect — the
         breaker lapses to half-open on its own clock and the first
         successful placement closes it."""
@@ -215,7 +215,7 @@ class HealthMonitor:
                 continue
             if host.crashed:
                 if host.name not in self._crashed_seen:
-                    self.note_crash(host.name)
+                    self.note_crash(host.name, self.env.now)
             else:
                 self._crashed_seen.discard(host.name)
 

@@ -75,7 +75,6 @@ class MigrationJob:
     domain: "Domain"
     destination: "Host"
     scheme: str = "tpm"
-    workload_name: str = "unknown"
     #: pending -> running -> done | failed
     status: str = "pending"
     submitted_at: float = 0.0
@@ -232,9 +231,7 @@ class ClusterScheduler:
                 open_fraction=fraction)
 
     def submit(self, domain: "Domain", destination: "Host",
-               scheme: str = "tpm", workload_name: str = "unknown",
-               config: Optional["MigrationConfig"] = None,
-               replaceable: bool = False,
+               scheme: str = "tpm", replaceable: bool = False,
                deadline: Optional[float] = None) -> MigrationJob:
         """Queue one migration; returns its :class:`MigrationJob`.
 
@@ -251,7 +248,7 @@ class ClusterScheduler:
         """
         self._shed_check()
         job = MigrationJob(domain=domain, destination=destination,
-                           scheme=scheme, workload_name=workload_name,
+                           scheme=scheme,
                            submitted_at=self.env.now,
                            replaceable=replaceable, deadline=deadline,
                            scheduler=self)
@@ -259,7 +256,7 @@ class ClusterScheduler:
         self._inbound[destination.name] = (
             self._inbound.get(destination.name, 0) + 1)
         job.process = self.env.process(
-            self._run(job, config),
+            self._run(job),
             name=f"cluster:{domain.name}->{destination.name}")
         return job
 
@@ -370,8 +367,7 @@ class ClusterScheduler:
         job.destination = replacement
         return replacement
 
-    def _run(self, job: MigrationJob,
-             config: Optional["MigrationConfig"]) -> Generator:
+    def _run(self, job: MigrationJob) -> Generator:
         env = self.env
         tracer = env.tracer
         with self._admission.request() as admission:
@@ -406,11 +402,10 @@ class ClusterScheduler:
                                     src=source.name,
                                     dst=job.destination.name,
                                     queue_time=job.queue_time)
-                cfg = config if config is not None else self.config
                 try:
                     job.report = yield from self._retrier.migrate(
-                        job.domain, job.destination, cfg,
-                        workload_name=job.workload_name, scheme=job.scheme,
+                        job.domain, job.destination, self.config,
+                        scheme=job.scheme,
                         deadline=job.deadline, observer=job)
                     job.status = "done"
                     job.attempts = job.report.attempts
@@ -444,8 +439,8 @@ class ClusterScheduler:
         placement pass."""
         return self.hostmanager.select(domain)
 
-    def evacuate(self, host: "Host", scheme: str = "tpm",
-                 workload_name: str = "unknown") -> list[MigrationJob]:
+    def evacuate(self, host: "Host",
+                 scheme: str = "tpm") -> list[MigrationJob]:
         """Schedule every domain off ``host`` (maintenance drain).
 
         Destinations flow through the HostManager placement pass against
@@ -459,13 +454,12 @@ class ClusterScheduler:
             # submit() bumps the shared inbound map, so the next
             # placement in this burst already sees the planned load.
             jobs.append(self.submit(domain, destination, scheme=scheme,
-                                    workload_name=workload_name,
                                     replaceable=True))
         self.env.tracer.instant("cluster:evacuate", category="cluster",
                                 host=host.name, jobs=len(jobs))
         return jobs
 
-    def rebalance(self, scheme: str = "tpm") -> list[MigrationJob]:
+    def rebalance(self) -> list[MigrationJob]:
         """One pass of load spreading: move domains off hosts above the
         ceiling of the mean planned load onto placement-chosen targets.
 
@@ -501,7 +495,7 @@ class ClusterScheduler:
                 scheduled.add(domain.domain_id)
                 loads[host.name] -= 1
                 loads[destination.name] += 1
-                jobs.append(self.submit(domain, destination, scheme=scheme,
+                jobs.append(self.submit(domain, destination,
                                         replaceable=True))
         self.env.tracer.instant("cluster:rebalance", category="cluster",
                                 jobs=len(jobs))

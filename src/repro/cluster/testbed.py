@@ -32,6 +32,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment
     from ..core.manager import RetryPolicy
 
+#: Every link of a cluster: gigabit Ethernet with a LAN hop's latency.
+LINK_BANDWIDTH = 1 * Gbps
+LINK_LATENCY = 100e-6
+#: Every host disk: the two-machine testbed's SATA2-era rates.
+DISK_READ_BW = 60 * MiB
+DISK_WRITE_BW = 52 * MiB
+SEEK_TIME = 0.5e-3
+
 
 @dataclass
 class ClusterBed:
@@ -61,18 +69,9 @@ def build_cluster(
     rack_size: int = 2,
     nblocks: int = 2048,
     npages: int = 256,
-    prefill: float = 1.0,
-    link_bandwidth: float = 1 * Gbps,
-    link_latency: float = 100e-6,
-    disk_read_bw: float = 60 * MiB,
-    disk_write_bw: float = 52 * MiB,
-    seek_time: float = 0.5e-3,
     max_concurrent: int = 4,
     per_link_limit: Optional[int] = None,
-    config: Optional[MigrationConfig] = None,
     observe: bool = False,
-    env: Optional["Environment"] = None,
-    persist: bool = False,
     retry: Optional["RetryPolicy"] = None,
     health: bool = False,
     shed_threshold: Optional[float] = None,
@@ -82,10 +81,12 @@ def build_cluster(
     on top.
 
     All hosts share one generation clock (block stamps stay globally
-    unique, as in the two-machine testbed).  VMs are idle — the cluster
-    benchmarks measure orchestration behaviour (makespan, contention,
-    conservation), not workload interference, which the two-machine
-    experiments already cover.
+    unique, as in the two-machine testbed).  VMs are idle, their disks
+    fully written — the cluster benchmarks measure orchestration
+    behaviour (makespan, contention, conservation), not workload
+    interference, which the two-machine experiments already cover.
+    Every link runs at :data:`LINK_BANDWIDTH`/:data:`LINK_LATENCY` and
+    every disk at the ``DISK_*`` rates.
 
     The recovery stack is opt-in: pass a ``retry``
     :class:`~repro.core.manager.RetryPolicy`, ``health=True`` for a
@@ -98,24 +99,17 @@ def build_cluster(
         raise ReproError(f"a cluster needs >= 2 hosts, got {nhosts}")
     if vms_per_host < 0:
         raise ReproError(f"vms_per_host cannot be negative: {vms_per_host}")
-    if not 0.0 <= prefill <= 1.0:
-        raise ReproError(f"prefill fraction must be in [0, 1], got {prefill}")
-    if env is None:
-        from ..sim import Environment
+    from ..sim import Environment
 
-        env = Environment()
-        if observe:
-            from ..obs import install
+    env = Environment()
+    if observe:
+        from ..obs import install
 
-            install(env)
-    cfg = config if config is not None else MigrationConfig()
-    if persist and not cfg.persist_bitmap:
-        # Cluster-wide durability: every migration journals its tracking
-        # bitmap to the source host's stable storage (see repro.persist).
-        cfg = cfg.replace(persist_bitmap=True)
+        install(env)
+    cfg = MigrationConfig()
     clock = GenerationClock()
     hosts = [Host(env, f"host{i:02d}",
-                  PhysicalDisk(env, disk_read_bw, disk_write_bw, seek_time),
+                  PhysicalDisk(env, DISK_READ_BW, DISK_WRITE_BW, SEEK_TIME),
                   clock)
              for i in range(nhosts)]
     migrator = Migrator(env, cfg)
@@ -123,22 +117,22 @@ def build_cluster(
     if wiring == "full":
         for i, a in enumerate(hosts):
             for b in hosts[i + 1:]:
-                migrator.connect(a, b, link_bandwidth, link_latency)
+                migrator.connect(a, b, LINK_BANDWIDTH, LINK_LATENCY)
     elif wiring == "star":
         for host in hosts:
-            migrator.topology.connect(host, "switch", link_bandwidth,
-                                      link_latency)
+            migrator.topology.connect(host, "switch", LINK_BANDWIDTH,
+                                      LINK_LATENCY)
     elif wiring == "rack":
         if rack_size < 1:
             raise ReproError(f"rack_size must be >= 1, got {rack_size}")
         for i, host in enumerate(hosts):
             migrator.topology.connect(host, f"rack{i // rack_size}",
-                                      link_bandwidth, link_latency)
+                                      LINK_BANDWIDTH, LINK_LATENCY)
             migrator.topology.tag(host, "host")
         nracks = (nhosts + rack_size - 1) // rack_size
         for r in range(nracks):
-            migrator.topology.connect(f"rack{r}", "core", link_bandwidth,
-                                      link_latency)
+            migrator.topology.connect(f"rack{r}", "core", LINK_BANDWIDTH,
+                                      LINK_LATENCY)
             migrator.topology.tag(f"rack{r}", "rack")
         migrator.topology.tag("core", "core")
     else:
@@ -146,12 +140,10 @@ def build_cluster(
                          "(expected full, star, or rack)")
 
     domains: list[Domain] = []
-    filled = int(nblocks * prefill)
     for host in hosts:
         for v in range(vms_per_host):
             vbd = host.prepare_vbd(nblocks)
-            if filled:
-                vbd.write(0, filled)
+            vbd.write(0, nblocks)
             domain = Domain(env, GuestMemory(npages, clock=clock),
                             name=f"vm-{host.name}-{v}")
             host.attach_domain(domain, vbd)

@@ -30,7 +30,7 @@ the full block at the receiver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -158,7 +158,6 @@ class ControlMsg(Message):
     """Protocol control traffic (handshakes, phase transitions, acks)."""
 
     tag: str = "ctl"
-    info: Any = None
     extra_nbytes: int = 0
 
     @property

@@ -58,13 +58,12 @@ class RoutedPath:
     advances by the full message size.
     """
 
-    def __init__(self, hops: tuple[Link, ...], name: Optional[str] = None
-                 ) -> None:
+    def __init__(self, hops: tuple[Link, ...]) -> None:
         if not hops:
             raise NetworkError("a routed path needs at least one hop")
         self.hops = tuple(hops)
         self.env = self.hops[0].env
-        self.name = name or "+".join(hop.name for hop in self.hops)
+        self.name = "+".join(hop.name for hop in self.hops)
         #: ``id(hop)`` -> bytes that cleared that hop in sends which then
         #: died on a later hop (blackout timeout).  The conservation
         #: audit needs these: upstream wires really carried the bytes,

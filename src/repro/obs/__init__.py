@@ -26,8 +26,8 @@ Enable it on any environment::
     dump_chrome_trace("run.trace.json", tracer, metrics)
 
 or pass ``observe=True`` to :func:`repro.analysis.build_testbed` (and
-the ``run_*_experiment`` helpers), or use ``repro-sim trace`` /
-``repro-sim migrate --trace`` from the shell.
+the ``run_*_experiment`` helpers), or use ``repro-sim migrate --trace``
+from the shell.
 """
 
 from .export import (

@@ -157,10 +157,10 @@ class Tracer:
         self.instants.append(inst)
         return inst
 
-    def close_open(self, at: Optional[float] = None, **args) -> None:
+    def close_open(self, **args) -> None:
         """Close every open span, innermost first (failure/abort paths)."""
         while self._stack:
-            self.end(self._stack[-1], at=at, **args)
+            self.end(self._stack[-1], **args)
 
     # -- queries -----------------------------------------------------------
 
@@ -253,7 +253,7 @@ class NullTracer:
     def instant(self, name: str, category: str = "event", **args) -> None:
         return None
 
-    def close_open(self, at=None, **args) -> None:
+    def close_open(self, **args) -> None:
         return None
 
     @property

@@ -127,10 +127,10 @@ class StableStorage:
         self.lost_records += self.staged_count
         del self._journal[self._durable_len:]
 
-    def corrupt_area(self, name: str, offset: int, value: int = 0xFF) -> None:
+    def corrupt_area(self, name: str, offset: int) -> None:
         """Flip one byte of an area (test hook for damage injection)."""
         data = bytearray(self._areas[name])
-        data[offset % len(data)] ^= value
+        data[offset % len(data)] ^= 0xFF
         self._areas[name] = bytes(data)
 
     def corrupt_record(self, pos: int, offset: int = 6) -> None:

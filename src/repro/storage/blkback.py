@@ -156,8 +156,9 @@ class BackendDriver:
         """Serve one request; ``yield from`` inside a process.
 
         ``guest`` is the domain issuing the request, as
-        :meth:`~repro.vm.domain.Domain.io` (and its ``read``/``write``
-        forms) pass it.  When the request first runs it then waits while
+        :meth:`~repro.vm.domain.Domain.read` and
+        :meth:`~repro.vm.domain.Domain.write` pass it.  When the request
+        first runs it then waits while
         the guest is suspended, moves to the driver of the guest's
         current host if the guest migrated in between, and, for a write
         under auto-converge, stretches the request to

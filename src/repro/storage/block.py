@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 from ..errors import StorageError
 from ..units import BLOCK_SIZE
@@ -48,9 +47,7 @@ class IORequest:
     # Written out because it runs once per guest I/O: the generated
     # constructor would add a default-factory and a ``__post_init__`` call.
     def __init__(self, kind: IOKind, block: int, nblocks: int = 1,
-                 domain_id: int = 0, block_size: int = BLOCK_SIZE,
-                 request_id: Optional[int] = None,
-                 issue_time: float = -1.0) -> None:
+                 domain_id: int = 0, block_size: int = BLOCK_SIZE) -> None:
         if block < 0:
             raise StorageError(f"negative block number {block}")
         if nblocks < 1:
@@ -60,9 +57,8 @@ class IORequest:
         self.nblocks = nblocks
         self.domain_id = domain_id
         self.block_size = block_size
-        self.request_id = (_next_request_id() if request_id is None
-                           else request_id)
-        self.issue_time = issue_time
+        self.request_id = _next_request_id()
+        self.issue_time = -1.0
 
     @property
     def nbytes(self) -> int:
@@ -90,13 +86,11 @@ class IORequest:
                 f"dom{self.domain_id}>")
 
 
-def read(block: int, nblocks: int = 1, domain_id: int = 0,
-         block_size: int = BLOCK_SIZE) -> IORequest:
+def read(block: int, nblocks: int = 1) -> IORequest:
     """Convenience constructor for a READ request."""
-    return IORequest(IOKind.READ, block, nblocks, domain_id, block_size)
+    return IORequest(IOKind.READ, block, nblocks)
 
 
-def write(block: int, nblocks: int = 1, domain_id: int = 0,
-          block_size: int = BLOCK_SIZE) -> IORequest:
+def write(block: int, nblocks: int = 1) -> IORequest:
     """Convenience constructor for a WRITE request."""
-    return IORequest(IOKind.WRITE, block, nblocks, domain_id, block_size)
+    return IORequest(IOKind.WRITE, block, nblocks)

@@ -46,18 +46,14 @@ class Domain:
         self,
         env: "Environment",
         memory: GuestMemory,
-        cpu: Optional[CPUState] = None,
         name: str = "domU",
-        domain_id: Optional[int] = None,
     ) -> None:
         self.env = env
         self.memory = memory
-        self.cpu = cpu if cpu is not None else CPUState()
+        self.cpu = CPUState()
         self.name = name
-        if domain_id is None:
-            domain_id = Domain._next_id
-            Domain._next_id += 1
-        self.domain_id = domain_id
+        self.domain_id = Domain._next_id
+        Domain._next_id += 1
         #: False while suspended: the execution gate every guest I/O
         #: tests (a plain field, read once per request).
         self.running = True
@@ -121,12 +117,6 @@ class Domain:
             yield self._resumed
 
     # -- guest operations ------------------------------------------------
-
-    def io(self, kind: IOKind, block: int, nblocks: int = 1) -> Generator:
-        """One disk request of ``kind``: :meth:`read` or :meth:`write`."""
-        if kind is IOKind.WRITE:
-            return self.write(block, nblocks)
-        return self.read(block, nblocks)
 
     # read() and write() each build their request in place, with
     # positional arguments: they run once per guest I/O, where one more

@@ -174,9 +174,9 @@ class Host:
             self._bitmap_stores[key] = store
         return store
 
-    def has_recoverable_bitmap(self, domain_id: int,
-                               purpose: str = "precopy") -> bool:
-        store = self._bitmap_stores.get((domain_id, purpose))
+    def has_recoverable_bitmap(self, domain_id: int) -> bool:
+        """Whether a pre-copy bitmap journal survives for ``domain_id``."""
+        store = self._bitmap_stores.get((domain_id, "precopy"))
         return store is not None and store.recoverable
 
     # -- maintenance windows ---------------------------------------------
@@ -269,12 +269,13 @@ class Host:
         return f"<Host {self.name!r} domains={sorted(self._domains)}>"
 
 
-def make_testbed(
-    env: "Environment",
-    disk_read_bw: float = 70 * MiB,
-    disk_write_bw: float = 60 * MiB,
-    seek_time: float = 0.5e-3,
-) -> tuple[Host, Host, GenerationClock]:
+#: :func:`make_testbed`'s disks: SATA2-era sustained rates and seek time.
+TESTBED_DISK_READ_BW = 70 * MiB
+TESTBED_DISK_WRITE_BW = 60 * MiB
+TESTBED_SEEK_TIME = 0.5e-3
+
+
+def make_testbed(env: "Environment") -> tuple[Host, Host, GenerationClock]:
     """Two identically configured machines sharing one generation clock.
 
     Mirrors the paper's experimental environment: two Core 2 Duo machines
@@ -282,8 +283,10 @@ def make_testbed(
     via :meth:`repro.core.manager.Migrator.connect`).
     """
     clock = GenerationClock()
-    src = Host(env, "source",
-               PhysicalDisk(env, disk_read_bw, disk_write_bw, seek_time), clock)
-    dst = Host(env, "destination",
-               PhysicalDisk(env, disk_read_bw, disk_write_bw, seek_time), clock)
+    src = Host(env, "source", PhysicalDisk(
+        env, TESTBED_DISK_READ_BW, TESTBED_DISK_WRITE_BW, TESTBED_SEEK_TIME),
+        clock)
+    dst = Host(env, "destination", PhysicalDisk(
+        env, TESTBED_DISK_READ_BW, TESTBED_DISK_WRITE_BW, TESTBED_SEEK_TIME),
+        clock)
     return src, dst, clock

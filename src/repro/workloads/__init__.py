@@ -7,7 +7,7 @@ guest for overhead baselines.
 """
 
 from .base import IdleWorkload, Workload
-from .diabolical import BonniePlusPlus, default_bonnie_memory
+from .diabolical import BonniePlusPlus
 from .iomodel import (
     AddressModel,
     FreshAppendModel,
@@ -17,10 +17,10 @@ from .iomodel import (
     UniformModel,
     ZipfModel,
 )
-from .kernelbuild import KernelBuild, default_kernelbuild_memory
-from .streaming import VideoStreamServer, default_video_memory
+from .kernelbuild import KernelBuild
+from .streaming import VideoStreamServer
 from .traces import IOTrace, TraceRecorder, TraceReplay
-from .webserver import SpecWebBanking, default_specweb_memory
+from .webserver import SpecWebBanking
 
 __all__ = [
     "AddressModel",
@@ -39,8 +39,4 @@ __all__ = [
     "VideoStreamServer",
     "Workload",
     "ZipfModel",
-    "default_bonnie_memory",
-    "default_kernelbuild_memory",
-    "default_specweb_memory",
-    "default_video_memory",
 ]

@@ -20,6 +20,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment
 
 
+#: Per-character phases are CPU-bound: their throughput caps.
+PUTC_RATE = 46 * MiB
+GETC_RATE = 50 * MiB
+#: I/O sizes.  Per-character phases flush in smaller buffered ops than
+#: the 1 MiB block phases (this ratio also sets the fresh-vs-rewrite op
+#: mix the §IV-A-2 locality study measures).
+CHAR_OP_BYTES = 128 * KiB
+BLOCK_OP_BYTES = 1 * MiB
+#: Fraction of random seeks that write the block back (Bonnie rewrites
+#: ~10 % of seeked blocks).
+SEEK_WRITE_FRACTION = 0.1
+
+
 class BonniePlusPlus(Workload):
     """Phased disk benchmark saturating the spindle."""
 
@@ -31,28 +44,12 @@ class BonniePlusPlus(Workload):
         #: Test-file region (blocks).  1 GiB = 262144 blocks of 4 KiB,
         #: Bonnie's default of 2x RAM for a 512 MiB guest.
         file_region: tuple[int, int] = (500_000, 262_144),
-        #: Per-character phases are CPU-bound: cap their throughput.
-        putc_rate: float = 46 * MiB,
-        getc_rate: float = 50 * MiB,
-        #: I/O sizes.  Per-character phases flush in smaller buffered ops
-        #: than the 1 MiB block phases (this ratio also sets the fresh-vs-
-        #: rewrite op mix the §IV-A-2 locality study measures).
-        char_op_bytes: int = 128 * KiB,
-        block_op_bytes: int = 1 * MiB,
         seeks_per_pass: int = 2_000,
-        #: Fraction of random seeks that write the block back (Bonnie
-        #: rewrites ~10 % of seeked blocks).
-        seek_write_fraction: float = 0.1,
         memory_dirtier: MemoryDirtier | None = None,
     ) -> None:
         super().__init__(seed)
         self.file_region = file_region
-        self.putc_rate = putc_rate
-        self.getc_rate = getc_rate
-        self.char_op_bytes = char_op_bytes
-        self.block_op_bytes = block_op_bytes
         self.seeks_per_pass = seeks_per_pass
-        self.seek_write_fraction = seek_write_fraction
         self.memory = memory_dirtier
         #: Completed full benchmark passes.
         self.passes = 0
@@ -101,7 +98,7 @@ class BonniePlusPlus(Workload):
             yield from self.domain.ensure_running()
             first, nblocks = model.next_extent(self.rng)
             yield from self.read(first, nblocks)
-            if self.rng.random() < self.seek_write_fraction:
+            if self.rng.random() < SEEK_WRITE_FRACTION:
                 yield from self.write(first, nblocks)
             self.account(nblocks * block_size, series="seeks")
 
@@ -112,26 +109,20 @@ class BonniePlusPlus(Workload):
             self.fire_pass_start(self.passes)
             # putc: sequential per-character write (CPU-throttled).
             yield from self._phase_sequential(
-                env, "putc", self.char_op_bytes,
-                do_read=False, do_write=True, cpu_rate=self.putc_rate)
+                env, "putc", CHAR_OP_BYTES,
+                do_read=False, do_write=True, cpu_rate=PUTC_RATE)
             # write(2): sequential block rewrite of the same file.
             yield from self._phase_sequential(
-                env, "write", self.block_op_bytes,
+                env, "write", BLOCK_OP_BYTES,
                 do_read=False, do_write=True, cpu_rate=None)
             # rewrite: read-modify-write.
             yield from self._phase_sequential(
-                env, "rewrite", self.block_op_bytes,
+                env, "rewrite", BLOCK_OP_BYTES,
                 do_read=True, do_write=True, cpu_rate=None)
             # getc: sequential per-character read (CPU-throttled).
             yield from self._phase_sequential(
-                env, "getc", self.char_op_bytes,
-                do_read=True, do_write=False, cpu_rate=self.getc_rate)
+                env, "getc", CHAR_OP_BYTES,
+                do_read=True, do_write=False, cpu_rate=GETC_RATE)
             # random seeks.
             yield from self._phase_seeks(env)
             self.passes += 1
-
-
-def default_bonnie_memory(npages: int = 131_072) -> MemoryDirtier:
-    """Bonnie++ dirties buffers steadily but has a modest WSS."""
-    return MemoryDirtier(npages, wss_pages=4_000, pages_per_second=1_500.0,
-                         hot_prob=0.9)

@@ -11,7 +11,6 @@ workload dial those properties explicitly.
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 import numpy as np
 
@@ -201,14 +200,13 @@ class FreshAppendModel(AddressModel):
     """
 
     def __init__(self, region_start: int, region_blocks: int,
-                 extent_blocks: int = 1, rewrite_prob: float = 0.25,
-                 window_blocks: Optional[int] = None) -> None:
+                 extent_blocks: int = 1, rewrite_prob: float = 0.25) -> None:
         super().__init__(region_start, region_blocks, extent_blocks)
         if not 0 <= rewrite_prob < 1:
             raise ReproError(f"rewrite_prob must be in [0, 1), got {rewrite_prob}")
         self.rewrite_prob = rewrite_prob
-        self.window_blocks = (window_blocks if window_blocks is not None
-                              else max(region_blocks // 16, extent_blocks))
+        #: The rewrite window: the last sixteenth of the region.
+        self.window_blocks = max(region_blocks // 16, extent_blocks)
         self._frontier = 0
 
     def next_extent(self, rng: np.random.Generator) -> tuple[int, int]:

@@ -20,6 +20,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment
 
 
+#: Client consumption rate in bytes/second (< 500 kbit/s).
+STREAM_RATE = 60 * KiB
+#: Bytes fetched per read (player buffer refill).
+READ_CHUNK = 64 * KiB
+#: Seconds between access-log writes.
+LOG_INTERVAL = 1.3
+#: Playback stalls if a read takes longer than this (player buffer).
+STALL_THRESHOLD = 2.0
+
+
 class VideoStreamServer(Workload):
     """Streams a video file sequentially at a fixed bit rate."""
 
@@ -28,27 +38,15 @@ class VideoStreamServer(Workload):
     def __init__(
         self,
         seed: int = 0,
-        #: Client consumption rate in bytes/second (< 500 kbit/s).
-        stream_rate: float = 60 * KiB,
-        #: Bytes fetched per read (player buffer refill).
-        read_chunk: int = 64 * KiB,
-        #: Seconds between access-log writes.
-        log_interval: float = 1.3,
         #: Video file location (blocks).
         video_region: tuple[int, int] = (100_000, 53_760),  # ~210 MiB
         #: Log file location (blocks).
         log_region: tuple[int, int] = (4_000_000, 4_096),
         memory_dirtier: MemoryDirtier | None = None,
-        #: Playback stalls if a read takes longer than this (player buffer).
-        stall_threshold: float = 2.0,
     ) -> None:
         super().__init__(seed)
-        self.stream_rate = stream_rate
-        self.read_chunk = read_chunk
-        self.log_interval = log_interval
-        self.stall_threshold = stall_threshold
         self.video = SequentialModel(video_region[0], video_region[1],
-                                     extent_blocks=max(read_chunk // (4 * KiB), 1))
+                                     extent_blocks=max(READ_CHUNK // (4 * KiB), 1))
         self.log = FreshAppendModel(log_region[0], log_region[1],
                                     extent_blocks=1, rewrite_prob=0.05)
         self.memory = memory_dirtier
@@ -60,8 +58,8 @@ class VideoStreamServer(Workload):
 
     def run(self, env: "Environment") -> Generator:
         rng = self.rng
-        next_log = env.now + self.log_interval
-        period = self.read_chunk / self.stream_rate
+        next_log = env.now + LOG_INTERVAL
+        period = READ_CHUNK / STREAM_RATE
         # The video walk is deterministic (no RNG), so extents can be
         # drawn in batches ahead of use without changing anything.
         batch_firsts = batch_counts = None
@@ -78,17 +76,17 @@ class VideoStreamServer(Workload):
             nblocks = int(batch_counts[bpos])
             bpos += 1
             yield from self.read(first, nblocks)
-            yield from self.serve_network(self.read_chunk)
+            yield from self.serve_network(READ_CHUNK)
             latency = env.now - start
             self.record("read_latency", latency)
-            if latency > self.stall_threshold:
+            if latency > STALL_THRESHOLD:
                 self.stalls += 1
-            self.account(self.read_chunk)
+            self.account(READ_CHUNK)
 
             if env.now >= next_log:
                 lf, ln = self.log.next_extent(rng)
                 yield from self.write(lf, ln)
-                next_log = env.now + self.log_interval
+                next_log = env.now + LOG_INTERVAL
 
             if self.memory is not None:
                 yield from self.dirty_memory(self.memory, period)
@@ -96,9 +94,3 @@ class VideoStreamServer(Workload):
             elapsed = env.now - start
             if elapsed < period:
                 yield env.timeout(period - elapsed)
-
-
-def default_video_memory(npages: int = 131_072) -> MemoryDirtier:
-    """A streaming server dirties little memory (buffers only)."""
-    return MemoryDirtier(npages, wss_pages=1_500, pages_per_second=400.0,
-                         hot_prob=0.95)

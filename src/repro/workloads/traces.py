@@ -163,8 +163,8 @@ class TraceReplay(Workload):
     name = "replay"
 
     def __init__(self, trace: IOTrace, time_scale: float = 1.0,
-                 loop: bool = False, seed: int = 0) -> None:
-        super().__init__(seed)
+                 loop: bool = False) -> None:
+        super().__init__()
         if time_scale <= 0:
             raise ReproError(f"time_scale must be positive, got {time_scale}")
         self.trace = trace.shifted(0.0)

@@ -21,6 +21,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment
 
 
+#: Client requests per second against the VM.
+REQUESTS_PER_SECOND = 600.0
+MEAN_RESPONSE_BYTES = 120 * KiB
+#: Fraction of response bytes that miss the page cache and hit disk.
+DISK_READ_FRACTION = 0.02
+#: Average session/log write operations per second (bursty).
+WRITE_OPS_PER_SECOND = 2.5
+WRITE_BLOCKS_PER_OP = 4
+#: Share of log writes that rewrite a recent block (§IV-A-2: 25.2 %).
+REWRITE_PROB = 0.252
+#: Seconds of simulated service per loop iteration.
+TICK = 0.1
+
+
 class SpecWebBanking(Workload):
     """Closed population of banking clients against one VM."""
 
@@ -29,36 +43,19 @@ class SpecWebBanking(Workload):
     def __init__(
         self,
         seed: int = 0,
-        connections: int = 100,
-        requests_per_second: float = 600.0,
-        mean_response_bytes: int = 120 * KiB,
-        #: Fraction of response bytes that miss the page cache and hit disk.
-        disk_read_fraction: float = 0.02,
-        #: Average session/log write operations per second (bursty).
-        write_ops_per_second: float = 2.5,
-        write_blocks_per_op: int = 4,
-        rewrite_prob: float = 0.252,
         #: Disk region holding site data (blocks).
         data_region: tuple[int, int] = (0, 2_000_000),
         #: Disk region receiving session/log writes (blocks).
         log_region: tuple[int, int] = (2_000_000, 120_000),
-        tick: float = 0.1,
         memory_dirtier: MemoryDirtier | None = None,
     ) -> None:
         super().__init__(seed)
-        self.connections = connections
-        self.requests_per_second = requests_per_second
-        self.mean_response_bytes = mean_response_bytes
-        self.disk_read_fraction = disk_read_fraction
-        self.write_ops_per_second = write_ops_per_second
-        self.write_blocks_per_op = write_blocks_per_op
-        self.tick = tick
         self.reads = UniformModel(data_region[0], data_region[1],
                                   extent_blocks=16)
         self.writes = FreshAppendModel(
             log_region[0], log_region[1],
-            extent_blocks=write_blocks_per_op,
-            rewrite_prob=rewrite_prob)
+            extent_blocks=WRITE_BLOCKS_PER_OP,
+            rewrite_prob=REWRITE_PROB)
         self.memory = memory_dirtier
 
     def run(self, env: "Environment") -> Generator:
@@ -69,10 +66,10 @@ class SpecWebBanking(Workload):
 
             # Serve this tick's requests: response bytes come from memory;
             # a small fraction misses the cache and reads the disk.
-            nreq = rng.poisson(self.requests_per_second * self.tick)
-            response_bytes = int(nreq * self.mean_response_bytes
+            nreq = rng.poisson(REQUESTS_PER_SECOND * TICK)
+            response_bytes = int(nreq * MEAN_RESPONSE_BYTES
                                  * rng.lognormal(0.0, 0.15))
-            miss_bytes = int(response_bytes * self.disk_read_fraction)
+            miss_bytes = int(response_bytes * DISK_READ_FRACTION)
             block_size = self.domain.vbd.block_size
             if miss_bytes > 0:
                 # Uniform extents are fixed-size, so the number of misses
@@ -88,24 +85,18 @@ class SpecWebBanking(Workload):
             yield from self.serve_network(response_bytes)
 
             # Bursty session/log writes.
-            nwrites = rng.poisson(self.write_ops_per_second * self.tick)
+            nwrites = rng.poisson(WRITE_OPS_PER_SECOND * TICK)
             if nwrites:
                 firsts, counts = self.writes.next_extents(nwrites, rng)
                 for i in range(nwrites):
                     yield from self.write(int(firsts[i]), int(counts[i]))
 
             if self.memory is not None:
-                yield from self.dirty_memory(self.memory, self.tick)
+                yield from self.dirty_memory(self.memory, TICK)
 
             self.account(response_bytes)
             # Close the loop: whatever part of the tick the I/O did not
             # consume is CPU/idle time.
             elapsed = env.now - tick_start
-            if elapsed < self.tick:
-                yield env.timeout(self.tick - elapsed)
-
-
-def default_specweb_memory(npages: int = 131_072) -> MemoryDirtier:
-    """Memory dirtying typical of a busy dynamic web server on 512 MiB."""
-    return MemoryDirtier(npages, wss_pages=6_000, pages_per_second=2_500.0,
-                         hot_prob=0.9)
+            if elapsed < TICK:
+                yield env.timeout(TICK - elapsed)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import (ChaosConfig, ChaosReport, build_cluster,
                            check_invariants, run_chaos)
-from repro.cluster.chaos import MODES, random_plan
+from repro.cluster.chaos import MODES, SEND_TIMEOUT, random_plan
 from repro.errors import ReproError
 
 import numpy as np
@@ -47,7 +47,7 @@ class TestRandomPlan:
         assert len(plan.partitions) == 2
         assert len(plan.flaps) == 3
         assert len(plan.crashes) == 1
-        assert plan.send_timeout == config.send_timeout
+        assert plan.send_timeout == SEND_TIMEOUT
 
     def test_fault_times_land_inside_the_horizon(self):
         config = ChaosConfig(npartitions=4, nflaps=4, ncrashes=4)

@@ -126,9 +126,8 @@ class TestHealthMonitor:
         assert bed.env.metrics.counter("cluster.health.crashes").total == 1
 
     def test_poll_folds_unannounced_crashes_once(self):
-        env = Environment()
-        bed = build_cluster(nhosts=2, vms_per_host=1, env=env, **SMALL)
-        mon = HealthMonitor(env, recovery_time=0.5)
+        bed = build_cluster(nhosts=2, vms_per_host=1, **SMALL)
+        mon = HealthMonitor(bed.env, recovery_time=0.5)
         bed.hosts[0].crashed = True
         mon.poll(bed.hosts)
         mon.poll(bed.hosts)  # second sighting must not re-trip

@@ -1,9 +1,5 @@
 """Unit tests for MigrationConfig validation."""
 
-import ast
-import dataclasses
-from pathlib import Path
-
 import pytest
 
 from repro.core import MigrationConfig
@@ -67,47 +63,3 @@ class TestReplace:
     def test_replace_validates(self):
         with pytest.raises(MigrationError):
             MigrationConfig().replace(chunk_blocks=-1)
-
-
-
-#: Trees whose code counts as a real caller of ``MigrationConfig``.
-CALLER_TREES = ("src", "benchmarks", "tools", "examples", "perfbench")
-#: Fields no real caller needs to set, each with the test file that does.
-TEST_ONLY_FIELDS = {
-    # The migration property test draws it to vary chunk interleavings.
-    "chunk_blocks": "tests/property/test_migration_props.py",
-    # The one migration-level run of a multi-leaf layered bitmap.
-    "leaf_bits": "tests/integration/test_stress.py",
-    # With no memory send, a pre-harvest crash reaches the harvest check.
-    "include_memory": "tests/cluster/test_sharded_faults.py",
-}
-
-
-def keywords_set(paths) -> set[str]:
-    """Keyword names passed to ``MigrationConfig(...)`` or a ``.replace``
-    call in the given Python files."""
-    names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            callee = (func.id if isinstance(func, ast.Name)
-                      else func.attr if isinstance(func, ast.Attribute)
-                      else None)
-            if callee in ("MigrationConfig", "replace"):
-                names.update(kw.arg for kw in node.keywords if kw.arg)
-    return names
-
-
-class TestEveryFieldHasACaller:
-    def test_every_field_is_set_outside_tests(self):
-        """A field no real caller sets is a knob nothing turns: its value
-        belongs in a constant next to its reader."""
-        repo = Path(__file__).resolve().parents[2]
-        used = keywords_set(path for tree in CALLER_TREES
-                            for path in (repo / tree).rglob("*.py"))
-        fields = {f.name for f in dataclasses.fields(MigrationConfig)}
-        assert fields - used <= set(TEST_ONLY_FIELDS)
-        for name, test_file in TEST_ONLY_FIELDS.items():
-            assert name in keywords_set([repo / test_file])

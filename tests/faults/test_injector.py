@@ -118,6 +118,19 @@ class TestAttachDetach:
         assert fwd_error is not None
         assert rev_error is None
 
+    def test_degrade_and_flap_honour_direction(self, env):
+        duplex = DuplexLink(env, 1 * MB, 0.0)
+        plan = (FaultPlan()
+                .degrade(duration=10.0, at=0.0, direction="backward")
+                .flap(down_time=10.0, at=0.0, direction="backward"))
+        FaultInjector(env, plan).attach(duplex)
+        env.run(until=1.0)
+        forward, backward = duplex.forward.faults, duplex.backward.faults
+        assert forward is None or (forward.bandwidth_factor(1.0) == 1.0
+                                   and forward.blackout_until(1.0) is None)
+        assert backward.bandwidth_factor(1.0) == 0.5
+        assert backward.blackout_until(1.0) is not None
+
     def test_second_attach_gets_time_triggered_windows_too(self, env):
         plan = FaultPlan(send_timeout=0.25).blackout(duration=10.0, at=0.0)
         injector = FaultInjector(env, plan)
@@ -160,6 +173,20 @@ class TestPhaseTriggers:
         state = duplex.forward.faults
         assert state.blackout_until(0.5) is None       # before the window
         assert state.blackout_until(1.2) == pytest.approx(1.5)
+
+    def test_phase_offset_delays_degrade_and_flap(self, env):
+        duplex = DuplexLink(env, 1 * MB, 0.0)
+        plan = (FaultPlan()
+                .degrade(duration=0.5, phase="precopy-disk", offset=1.0)
+                .flap(down_time=0.5, phase="precopy-disk", offset=2.0))
+        injector = FaultInjector(env, plan).attach(duplex)
+        injector.on_phase("precopy-disk")
+        env.run(until=3.0)
+        state = duplex.forward.faults
+        assert state.bandwidth_factor(0.5) == 1.0      # before the window
+        assert state.bandwidth_factor(1.2) == 0.5
+        assert state.blackout_until(1.2) is None
+        assert state.blackout_until(2.2) == pytest.approx(2.5)
 
 
 class TestCrash:

@@ -103,6 +103,17 @@ def test_at_and_phase_triggers_leave_the_same_windows(specs, t, order,
     assert timed == phased
 
 
+def test_partition_offset_delays_the_cut():
+    env = Environment()
+    migrator = racked_migrator(env, EDGES)
+    plan = FaultPlan().partition(["rack2"], duration=1.0, phase=PHASE,
+                                 offset=2.0)
+    FaultInjector(env, plan).inject(migrator).on_phase(PHASE, at=0.0)
+    cut = migrator.topology.links[("rack2", "core")]
+    assert cut.forward.faults.blackout_until(1.0) is None
+    assert cut.forward.faults.blackout_until(2.5) == pytest.approx(3.0)
+
+
 class TestDetach:
     def test_detach_clears_every_hook(self):
         env = Environment()

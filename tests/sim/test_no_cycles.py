@@ -14,7 +14,6 @@ import numpy as np
 from repro.net import BlockDataMsg, Channel, Compressor, ControlMsg, Link
 from repro.sim import Environment, Spindle
 from repro.storage import GenerationClock, PhysicalDisk
-from repro.storage.block import IOKind
 from repro.vm import Domain, GuestMemory, Host
 
 
@@ -29,8 +28,8 @@ def _simulate():
 
     def guest(env, first):
         for i in range(20):
-            kind = IOKind.WRITE if i % 3 else IOKind.READ
-            yield from domain.io(kind, (first + 7 * i) % 1_000, 2)
+            io = domain.write if i % 3 else domain.read
+            yield from io((first + 7 * i) % 1_000, 2)
             yield env.timeout(0.001)
 
     def contender(env, hold):

@@ -8,6 +8,7 @@ from repro.sim import Environment
 from repro.storage import (
     BackendDriver,
     IOKind,
+    IORequest,
     PhysicalDisk,
     VirtualBlockDevice,
     read,
@@ -204,7 +205,7 @@ class TestRequestTypes:
             write(0, 0)
 
     def test_request_helpers(self):
-        r = read(3, 2, domain_id=7)
+        r = IORequest(IOKind.READ, 3, 2, 7)
         assert r.kind is IOKind.READ
         assert r.is_read() and not r.is_write()
         assert r.nbytes == 8192

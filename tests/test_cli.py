@@ -1,6 +1,7 @@
 """Tests for the repro-sim command-line interface."""
 
 import argparse
+import json
 
 import pytest
 
@@ -37,7 +38,35 @@ class TestParser:
                 if "--scheme" in action.option_strings:
                     schemed[command] = list(action.choices)
         assert schemed == {command: list(SCHEMES)
-                           for command in ("migrate", "trace", "evacuate")}
+                           for command in ("migrate", "evacuate")}
+
+
+class TestBadNumbers:
+    """A bad number is a one-line usage error (exit status 2) before
+    anything runs, not a traceback or a silent no-op."""
+
+    @pytest.mark.parametrize("argv", [
+        ["migrate", "--scale", "0"],
+        ["migrate", "--scale", "1.5"],
+        ["migrate", "--warmup", "-5"],
+        ["migrate", "--warmup", "nan"],
+        ["migrate", "--roundtrip", "--dwell", "-1"],
+        ["table2", "--dwell", "-1"],
+        ["backup", "--increments", "-1"],
+        ["backup", "--interval", "0"],
+    ], ids=" ".join)
+    def test_rejected_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--workload", "idle"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: " in err
+        assert "Traceback" not in err
+
+    def test_bounds_are_accepted(self):
+        args = build_parser().parse_args(
+            ["backup", "--scale", "1", "--warmup", "0", "--increments", "0"])
+        assert (args.scale, args.warmup, args.increments) == (1.0, 0.0, 0)
 
 
 class TestCommands:
@@ -72,8 +101,21 @@ class TestCommands:
                      "idle", "--dwell", "2", *self.SMALL]) == 0
         assert "residual dependency" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["migrate", "trace"])
-    def test_on_demand_dependency_is_stopped(self, command, capsys,
+    def test_migrate_trace_prints_spans_and_writes_file(self, capsys,
+                                                        tmp_path):
+        path = tmp_path / "t.json"
+        assert main(["migrate", "--workload", "idle", "--trace", str(path),
+                     *self.SMALL]) == 0
+        out = capsys.readouterr().out
+        assert "primary TPM migration" in out
+        assert "span tree (" in out and "phase:freeze" in out
+        assert "phase durations:" in out
+        assert "wire counters:" in out and "chan." in out
+        assert f"trace written to {path} (chrome format)" in out
+        assert json.loads(path.read_text())["traceEvents"]
+
+    @pytest.mark.parametrize("mode", ["migrate", "trace"])
+    def test_on_demand_dependency_is_stopped(self, mode, capsys,
                                              monkeypatch, tmp_path):
         from repro.baselines.ondemand import OnDemandMigration
 
@@ -81,14 +123,15 @@ class TestCommands:
         real_stop = OnDemandMigration.stop
         monkeypatch.setattr(OnDemandMigration, "stop",
                             lambda self: stops.append(real_stop(self)))
-        extra = (["--dwell", "2"] if command == "migrate"
-                 else ["--out", str(tmp_path / "t.json")])
-        assert main([command, "--scheme", "on-demand", "--workload", "idle",
-                     *extra, *self.SMALL]) == 0
+        traced = (["--trace", str(tmp_path / "t.json")] if mode == "trace"
+                  else [])
+        assert main(["migrate", "--scheme", "on-demand", "--workload", "idle",
+                     "--dwell", "2", *traced, *self.SMALL]) == 0
         out = capsys.readouterr().out
         assert "on-demand migration" in out
-        if command == "migrate":
-            assert "residual dependency" in out
+        assert "residual dependency" in out
+        if mode == "trace":
+            assert "span tree (" in out and "wire counters:" in out
         assert len(stops) == 1
 
     def test_backup_chain(self, capsys):

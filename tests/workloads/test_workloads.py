@@ -14,6 +14,7 @@ from repro.workloads import (
     SpecWebBanking,
     VideoStreamServer,
 )
+from repro.workloads import diabolical, streaming
 
 
 @pytest.fixture
@@ -127,7 +128,7 @@ class TestSpecWeb:
 class TestVideo:
     def make(self, bed, **kw):
         defaults = dict(seed=3, video_region=(0, 512),
-                        log_region=(1500, 32), log_interval=0.5)
+                        log_region=(1500, 32))
         defaults.update(kw)
         return attach(bed, VideoStreamServer(**defaults))
 
@@ -135,7 +136,7 @@ class TestVideo:
         wl = self.make(bed)
         bed.env.run(until=20.0)
         achieved = wl.bytes_processed / 20.0
-        assert achieved == pytest.approx(wl.stream_rate, rel=0.15)
+        assert achieved == pytest.approx(streaming.STREAM_RATE, rel=0.15)
 
     def test_records_read_latency(self, bed, metrics):
         wl = self.make(bed)
@@ -174,11 +175,11 @@ class TestBonnie:
         disk = bed.source.disk
         assert disk.utilization(10.0) > 0.5
 
-    def test_putc_respects_cpu_cap(self, bed, metrics):
+    def test_putc_respects_cpu_cap(self, bed, metrics, monkeypatch):
         from repro.units import MiB
 
-        wl = self.make(bed, putc_rate=5 * MiB,
-                       file_region=(0, 1280))  # 5 MiB file
+        monkeypatch.setattr(diabolical, "PUTC_RATE", 5 * MiB)
+        wl = self.make(bed, file_region=(0, 1280))  # 5 MiB file
         bed.env.run(until=1.0)
         putc_bytes = metrics.counter("bonnie:putc").total
         assert putc_bytes <= 5 * MiB * 1.2
