@@ -1,7 +1,7 @@
 """Event-engine microbenchmark: 10,000 tickers on one Environment.
 
 Each ticker is a process that sleeps a fixed period (a ``Timeout``) and
-ticks again until the horizon.  Five variants:
+ticks again until the horizon.  Six variants:
 
 * ``plain``: every tick is one timeout; no event is dispatched inline.
 * ``spindle``: every 10 tickers share a ``Spindle`` (a capacity-1
@@ -26,6 +26,12 @@ ticks again until the horizon.  Five variants:
   switch → host, each hop a link like the ``channel`` leg's), so every
   message takes two link wires in turn; every other tick sends at
   priority 1, so frames of two priorities share the wires.
+* ``routed+faults``: the ``routed`` leg with every hop attached to a
+  ``FaultInjector`` whose one flap has ended before the first tick (the
+  leg first runs the empty clock past the flap).  It dispatches the same
+  events as ``routed``, and the benchmark exits 1 if it does not; the
+  difference between the two is what fault state costs a message once
+  its windows are over.
 
 each with the calendar queue engaged (the default threshold; 10,000
 pending timeouts cross it) and with it off (``calendar_threshold=None``).
@@ -36,18 +42,19 @@ pending timeouts cross it) and with it off (``calendar_threshold=None``).
 * ``until=event``: ``run(until=<AllOf of the tickers>)``.
 
 Every ``plain`` pass builds that ``AllOf``, so the three forms dispatch
-the same events; the benchmark exits 1 if they do not.  ``spindle``,
-``guest``, ``channel`` and ``routed`` are timed under ``run()``.  For
+the same events; the benchmark exits 1 if they do not.  The other legs
+are timed under ``run()``.  For
 each leg the benchmark prints the events dispatched, the share of them
 dispatched inline, and the median wall time per event over ``REPEAT``
-passes with its quartiles.  The passes of the seven legs alternate;
+passes with its quartiles.  The passes of the eight legs alternate;
 each ``guest`` pass is paired with the ``spindle`` pass just before it,
 and the benchmark prints the median and quartiles of their difference
 per write: what the guest write path costs above the engine.  For
 ``channel`` and ``routed`` it prints the messages delivered, the events
 dispatched per message and the median wall time per message with its
-quartiles; for ``routed`` also the wire grants per message (frames that
-crossed a hop, from the hops' byte counters).  The leg's line above it
+quartiles, and ``routed+faults`` likewise; for ``routed`` also the wire
+grants per message (frames that crossed a hop, from the hops' byte
+counters).  The leg's line above it
 carries its inline share.
 
 Run standalone::
@@ -60,8 +67,8 @@ and alternate the first two commands to compare versions on one machine.
 The event counts of ``plain``, ``spindle`` and ``guest`` must match
 between versions: inline dispatch changes how an event is dispatched,
 never which events there are.  ``channel`` counts the events a delivery
-costs, and ``routed`` those of a delivery and its wire grants, so they
-move when delivery changes shape.
+costs, and ``routed`` (and ``routed+faults``) those of a delivery and
+its wire grants, so they move when delivery changes shape.
 """
 
 from __future__ import annotations
@@ -87,10 +94,16 @@ LATENCY = 1e-3
 FORMS = ("run()", "until=t", "until=event")
 #: Hops of the ``routed`` variant's path (host -> switch -> host).
 HOPS = 2
+#: The ``routed+faults`` flap: down from t=0 for this long, once ...
+FLAP_DOWN = 0.25
+#: ... and the clock runs empty to here before that leg's first tick.
+FLAP_LEAD = 1.0
 #: (variant, run form) legs; ``guest`` directly follows ``spindle``.
 LEGS = tuple(("plain", form) for form in FORMS) + (
     ("spindle", "run()"), ("guest", "run()"), ("channel", "run()"),
-    ("routed", "run()"))
+    ("routed", "run()"), ("routed+faults", "run()"))
+#: Legs that send messages over links.
+SENDERS = ("channel", "routed", "routed+faults")
 
 
 def guest_domains(env, tickers: int) -> list:
@@ -132,17 +145,33 @@ def one_pass(tickers: int, horizon: float, variant: str, form: str,
     domains = guest_domains(env, tickers) if variant == "guest" else None
     delivered = [0]
     links = []
-    if variant in ("channel", "routed"):
-        from repro.net import Channel, ControlMsg, Link
+    if variant in SENDERS:
+        from repro.net import Channel, ControlMsg, DuplexLink, Link
         from repro.net.topology import RoutedPath
 
+        injector = None
+        if variant == "routed+faults":
+            from repro.faults import FaultInjector, FaultPlan
+
+            injector = FaultInjector(
+                env, FaultPlan().flap(down_time=FLAP_DOWN, at=0.0))
+
+        def hop(k, j):
+            if injector is None:
+                return Link(env, latency=LATENCY, name=f"h{k}:{j}")
+            duplex = DuplexLink(env, latency=LATENCY, name=f"h{k}:{j}")
+            injector.attach(duplex)
+            return duplex.forward
+
         def path(k):
-            hops = [Link(env, latency=LATENCY, name=f"h{k}:{j}")
-                    for j in range(HOPS if variant == "routed" else 1)]
+            hops = [hop(k, j) for j in range(1 if variant == "channel"
+                                             else HOPS)]
             links.extend(hops)
             return hops[0] if variant == "channel" else RoutedPath(hops)
 
         chans = [Channel(env, path(k)) for k in range(tickers // PER_SERVER)]
+        if injector is not None:
+            env.run(until=FLAP_LEAD)  # no events: a flap is only windows
         message = ControlMsg("tick")
 
         def receiver(env, chan):
@@ -157,15 +186,16 @@ def one_pass(tickers: int, horizon: float, variant: str, form: str,
         # Irrational phases keep tick times distinct, so a tick usually
         # finds its server idle and nothing else due at the same time.
         period = 1.0 + (i % 97) * 1e-3
+        end = env.now + horizon
         ticks = 0
         yield env.timeout(i * 0.6180339887 % 1.0)
         if variant == "plain":
-            while env.now < horizon:
+            while env.now < end:
                 yield env.timeout(period)
                 ticks += 1
         elif variant == "spindle":
             spindle = servers[i // PER_SERVER]
-            while env.now < horizon:
+            while env.now < end:
                 grant = acquire(spindle)
                 try:
                     yield grant
@@ -174,10 +204,10 @@ def one_pass(tickers: int, horizon: float, variant: str, form: str,
                     spindle.release(grant)
                 yield env.timeout(period)
                 ticks += 1
-        elif variant in ("channel", "routed"):
+        elif variant in SENDERS:
             chan = chans[i // PER_SERVER]
-            urgent = variant == "routed"
-            while env.now < horizon:
+            urgent = variant != "channel"
+            while env.now < end:
                 yield from chan.send(message,
                                      priority=ticks & 1 if urgent else 0)
                 yield env.timeout(period)
@@ -185,7 +215,7 @@ def one_pass(tickers: int, horizon: float, variant: str, form: str,
         else:
             domain = domains[i]
             block = i % (NBLOCKS - 1)
-            while env.now < horizon:
+            while env.now < end:
                 yield from domain.write(block, 2)
                 yield env.timeout(period)
                 ticks += 1
@@ -241,11 +271,18 @@ def main(argv=None) -> int:
         if len(counts) != 1:
             print(f"the run forms dispatch different events: {counts}")
             return 1
+        counts = {(events, ticks)
+                  for leg in (("routed", "run()"), ("routed+faults", "run()"))
+                  for _, events, _, ticks, _ in runs[leg]}
+        if len(counts) != 1:
+            print(f"routed and routed+faults dispatch different events: "
+                  f"{counts}")
+            return 1
         for leg in LEGS:
             _, events, inline, *_ = runs[leg][0]
             us = [seconds / events * 1e6 for seconds, *_ in runs[leg]]
             q1, median, q3 = np.percentile(us, [25, 50, 75])
-            print(f"{leg[0]:<8} {leg[1]:<12} {queue:<8} {events:>9,} events  "
+            print(f"{leg[0]:<13} {leg[1]:<11} {queue:<8} {events:>9,} events  "
                   f"{inline / events:6.1%} inline  "
                   f"{median:.3f} us/event [{q1:.3f}, {q3:.3f}]")
         spindle, guest = runs[("spindle", "run()")], runs[("guest", "run()")]
@@ -253,16 +290,17 @@ def main(argv=None) -> int:
         above = [(after[0] - before[0]) / writes * 1e6
                  for before, after in zip(spindle, guest)]
         q1, median, q3 = np.percentile(above, [25, 50, 75])
-        print(f"guest    {'':<12} {queue:<8} {writes:>9,} writes  "
+        print(f"{'guest':<13} {'':<11} {queue:<8} {writes:>9,} writes  "
               f"{median:.3f} us/write above spindle [{q1:.3f}, {q3:.3f}]")
-        for variant in ("channel", "routed"):
+        for variant in SENDERS:
             leg = runs[(variant, "run()")]
             _, events, _, messages, grants = leg[0]
             us = [seconds / messages * 1e6 for seconds, *_ in leg]
             q1, median, q3 = np.percentile(us, [25, 50, 75])
             wires = (f"{grants / messages:.3f} grants/message  "
                      if variant == "routed" else "")
-            print(f"{variant:<8} {'':<12} {queue:<8} {messages:>9,} messages  "
+            print(f"{variant:<13} {'':<11} {queue:<8} "
+                  f"{messages:>9,} messages  "
                   f"{events / messages:.3f} events/message  {wires}"
                   f"{median:.3f} us/message [{q1:.3f}, {q3:.3f}]")
     return 0

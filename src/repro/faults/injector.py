@@ -1,8 +1,11 @@
 """Wiring a :class:`~repro.faults.plan.FaultPlan` into a live testbed.
 
-The injector owns one :class:`LinkFaultState` per link direction and
-installs it as the link's ``faults`` hook; a link with no hook runs the
-exact pre-fault code path, so the layer costs nothing when unused.
+The injector installs a :class:`LinkFaultState` as a link direction's
+``faults`` hook when that direction gets its first fault window.  A link
+no fault ever touches keeps ``faults = None`` and runs the exact
+pre-fault code path, so the layer costs nothing on links it never
+touches; once every window of a state has ended, each query is one
+compare.
 
 Blackout semantics (failure detection): a transmit that starts inside a
 blackout waits for the window to end, but if the remaining wait would
@@ -13,7 +16,9 @@ timeout budget spans consecutive outages, not each one separately.
 
 A host crash marks ``host.crashed`` and puts every attached link into a
 permanent blackout, so both the victim's peers and any in-flight
-migration observe it as an unrecoverable network failure.
+migration observe it as an unrecoverable network failure.  Each such
+blackout records the crashed host, and a restart ends only its own
+host's: a link between two crashed hosts stays dark until both are up.
 
 This is the failure model behind the paper's §V motivation for
 Incremental Migration ("if the migration fails, the user can resume the
@@ -30,7 +35,8 @@ trace shows exactly where each attempt died.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Iterator, Optional, Union
+from typing import (TYPE_CHECKING, Callable, Generator, Iterator, Optional,
+                    Union)
 
 from ..errors import FaultError, NetworkError
 from ..net.link import DuplexLink, Link
@@ -55,35 +61,57 @@ class LinkFaultState:
     def __init__(self, env: "Environment", send_timeout: float) -> None:
         self.env = env
         self.send_timeout = float(send_timeout)
-        #: Blackout windows as ``(start, end)``; ``end`` may be ``inf``.
-        self._blackouts: list[tuple[float, float]] = []
+        #: Blackout windows as ``(start, end, host)``; ``end`` may be
+        #: ``inf``, and ``host`` names the crashed host that opened an
+        #: open-ended blackout (None for every other window).
+        self._blackouts: list[tuple[float, float, Optional[str]]] = []
         #: Degradation windows as ``(start, end, bw_factor, extra_latency)``.
         self._degradations: list[tuple[float, float, float, float]] = []
+        #: Latest end of any blackout / degradation window: from then on
+        #: no window of that kind is active, and the queries return at
+        #: once.
+        self._blackout_end = float("-inf")
+        self._degradation_end = float("-inf")
         #: Sends that died in a blackout (observability for tests/benchmarks).
         self.timed_out_sends = 0
 
     # -- window management -------------------------------------------------
 
-    def add_blackout(self, start: float, end: float) -> None:
-        self._blackouts.append((float(start), float(end)))
+    def add_blackout(self, start: float, end: float,
+                     host: Optional[str] = None) -> None:
+        """Add a blackout; ``host`` marks one opened by that host's crash."""
+        end = float(end)
+        self._blackouts.append((float(start), end, host))
+        if end > self._blackout_end:
+            self._blackout_end = end
 
-    def end_permanent_blackouts(self, at: float) -> None:
-        """Close every open-ended blackout at ``at`` (host restarted)."""
+    def end_permanent_blackouts(self, at: float, host: str) -> None:
+        """Close, at ``at``, every open-ended blackout that ``host``'s
+        crash opened (``host`` restarted)."""
+        at = float(at)
         self._blackouts = [
-            (start, float(at) if end == float("inf") else end)
-            for start, end in self._blackouts]
+            (start, at if end == float("inf") and opener == host else end,
+             opener)
+            for start, end, opener in self._blackouts]
+        self._blackout_end = max((end for _start, end, _opener
+                                  in self._blackouts), default=float("-inf"))
 
     def add_degradation(self, start: float, end: float, factor: float,
                         extra_latency: float) -> None:
-        self._degradations.append((float(start), float(end), float(factor),
+        end = float(end)
+        self._degradations.append((float(start), end, float(factor),
                                    float(extra_latency)))
+        if end > self._degradation_end:
+            self._degradation_end = end
 
     # -- queries -----------------------------------------------------------
 
     def blackout_until(self, now: float) -> Optional[float]:
         """End of the blackout active at ``now``, or None when the link is up."""
+        if now >= self._blackout_end:
+            return None
         end: Optional[float] = None
-        for start, stop in self._blackouts:
+        for start, stop, _host in self._blackouts:
             if start <= now < stop and (end is None or stop > end):
                 end = stop
         return end
@@ -91,6 +119,8 @@ class LinkFaultState:
     def bandwidth_factor(self, now: float) -> float:
         """Combined line-rate multiplier of the degradations active at ``now``."""
         factor = 1.0
+        if now >= self._degradation_end:
+            return factor
         for start, stop, bw, _lat in self._degradations:
             if start <= now < stop:
                 factor *= bw
@@ -98,6 +128,8 @@ class LinkFaultState:
 
     def extra_latency(self, now: float) -> float:
         """Summed extra propagation latency of active degradations."""
+        if now >= self._degradation_end:
+            return 0
         return sum(lat for start, stop, _bw, lat in self._degradations
                    if start <= now < stop)
 
@@ -140,10 +172,11 @@ class FaultInjector:
         plan = FaultPlan().blackout(duration=2.0, at=5.0)
         injector = FaultInjector(env, plan).inject(migrator)
 
-    ``inject`` attaches fault state to every connected link, registers the
-    injector for migration phase marks (phase-triggered faults), and
-    schedules time-triggered crashes.  ``detach`` restores every link to
-    the pristine fault-free fast path.
+    ``inject`` attaches every connected link, registers the injector for
+    migration phase marks (phase-triggered faults), and schedules
+    time-triggered crashes.  A link direction gets its fault state with
+    its first window.  ``detach`` restores every link to the pristine
+    fault-free fast path.
 
     Every link fault (blackout, degradation, partition, flap) activates
     exactly once through :meth:`_activate`: an ``at=`` spec when the
@@ -156,11 +189,13 @@ class FaultInjector:
     def __init__(self, env: "Environment", plan: FaultPlan) -> None:
         self.env = env
         self.plan = plan
-        #: ``id(link)`` -> fault state, for every attached link direction.
+        #: ``id(link)`` -> fault state, for every attached link direction
+        #: that has had a window (see :meth:`_state_for`).
         self._states: dict[int, LinkFaultState] = {}
-        #: ``(duplex, (a, b))`` per attached duplex; ``a``/``b`` name the
-        #: endpoints (empty when unknown) for flaps, partitions, crashes.
-        self._duplexes: list[tuple[DuplexLink, tuple[str, str]]] = []
+        #: ``id(duplex)`` -> ``(duplex, (a, b))`` per attached duplex, in
+        #: attach order; ``a``/``b`` name the endpoints (empty when
+        #: unknown) for flaps, partitions, crashes.
+        self._duplexes: dict[int, tuple[DuplexLink, tuple[str, str]]] = {}
         self._hosts: dict[str, object] = {}
         #: Activated link faults as ``(spec, start)``, replayed on every
         #: link attached later.
@@ -181,6 +216,7 @@ class FaultInjector:
     # -- attachment --------------------------------------------------------
 
     def _state_for(self, link: Link) -> LinkFaultState:
+        """The fault state of ``link``, installed as its hook on first use."""
         state = self._states.get(id(link))
         if state is None:
             state = LinkFaultState(self.env, self.plan.send_timeout)
@@ -198,11 +234,9 @@ class FaultInjector:
         created links (e.g. sharded surrogate fabric) can be offered
         unconditionally.
         """
-        if id(duplex.forward) in self._states:
+        if id(duplex) in self._duplexes:
             return self
-        self._state_for(duplex.forward)
-        self._state_for(duplex.backward)
-        self._duplexes.append((duplex, hosts))
+        self._duplexes[id(duplex)] = (duplex, hosts)
         for spec, start in self._active:
             self._apply(spec, start, duplex, hosts)
         for key, spec in self._link_specs():
@@ -239,8 +273,10 @@ class FaultInjector:
 
     def detach(self) -> None:
         """Remove every fault hook, restoring the fault-free fast path."""
-        for duplex, _hosts in self._duplexes:
-            duplex.forward.faults = duplex.backward.faults = None
+        for duplex, _hosts in self._duplexes.values():
+            for link in (duplex.forward, duplex.backward):
+                if link.faults is self._states.get(id(link)):
+                    link.faults = None
         self._duplexes.clear()
         self._states.clear()
 
@@ -275,8 +311,10 @@ class FaultInjector:
                 "not bare attach()")
         self._fired.add(key)
         self._active.append((spec, start))
-        for duplex, hosts in self._duplexes:
-            self._apply(spec, start, duplex, hosts)
+        side = (self._partition_side(spec)
+                if isinstance(spec, PartitionSpec) else None)
+        for duplex, hosts in self._duplexes.values():
+            self._apply(spec, start, duplex, hosts, side)
         if isinstance(spec, BlackoutSpec):
             kind, text = "blackout", (f"blackout[{spec.direction}] "
                                       f"{spec.duration:.3f}s")
@@ -307,15 +345,30 @@ class FaultInjector:
         self.env.tracer.instant(f"fault:{kind}", category="fault",
                                 start=start, **args)
 
+    def _partition_side(self, spec: PartitionSpec) -> Callable[[str], bool]:
+        """``name -> side`` of ``spec``'s cut, each name resolved once (see
+        :meth:`~repro.net.topology.Topology.partition_side`)."""
+        cut = frozenset(spec.isolate)
+        sides: dict[str, bool] = {}
+
+        def side(name: str) -> bool:
+            known = sides.get(name)
+            if known is None:
+                known = sides[name] = self._topology.partition_side(name, cut)
+            return known
+
+        return side
+
     def _apply(self, spec: _LinkSpec, start: float, duplex: DuplexLink,
-               hosts: tuple[str, str]) -> None:
+               hosts: tuple[str, str],
+               side: Optional[Callable[[str], bool]] = None) -> None:
         """Install the windows of ``spec``, started at ``start``, on the
-        directions of one duplex it covers."""
+        directions of one duplex it covers.  A partition takes ``side``
+        from :meth:`_partition_side`, shared across one activation."""
         if isinstance(spec, PartitionSpec):
-            cut = frozenset(spec.isolate)
-            side = self._topology.partition_side
-            if not (hosts[0] and hosts[1]) or (side(hosts[0], cut)
-                                               == side(hosts[1], cut)):
+            if side is None:
+                side = self._partition_side(spec)
+            if not (hosts[0] and hosts[1]) or side(hosts[0]) == side(hosts[1]):
                 return
         elif isinstance(spec, FlapSpec) and not self._flap_covers(spec, hosts):
             return
@@ -325,7 +378,7 @@ class FaultInjector:
                           (duplex.backward, "backward")):
             if not _direction_matches(direction, tag):
                 continue
-            state = self._states[id(link)]
+            state = self._state_for(link)
             if isinstance(spec, DegradeSpec):
                 state.add_degradation(start, start + spec.duration,
                                       spec.bandwidth_factor,
@@ -338,11 +391,10 @@ class FaultInjector:
 
     # -- crashes -----------------------------------------------------------
 
-    def _host_states(self, host: str) -> list[LinkFaultState]:
-        """Fault state of both directions of every duplex touching ``host``."""
-        return [self._states[id(link)]
-                for duplex, hosts in self._duplexes if host in hosts
-                for link in (duplex.forward, duplex.backward)]
+    def _host_links(self, host: str) -> list[Link]:
+        """Both directions of every attached duplex touching ``host``."""
+        return [link for duplex, hosts in self._duplexes.values()
+                if host in hosts for link in (duplex.forward, duplex.backward)]
 
     def _schedule_crash(self, spec: CrashSpec, at: float, key: tuple) -> None:
         if key in self._fired:
@@ -366,8 +418,9 @@ class FaultInjector:
                 host.crash()
             else:
                 host.crashed = True
-        for state in self._host_states(spec.host):
-            state.add_blackout(self.env.now, float("inf"))
+        for link in self._host_links(spec.host):
+            self._state_for(link).add_blackout(self.env.now, float("inf"),
+                                               host=spec.host)
         self.log.append((self.env.now, f"crash {spec.host}"))
         self.env.tracer.instant("fault:crash", category="fault",
                                 host=spec.host, down_for=spec.down_for)
@@ -389,8 +442,10 @@ class FaultInjector:
                 host.restart()
             else:
                 host.crashed = False
-        for state in self._host_states(spec.host):
-            state.end_permanent_blackouts(self.env.now)
+        for link in self._host_links(spec.host):
+            state = self._states.get(id(link))
+            if state is not None:
+                state.end_permanent_blackouts(self.env.now, spec.host)
         self.log.append((self.env.now, f"restart {spec.host}"))
         self.env.tracer.instant("fault:restart", category="fault",
                                 host=spec.host)

@@ -46,8 +46,9 @@ class Link:
         #: on registry identity: instrumenting the env rebuilds the cache.
         self._bytes_counter = None
         #: Optional :class:`~repro.faults.injector.LinkFaultState` installed
-        #: by a fault injector.  None (the default) keeps the pristine
-        #: fast path: no extra branches taken, timing byte-identical.
+        #: by a fault injector with this link's first fault window.  None
+        #: (the default) keeps the pristine fast path: no extra branches
+        #: taken, timing byte-identical.
         self.faults = None
 
     def transmission_time(self, nbytes: int) -> float:
@@ -86,12 +87,14 @@ class Link:
         try:
             if grant.callbacks is not None:  # else granted inline
                 yield grant
-            if self.faults is not None:
-                yield from self.faults.gate(self)
-                duration = (self.transmission_time(nbytes)
-                            / self.faults.bandwidth_factor(self.env.now))
-            else:
+            faults = self.faults
+            if faults is None:
                 duration = self.transmission_time(nbytes)
+            else:
+                if faults.blackout_until(self.env.now) is not None:
+                    yield from faults.gate(self)
+                duration = (self.transmission_time(nbytes)
+                            / faults.bandwidth_factor(self.env.now))
             yield self.env.timeout(duration)
             self.busy_time += duration
         finally:

@@ -42,6 +42,13 @@ TIERS = ("host", "rack", "pod", "core")
 #: bound for sharded simulation is the fastest of these links).
 _FABRIC_TIERS = frozenset({"rack", "pod", "core"})
 
+#: tier -> the tiers above it, nearest first (see
+#: :meth:`Topology._parent_of`).
+_LADDER = {"host": ("rack", "pod", "core"),
+           "rack": ("pod", "core"),
+           "pod": ("core",),
+           "core": ()}
+
 
 def _node_name(node: NodeRef) -> str:
     return node if isinstance(node, str) else node.name
@@ -64,6 +71,9 @@ class RoutedPath:
         self.hops = tuple(hops)
         self.env = self.hops[0].env
         self.name = "+".join(hop.name for hop in self.hops)
+        #: :attr:`latency`, summed once: the :attr:`effective_latency` of
+        #: a path none of whose hops has fault state.
+        self._latency = sum(hop.latency for hop in self.hops)
         #: ``id(hop)`` -> bytes that cleared that hop in sends which then
         #: died on a later hop (blackout timeout).  The conservation
         #: audit needs these: upstream wires really carried the bytes,
@@ -82,7 +92,10 @@ class RoutedPath:
     @property
     def effective_latency(self) -> float:
         """Propagation latency summed over the hops (with degradations)."""
-        return sum(hop.effective_latency for hop in self.hops)
+        for hop in self.hops:
+            if hop.faults is not None:
+                return sum(hop.effective_latency for hop in self.hops)
+        return self._latency
 
     @property
     def bytes_sent(self) -> int:
@@ -133,8 +146,11 @@ class Topology:
         #: the sharded drain loop queries the bound per window, and the
         #: fabric scan is O(links) each time without the cache.
         self._lookahead_cache: "float | None" = None
-        #: Cached :meth:`rack_of` answers, dropped with the lookahead.
+        #: Cached :meth:`rack_of` and :meth:`_parent_of` answers and
+        #: sorted neighbour lists, all dropped with the lookahead.
         self._rack_cache: dict[str, Optional[str]] = {}
+        self._parent_cache: dict[str, Optional[str]] = {}
+        self._neighbour_cache: dict[str, list[str]] = {}
         #: Bumped by every mutation; views derived from the topology (the
         #: HostManager's host states) rebuild when it moves.
         self.revision = 0
@@ -143,6 +159,8 @@ class Topology:
         """Drop every cached view after a mutation."""
         self._lookahead_cache = None
         self._rack_cache.clear()
+        self._parent_cache.clear()
+        self._neighbour_cache.clear()
         self.revision += 1
 
     # -- construction ------------------------------------------------------
@@ -246,21 +264,28 @@ class Topology:
                 out.setdefault(rack, []).append(name)
         return out
 
+    def _neighbours(self, name: str) -> list[str]:
+        """``name``'s neighbours in sorted order, cached like
+        :meth:`rack_of`."""
+        neighbours = self._neighbour_cache.get(name)
+        if neighbours is None:
+            neighbours = self._neighbour_cache[name] = sorted(
+                self._adjacency.get(name, ()))
+        return neighbours
+
     def _parent_of(self, name: str) -> Optional[str]:
         """The next switch up the tier ladder, or None at the top.
 
         Deterministic: among equally-ranked neighbours the
         lexicographically first wins (same rule as :meth:`rack_of`).
+        Cached like :meth:`rack_of`.
         """
-        ladder = {"host": ("rack", "pod", "core"),
-                  "rack": ("pod", "core"),
-                  "pod": ("core",),
-                  "core": ()}
-        for want in ladder[self.tier_of(name)]:
-            for neighbour in sorted(self._adjacency.get(name, ())):
-                if self.tier_of(neighbour) == want:
-                    return neighbour
-        return None
+        if name not in self._parent_cache:
+            self._parent_cache[name] = next(
+                (neighbour for want in _LADDER[self.tier_of(name)]
+                 for neighbour in self._neighbours(name)
+                 if self.tier_of(neighbour) == want), None)
+        return self._parent_cache[name]
 
     def partition_side(self, node: NodeRef, isolate: frozenset) -> bool:
         """True when ``node`` sits on the isolated side of a partition.
@@ -347,7 +372,7 @@ class Topology:
         frontier = deque([start])
         while frontier:
             node = frontier.popleft()
-            for neighbour in sorted(self._adjacency.get(node, ())):
+            for neighbour in self._neighbours(node):
                 if neighbour in parent:
                     continue
                 parent[neighbour] = node

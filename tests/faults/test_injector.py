@@ -207,6 +207,38 @@ class TestCrash:
         _e, error = transmit(env, duplex.forward, 1 * MB)
         assert error is not None  # permanently dark
 
+    def test_restart_ends_only_its_own_crash_blackouts(self, env):
+        from repro.core import Migrator
+        from repro.vm import make_testbed
+
+        source, destination, _clock = make_testbed(env)
+        migrator = Migrator(env)
+        duplex = migrator.connect(source, destination)
+        plan = (FaultPlan()
+                .crash("source", at=1.0, down_for=5.0)
+                .crash("destination", at=2.0))
+        FaultInjector(env, plan).inject(migrator)
+        env.run(until=7.0)
+        assert not source.crashed and destination.crashed
+        # The source is back, but the destination never restarted: the
+        # link between them stays dark.
+        elapsed, error = transmit(env, duplex.forward, 1 * MB)
+        assert error is not None
+        assert elapsed == pytest.approx(plan.send_timeout)
+
+    def test_restart_reopens_links_to_live_peers(self, env):
+        from repro.core import Migrator
+        from repro.vm import make_testbed
+
+        source, destination, _clock = make_testbed(env)
+        migrator = Migrator(env)
+        duplex = migrator.connect(source, destination)
+        plan = FaultPlan().crash("source", at=1.0, down_for=5.0)
+        FaultInjector(env, plan).inject(migrator)
+        env.run(until=7.0)
+        _elapsed, error = transmit(env, duplex.forward, 1 * MB)
+        assert error is None
+
     def test_inject_rejects_unknown_crash_host(self, env):
         from repro.core import Migrator
         from repro.storage import GenerationClock

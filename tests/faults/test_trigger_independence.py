@@ -2,13 +2,15 @@
 same spec triggered by a phase mark at ``t`` leave identical windows on
 every link, whenever the link is attached; ``detach()`` leaves no hook
 behind; a partition without a topology is an error under either
-trigger; the log holds one entry per activated fault."""
+trigger; the log holds one entry per activated fault.  Fault state
+appears with a link's first window, and traffic over links left without
+it runs exactly as over links carrying an empty state."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Migrator
-from repro.errors import FaultError
+from repro.errors import FaultError, NetworkError
 from repro.faults import FaultInjector, FaultPlan
 from repro.net import DuplexLink
 from repro.sim import Environment
@@ -36,7 +38,9 @@ def racked_migrator(env, edges):
 
 
 def windows(duplex):
-    return [(link.faults._blackouts, link.faults._degradations)
+    """Each direction's windows; a link without fault state has none."""
+    return [([], []) if link.faults is None
+            else (link.faults._blackouts, link.faults._degradations)
             for link in (duplex.forward, duplex.backward)]
 
 
@@ -63,8 +67,8 @@ link_specs = st.one_of(
 )
 
 
-def build_plan(specs, **trigger):
-    plan = FaultPlan()
+def build_plan(specs, send_timeout=0.25, **trigger):
+    plan = FaultPlan(send_timeout=send_timeout)
     for kind, kwargs in specs:
         getattr(plan, kind)(**kwargs, **trigger)
     return plan
@@ -101,6 +105,85 @@ def test_at_and_phase_triggers_leave_the_same_windows(specs, t, order,
     timed = run(specs, t, order, nearly, phase=False)
     phased = run(specs, t, order, nearly, phase=True)
     assert timed == phased
+
+
+def send_traffic(specs, t, phase, send_timeout, messages, eager):
+    """Send ``messages`` as ``(src, dst, at, nbytes)`` over a fully wired
+    bed with ``specs`` injected.  ``eager`` also installs an empty fault
+    state on every link the injector left without one.  Returns each
+    message's ``(index, completion time, error)``, every link's
+    ``bytes_sent`` and the event count."""
+    env = Environment()
+    migrator = racked_migrator(env, EDGES)
+    topo = migrator.topology
+    plan = (build_plan(specs, send_timeout, phase=PHASE) if phase
+            else build_plan(specs, send_timeout, at=t))
+    injector = FaultInjector(env, plan).inject(migrator)
+    if eager:
+        for duplex in topo.links.values():
+            injector._state_for(duplex.forward)
+            injector._state_for(duplex.backward)
+        assert all(link.faults is not None for duplex in topo.links.values()
+                   for link in (duplex.forward, duplex.backward))
+
+    def mark():
+        yield env.timeout(t)
+        injector.on_phase(PHASE)
+
+    outcomes = []
+
+    def send(index, src, dst, at, nbytes):
+        yield env.timeout(at)
+        path, _reverse = topo.endpoints(src, dst)
+        try:
+            yield from path.transmit(nbytes)
+            yield env.timeout(path.effective_latency)
+        except NetworkError as exc:
+            outcomes.append((index, env.now, str(exc)))
+        else:
+            outcomes.append((index, env.now, None))
+
+    if phase:
+        env.process(mark())
+    for index, message in enumerate(messages):
+        env.process(send(index, *message))
+    env.run()
+    sent = {key: (duplex.forward.bytes_sent, duplex.backward.bytes_sent)
+            for key, duplex in topo.links.items()}
+    return sorted(outcomes), sent, env.events_processed
+
+
+#: ``(src, dst, at, nbytes)`` per message.
+messages = st.lists(
+    st.tuples(st.sampled_from(HOSTS), st.sampled_from(HOSTS),
+              st.floats(0.0, 15.0), st.integers(1, 2 * MB)).filter(
+        lambda message: message[0] != message[1]),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=st.lists(link_specs, min_size=1, max_size=4),
+       t=st.floats(0.0, 10.0), phase=st.booleans(),
+       send_timeout=st.floats(0.25, 3.0), traffic=messages)
+def test_lazy_fault_state_sends_like_eager(specs, t, phase, send_timeout,
+                                           traffic):
+    lazy = send_traffic(specs, t, phase, send_timeout, traffic, eager=False)
+    eager = send_traffic(specs, t, phase, send_timeout, traffic, eager=True)
+    assert lazy == eager
+
+
+def test_untouched_links_keep_no_fault_state():
+    env = Environment()
+    migrator = racked_migrator(env, EDGES)
+    plan = (FaultPlan().flap(down_time=0.1, link=("h0", "rack0"), at=1.0)
+            .degrade(duration=1.0, at=1.0, direction="forward"))
+    FaultInjector(env, plan).inject(migrator)
+    hooked = {(key, tag) for key, duplex in migrator.topology.links.items()
+              for link, tag in ((duplex.forward, "fwd"),
+                                (duplex.backward, "rev"))
+              if link.faults is not None}
+    assert hooked == ({(edge, "fwd") for edge in EDGES}
+                      | {(("h0", "rack0"), "rev")})
 
 
 def test_partition_offset_delays_the_cut():

@@ -1,6 +1,7 @@
 """Unit tests for the cluster Topology and multi-hop RoutedPath."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import MigrationError, NetworkError
 from repro.net.topology import RoutedPath, Topology
@@ -196,3 +197,56 @@ class TestLookaheadCache:
         assert topo._lookahead_cache is None
         with pytest.raises(MigrationError):
             topo.lookahead()
+
+
+class TestCachedViews:
+    """Views cached until the next ``connect``/``tag`` answer like the
+    same views of a topology built fresh from the final edges and tags."""
+
+    HOSTS = ("h0", "h1", "h2")
+    SWITCHES = ("s0", "s1", "s2", "core")
+    NODES = HOSTS + SWITCHES
+    ops = st.lists(st.one_of(
+        st.tuples(st.just("connect"), st.sampled_from(NODES),
+                  st.sampled_from(NODES)).filter(lambda op: op[1] != op[2]),
+        st.tuples(st.just("tag"), st.sampled_from(NODES),
+                  st.sampled_from(("host", "rack", "pod", "core")))),
+        min_size=1, max_size=12)
+
+    @staticmethod
+    def views(topo, nodes):
+        def route(a, b):
+            try:
+                return topo.route(a, b)
+            except MigrationError:
+                return None
+
+        cuts = [frozenset(), frozenset({"s0"}), frozenset({"s1", "h2"})]
+        return ([route(a, b) for a in nodes for b in nodes],
+                [topo._parent_of(n) for n in nodes],
+                [topo.partition_side(n, cut) for n in nodes for cut in cuts],
+                [topo.rack_of(n) for n in nodes])
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=ops)
+    def test_cached_views_equal_fresh_ones(self, ops):
+        env = Environment()
+        node = dict(zip(self.HOSTS, hosts(env, *self.HOSTS)))
+        node.update((name, name) for name in self.SWITCHES)
+        topo = Topology(env)
+        done = []
+        for op in ops:
+            done.append(op)
+            if op[0] == "connect":
+                topo.connect(node[op[1]], node[op[2]])
+            else:
+                topo.tag(node[op[1]], op[2])
+            fresh = Topology(env)
+            for kind, a, b in done:
+                if kind == "connect":
+                    fresh.connect(node[a], node[b])
+            for kind, a, b in done:
+                if kind == "tag":
+                    fresh.tag(node[a], b)
+            assert self.views(topo, self.NODES) == self.views(fresh,
+                                                              self.NODES)
