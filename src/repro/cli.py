@@ -12,7 +12,6 @@ Examples::
     repro-sim table1 --workload video --scale 0.1
     repro-sim table2 --workload specweb --scale 0.05 --dwell 60
     repro-sim locality --workload kernelbuild
-    repro-sim scale --racks 25 --hosts-per-rack 40 --rack-failure 10
 
 ``migrate --trace PATH`` also prints the span tree, the phase durations
 and the wire counters.  Any trace written with ``--trace`` in the default
@@ -241,60 +240,6 @@ def cmd_evacuate(args: argparse.Namespace) -> int:
     return 0 if not bad and all(j.succeeded for j in jobs) else 1
 
 
-def cmd_scale(args: argparse.Namespace) -> int:
-    """Drive a datacenter-scale churn scenario on the sharded engine.
-
-    Builds one simulation shard per rack (conservative lookahead set by
-    the inter-rack link latency), runs the configured churn timeline —
-    VM arrivals/departures, rolling maintenance evacuations, correlated
-    rack failures — then drains outstanding evacuations and prints SLO
-    and conservation results.
-    """
-    from .cluster import (ChurnConfig, ChurnGenerator,
-                          build_sharded_cluster, slo_report)
-
-    cluster = build_sharded_cluster(
-        nracks=args.racks, hosts_per_rack=args.hosts_per_rack,
-        vms_per_host=args.vms_per_host, nblocks=args.nblocks,
-        npages=args.npages, max_concurrent=args.concurrency,
-        seed=args.seed)
-    nhosts = args.racks * args.hosts_per_rack
-    print(f"sharded cluster: {nhosts} hosts / "
-          f"{nhosts * args.vms_per_host} VMs in {args.racks} racks "
-          f"(lookahead {cluster.engine.lookahead * 1e6:.0f} us)")
-
-    config = ChurnConfig(
-        duration=args.duration, arrival_rate=args.arrival_rate,
-        departure_rate=args.departure_rate,
-        maintenance_interval=args.maintenance_interval,
-        maintenance_hold=args.maintenance_hold,
-        rack_failure_times=tuple(args.rack_failure or ()),
-        rack_failure_down_for=args.rack_down_for,
-        vm_nblocks=args.nblocks, vm_npages=args.npages)
-    generator = ChurnGenerator(cluster, config)
-    applied = generator.run()
-    print("churn applied: " + (", ".join(
-        f"{kind}={count}" for kind, count in sorted(applied.items()))
-        or "nothing scheduled"))
-
-    jobs = cluster.drain(generator.evacuation_jobs)
-    report = slo_report(jobs, default_budget=args.downtime_budget)
-    if jobs:
-        print(f"maintenance evacuations ({len(jobs)} jobs):")
-        print("  " + report.summary().replace("\n", "\n  "))
-    else:
-        print("no maintenance evacuations were scheduled")
-
-    engine = cluster.engine
-    print(f"engine: {cluster.events_processed} events across "
-          f"{len(cluster.shards)} shards, {engine.windows} sync windows, "
-          f"{engine.messages_delivered} cross-shard messages")
-    bad = [audit for audit in cluster.audits() if not audit.conserved]
-    print(f"per-link byte accounting: "
-          f"{'conserved' if not bad else f'{len(bad)} MISMATCHES'}")
-    return 0 if not bad else 1
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run seeded chaos schedules and check the recovery invariants.
 
@@ -498,50 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="memory pages per VM (default: 256)")
     _add_trace(p_evac)
     p_evac.set_defaults(func=cmd_evacuate)
-
-    p_scale = sub.add_parser(
-        "scale", help="run a datacenter-scale churn scenario on the "
-                      "sharded per-rack engine")
-    p_scale.add_argument("--racks", type=int, default=25,
-                         help="racks = simulation shards (default: 25)")
-    p_scale.add_argument("--hosts-per-rack", type=int, default=40,
-                         help="hosts per rack (default: 40)")
-    p_scale.add_argument("--vms-per-host", type=int, default=10,
-                         help="seed VMs per host (default: 10)")
-    p_scale.add_argument("--nblocks", type=int, default=256,
-                         help="VBD blocks per VM (default: 256)")
-    p_scale.add_argument("--npages", type=int, default=32,
-                         help="memory pages per VM (default: 32)")
-    p_scale.add_argument("--concurrency", type=int, default=64,
-                         help="admission cap per shard scheduler "
-                              "(default: 64)")
-    p_scale.add_argument("--seed", type=int, default=0,
-                         help="seed; shard i draws from "
-                              "default_rng((seed, i)) (default: 0)")
-    p_scale.add_argument("--duration", type=float, default=30.0,
-                         help="simulated seconds of churn (default: 30)")
-    p_scale.add_argument("--arrival-rate", type=float, default=2.0,
-                         help="VM arrivals/s cluster-wide (default: 2)")
-    p_scale.add_argument("--departure-rate", type=float, default=1.0,
-                         help="VM departures/s cluster-wide (default: 1)")
-    p_scale.add_argument("--maintenance-interval", type=float, default=5.0,
-                         help="seconds between rolling-maintenance "
-                              "evacuations, 0 disables (default: 5)")
-    p_scale.add_argument("--maintenance-hold", type=float, default=5.0,
-                         help="seconds a host stays in its window "
-                              "(default: 5)")
-    p_scale.add_argument("--rack-failure", type=float, action="append",
-                         metavar="T", default=None,
-                         help="inject a correlated rack failure at "
-                              "simulated time T (repeatable)")
-    p_scale.add_argument("--rack-down-for", type=float, default=5.0,
-                         help="seconds crashed racks stay down "
-                              "(default: 5)")
-    p_scale.add_argument("--downtime-budget", type=float, default=None,
-                         metavar="SECONDS",
-                         help="per-tenant downtime budget for the SLO "
-                              "report (default: none)")
-    p_scale.set_defaults(func=cmd_scale)
 
     p_chaos = sub.add_parser(
         "chaos", help="seeded chaos runs checking the cluster recovery "

@@ -26,20 +26,16 @@ from ..core.manager import RetryPolicy
 from ..errors import AdmissionRejected, NoValidHost
 from .accounting import LinkAudit, assert_conserved, audit_link_bytes
 from .chaos import ChaosConfig, ChaosReport, check_invariants, run_chaos
-from .churn import ChurnConfig, ChurnGenerator
 from .health import CircuitBreaker, HealthMonitor
 from .hostmanager import HostManager, HostState
 from .scheduler import ClusterScheduler, JobFailure, MigrationJob
 from .sharded import ShardedCluster, build_sharded_cluster
-from .slo import SLOReport, TenantSLO, makespan_percentiles, slo_report
 from .testbed import ClusterBed, build_cluster
 
 __all__ = [
     "AdmissionRejected",
     "ChaosConfig",
     "ChaosReport",
-    "ChurnConfig",
-    "ChurnGenerator",
     "CircuitBreaker",
     "ClusterBed",
     "ClusterScheduler",
@@ -51,15 +47,11 @@ __all__ = [
     "MigrationJob",
     "NoValidHost",
     "RetryPolicy",
-    "SLOReport",
     "ShardedCluster",
-    "TenantSLO",
     "assert_conserved",
     "audit_link_bytes",
     "build_cluster",
     "build_sharded_cluster",
     "check_invariants",
-    "makespan_percentiles",
     "run_chaos",
-    "slo_report",
 ]

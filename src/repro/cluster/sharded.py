@@ -26,15 +26,15 @@ transplanted state, so stamp monotonicity — the substrate of the
 block-bitmap consistency checks — survives the shard hop.
 
 **Determinism / seed-splitting**: shard ``i`` owns
-``numpy.random.default_rng((seed, i))``, so per-shard random streams
-(churn arrivals, workload jitter) are independent of shard count and
-iteration order; the coordinator itself is deterministic.
+``numpy.random.default_rng((seed, i))``, so a per-shard random stream
+is independent of shard count and iteration order; the coordinator
+itself is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,14 +43,14 @@ from ..core.manager import Migrator
 from ..errors import MigrationError, ReproError
 from ..sim import Environment
 from ..sim.sharded import ShardedEngine
-from ..storage.disk import PhysicalDisk
 from ..storage.vbd import GenerationClock
-from ..units import Gbps, MiB
 from ..vm.domain import Domain
 from ..vm.host import Host
-from ..vm.memory import GuestMemory
 from .accounting import LinkAudit, audit_link_bytes
 from .scheduler import ClusterScheduler, MigrationJob
+from .testbed import (LINK_BANDWIDTH, LINK_LATENCY, attach_idle_vms,
+                      cluster_host)
+
 
 @dataclass
 class ClusterShard:
@@ -78,28 +78,19 @@ class ClusterShard:
 class ShardedCluster:
     """A rack-sharded datacenter simulation with one placement surface.
 
-    Use :func:`build_sharded_cluster`.  Submissions, evacuations and
-    churn actions are coordinator-level operations issued *between*
-    conservative windows; :meth:`run`/:meth:`drain` advance the engine.
+    Use :func:`build_sharded_cluster`.  Submissions are
+    coordinator-level operations issued *between* conservative windows;
+    :meth:`drain` advances the engine.
     """
 
-    def __init__(self, engine: ShardedEngine, shards: list[ClusterShard],
-                 config: MigrationConfig, link_bandwidth: float,
-                 link_latency: float, inter_rack_latency: float,
-                 disk_params: tuple[float, float, float]) -> None:
+    def __init__(self, engine: ShardedEngine,
+                 shards: list[ClusterShard]) -> None:
         self.engine = engine
         self.shards = shards
-        self.config = config
-        self.link_bandwidth = link_bandwidth
-        self.link_latency = link_latency
-        self.inter_rack_latency = inter_rack_latency
-        self._disk_params = disk_params
         self._shard_of_host: dict[str, ClusterShard] = {}
         for shard in shards:
             for host in shard.hosts:
                 self._shard_of_host[host.name] = shard
-        #: Every cross-rack job submitted, in submission order.
-        self.cross_jobs: list[MigrationJob] = []
         #: id(job) of cross-rack jobs whose engine source is still held
         #: (submitted but not yet transplanted or failed).
         self._live_cross: set[int] = set()
@@ -185,17 +176,12 @@ class ShardedCluster:
     # -- submission --------------------------------------------------------
 
     def submit(self, domain: Domain, destination_name: str,
-               scheme: str = "tpm",
-               on_arrival: Optional[Callable[[Environment, Domain], None]]
-               = None) -> MigrationJob:
+               scheme: str = "tpm") -> MigrationJob:
         """Queue one migration by destination host *name*.
 
         Intra-rack moves go straight to the owning shard's scheduler.
         Cross-rack moves run in the source shard against a surrogate
-        destination and transplant the domain at completion;
-        ``on_arrival(dest_env, domain)`` (if given) runs in the
-        destination shard right after the transplant attach — the hook
-        for restarting workload processes on the new side.
+        destination and transplant the domain at completion.
         """
         if domain.host is None:
             raise MigrationError(f"{domain} is not running on any host")
@@ -209,7 +195,7 @@ class ShardedCluster:
             return src_shard.scheduler.submit(
                 domain, src_shard.host(destination_name), scheme=scheme)
         return self._submit_cross(domain, src_shard, dst_shard,
-                                  destination_name, scheme, on_arrival)
+                                  destination_name, scheme)
 
     def _surrogate(self, src_shard: ClusterShard, dst_shard: ClusterShard,
                    destination_name: str) -> Host:
@@ -219,11 +205,8 @@ class ShardedCluster:
         surrogate = src_shard.surrogates.get(destination_name)
         if surrogate is not None:
             return surrogate
-        env = src_shard.env
-        read_bw, write_bw, seek = self._disk_params
-        surrogate = Host(env, destination_name,
-                         PhysicalDisk(env, read_bw, write_bw, seek),
-                         src_shard.clock)
+        surrogate = cluster_host(src_shard.env, destination_name,
+                                 src_shard.clock)
         # The HostManager must never offer the stand-in as a placement
         # destination: the real host lives in another shard.
         surrogate.is_surrogate = True
@@ -231,11 +214,10 @@ class ShardedCluster:
         # Replica fabric: rack<dst> joins this shard's core with the real
         # inter-rack latency; connect() dedupes repeats.  Orientation
         # (rack first) matches build_cluster, keeping link names equal.
-        topo.connect(dst_shard.name, "core", self.link_bandwidth,
-                     self.inter_rack_latency)
+        topo.connect(dst_shard.name, "core", LINK_BANDWIDTH, LINK_LATENCY)
         topo.tag(dst_shard.name, "rack")
-        topo.connect(surrogate, dst_shard.name, self.link_bandwidth,
-                     self.link_latency)
+        topo.connect(surrogate, dst_shard.name, LINK_BANDWIDTH,
+                     LINK_LATENCY)
         topo.tag(surrogate, "host")
         src_shard.surrogates[destination_name] = surrogate
         injector = src_shard.migrator.fault_injector
@@ -249,9 +231,7 @@ class ShardedCluster:
 
     def _submit_cross(self, domain: Domain, src_shard: ClusterShard,
                       dst_shard: ClusterShard, destination_name: str,
-                      scheme: str,
-                      on_arrival: Optional[Callable[[Environment, Domain],
-                                                    None]]) -> MigrationJob:
+                      scheme: str) -> MigrationJob:
         surrogate = self._surrogate(src_shard, dst_shard, destination_name)
         source_host = domain.host
         # The job is a cross-shard message source from submission until
@@ -259,19 +239,16 @@ class ShardedCluster:
         # lookahead-bounded windows for exactly that span.
         self.engine.add_source()
         job = src_shard.scheduler.submit(domain, surrogate, scheme=scheme)
-        self.cross_jobs.append(job)
         self._live_cross.add(id(job))
         src_shard.env.process(
             self._cross_watch(job, src_shard, dst_shard, destination_name,
-                              on_arrival, source_host),
+                              source_host),
             name=f"xrack:{domain.name}->{destination_name}")
         return job
 
     def _cross_watch(self, job: MigrationJob, src_shard: ClusterShard,
                      dst_shard: ClusterShard, destination_name: str,
-                     on_arrival: Optional[Callable[[Environment, Domain],
-                                                   None]],
-                     source_host: Optional[Host] = None):
+                     source_host: Host):
         """Source-shard process: on commit, ship domain+VBD to the real
         destination via the engine's message queue."""
         yield job.process
@@ -288,8 +265,7 @@ class ShardedCluster:
             domain_id = job.domain.domain_id
             if (getattr(surrogate, "is_surrogate", False)
                     and any(d.domain_id == domain_id
-                            for d in surrogate.domains)
-                    and source_host is not None):
+                            for d in surrogate.domains)):
                 rolled, vbd = surrogate.detach_domain(domain_id)
                 source_host.attach_domain(rolled, vbd)
                 env.metrics.counter("cluster.cross_rack.rollbacks").inc()
@@ -317,28 +293,12 @@ class ShardedCluster:
             vbd.clock = dst_clock
             real_dest.attach_domain(domain, vbd)
             dest_env.metrics.counter("cluster.cross_rack.arrivals").inc()
-            if on_arrival is not None:
-                on_arrival(dest_env, domain)
             self._live_cross.discard(id(job))
             self.engine.remove_source()
 
         self.engine.send(dst_shard.name, env.now, transplant)
 
-    # -- bulk operations ---------------------------------------------------
-
-    def evacuate(self, host_name: str, scheme: str = "tpm"
-                 ) -> list[MigrationJob]:
-        """Drain a host through its shard's HostManager pipeline
-        (intra-rack placement: the shard topology only offers rack-local
-        candidates, which is also the locality-preferred choice)."""
-        shard = self.shard_of(host_name)
-        return shard.scheduler.evacuate(shard.host(host_name),
-                                        scheme=scheme)
-
     # -- execution ---------------------------------------------------------
-
-    def run(self, until: Optional[float] = None) -> None:
-        self.engine.run(until=until)
 
     def drain(self, jobs: Optional[list[MigrationJob]] = None
               ) -> list[MigrationJob]:
@@ -414,32 +374,6 @@ class ShardedCluster:
     def events_processed(self) -> int:
         return self.engine.events_processed
 
-    # -- observability -----------------------------------------------------
-
-    def shard_gauges(self) -> dict[str, dict]:
-        """Per-shard progress gauges: engine snapshot (events, clock,
-        inbox depth) plus each shard's live metric names when built with
-        ``observe=True`` (each shard carries its own tracer/registry)."""
-        snapshot = self.engine.stats()
-        for shard in self.shards:
-            snapshot[shard.name]["metrics"] = (
-                sorted(shard.env.metrics.names())
-                if shard.env.metrics.enabled else [])
-        return snapshot
-
-    def dump_trace(self, path: str) -> str:
-        """Write one merged Chrome trace with a process lane per shard
-        (requires ``observe=True`` at build time)."""
-        from ..obs import dump_chrome_trace_merged
-
-        if not any(shard.env.tracer.enabled for shard in self.shards):
-            raise ReproError(
-                "no shard has tracing enabled; build the cluster with "
-                "observe=True")
-        return dump_chrome_trace_merged(path, [
-            (shard.name, shard.env.tracer, shard.env.metrics)
-            for shard in self.shards])
-
     def __repr__(self) -> str:
         return (f"<ShardedCluster {len(self.shards)} shards, "
                 f"{len(self._shard_of_host)} hosts>")
@@ -451,21 +385,11 @@ def build_sharded_cluster(
     vms_per_host: int = 2,
     nblocks: int = 2048,
     npages: int = 256,
-    prefill: float = 1.0,
-    link_bandwidth: float = 1 * Gbps,
-    link_latency: float = 100e-6,
-    inter_rack_latency: float = 100e-6,
-    disk_read_bw: float = 60 * MiB,
-    disk_write_bw: float = 52 * MiB,
-    seek_time: float = 0.5e-3,
     max_concurrent: int = 4,
-    per_link_limit: Optional[int] = None,
     config: Optional[MigrationConfig] = None,
-    observe: bool = False,
     seed: int = 0,
     retry=None,
     health: bool = False,
-    shed_threshold: Optional[float] = None,
 ) -> ShardedCluster:
     """Assemble a rack-sharded datacenter: one simulation shard per rack.
 
@@ -473,54 +397,40 @@ def build_sharded_cluster(
     ``build_cluster(nhosts=nracks*hosts_per_rack, wiring="rack",
     rack_size=hosts_per_rack)`` exactly — ``hostNN`` leaves under
     ``rackR`` ToR switches under one ``core`` — and VMs are created in
-    the same global order, so domain ids, names and (absent cross-shard
-    fabric contention) per-link byte ledgers are directly comparable.
+    the same global order from the same link, disk and VM definitions
+    (:mod:`repro.cluster.testbed`), so domain ids, names and (absent
+    cross-shard fabric contention) per-link byte ledgers are directly
+    comparable.
 
-    The engine's conservative lookahead bound is the minimum inter-rack
-    link latency, taken from each shard's topology tags.
+    The engine's conservative lookahead bound is the inter-rack link
+    latency, :data:`~repro.cluster.testbed.LINK_LATENCY`.
     """
     if nracks < 1:
         raise ReproError(f"need >= 1 rack, got {nracks}")
     if hosts_per_rack < 1:
         raise ReproError(f"need >= 1 host per rack, got {hosts_per_rack}")
-    if not 0.0 <= prefill <= 1.0:
-        raise ReproError(f"prefill fraction must be in [0, 1], got {prefill}")
     cfg = config if config is not None else MigrationConfig()
-    engine = ShardedEngine(lookahead=inter_rack_latency)
+    engine = ShardedEngine(lookahead=LINK_LATENCY)
     shards: list[ClusterShard] = []
-    filled = int(nblocks * prefill)
     for r in range(nracks):
         env = Environment()
-        if observe:
-            from ..obs import install
-
-            install(env)
         rack = f"rack{r}"
         engine.add_shard(rack, env)
         clock = GenerationClock()
         migrator = Migrator(env, cfg)
+        topo = migrator.topology
         hosts = []
         for j in range(hosts_per_rack):
-            gi = r * hosts_per_rack + j
-            host = Host(env, f"host{gi:02d}",
-                        PhysicalDisk(env, disk_read_bw, disk_write_bw,
-                                     seek_time), clock)
-            migrator.topology.connect(host, rack, link_bandwidth,
-                                      link_latency)
-            migrator.topology.tag(host, "host")
+            host = cluster_host(env, f"host{r * hosts_per_rack + j:02d}",
+                                clock)
+            topo.connect(host, rack, LINK_BANDWIDTH, LINK_LATENCY)
+            topo.tag(host, "host")
             hosts.append(host)
-        migrator.topology.connect(rack, "core", link_bandwidth,
-                                  inter_rack_latency)
-        migrator.topology.tag(rack, "rack")
-        migrator.topology.tag("core", "core")
+        topo.connect(rack, "core", LINK_BANDWIDTH, LINK_LATENCY)
+        topo.tag(rack, "rack")
+        topo.tag("core", "core")
         for host in hosts:
-            for v in range(vms_per_host):
-                vbd = host.prepare_vbd(nblocks)
-                if filled:
-                    vbd.write(0, filled)
-                domain = Domain(env, GuestMemory(npages, clock=clock),
-                                name=f"vm-{host.name}-{v}")
-                host.attach_domain(domain, vbd)
+            attach_idle_vms(host, vms_per_host, nblocks, npages, clock)
         monitor = None
         if health:
             from .health import HealthMonitor
@@ -528,17 +438,10 @@ def build_sharded_cluster(
             monitor = HealthMonitor(env)
         scheduler = ClusterScheduler(env, migrator,
                                      max_concurrent=max_concurrent,
-                                     per_link_limit=per_link_limit,
                                      config=cfg, retry=retry,
-                                     health=monitor,
-                                     shed_threshold=shed_threshold)
+                                     health=monitor)
         shards.append(ClusterShard(
             name=rack, index=r, env=env, hosts=hosts, migrator=migrator,
             scheduler=scheduler, clock=clock,
             rng=np.random.default_rng((seed, r))))
-    return ShardedCluster(engine, shards, cfg,
-                          link_bandwidth=link_bandwidth,
-                          link_latency=link_latency,
-                          inter_rack_latency=inter_rack_latency,
-                          disk_params=(disk_read_bw, disk_write_bw,
-                                       seek_time))
+    return ShardedCluster(engine, shards)

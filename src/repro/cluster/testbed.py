@@ -41,6 +41,31 @@ DISK_WRITE_BW = 52 * MiB
 SEEK_TIME = 0.5e-3
 
 
+def cluster_host(env: "Environment", name: str,
+                 clock: GenerationClock) -> Host:
+    """One cluster host: a disk at the ``DISK_*`` rates on the shared
+    generation clock."""
+    return Host(env, name,
+                PhysicalDisk(env, DISK_READ_BW, DISK_WRITE_BW, SEEK_TIME),
+                clock)
+
+
+def attach_idle_vms(host: Host, count: int, nblocks: int, npages: int,
+                    clock: GenerationClock) -> list[Domain]:
+    """Attach ``count`` idle VMs to ``host``, each with a fully written
+    ``nblocks`` disk and ``npages`` of memory, named
+    ``vm-<host>-<ordinal>``."""
+    domains = []
+    for v in range(count):
+        vbd = host.prepare_vbd(nblocks)
+        vbd.write(0, nblocks)
+        domain = Domain(host.env, GuestMemory(npages, clock=clock),
+                        name=f"vm-{host.name}-{v}")
+        host.attach_domain(domain, vbd)
+        domains.append(domain)
+    return domains
+
+
 @dataclass
 class ClusterBed:
     """A ready-to-run multi-host cluster experiment."""
@@ -108,10 +133,7 @@ def build_cluster(
         install(env)
     cfg = MigrationConfig()
     clock = GenerationClock()
-    hosts = [Host(env, f"host{i:02d}",
-                  PhysicalDisk(env, DISK_READ_BW, DISK_WRITE_BW, SEEK_TIME),
-                  clock)
-             for i in range(nhosts)]
+    hosts = [cluster_host(env, f"host{i:02d}", clock) for i in range(nhosts)]
     migrator = Migrator(env, cfg)
 
     if wiring == "full":
@@ -139,15 +161,9 @@ def build_cluster(
         raise ReproError(f"unknown wiring {wiring!r} "
                          "(expected full, star, or rack)")
 
-    domains: list[Domain] = []
-    for host in hosts:
-        for v in range(vms_per_host):
-            vbd = host.prepare_vbd(nblocks)
-            vbd.write(0, nblocks)
-            domain = Domain(env, GuestMemory(npages, clock=clock),
-                            name=f"vm-{host.name}-{v}")
-            host.attach_domain(domain, vbd)
-            domains.append(domain)
+    domains = [domain for host in hosts
+               for domain in attach_idle_vms(host, vms_per_host, nblocks,
+                                             npages, clock)]
 
     monitor = None
     if health:

@@ -207,6 +207,8 @@ class FaultInjector:
         #: Set by :meth:`inject`; partitions and fabric-wide flaps need
         #: the graph to find crossing/fabric links.
         self._topology: "Optional[Topology]" = None
+        #: The migrator :meth:`inject` hooked, released by :meth:`detach`.
+        self._migrator: "Optional[Migrator]" = None
         #: Called as ``fn(host_name, now)`` when a planned crash fires /
         #: a crashed host restarts — the feed for
         #: :class:`~repro.cluster.health.HealthMonitor`.
@@ -255,7 +257,13 @@ class FaultInjector:
                    for end in hosts)
 
     def inject(self, migrator: "Migrator") -> "FaultInjector":
-        """Attach to every link and host a :class:`Migrator` knows about."""
+        """Attach to every link and host a :class:`Migrator` knows about.
+
+        One injector per migrator: a second would replace the first's
+        fault state on every link it gives a window, so injecting one
+        raises :class:`FaultError` until the other is detached."""
+        if migrator.fault_injector not in (None, self):
+            raise FaultError("faults already injected into this migrator")
         topology = self._topology = migrator.topology
         self._hosts.update(topology.hosts)
         for spec in self.plan.crashes:
@@ -269,10 +277,16 @@ class FaultInjector:
             if spec.at is not None:
                 self._schedule_crash(spec, spec.at, ("c", i))
         migrator.fault_injector = self
+        self._migrator = migrator
         return self
 
     def detach(self) -> None:
-        """Remove every fault hook, restoring the fault-free fast path."""
+        """Remove every fault hook, restoring the fault-free fast path,
+        and free the migrator for another injector."""
+        if self._migrator is not None \
+                and self._migrator.fault_injector is self:
+            self._migrator.fault_injector = None
+        self._migrator = None
         for duplex, _hosts in self._duplexes.values():
             for link in (duplex.forward, duplex.backward):
                 if link.faults is self._states.get(id(link)):

@@ -33,11 +33,9 @@ from the shell.
 from .export import (
     SCHEMA_VERSION,
     dump_chrome_trace,
-    dump_chrome_trace_merged,
     dump_json,
     phase_durations,
     to_chrome_trace,
-    to_chrome_trace_merged,
     to_json,
 )
 from .metrics import (
@@ -78,11 +76,9 @@ __all__ = [
     "Span",
     "Tracer",
     "dump_chrome_trace",
-    "dump_chrome_trace_merged",
     "dump_json",
     "install",
     "phase_durations",
     "to_chrome_trace",
-    "to_chrome_trace_merged",
     "to_json",
 ]

@@ -35,7 +35,7 @@ INSTANT_TID = 2
 SCHEMA_VERSION = 1
 
 
-def _span_events(tracer: Tracer, pid: int = TRACE_PID) -> list[dict]:
+def _span_events(tracer: Tracer) -> list[dict]:
     events = []
     for span in tracer.spans:
         end = span.end if span.end is not None else span.start
@@ -45,28 +45,27 @@ def _span_events(tracer: Tracer, pid: int = TRACE_PID) -> list[dict]:
             "ph": "X",
             "ts": span.start * 1e6,
             "dur": (end - span.start) * 1e6,
-            "pid": pid,
+            "pid": TRACE_PID,
             "tid": SPAN_TID,
             "args": {**span.args, "sid": span.sid, "parent": span.parent},
         })
     return events
 
 
-def _instant_events(tracer: Tracer, pid: int = TRACE_PID) -> list[dict]:
+def _instant_events(tracer: Tracer) -> list[dict]:
     return [{
         "name": inst.name,
         "cat": inst.category,
         "ph": "i",
         "s": "p",  # process-scoped: draws a line across the lane
         "ts": inst.at * 1e6,
-        "pid": pid,
+        "pid": TRACE_PID,
         "tid": INSTANT_TID,
         "args": dict(inst.args),
     } for inst in tracer.instants]
 
 
-def _counter_events(metrics: MetricsRegistry,
-                    pid: int = TRACE_PID) -> list[dict]:
+def _counter_events(metrics: MetricsRegistry) -> list[dict]:
     events = []
     for name in metrics.names():
         inst = metrics.get(name)
@@ -78,7 +77,7 @@ def _counter_events(metrics: MetricsRegistry,
                 "cat": inst.kind,
                 "ph": "C",
                 "ts": t * 1e6,
-                "pid": pid,
+                "pid": TRACE_PID,
                 "args": {"value": value},
             })
     return events
@@ -98,36 +97,6 @@ def to_chrome_trace(tracer: Tracer,
             "schema_version": SCHEMA_VERSION,
             "producer": "repro.obs",
             "clock": "simulated-seconds",
-        },
-    }
-
-
-def to_chrome_trace_merged(parts) -> dict:
-    """One Chrome trace for a *sharded* run: ``parts`` is a sequence of
-    ``(name, tracer, metrics)`` — one per shard — and each part renders
-    as its own process lane (``pid`` = shard index + 1, labelled with
-    the shard name), all on the shared simulated-time axis."""
-    events: list[dict] = []
-    for pid, (name, tracer, metrics) in enumerate(parts, start=1):
-        events.append({
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "args": {"name": name},
-        })
-        events += _span_events(tracer, pid) + _instant_events(tracer, pid)
-        if metrics is not None and not isinstance(metrics, NullMetrics):
-            events += _counter_events(metrics, pid)
-    events.sort(key=lambda e: (e.get("ts", -1.0),
-                               0 if e["ph"] == "X" else 1))
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "schema_version": SCHEMA_VERSION,
-            "producer": "repro.obs",
-            "clock": "simulated-seconds",
-            "shards": [name for name, _t, _m in parts],
         },
     }
 
@@ -171,13 +140,6 @@ def dump_chrome_trace(path: str, tracer: Tracer,
     """Write the Chrome trace to ``path``; returns the path."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(to_chrome_trace(tracer, metrics), fh, default=str)
-    return path
-
-
-def dump_chrome_trace_merged(path: str, parts) -> str:
-    """Write the merged multi-shard Chrome trace to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_chrome_trace_merged(parts), fh, default=str)
     return path
 
 

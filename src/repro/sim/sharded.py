@@ -233,15 +233,6 @@ class ShardedEngine:
         """Total events dispatched across every shard."""
         return sum(shard.env.events_processed for shard in self._shards)
 
-    def stats(self) -> dict:
-        """Per-shard progress snapshot (events, clock, inbox depth)."""
-        return {
-            shard.name: dict(events=shard.env.events_processed,
-                             now=shard.env.now,
-                             inbox=len(shard.inbox))
-            for shard in self._shards
-        }
-
     def __repr__(self) -> str:
         return (f"<ShardedEngine {len(self._shards)} shards "
                 f"lookahead={self.lookahead:g} windows={self.windows}>")

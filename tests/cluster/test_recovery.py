@@ -3,7 +3,7 @@ deadlines, overload shedding, and structured failure records."""
 
 import pytest
 
-from repro.cluster import (RetryPolicy, build_cluster, slo_report)
+from repro.cluster import RetryPolicy, build_cluster
 from repro.errors import AdmissionRejected, MigrationError, ReproError
 from repro.faults import FaultInjector, FaultPlan
 
@@ -214,12 +214,16 @@ class TestSLOAccounting:
                                     bed.hosts[0])
         bed.scheduler.drain([doomed, fine])
 
-        report = slo_report([doomed, fine])
-        assert report.dead_lettered == 1
-        assert report.attempts == POLICY.max_attempts + 1
-        assert sum(report.failure_kinds.values()) == 1
-        ((error_type, phase),) = report.failure_kinds
-        assert error_type == doomed.failure.error_type
-        assert phase == doomed.failure.phase
-        text = report.summary()
-        assert "attempts" in text and "failures" in text
+        # Every attempt counted: the doomed job used its whole budget,
+        # the fine one needed one.
+        assert doomed.attempts == POLICY.max_attempts
+        assert fine.attempts == 1
+        assert doomed.attempts + fine.attempts == POLICY.max_attempts + 1
+        # Exactly one dead letter, failed at init against the dead host.
+        assert bed.scheduler.dead_letter == [doomed]
+        assert doomed.status == "failed" and fine.succeeded
+        assert len(doomed.failures) == POLICY.max_attempts
+        assert doomed.failure is doomed.failures[-1]
+        assert (doomed.failure.error_type, doomed.failure.phase) \
+            == ("MigrationFailed", "init")
+        assert doomed.failure.destination == "host01"

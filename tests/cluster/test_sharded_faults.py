@@ -10,6 +10,7 @@ from repro.cluster import (ChaosConfig, build_sharded_cluster,
 from repro.core import MigrationConfig
 from repro.errors import MigrationFailed, ReproError
 from repro.faults import FaultPlan
+from repro.obs import install
 
 SMALL = dict(nblocks=256, npages=64)
 #: The engine's conservative window length (min inter-rack latency).
@@ -90,7 +91,9 @@ class TestCrossRackFailure:
         assert check_invariants(cluster, expected) == []
 
     def test_rollback_is_counted(self):
-        cluster = sharded(observe=True)
+        cluster = sharded()
+        for shard in cluster.shards:
+            install(shard.env)
         plan = (FaultPlan(send_timeout=0.05)
                 .flap(down_time=60.0, up_time=0.5, count=1,
                       link=("rack1", "core"), phase="postcopy"))
@@ -125,7 +128,8 @@ class TestSourceCrashDuringFreeze:
         # restarts inside the suspend overhead, so only the harvest can
         # notice that the tracking bitmap went with it.
         cfg = MigrationConfig(include_memory=False, suspend_overhead=0.05)
-        cluster = sharded(config=cfg)
+        cluster = build_sharded_cluster(nracks=2, hosts_per_rack=2,
+                                        vms_per_host=1, config=cfg, **SMALL)
         expected = {d.domain_id for d in cluster.domains}
         cluster.inject_faults(FaultPlan().crash(
             "host00", phase="freeze", offset=0.01, down_for=0.02))

@@ -239,6 +239,43 @@ class TestCrash:
         _elapsed, error = transmit(env, duplex.forward, 1 * MB)
         assert error is None
 
+    def test_second_injector_is_rejected_and_keeps_the_first(self, env):
+        # A second injector on one migrator used to replace the first's
+        # fault state on every link it gave a window: the blackout was
+        # lost once the crash hooked the link, and a 1 MB send at t=3
+        # completed at 3.008 s.
+        from repro.core import Migrator
+        from repro.vm import make_testbed
+
+        source, destination, _clock = make_testbed(env)
+        migrator = Migrator(env)
+        duplex = migrator.connect(source, destination)
+        first = FaultInjector(
+            env, FaultPlan().blackout(duration=10.0, at=0.0)).inject(migrator)
+        second = FaultInjector(
+            env, FaultPlan().crash("source", at=1.0, down_for=1.0))
+        with pytest.raises(FaultError, match="already injected"):
+            second.inject(migrator)
+        assert migrator.fault_injector is first
+        env.run(until=3.0)
+        elapsed, error = transmit(env, duplex.forward, 1 * MB)
+        assert error is not None
+        assert elapsed == pytest.approx(first.plan.send_timeout)
+
+    def test_detach_frees_the_migrator_for_another_injector(self, env):
+        from repro.core import Migrator
+        from repro.vm import make_testbed
+
+        source, destination, _clock = make_testbed(env)
+        migrator = Migrator(env)
+        migrator.connect(source, destination)
+        first = FaultInjector(
+            env, FaultPlan().blackout(duration=10.0, at=0.0)).inject(migrator)
+        first.detach()
+        assert migrator.fault_injector is None
+        second = FaultInjector(env, FaultPlan()).inject(migrator)
+        assert migrator.fault_injector is second
+
     def test_inject_rejects_unknown_crash_host(self, env):
         from repro.core import Migrator
         from repro.storage import GenerationClock

@@ -151,10 +151,11 @@ class TestWindows:
 
         shards[0].env.process(once(shards[0].env), name="once")
         engine.run(until=1.0)
-        stats = engine.stats()
-        assert set(stats) == {"rack0", "rack1"}
-        assert stats["rack0"]["events"] == engine.events_processed
-        assert stats["rack1"]["inbox"] == 0
+        rack0, rack1 = engine.shards
+        assert (rack0.name, rack1.name) == ("rack0", "rack1")
+        assert rack0.env.events_processed == engine.events_processed
+        assert rack1.env.events_processed == 0
+        assert rack1.inbox == []
 
 
 class TestExternalEnvironments:

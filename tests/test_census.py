@@ -54,6 +54,8 @@ ALLOWED = {
      "tests/integration/test_stress.py"): ("leaf_bits",),
     ("repro.core.config.MigrationConfig",
      "tests/cluster/test_sharded_faults.py"): ("include_memory",),
+    ("repro.cluster.sharded.build_sharded_cluster",
+     "tests/cluster/test_sharded_faults.py"): ("config",),
     # The paper's future-work extension, shown in the API guide.
     ("repro.core.manager.Migrator", "docs/API_GUIDE.md"): ("multi_host_im",),
     # Recovery-stack thresholds and retry shapes the tests tighten.
@@ -149,16 +151,6 @@ ALLOWED = {
      "tests/analysis/test_plotting.py"): ("vmax",),
     ("repro.cli.main", "tests/test_cli.py"): ("argv",),
 }
-
-#: Modules whose parameters ROADMAP item 2 decides together with the
-#: sharded engine; the census skips them while ROADMAP.md names them.
-DEFERRED = {
-    "repro.sim.sharded": "sim/sharded.py",
-    "repro.cluster.sharded": "cluster/sharded.py",
-    "repro.cluster.churn": "cluster/churn.py",
-    "repro.cluster.slo": "cluster/slo.py",
-}
-
 
 # ---------------------------------------------------------------------------
 # Definitions
@@ -678,16 +670,10 @@ def census(index: Index, paths: Iterable[Path]) -> set[tuple[str, str]]:
     return passed
 
 
-def _deferred(qualname: str) -> bool:
-    return any(qualname == m or qualname.startswith(m + ".")
-               for m in DEFERRED)
-
-
 def unset_parameters(index: Index, passed: set[tuple[str, str]]) -> set:
     """Defaulted parameters of public callables no call passes."""
     return {(sig.qualname, name)
             for sig in index.functions.values()
-            if not _deferred(sig.qualname)
             for name in sig.defaulted
             if name not in sig.state and (sig.qualname, name) not in passed}
 
@@ -722,12 +708,6 @@ class TestEveryParameterHasACaller:
         for (callee, name), path in sorted(allowed().items()):
             assert (callee, name) in census(index, [REPO / path]), \
                 f"{path} does not set {callee}({name}=)"
-
-    def test_deferred_modules_are_named_by_the_roadmap(self, index):
-        roadmap = (REPO / "ROADMAP.md").read_text()
-        for module, path in DEFERRED.items():
-            assert module in index.namespaces
-            assert path in roadmap
 
 
 class TestResolution:

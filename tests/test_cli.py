@@ -2,11 +2,22 @@
 
 import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 from repro.core import SCHEMES
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict:
+    """``name -> subparser`` for every command of ``parser``."""
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
 
 
 class TestParser:
@@ -29,16 +40,30 @@ class TestParser:
             build_parser().parse_args(["migrate", "--scheme", "teleport"])
 
     def test_scheme_choices_are_the_scheme_table(self):
-        parser = build_parser()
-        commands = next(action for action in parser._actions
-                        if isinstance(action, argparse._SubParsersAction))
         schemed = {}
-        for command, sub in commands.choices.items():
+        for command, sub in subcommands(build_parser()).items():
             for action in sub._actions:
                 if "--scheme" in action.option_strings:
                     schemed[command] = list(action.choices)
         assert schemed == {command: list(SCHEMES)
                            for command in ("migrate", "evacuate")}
+
+
+    def test_documented_commands_exist(self):
+        # Every ``repro-sim <command>`` shown in the README, docs/ or the
+        # CLI's own docstring must be a command the parser accepts.
+        texts = {path.relative_to(REPO).as_posix(): path.read_text()
+                 for path in [REPO / "README.md",
+                              *sorted((REPO / "docs").glob("*.md"))]}
+        texts["repro.cli"] = repro.cli.__doc__
+        documented = {(where, word) for where, text in texts.items()
+                      for word in re.findall(r"\brepro-sim ([a-z][\w-]*)",
+                                             text)}
+        assert {word for _where, word in documented} >= {"migrate",
+                                                        "table1"}
+        commands = subcommands(build_parser())
+        assert sorted((where, word) for where, word in documented
+                      if word not in commands) == []
 
 
 class TestBadNumbers:

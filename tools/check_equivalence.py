@@ -5,12 +5,13 @@ Hot-path work (engine fast lanes, cached bitmap popcounts, vectorized
 dirty-marking, ...) is only admissible when it is *behavior-preserving*:
 the optimized simulator must produce :class:`~repro.core.MigrationReport`
 objects bit-identical to fixtures captured before the optimization.  This
-script runs a fixed set of deterministic scenarios — all five registered
-migration schemes, one fault-injected incremental-retry run, two
-cluster waves (sharded against monolithic, and HostManager placement
-under churn), and a delta-cached transfer stack at two cache sizes — and
-compares every field of every report (floats
-included, exactly) against ``tests/fixtures/equivalence.json``.
+script runs a fixed set of deterministic scenarios — all five migration
+schemes in ``SCHEMES``, one fault-injected incremental-retry run, two
+cluster waves (sharded against monolithic, and a HostManager placement
+burst through a host crash and a maintenance window), and a delta-cached
+transfer stack at two cache sizes — and compares every field of every
+report (floats included, exactly) against
+``tests/fixtures/equivalence.json``.
 
 Usage::
 
