@@ -45,7 +45,6 @@ from .errors import (
     BitmapError,
     ConsistencyError,
     FaultError,
-    MigrationAborted,
     MigrationError,
     MigrationFailed,
     NetworkError,
@@ -66,7 +65,6 @@ __all__ = [
     "Gbps",
     "KiB",
     "MiB",
-    "MigrationAborted",
     "MigrationError",
     "MigrationFailed",
     "NetworkError",

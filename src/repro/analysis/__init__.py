@@ -18,15 +18,14 @@ from .experiments import (
     run_tracking_overhead_experiment,
 )
 from .locality import LocalityStats, WriteLocalityTracker, attach_tracker
-from .plotting import ascii_timeseries, sparkline
-from .report import format_table, paper_vs_measured
+from .plotting import ascii_timeseries
+from .report import format_table
 from .throughput import (
     OverheadResult,
     disruption_time,
     mean_rate,
     performance_overhead,
     read_series,
-    stall_free,
     windowed_rate,
 )
 
@@ -48,8 +47,6 @@ __all__ = [
     "format_table",
     "make_workload",
     "mean_rate",
-    "paper_vs_measured",
-    "sparkline",
     "performance_overhead",
     "read_series",
     "run_figure_experiment",
@@ -57,6 +54,5 @@ __all__ = [
     "run_table1_experiment",
     "run_table2_experiment",
     "run_tracking_overhead_experiment",
-    "stall_free",
     "windowed_rate",
 ]

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..cluster.testbed import cluster_host
 from ..core import SCHEMES, MigrationConfig, MigrationReport, Migrator
 from ..errors import MigrationError, ReproError
 from ..obs import MetricsRegistry, Tracer
 from ..sim import Environment
-from ..storage import PhysicalDisk
 from ..units import Gbps, KiB, MiB
 from ..vm import Domain, GuestMemory, Host
 from ..storage.vbd import GenerationClock
@@ -81,13 +81,6 @@ class Testbed:
         """The environment's metrics registry: every workload series, and
         the migration's own instruments."""
         return self.env.metrics
-
-    def dump_trace(self, path: str) -> str:
-        """Write the collected trace to ``path`` as a Chrome trace
-        (:func:`repro.obs.dump_json` writes the raw record)."""
-        from ..obs import dump_chrome_trace
-
-        return dump_chrome_trace(path, self.env.tracer, self.env.metrics)
 
     def run_for(self, seconds: float) -> None:
         """Advance the simulation by ``seconds``."""
@@ -163,14 +156,6 @@ def make_workload(name: str, nblocks: int, npages: int, seed: int,
     raise ReproError(f"unknown workload {name!r}")
 
 
-#: The testbed disks' SATA2-era sustained rates and seek time, calibrated
-#: so the effective migration rate lands near the paper's ~49 MB/s (39 GB
-#: in ~800 s).
-DISK_READ_BW = 60 * MiB
-DISK_WRITE_BW = 52 * MiB
-SEEK_TIME = 0.5e-3
-
-
 def build_testbed(
     workload: str = "specweb",
     scale: float = 1.0,
@@ -208,13 +193,8 @@ def build_testbed(
     if observe:
         env.tracer = Tracer(env)
     clock = GenerationClock()
-    source = Host(env, "source",
-                  PhysicalDisk(env, DISK_READ_BW, DISK_WRITE_BW, SEEK_TIME),
-                  clock)
-    destination = Host(env, "destination",
-                       PhysicalDisk(env, DISK_READ_BW, DISK_WRITE_BW,
-                                    SEEK_TIME),
-                       clock)
+    source = cluster_host(env, "source", clock)
+    destination = cluster_host(env, "destination", clock)
 
     nblocks = max(int(FULL_DISK_BLOCKS * scale), 256)
     npages = max(int(FULL_MEM_PAGES * scale), 64)

@@ -8,24 +8,9 @@ visible without any plotting dependency.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-
-#: Characters from empty to full for sparkline rendering.
-SPARK_LEVELS = " ▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float], vmax: Optional[float] = None) -> str:
-    """A one-line sparkline of ``values`` (empty string for no data)."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return ""
-    top = vmax if vmax is not None else float(arr.max())
-    if top <= 0:
-        return SPARK_LEVELS[0] * arr.size
-    scaled = np.clip(arr / top, 0.0, 1.0) * (len(SPARK_LEVELS) - 1)
-    return "".join(SPARK_LEVELS[int(round(s))] for s in scaled)
 
 
 def ascii_timeseries(

@@ -55,12 +55,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
     for original, row in zip(materialized, str_rows):
         lines.append(fmt_row(row, original))
     return "\n".join(lines)
-
-
-def paper_vs_measured(title: str, metric_rows: list[tuple[str, Any, Any]]) -> str:
-    """Render a three-column paper-vs-measured comparison."""
-    return format_table(
-        ["metric", "paper", "measured"],
-        [list(r) for r in metric_rows],
-        title=title,
-    )

@@ -136,20 +136,3 @@ def disruption_time(
         return window[1] - window[0]
     _, widths = _bins(bin_width, *window)
     return float(widths[rates < threshold * baseline_rate].sum())
-
-
-def stall_free(metrics: MetricsRegistry, series: str,
-               window: tuple[float, float], threshold: float) -> bool:
-    """True if no read overlapping ``window`` took longer than ``threshold``.
-
-    Used for the video experiment: playback is fluent iff every read
-    latency stayed under the player-buffer threshold.  A latency is
-    stamped when its read completes, so the read spans ``[t - latency,
-    t]``; every read whose span overlaps the window is checked, including
-    one that completes after the window ends.
-    """
-    times, values = read_series(metrics, series)
-    if times.size == 0:
-        return True
-    mask = (times >= window[0]) & (times - values < window[1])
-    return bool((values[mask] <= threshold).all())

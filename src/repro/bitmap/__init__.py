@@ -14,11 +14,9 @@ from .layered import DEFAULT_LEAF_BITS, LayeredBitmap
 from .granularity import (
     GranularityCost,
     bitmap_wire_nbytes,
-    block_to_sectors,
     blocks_for_size,
     byte_range_to_blocks,
     granularity_cost,
-    sectors_to_block,
 )
 
 from ..errors import BitmapError
@@ -40,11 +38,9 @@ __all__ = [
     "GranularityCost",
     "LayeredBitmap",
     "bitmap_wire_nbytes",
-    "block_to_sectors",
     "blocks_for_size",
     "byte_range_to_blocks",
     "granularity_cost",
     "make_bitmap",
-    "sectors_to_block",
     "union_indices",
 ]

@@ -194,16 +194,3 @@ class FlatBitmap(BlockBitmap):
     def to_bool_array(self) -> np.ndarray:
         return self._bits.copy()
 
-    def pack(self) -> np.ndarray:
-        """Wire format: one bit per block, packed into uint8."""
-        return np.packbits(self._bits)
-
-    @classmethod
-    def unpack(cls, packed: np.ndarray, nbits: int) -> "FlatBitmap":
-        """Reconstruct a bitmap from :meth:`pack` output."""
-        bits = np.unpackbits(np.asarray(packed, dtype=np.uint8), count=nbits)
-        bitmap = cls(nbits)
-        # Fill through the view so the padded word backing stays intact.
-        np.not_equal(bits, 0, out=bitmap._bits)
-        bitmap._count = None
-        return bitmap

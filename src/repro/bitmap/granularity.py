@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import BitmapError
-from ..units import BLOCK_SIZE, SECTOR_SIZE
+from ..units import BLOCK_SIZE
 
 
 def blocks_for_size(size_bytes: int, block_size: int = BLOCK_SIZE) -> int:
@@ -42,19 +42,6 @@ def byte_range_to_blocks(
     first = offset // block_size
     last = (offset + length - 1) // block_size
     return first, last - first + 1
-
-
-def sectors_to_block(sector: int) -> int:
-    """Block number containing ``sector`` (512 B sectors)."""
-    if sector < 0:
-        raise BitmapError(f"negative sector {sector}")
-    return sector * SECTOR_SIZE // BLOCK_SIZE
-
-
-def block_to_sectors(block: int) -> range:
-    """The range of sector numbers covered by ``block``."""
-    per_block = BLOCK_SIZE // SECTOR_SIZE
-    return range(block * per_block, (block + 1) * per_block)
 
 
 def bitmap_wire_nbytes(disk_bytes: int, granularity: int = BLOCK_SIZE) -> int:

@@ -255,11 +255,3 @@ class LayeredBitmap(BlockBitmap):
     def allocated_leaves(self) -> int:
         """Number of parts currently materialised in memory."""
         return len(self._leaves)
-
-    def compact(self) -> None:
-        """Free leaves that hold no dirt and fix up the top layer."""
-        for leaf in list(self._leaves):
-            if not self._leaf_count(leaf, self._leaves[leaf]):
-                del self._leaves[leaf]
-                self._leaf_counts.pop(leaf, None)
-                self._top[leaf] = False

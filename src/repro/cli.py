@@ -59,6 +59,9 @@ _scale = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _seconds = _checked(float, lambda v: v >= 0, "a number of seconds >= 0")
 _interval = _checked(float, lambda v: v > 0, "a number of seconds > 0")
 _count = _checked(int, lambda v: v >= 0, "a count >= 0")
+_positive = _checked(int, lambda v: v >= 1, "a count >= 1")
+_rate = _checked(float, lambda v: v > 0, "a rate > 0")
+_ratio = _checked(float, lambda v: v >= 1, "a ratio >= 1")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -75,18 +78,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_config(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rate-limit", type=float, default=None,
+    parser.add_argument("--rate-limit", type=_rate, default=None,
                         metavar="BYTES_PER_S",
                         help="cap migration bandwidth during pre-copy")
     parser.add_argument("--guest-aware", action="store_true",
                         help="skip never-written blocks (paper §VII)")
     parser.add_argument("--compress", action="store_true",
                         help="compress bulk migration data (paper §III-A)")
-    parser.add_argument("--compression-ratio", type=float, default=2.0,
+    parser.add_argument("--compression-ratio", type=_ratio, default=2.0,
                         help="assumed compression ratio (default: 2.0)")
     parser.add_argument("--bitmap", choices=("flat", "layered"),
                         default="flat", help="block-bitmap layout")
-    parser.add_argument("--max-iterations", type=int, default=4,
+    parser.add_argument("--max-iterations", type=_positive, default=4,
                         help="disk pre-copy iteration cap (default: 4)")
 
 
@@ -327,11 +330,10 @@ def cmd_backup(args: argparse.Namespace) -> int:
     print(f"backup chain for {domain.name!r} "
           f"({args.workload}, policy={args.sync_policy}):")
     for record in chain.records:
-        note = " (recovered bitmap)" if record.recovered else ""
         print(f"  #{record.seq:<3d}{record.kind:<12s}"
               f"{record.nblocks:>8d} blocks  "
               f"{fmt_bytes(record.nblocks * chain.block_size):>10s}  "
-              f"at t={record.taken_at:.1f}s{note}")
+              f"at t={record.taken_at:.1f}s")
     scratch = full_bytes * len(chain.records)
     print(f"  chain total {fmt_bytes(total)} vs "
           f"{fmt_bytes(scratch)} for all-full backups "
@@ -423,21 +425,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_evac = sub.add_parser(
         "evacuate", help="drain one host of a simulated cluster")
-    p_evac.add_argument("--hosts", type=int, default=4,
+    p_evac.add_argument("--hosts", type=_checked(
+                            int, lambda v: v >= 2, "a count >= 2"), default=4,
                         help="number of hosts (default: 4)")
     p_evac.add_argument("--vms-per-host", type=int, default=2,
                         help="VMs per host (default: 2)")
     p_evac.add_argument("--wiring", choices=("full", "star", "rack"),
                         default="star", help="cluster wiring (default: star)")
-    p_evac.add_argument("--concurrency", type=int, default=4,
+    p_evac.add_argument("--concurrency", type=_positive, default=4,
                         help="admission cap: concurrent migrations "
                              "(default: 4)")
-    p_evac.add_argument("--per-link-limit", type=int, default=None,
+    p_evac.add_argument("--per-link-limit", type=_positive, default=None,
                         help="max in-flight migrations per link "
                              "(default: unlimited)")
     p_evac.add_argument("--scheme", choices=SCHEMES, default="tpm",
                         help="migration scheme (default: tpm)")
-    p_evac.add_argument("--nblocks", type=int, default=2048,
+    p_evac.add_argument("--nblocks", type=_positive, default=2048,
                         help="VBD blocks per VM (default: 2048)")
     p_evac.add_argument("--npages", type=int, default=256,
                         help="memory pages per VM (default: 256)")
@@ -453,19 +456,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--mode", choices=("monolithic", "sharded", "both"),
                          default="both",
                          help="cluster engine(s) to test (default: both)")
-    p_chaos.add_argument("--racks", type=int, default=2,
+    p_chaos.add_argument("--racks", type=_positive, default=2,
                          help="racks in the test cluster (default: 2)")
     p_chaos.add_argument("--hosts-per-rack", type=int, default=3,
                          help="hosts per rack (default: 3)")
     p_chaos.add_argument("--vms-per-host", type=int, default=2,
                          help="VMs per host (default: 2)")
-    p_chaos.add_argument("--jobs", type=int, default=6,
+    p_chaos.add_argument("--jobs", type=_count, default=6,
                          help="migrations submitted per run (default: 6)")
     p_chaos.add_argument("--nblocks", type=int, default=2048,
                          help="VBD blocks per VM (default: 2048)")
     p_chaos.add_argument("--npages", type=int, default=64,
                          help="memory pages per VM (default: 64)")
-    p_chaos.add_argument("--max-attempts", type=int, default=3,
+    p_chaos.add_argument("--max-attempts", type=_positive, default=3,
                          help="retry budget per job (default: 3)")
     p_chaos.set_defaults(func=cmd_chaos)
 
@@ -501,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loc = sub.add_parser("locality",
                            help="measure a workload's rewrite locality")
     _add_common(p_loc)
-    p_loc.add_argument("--duration", type=float, default=120.0)
+    p_loc.add_argument("--duration", type=_interval, default=120.0)
     p_loc.set_defaults(func=cmd_locality)
     return parser
 

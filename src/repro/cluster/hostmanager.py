@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from ..errors import MigrationError, NoValidHost
+from ..errors import NoValidHost
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.topology import Topology
@@ -181,14 +181,6 @@ class HostManager:
     def states(self) -> list[HostState]:
         """Current host states, sorted by host name."""
         return list(self._current())
-
-    def state_of(self, host: Union[str, "Host"]) -> HostState:
-        name = host if isinstance(host, str) else host.name
-        self._current()
-        try:
-            return self._states[name]
-        except KeyError:
-            raise MigrationError(f"no host {name!r} in manager") from None
 
     def note_link(self, host: Union[str, "Host"], delta: int) -> None:
         """Scheduler hook: a migration started (+1) or ended (-1) on this

@@ -2,12 +2,16 @@
 
 Typical use::
 
+    from repro.cluster.testbed import cluster_host
     from repro.sim import Environment
-    from repro.vm import make_testbed, Domain, GuestMemory
+    from repro.storage import GenerationClock
+    from repro.vm import Domain, GuestMemory
     from repro.core import Migrator, MigrationConfig
 
     env = Environment()
-    src, dst, clock = make_testbed(env)
+    clock = GenerationClock()
+    src = cluster_host(env, "source", clock)
+    dst = cluster_host(env, "destination", clock)
     dom = Domain(env, GuestMemory(131072, clock=clock))
     src.attach_domain(dom, src.prepare_vbd(nblocks))
 

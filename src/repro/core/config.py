@@ -137,20 +137,19 @@ class MigrationConfig:
     def __post_init__(self) -> None:
         if self.bitmap_layout not in ("flat", "layered"):
             raise MigrationError(f"unknown bitmap layout {self.bitmap_layout!r}")
-        if self.chunk_blocks < 1:
-            raise MigrationError("chunk_blocks must be >= 1")
-        if self.max_disk_iterations < 1:
-            raise MigrationError("need at least one disk pre-copy iteration")
-        if self.rate_limit is not None and self.rate_limit <= 0:
+        # Written as ``not x >= bound`` so a NaN fails the check too.
+        for name in ("chunk_blocks", "max_disk_iterations", "mem_chunk_pages",
+                     "leaf_bits", "multifd_channels", "push_chunk_blocks"):
+            if not getattr(self, name) >= 1:
+                raise MigrationError(f"{name} must be >= 1")
+        for name in ("disk_dirty_threshold_blocks", "mem_dirty_threshold_pages",
+                     "delta_cache_mb", "suspend_overhead", "resume_overhead"):
+            if not getattr(self, name) >= 0:
+                raise MigrationError(f"{name} cannot be negative")
+        if self.rate_limit is not None and not self.rate_limit > 0:
             raise MigrationError("rate_limit must be positive when set")
-        if self.compression_ratio < 1.0:
+        if not self.compression_ratio >= 1.0:
             raise MigrationError("compression_ratio must be >= 1")
-        if self.delta_cache_mb < 0:
-            raise MigrationError("delta_cache_mb cannot be negative")
-        if self.multifd_channels < 1:
-            raise MigrationError("multifd_channels must be >= 1")
-        if self.push_chunk_blocks < 1:
-            raise MigrationError("push_chunk_blocks must be >= 1")
         from ..persist.store import SYNC_POLICIES
 
         if self.persist_sync_policy not in SYNC_POLICIES:

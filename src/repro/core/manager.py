@@ -85,8 +85,6 @@ class Migrator:
         self.fault_injector = None
         #: All reports produced, in order (failed attempts included).
         self.history: list[MigrationReport] = []
-        #: domain_id -> in-flight migration (for :meth:`abort`).
-        self.active_migrations: dict[int, MigrationScheme] = {}
         #: Every migration object ever constructed, in order — keeps the
         #: per-channel byte ledgers reachable for cluster-level
         #: conservation audits (see :mod:`repro.cluster.accounting`) and
@@ -235,7 +233,6 @@ class Migrator:
         self.migrations.append(migration)
         if self.fault_injector is not None:
             migration.phase_observers.append(self.fault_injector.on_phase)
-        self.active_migrations[domain.domain_id] = migration
         try:
             report = yield from migration.run()
         except MigrationFailed as failure:
@@ -244,17 +241,6 @@ class Migrator:
             if failure.report is not None:
                 self.history.append(failure.report)
             raise
-        finally:
-            self.active_migrations.pop(domain.domain_id, None)
-
-        if report.extra.get("aborted"):
-            # Nothing moved: restore the stale-copy entry an IM attempt
-            # consumed (its divergence bitmap stayed registered; it may
-            # now over-approximate, which only costs retransfers).
-            if dest_vbd is not None:
-                self._stale[stale_key] = dest_vbd
-            self.history.append(report)
-            return report
 
         # A completed migration supersedes any partial copy left around by
         # earlier failed attempts of this domain.
@@ -280,13 +266,6 @@ class Migrator:
 
         self.history.append(report)
         return report
-
-    def abort(self, domain: Domain) -> bool:
-        """Cancel ``domain``'s in-flight migration, if still possible."""
-        migration = self.active_migrations.get(domain.domain_id)
-        if migration is None:
-            return False
-        return migration.request_abort()
 
     def _drop_partials(self, domain_id: int) -> None:
         for key in [k for k in self._partial if k[0] == domain_id]:

@@ -49,7 +49,6 @@ class DiskPreCopier:
         streamer: BlockStreamer,
         config: MigrationConfig,
         initial_indices: Optional[np.ndarray] = None,
-        abort_requested=None,
         resume: bool = False,
         store=None,
         converge=None,
@@ -78,9 +77,6 @@ class DiskPreCopier:
         #: Blocks of the first iteration; None = the whole device (primary
         #: migration), an array = the IM dirty set (§V).
         self.initial_indices = initial_indices
-        #: Optional callable checked at iteration boundaries; returning
-        #: True stops the pre-copy early (migration cancellation).
-        self.abort_requested = abort_requested
         #: True when retrying a failed migration: adopt the surviving
         #: ``"precopy"`` bitmap (atomically swapped for a fresh one, so no
         #: write during the retry handshake is ever missed) and start from
@@ -161,8 +157,6 @@ class DiskPreCopier:
 
             escalated = (self.converge.observe(record)
                          if self.converge is not None else False)
-            if self.abort_requested is not None and self.abort_requested():
-                break
             if not self._should_continue(record, iteration, escalated):
                 break
 

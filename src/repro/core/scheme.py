@@ -73,8 +73,6 @@ class MigrationScheme:
     #: Key in :data:`~repro.core.manager.SCHEMES`; also stamped on every
     #: report this scheme produces.
     name: str = ""
-    #: True when the scheme honours :meth:`request_abort` before commit.
-    supports_abort: bool = False
     #: True when the scheme participates in the Migrator's Incremental
     #: Migration bookkeeping (stale copies, divergence bitmaps, partial
     #: copies from failed attempts).
@@ -107,36 +105,17 @@ class MigrationScheme:
         #: faults.  Empty by default; notifying costs nothing then.
         self.phase_observers: list = []
         self._phase = "init"
-        self._abort_requested = False
-        self._committed = False
         self._mig_span = None
         self._ledger_before: dict[str, int] = {}
         self.report = MigrationReport(scheme=type(self).name,
                                       workload=workload_name)
 
-    # -- phases / abort ----------------------------------------------------
+    # -- phases ------------------------------------------------------------
 
     def _notify_phase(self, name: str) -> None:
         self._phase = name
         for observer in self.phase_observers:
             observer(name)
-
-    def request_abort(self) -> bool:
-        """Cancel the migration at the next safe point.
-
-        Only schemes with :attr:`supports_abort` honour this, and only
-        before their commit point (once the VM is about to move the
-        migration can no longer be cancelled).  Returns True if the
-        request can still take effect.
-        """
-        if not self.supports_abort or self._committed:
-            return False
-        self._abort_requested = True
-        return True
-
-    @property
-    def aborted(self) -> bool:
-        return bool(self.report.extra.get("aborted"))
 
     # -- byte ledger -------------------------------------------------------
 
@@ -230,7 +209,6 @@ class MigrationScheme:
         hypervisor's suspend cost follows the drain, never overlaps it.
         """
         env = self.env
-        self._committed = True
         self._notify_phase("freeze")
         span = env.tracer.begin("phase:freeze", category="phase")
         self.domain.suspend()

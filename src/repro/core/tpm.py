@@ -48,7 +48,6 @@ class ThreePhaseMigration(MigrationScheme):
     """One whole-system live migration, source → destination."""
 
     name = "tpm"
-    supports_abort = True
     uses_im = True
 
     def __init__(
@@ -233,7 +232,6 @@ class ThreePhaseMigration(MigrationScheme):
         precopier = DiskPreCopier(
             env, self.source, src_driver, block_streamer, cfg,
             initial_indices=initial_indices,
-            abort_requested=lambda: self._abort_requested,
             resume=self.resume, store=store, converge=converge)
         report.disk_iterations = yield from precopier.run()
         if precopier.adopted_recovered:
@@ -242,18 +240,12 @@ class ThreePhaseMigration(MigrationScheme):
         tracer.end(disk_span,
                    iterations=len(report.disk_iterations),
                    retransferred_blocks=report.retransferred_blocks)
-        if self._abort_requested:
-            return (yield from self._abort(src_driver,
-                                           memory_logging=False))
 
         # -- phase 1b: iterative memory pre-copy ----------------------
         page_streamer = (self._page_streamer(lanes=self._lanes,
                                              delta=page_delta)
                          if cfg.include_memory else None)
         yield from self._precopy_memory(page_streamer)
-        if self._abort_requested:
-            return (yield from self._abort(
-                src_driver, memory_logging=cfg.include_memory))
 
         # -- phase 2: freeze-and-copy -------------------------------------
         if converge is not None:
@@ -363,32 +355,6 @@ class ThreePhaseMigration(MigrationScheme):
             extra["auto_converge_steps"] = summary["steps"]
             extra["auto_converge_final_factor"] = summary["final_factor"]
             extra["auto_converge_log"] = summary["log"]
-
-    def _abort(self, src_driver, memory_logging: bool) -> Generator:
-        """Tear the migration down with the domain untouched on the source.
-
-        Write tracking stops, the destination is told to discard the
-        partial copy, and the report is stamped as aborted.  The guest
-        never noticed anything.
-        """
-        report = self.report
-        src_driver.stop_tracking(TRACKING_NAME)
-        if self._converge is not None:
-            self._converge.release()  # guest stays: unthrottle it
-        if self._store is not None and self._store.is_open:
-            self._store.complete()  # cancelled on purpose: nothing pending
-        if memory_logging and self.domain.memory.logging:
-            self.domain.memory.stop_logging()
-        yield from self.fwd.send(ControlMsg("migration-aborted"),
-                                 category="control", limited=False)
-        yield self.fwd.recv()  # destination acknowledges and discards
-        report.extra["aborted"] = True
-        report.ended_at = self.env.now
-        self._stamp_transfer_extras()
-        self.env.tracer.instant("migration:aborted", category="migration",
-                                phase=self._phase)
-        self.env.tracer.close_open(aborted=True)
-        return report
 
     def _on_failure(self, exc) -> Optional[VirtualBlockDevice]:
         """Failure bookkeeping on top of the base-class path.

@@ -67,11 +67,6 @@ class AdmissionRejected(MigrationError):
         self.open_fraction = open_fraction
 
 
-class MigrationAborted(MigrationError):
-    """Raised when a migration is proactively aborted, e.g. because the
-    storage dirty rate exceeds the transfer rate for too many iterations."""
-
-
 class MigrationFailed(MigrationError):
     """Raised when an in-flight migration dies mid-way (link blackout, host
     crash) rather than being cancelled on purpose.

@@ -47,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.manager import Migrator
     from ..net.topology import Topology
     from ..sim import Environment
+    from ..vm.host import Host
 
 _LinkSpec = Union[BlackoutSpec, DegradeSpec, PartitionSpec, FlapSpec]
 
@@ -196,7 +197,7 @@ class FaultInjector:
         #: attach order; ``a``/``b`` name the endpoints (empty when
         #: unknown) for flaps, partitions, crashes.
         self._duplexes: dict[int, tuple[DuplexLink, tuple[str, str]]] = {}
-        self._hosts: dict[str, object] = {}
+        self._hosts: dict[str, "Host"] = {}
         #: Activated link faults as ``(spec, start)``, replayed on every
         #: link attached later.
         self._active: list[tuple[_LinkSpec, float]] = []
@@ -207,8 +208,6 @@ class FaultInjector:
         #: Set by :meth:`inject`; partitions and fabric-wide flaps need
         #: the graph to find crossing/fabric links.
         self._topology: "Optional[Topology]" = None
-        #: The migrator :meth:`inject` hooked, released by :meth:`detach`.
-        self._migrator: "Optional[Migrator]" = None
         #: Called as ``fn(host_name, now)`` when a planned crash fires /
         #: a crashed host restarts — the feed for
         #: :class:`~repro.cluster.health.HealthMonitor`.
@@ -261,7 +260,7 @@ class FaultInjector:
 
         One injector per migrator: a second would replace the first's
         fault state on every link it gives a window, so injecting one
-        raises :class:`FaultError` until the other is detached."""
+        into a migrator that already has one raises :class:`FaultError`."""
         if migrator.fault_injector not in (None, self):
             raise FaultError("faults already injected into this migrator")
         topology = self._topology = migrator.topology
@@ -277,22 +276,7 @@ class FaultInjector:
             if spec.at is not None:
                 self._schedule_crash(spec, spec.at, ("c", i))
         migrator.fault_injector = self
-        self._migrator = migrator
         return self
-
-    def detach(self) -> None:
-        """Remove every fault hook, restoring the fault-free fast path,
-        and free the migrator for another injector."""
-        if self._migrator is not None \
-                and self._migrator.fault_injector is self:
-            self._migrator.fault_injector = None
-        self._migrator = None
-        for duplex, _hosts in self._duplexes.values():
-            for link in (duplex.forward, duplex.backward):
-                if link.faults is self._states.get(id(link)):
-                    link.faults = None
-        self._duplexes.clear()
-        self._states.clear()
 
     # -- activation --------------------------------------------------------
 
@@ -426,12 +410,9 @@ class FaultInjector:
     def _apply_crash(self, spec: CrashSpec) -> None:
         host = self._hosts.get(spec.host)
         if host is not None:
-            if hasattr(host, "crash"):
-                # Full lifecycle: suspend domains, drop in-memory bitmaps,
-                # lose un-flushed journal tails (see Host.crash).
-                host.crash()
-            else:
-                host.crashed = True
+            # Full lifecycle: suspend domains, drop in-memory bitmaps,
+            # lose un-flushed journal tails (see Host.crash).
+            host.crash()
         for link in self._host_links(spec.host):
             self._state_for(link).add_blackout(self.env.now, float("inf"),
                                                host=spec.host)
@@ -452,10 +433,7 @@ class FaultInjector:
     def _apply_restart(self, spec: CrashSpec) -> None:
         host = self._hosts.get(spec.host)
         if host is not None:
-            if hasattr(host, "restart"):
-                host.restart()
-            else:
-                host.crashed = False
+            host.restart()
         for link in self._host_links(spec.host):
             state = self._states.get(id(link))
             if state is not None:

@@ -18,7 +18,6 @@ from .messages import (
     DeltaMsg,
     MemoryPagesMsg,
     Message,
-    PhaseMark,
     PullRequestMsg,
 )
 from .ratelimit import NullLimiter, TokenBucket
@@ -38,7 +37,6 @@ __all__ = [
     "MemoryPagesMsg",
     "Message",
     "NullLimiter",
-    "PhaseMark",
     "PullRequestMsg",
     "TokenBucket",
 ]

@@ -40,7 +40,6 @@ class Link:
         self.name = name
         self._wire = Spindle(env)
         self.bytes_sent = 0
-        self.busy_time = 0.0
         #: Cached ``(registry, counter)`` for the per-transmit byte metric,
         #: so the hot path skips the name build and registry lookup.  Keyed
         #: on registry identity: instrumenting the env rebuilds the cache.
@@ -96,7 +95,6 @@ class Link:
                 duration = (self.transmission_time(nbytes)
                             / faults.bandwidth_factor(self.env.now))
             yield self.env.timeout(duration)
-            self.busy_time += duration
         finally:
             wire.release(grant)
         self.bytes_sent += nbytes
@@ -110,11 +108,6 @@ class Link:
     @property
     def queue_length(self) -> int:
         return self._wire.queue_length
-
-    def utilization(self, elapsed: float) -> float:
-        if elapsed <= 0:
-            return 0.0
-        return min(self.busy_time / elapsed, 1.0)
 
     def __repr__(self) -> str:
         return (f"<Link {self.name!r} {self.bandwidth / Gbps:.2f} Gbps "

@@ -29,7 +29,7 @@ the full block at the receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -164,11 +164,3 @@ class ControlMsg(Message):
     def payload_nbytes(self) -> int:
         return 32 + self.extra_nbytes
 
-
-@dataclass
-class PhaseMark:
-    """Not a wire message: a locally recorded phase-transition timestamp."""
-
-    phase: str
-    time: float
-    detail: dict = field(default_factory=dict)

@@ -19,10 +19,7 @@ Consequences:
 * one bucket instance can safely be **shared** across channels: multifd
   lanes deliberately share the migration limiter so the token
   bucket paces the aggregate stripe throughput, not N× the configured
-  rate (see docs/TRANSFER.md);
-* :meth:`TokenBucket.try_consume` never observes phantom capacity while
-  the bucket is in debt (``tokens < 0``), except that a zero-byte probe
-  always succeeds.
+  rate (see docs/TRANSFER.md).
 """
 
 from __future__ import annotations
@@ -62,22 +59,6 @@ class TokenBucket:
             self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
             self._last_refill = now
 
-    def try_consume(self, nbytes: float) -> bool:
-        """Non-blocking: take ``nbytes`` of budget if immediately available."""
-        if nbytes < 0:
-            raise NetworkError(f"negative consume {nbytes}")
-        self._refill()
-        if nbytes == 0:
-            # A zero-byte probe always succeeds, even while the bucket is
-            # in debt from a prior blocking consume (tokens < 0 would make
-            # the >= test below spuriously fail).
-            return True
-        if self._tokens >= nbytes:
-            self._tokens -= nbytes
-            self.consumed += nbytes
-            return True
-        return False
-
     def consume(self, nbytes: float) -> Generator:
         """Blocking consume; ``yield from`` inside a process.
 
@@ -109,10 +90,6 @@ class NullLimiter:
 
     def __init__(self) -> None:
         self.consumed = 0.0
-
-    def try_consume(self, nbytes: float) -> bool:
-        self.consumed += nbytes
-        return True
 
     def consume(self, nbytes: float) -> Generator:
         self.consumed += nbytes

@@ -38,10 +38,6 @@ NodeRef = Union[str, "Host"]
 #: nodes form the inter-rack fabric.
 TIERS = ("host", "rack", "pod", "core")
 
-#: Tiers whose mutual links form the inter-rack fabric (the lookahead
-#: bound for sharded simulation is the fastest of these links).
-_FABRIC_TIERS = frozenset({"rack", "pod", "core"})
-
 #: tier -> the tiers above it, nearest first (see
 #: :meth:`Topology._parent_of`).
 _LADDER = {"host": ("rack", "pod", "core"),
@@ -141,13 +137,9 @@ class Topology:
         #: nodes default to "host" for Host objects, "rack" for strings
         #: (historic single-switch topologies behave as one big rack).
         self.tiers: dict[str, str] = {}
-        #: Cached :meth:`lookahead` result; ``None`` = stale.  Invalidated
-        #: by every topology mutation (:meth:`connect` / :meth:`tag`) —
-        #: the sharded drain loop queries the bound per window, and the
-        #: fabric scan is O(links) each time without the cache.
-        self._lookahead_cache: "float | None" = None
         #: Cached :meth:`rack_of` and :meth:`_parent_of` answers and
-        #: sorted neighbour lists, all dropped with the lookahead.
+        #: sorted neighbour lists, all dropped by every mutation
+        #: (:meth:`connect` / :meth:`tag`).
         self._rack_cache: dict[str, Optional[str]] = {}
         self._parent_cache: dict[str, Optional[str]] = {}
         self._neighbour_cache: dict[str, list[str]] = {}
@@ -157,7 +149,6 @@ class Topology:
 
     def _changed(self) -> None:
         """Drop every cached view after a mutation."""
-        self._lookahead_cache = None
         self._rack_cache.clear()
         self._parent_cache.clear()
         self._neighbour_cache.clear()
@@ -224,8 +215,7 @@ class Topology:
         """Assign ``node`` to a tier (see :data:`TIERS`).
 
         Tier tags drive the rack partition used by
-        :mod:`repro.sim.sharded` and the :meth:`lookahead` bound; they do
-        not affect routing.
+        :mod:`repro.sim.sharded`; they do not affect routing.
         """
         if tier not in TIERS:
             raise MigrationError(
@@ -320,38 +310,6 @@ class Topology:
 
         return [(key, duplex) for key, duplex in self.links.items()
                 if of(key[0]) != of(key[1])]
-
-    def inter_rack_links(self) -> list[DuplexLink]:
-        """Duplex links whose both endpoints sit in the inter-rack fabric
-        (rack/pod/core tiers), in deterministic insertion order."""
-        return [link for (a, b), link in self.links.items()
-                if self.tier_of(a) in _FABRIC_TIERS
-                and self.tier_of(b) in _FABRIC_TIERS]
-
-    def lookahead(self) -> float:
-        """Conservative-synchronization bound for sharded simulation.
-
-        Any interaction between hosts in *different* racks must cross at
-        least one fabric link, so no shard can affect another sooner than
-        the fastest such link's one-way propagation latency.  Per-rack
-        engines may therefore safely advance ``lookahead()`` past the
-        global minimum event time (see :mod:`repro.sim.sharded`).
-
-        The bound is cached until the next :meth:`connect` or
-        :meth:`tag` — link latencies are construction-time constants, so
-        only topology mutation can change it.
-        """
-        cached = self._lookahead_cache
-        if cached is not None:
-            return cached
-        fabric = self.inter_rack_links()
-        if not fabric:
-            raise MigrationError(
-                "topology has no inter-rack fabric links; tag rack/core "
-                "tiers with Topology.tag() before sharding")
-        bound = min(link.forward.latency for link in fabric)
-        self._lookahead_cache = bound
-        return bound
 
     # -- routing -----------------------------------------------------------
 

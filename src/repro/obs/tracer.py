@@ -175,9 +175,6 @@ class Tracer:
                 if (name is None or s.name == name)
                 and (category is None or s.category == category)]
 
-    def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent == span.sid]
-
     def walk(self) -> Iterator[tuple[int, Span]]:
         """Yield ``(depth, span)`` in start order."""
         depth: dict[Optional[int], int] = {None: -1}
@@ -261,9 +258,6 @@ class NullTracer:
         return []
 
     def find(self, name=None, category=None) -> list:
-        return []
-
-    def children_of(self, span) -> list:
         return []
 
     def walk(self):

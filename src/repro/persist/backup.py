@@ -9,9 +9,7 @@ dirty set and clears it again.  Restoring replays the chain in order.
 
 The tracking bitmap is a :class:`~repro.persist.tracked.PersistentBitmap`
 journaling into a :class:`~repro.persist.store.BitmapStore` on the host
-that started the chain, so a host crash between backups loses no tracking
-information — :meth:`BackupChain.recover_tracking` rebuilds a conservative
-superset and the next incremental simply over-captures a little.
+that started the chain.
 
 The tracking bitmap is registered under ``backup:<domain-id>``; the
 migration manager recognises the ``backup:`` prefix and carries such
@@ -53,9 +51,6 @@ class BackupRecord:
     stamps: np.ndarray
     data: Optional[np.ndarray]
     taken_at: float
-    #: True when this incremental was captured from a crash-recovered
-    #: bitmap — its index set may over-approximate the true delta.
-    recovered: bool = False
     extra: dict = field(default_factory=dict)
 
     @property
@@ -158,44 +153,24 @@ class BackupChain:
         vbd = self._vbd()
         live = self._driver().tracking_bitmap(self.tracking_name)
         indices = live.dirty_indices().copy()
-        record = self._capture("incremental", vbd, indices,
-                               recovered=getattr(live, "recovered", False))
+        record = self._capture("incremental", vbd, indices)
         if indices.size:
             live.clear_many(indices)
-        if isinstance(live, PersistentBitmap):
-            live.recovered = False
-            if self.store.is_open:
-                self.store.snapshot()
+        if isinstance(live, PersistentBitmap) and self.store.is_open:
+            self.store.snapshot()
         self._bitmap = live if isinstance(live, PersistentBitmap) else self._bitmap
         return record
 
     def _capture(self, kind: str, vbd: VirtualBlockDevice,
-                 indices: np.ndarray, recovered: bool = False) -> BackupRecord:
+                 indices: np.ndarray) -> BackupRecord:
         stamps, data = vbd.export_blocks(indices)
         record = BackupRecord(kind=kind, seq=self._seq, indices=indices,
                               stamps=stamps, data=data,
                               taken_at=self.domain.env.now,
-                              recovered=recovered,
                               block_size=self.block_size)
         self._seq += 1
         self.records.append(record)
         return record
-
-    # -- crash recovery --------------------------------------------------
-
-    def recover_tracking(self):
-        """Rebuild the dirty-since-backup bitmap after a host crash.
-
-        Returns the :class:`~repro.persist.store.RecoveryInfo`.  The
-        recovered set over-approximates the true delta (never misses a
-        block), so the next incremental stays correct — just fatter.
-        """
-        if not self.store.recoverable:
-            raise PersistError("backup tracking store has nothing to recover")
-        bitmap, info = self.store.recover()
-        self._bitmap = PersistentBitmap(bitmap, self.store, recovered=True)
-        self._register(self._bitmap)
-        return info
 
     # -- restore ---------------------------------------------------------
 

@@ -94,9 +94,6 @@ class StableStorage:
     def read_area(self, name: str) -> Optional[bytes]:
         return self._areas.get(name)
 
-    def delete_area(self, name: str) -> None:
-        self._areas.pop(name, None)
-
     # -- journal (staged until flushed) ---------------------------------
 
     def append_journal(self, record: bytes) -> None:
@@ -501,16 +498,8 @@ class BitmapStore:
 
     # -- introspection ---------------------------------------------------
 
-    def pending_count(self) -> int:
-        """Pending blocks in the open session's mirror."""
-        return self._require_open().count()
-
     def pending_indices(self) -> np.ndarray:
         return self._require_open().dirty_indices().copy()
-
-    def snapshot_nbytes(self) -> int:
-        raw = self.storage.read_area(AREA_SNAPSHOT)
-        return len(raw) if raw is not None else 0
 
     def collect_stats(self) -> StoreStats:
         """Stats with the storage-level counters folded in."""

@@ -116,14 +116,6 @@ class Event:
         heappush(env._queue, (env._now, NORMAL, eid, self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy another event's outcome into this one (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event._defused = True
-            self.fail(event._value)
-
     def defuse(self) -> None:
         """Mark a failed event as handled so it does not crash the run."""
         self._defused = True

@@ -8,8 +8,8 @@ wall clock goes.  :class:`ShardedEngine` runs one Environment per rack
 (Chandy–Misra–Bryant style, time-stepped):
 
 * Racks only influence each other across the inter-rack fabric, whose
-  minimum one-way link latency ``L`` is exported by
-  :meth:`repro.net.topology.Topology.lookahead`.  No event a shard
+  minimum one-way link latency ``L`` is the cluster's
+  :data:`~repro.cluster.testbed.LINK_LATENCY`.  No event a shard
   executes at time ``t`` can affect another shard before ``t + L``.
 * Each iteration computes ``t_next`` — the earliest pending event (or
   queued cross-shard message) across all shards — and runs every shard

@@ -8,7 +8,7 @@ models spindle bandwidth and contention, and
 where dirty tracking and post-copy pulling happen.
 """
 
-from .block import IOKind, IORequest, read, write
+from .block import IOKind, IORequest, write
 from .blkback import BackendDriver
 from .disk import PhysicalDisk
 from .vbd import GenerationClock, VirtualBlockDevice
@@ -20,6 +20,5 @@ __all__ = [
     "IORequest",
     "PhysicalDisk",
     "VirtualBlockDevice",
-    "read",
     "write",
 ]

@@ -70,25 +70,13 @@ class IORequest:
         """The final block number touched (inclusive)."""
         return self.block + self.nblocks - 1
 
-    def blocks(self) -> range:
-        """All block numbers covered by this request."""
-        return range(self.block, self.block + self.nblocks)
-
     def is_write(self) -> bool:
         return self.kind is IOKind.WRITE
-
-    def is_read(self) -> bool:
-        return self.kind is IOKind.READ
 
     def __repr__(self) -> str:
         return (f"<IORequest #{self.request_id} {self.kind.value} "
                 f"blocks[{self.block}:{self.block + self.nblocks}] "
                 f"dom{self.domain_id}>")
-
-
-def read(block: int, nblocks: int = 1) -> IORequest:
-    """Convenience constructor for a READ request."""
-    return IORequest(IOKind.READ, block, nblocks)
 
 
 def write(block: int, nblocks: int = 1) -> IORequest:

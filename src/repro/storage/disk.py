@@ -65,7 +65,6 @@ class PhysicalDisk:
         self.bytes_read = 0
         self.bytes_written = 0
         self.ops = 0
-        self.busy_time = 0.0
 
     def occupy(self, nbytes: int, is_write: bool) -> Timeout:
         """Hold the granted spindle for one operation of ``nbytes``.
@@ -81,7 +80,6 @@ class PhysicalDisk:
             delay = self.seek_time + nbytes / self.read_bandwidth
             self.bytes_read += nbytes
         self.ops += 1
-        self.busy_time += delay
         return Timeout(self.env, delay)
 
     def io(self, nbytes: int, is_write: bool) -> Generator:
@@ -115,12 +113,6 @@ class PhysicalDisk:
     def queue_length(self) -> int:
         """Requests currently waiting for the spindle."""
         return self.spindle.queue_length
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` the disk spent busy."""
-        if elapsed <= 0:
-            return 0.0
-        return min(self.busy_time / elapsed, 1.0)
 
     def __repr__(self) -> str:
         return (f"<PhysicalDisk r={self.read_bandwidth / MiB:.0f} MiB/s "

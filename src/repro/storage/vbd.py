@@ -245,13 +245,6 @@ class VirtualBlockDevice:
                        & (self._data != source._data).any(axis=1))
         return np.flatnonzero(behind)
 
-    def checksum(self) -> int:
-        """Order-sensitive content checksum (stamps; plus bytes in byte mode)."""
-        acc = hash(self._gen.tobytes())
-        if self._data is not None:
-            acc ^= hash(self._data.tobytes())
-        return acc
-
     def _require_same_geometry(self, other: "VirtualBlockDevice") -> None:
         if (self.nblocks, self.block_size) != (other.nblocks, other.block_size):
             raise StorageError(

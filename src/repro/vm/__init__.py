@@ -2,7 +2,7 @@
 
 from .cpu import CPUState
 from .domain import Domain, DomainState
-from .host import Host, make_testbed
+from .host import Host
 from .memory import GuestMemory
 
 __all__ = [
@@ -11,5 +11,4 @@ __all__ = [
     "DomainState",
     "GuestMemory",
     "Host",
-    "make_testbed",
 ]

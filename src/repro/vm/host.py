@@ -15,7 +15,7 @@ from ..persist.store import BitmapStore
 from ..storage.blkback import BackendDriver
 from ..storage.disk import PhysicalDisk
 from ..storage.vbd import GenerationClock, VirtualBlockDevice
-from ..units import BLOCK_SIZE, MiB
+from ..units import BLOCK_SIZE
 from .domain import Domain
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -267,26 +267,3 @@ class Host:
 
     def __repr__(self) -> str:
         return f"<Host {self.name!r} domains={sorted(self._domains)}>"
-
-
-#: :func:`make_testbed`'s disks: SATA2-era sustained rates and seek time.
-TESTBED_DISK_READ_BW = 70 * MiB
-TESTBED_DISK_WRITE_BW = 60 * MiB
-TESTBED_SEEK_TIME = 0.5e-3
-
-
-def make_testbed(env: "Environment") -> tuple[Host, Host, GenerationClock]:
-    """Two identically configured machines sharing one generation clock.
-
-    Mirrors the paper's experimental environment: two Core 2 Duo machines
-    with SATA2 disks on a Gigabit LAN (the LAN itself is built separately
-    via :meth:`repro.core.manager.Migrator.connect`).
-    """
-    clock = GenerationClock()
-    src = Host(env, "source", PhysicalDisk(
-        env, TESTBED_DISK_READ_BW, TESTBED_DISK_WRITE_BW, TESTBED_SEEK_TIME),
-        clock)
-    dst = Host(env, "destination", PhysicalDisk(
-        env, TESTBED_DISK_READ_BW, TESTBED_DISK_WRITE_BW, TESTBED_SEEK_TIME),
-        clock)
-    return src, dst, clock

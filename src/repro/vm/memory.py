@@ -91,19 +91,6 @@ class GuestMemory:
             # Already validated against npages == nbits just above.
             self._dirty._set_many_unchecked(indices)
 
-    def touch_range(self, start: int, count: int) -> None:
-        """The guest writes ``count`` consecutive pages from ``start``."""
-        if not (0 <= start and start + count <= self.npages):
-            raise StorageError(
-                f"page range [{start}, {start + count}) outside memory")
-        if count == 0:
-            return
-        first = self.clock.tick(count)
-        self._gen[start:start + count] = np.arange(
-            first, first + count, dtype=np.uint64)
-        if self._dirty is not None:
-            self._dirty.set_range(start, count)
-
     # -- migration transfer ------------------------------------------------
 
     def export_pages(self, indices: np.ndarray) -> np.ndarray:

@@ -11,32 +11,24 @@ from .diabolical import BonniePlusPlus
 from .iomodel import (
     AddressModel,
     FreshAppendModel,
-    HotspotModel,
     MemoryDirtier,
     SequentialModel,
     UniformModel,
-    ZipfModel,
 )
 from .kernelbuild import KernelBuild
 from .streaming import VideoStreamServer
-from .traces import IOTrace, TraceRecorder, TraceReplay
 from .webserver import SpecWebBanking
 
 __all__ = [
     "AddressModel",
     "BonniePlusPlus",
     "FreshAppendModel",
-    "HotspotModel",
-    "IOTrace",
     "IdleWorkload",
     "KernelBuild",
-    "TraceRecorder",
-    "TraceReplay",
     "MemoryDirtier",
     "SequentialModel",
     "SpecWebBanking",
     "UniformModel",
     "VideoStreamServer",
     "Workload",
-    "ZipfModel",
 ]

@@ -102,9 +102,6 @@ class SequentialModel(AddressModel):
         self._cursor = (int(steps[-1]) + 1) * ext
         return firsts, counts
 
-    def rewind(self) -> None:
-        self._cursor = 0
-
 
 class UniformModel(AddressModel):
     """Uniformly random extents over the region (random seeks)."""
@@ -127,66 +124,6 @@ class UniformModel(AddressModel):
         firsts = self.region_start + offsets.astype(np.int64, copy=False)
         counts = np.full(n, self.extent_blocks, dtype=np.int64)
         return firsts, counts
-
-
-class ZipfModel(AddressModel):
-    """Zipf-distributed block popularity (heavy-tailed access skew).
-
-    Block ranks follow ``P(rank k) ~ 1/k^alpha`` with the ranks scattered
-    deterministically over the region (so the hot blocks are not all
-    physically adjacent, unlike :class:`HotspotModel`).
-    """
-
-    def __init__(self, region_start: int, region_blocks: int,
-                 extent_blocks: int = 1, alpha: float = 1.2) -> None:
-        super().__init__(region_start, region_blocks, extent_blocks)
-        if alpha <= 1.0:
-            raise ReproError(f"zipf alpha must be > 1, got {alpha}")
-        self.alpha = alpha
-        # Deterministic rank -> offset permutation (seeded, not per-call).
-        perm_rng = np.random.default_rng(0xC0FFEE)
-        self._rank_to_offset = perm_rng.permutation(region_blocks)
-
-    def next_extent(self, rng: np.random.Generator) -> tuple[int, int]:
-        # Rejection-free: draw until the rank fits the region (zipf has
-        # unbounded support; the tail beyond the region is re-drawn).
-        for _ in range(64):
-            rank = int(rng.zipf(self.alpha)) - 1
-            if rank < self.region_blocks:
-                break
-        else:
-            rank = int(rng.integers(0, self.region_blocks))
-        offset = int(self._rank_to_offset[rank])
-        return self.region_start + self._clamp(offset), self.extent_blocks
-
-
-class HotspotModel(AddressModel):
-    """A hot sub-region absorbs most accesses; the rest spread uniformly.
-
-    With probability ``hot_prob`` the extent lands uniformly inside the
-    first ``hot_fraction`` of the region; otherwise anywhere.  A classic
-    80/20-style skew knob.
-    """
-
-    def __init__(self, region_start: int, region_blocks: int,
-                 extent_blocks: int = 1, hot_fraction: float = 0.1,
-                 hot_prob: float = 0.8) -> None:
-        super().__init__(region_start, region_blocks, extent_blocks)
-        if not 0 < hot_fraction <= 1:
-            raise ReproError(f"hot_fraction must be in (0, 1], got {hot_fraction}")
-        if not 0 <= hot_prob <= 1:
-            raise ReproError(f"hot_prob must be in [0, 1], got {hot_prob}")
-        self.hot_blocks = max(int(region_blocks * hot_fraction),
-                              self.extent_blocks)
-        self.hot_prob = hot_prob
-
-    def next_extent(self, rng: np.random.Generator) -> tuple[int, int]:
-        if rng.random() < self.hot_prob:
-            limit = self.hot_blocks
-        else:
-            limit = self.region_blocks
-        offset = int(rng.integers(0, max(limit - self.extent_blocks, 0) + 1))
-        return self.region_start + self._clamp(offset), self.extent_blocks
 
 
 class FreshAppendModel(AddressModel):

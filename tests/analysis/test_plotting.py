@@ -1,29 +1,8 @@
 """Unit tests for ASCII plotting helpers."""
 
 import numpy as np
-import pytest
 
-from repro.analysis import ascii_timeseries, sparkline
-
-
-class TestSparkline:
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_monotone_ramp(self):
-        line = sparkline([0, 1, 2, 3, 4])
-        assert len(line) == 5
-        assert line[-1] == "█"
-        assert line[0] == " "
-
-    def test_flat_zero(self):
-        assert sparkline([0, 0, 0]) == "   "
-
-    def test_explicit_vmax_scales(self):
-        half = sparkline([5], vmax=10)
-        full = sparkline([5], vmax=5)
-        assert full == "█"
-        assert half != "█"
+from repro.analysis import ascii_timeseries
 
 
 class TestAsciiTimeseries:

@@ -1,6 +1,6 @@
 """Unit tests for table rendering."""
 
-from repro.analysis import format_table, paper_vs_measured
+from repro.analysis import format_table
 
 
 class TestFormatTable:
@@ -32,11 +32,3 @@ class TestFormatTable:
         rows = text.splitlines()[2:]
         assert rows[0].endswith("1")
         assert rows[1].endswith("100")
-
-
-class TestPaperVsMeasured:
-    def test_three_columns(self):
-        text = paper_vs_measured("Table I", [("downtime (ms)", 60, 42.5)])
-        assert "paper" in text
-        assert "measured" in text
-        assert "60" in text and "42.5" in text

@@ -9,7 +9,6 @@ from repro.analysis import (
     mean_rate,
     performance_overhead,
     read_series,
-    stall_free,
     windowed_rate,
 )
 from repro.obs import MetricsRegistry
@@ -148,29 +147,6 @@ class TestDisruption:
 
 def _latencies(samples):
     return recorded(samples, kind="histogram", name="lat")
-
-
-class TestStallFree:
-    def test_all_below_threshold(self):
-        lat = _latencies([(t + 0.5, 0.1) for t in range(30)])
-        assert stall_free(lat, "lat", (0, 30), threshold=0.2)
-
-    def test_spike_detected(self):
-        lat = _latencies([(1.0, 0.1), (15.0, 0.5), (20.0, 0.1)])
-        assert not stall_free(lat, "lat", (0, 30), threshold=0.2)
-
-    def test_empty_series_is_stall_free(self):
-        assert stall_free(_latencies([]), "missing", (0, 30), threshold=1)
-
-    def test_stall_crossing_the_window_end_detected(self):
-        """A read issued at t=5 that completes at t=20 stalled inside
-        the window, although its sample is stamped after it."""
-        lat = _latencies([(1.0, 0.1), (20.0, 15.0)])
-        assert not stall_free(lat, "lat", (0, 10), threshold=1)
-
-    def test_read_finished_before_the_window_ignored(self):
-        lat = _latencies([(1.0, 5.0), (3.0, 0.1)])
-        assert stall_free(lat, "lat", (2, 10), threshold=1)
 
 
 amounts = st.integers(min_value=0, max_value=10**9)

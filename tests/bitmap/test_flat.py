@@ -112,13 +112,6 @@ class TestWholeBitmap:
     def test_serialized_rounds_up(self):
         assert FlatBitmap(9).serialized_nbytes() == 2
 
-    def test_pack_unpack_roundtrip(self):
-        bm = FlatBitmap(77)
-        bm.set_many(np.array([0, 13, 76]))
-        packed = bm.pack()
-        restored = FlatBitmap.unpack(packed, 77)
-        assert np.array_equal(restored.to_bool_array(), bm.to_bool_array())
-
     def test_to_bool_array_is_copy(self):
         bm = FlatBitmap(5)
         arr = bm.to_bool_array()

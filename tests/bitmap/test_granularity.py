@@ -4,12 +4,10 @@ import pytest
 
 from repro.bitmap import (
     bitmap_wire_nbytes,
-    block_to_sectors,
     blocks_for_size,
     byte_range_to_blocks,
     granularity_cost,
     make_bitmap,
-    sectors_to_block,
 )
 from repro.bitmap.flat import FlatBitmap
 from repro.bitmap.layered import LayeredBitmap
@@ -51,21 +49,6 @@ class TestByteRangeToBlocks:
             byte_range_to_blocks(-1, 10)
         with pytest.raises(BitmapError):
             byte_range_to_blocks(0, -1)
-
-
-class TestSectorMapping:
-    def test_sectors_to_block(self):
-        # 8 sectors of 512B per 4KiB block.
-        assert sectors_to_block(0) == 0
-        assert sectors_to_block(7) == 0
-        assert sectors_to_block(8) == 1
-
-    def test_block_to_sectors(self):
-        assert list(block_to_sectors(1)) == [8, 9, 10, 11, 12, 13, 14, 15]
-
-    def test_negative_sector(self):
-        with pytest.raises(BitmapError):
-            sectors_to_block(-1)
 
 
 class TestWireSize:

@@ -131,14 +131,6 @@ class TestWholeBitmap:
         bm.union_update(other)
         assert bm.test(3)
 
-    def test_compact_frees_clean_leaves(self, bm):
-        bm.set(5)
-        bm.clear(5)
-        assert bm.allocated_leaves == 1
-        bm.compact()
-        assert bm.allocated_leaves == 0
-        assert bm.serialized_nbytes() == (10 + 7) // 8
-
     def test_bad_leaf_bits(self):
         with pytest.raises(BitmapError):
             LayeredBitmap(100, leaf_bits=0)

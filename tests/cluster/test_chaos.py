@@ -92,7 +92,7 @@ class TestCheckInvariants:
     def test_clean_cluster_is_green(self):
         bed = build_cluster(nhosts=3, vms_per_host=1, **SMALL)
         expected = {d.domain_id for d in bed.domains}
-        job = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        job = bed.scheduler.submit(bed.hosts[0].domains[0],
                                    bed.hosts[1])
         bed.scheduler.drain([job])
         assert check_invariants(bed, expected) == []
@@ -100,7 +100,7 @@ class TestCheckInvariants:
     def test_detached_domain_is_a_placement_violation(self):
         bed = build_cluster(nhosts=2, vms_per_host=1, **SMALL)
         expected = {d.domain_id for d in bed.domains}
-        lost = bed.domains_on(bed.hosts[0])[0]
+        lost = bed.hosts[0].domains[0]
         bed.hosts[0].detach_domain(lost.domain_id)
         violations = check_invariants(bed, expected)
         assert any("placement" in v and "0 hosts" in v for v in violations)
@@ -108,7 +108,7 @@ class TestCheckInvariants:
     def test_doubly_attached_domain_is_a_placement_violation(self):
         bed = build_cluster(nhosts=2, vms_per_host=1, **SMALL)
         expected = {d.domain_id for d in bed.domains}
-        twin = bed.domains_on(bed.hosts[0])[0]
+        twin = bed.hosts[0].domains[0]
         _, vbd = bed.hosts[0].detach_domain(twin.domain_id)
         bed.hosts[0].attach_domain(twin, vbd)
         # Simulate a botched transplant: a second host thinks it owns
@@ -121,7 +121,7 @@ class TestCheckInvariants:
         bed = build_cluster(nhosts=2, vms_per_host=1, **SMALL)
         expected = {d.domain_id for d in bed.domains}
         bed.hosts[1].crashed = True
-        job = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        job = bed.scheduler.submit(bed.hosts[0].domains[0],
                                    bed.hosts[1])
         bed.scheduler.drain([job])
         assert job.status == "failed"

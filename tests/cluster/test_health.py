@@ -141,7 +141,7 @@ class TestHealthyFilter:
         assert bed.scheduler.hostmanager.health is mon
         for _ in range(mon.failure_threshold):
             mon.record_failure("host01")
-        domain = bed.domains_on(bed.hosts[0])[0]
+        domain = bed.hosts[0].domains[0]
         choice = bed.scheduler.hostmanager.select(domain,
                                                   exclude=("host00",))
         assert choice.name == "host02"
@@ -151,7 +151,7 @@ class TestHealthyFilter:
         mon = bed.scheduler.health
         for _ in range(mon.failure_threshold):
             mon.record_failure("host01")
-        domain = bed.domains_on(bed.hosts[0])[0]
+        domain = bed.hosts[0].domains[0]
         with pytest.raises(NoValidHost):
             bed.scheduler.hostmanager.select(domain, exclude=("host00",))
 
@@ -164,7 +164,7 @@ class TestHealthyFilter:
         mon.breaker("host03").force_open(0.0)
         bed.env.run(until=1.0)
         assert mon.state_of("host03") == "half-open"
-        domain = bed.domains_on(bed.hosts[0])[0]
+        domain = bed.hosts[0].domains[0]
         assert manager.select(domain).name == "host01"
         assert [state.name for state in manager.filter_hosts(domain)] == [
             "host01", "host02", "host03"]
@@ -194,7 +194,7 @@ class TestHealthyFilter:
         mon.breaker(target.name).force_open(0.0)
         bed.env.run(until=mon.recovery_time)
         first, second = (
-            bed.scheduler.submit(bed.domains_on(host)[0], target,
+            bed.scheduler.submit(host.domains[0], target,
                                  replaceable=True)
             for host in bed.hosts[:2])
         bed.scheduler.drain([first, second])
@@ -214,7 +214,7 @@ class TestHealthyFilter:
         target = bed.hosts[3]
         mon.breaker(target.name).force_open(0.0)
         bed.env.run(until=mon.recovery_time)
-        job = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0], target,
+        job = bed.scheduler.submit(bed.hosts[0].domains[0], target,
                                    replaceable=True)
         plan = FaultPlan().crash("host00", at=bed.env.now + 0.002,
                                  down_for=0.3)

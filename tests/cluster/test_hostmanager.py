@@ -49,7 +49,7 @@ class TestFilters:
         inbound = {"host01": 2}
         manager = HostManager(bed.migrator.topology, capacity=3,
                               inbound=inbound)
-        assert manager.state_of("host01").planned_load == 3
+        assert manager.states()[1].planned_load == 3      # host01
         names = [s.name for s in manager.filter_hosts()]
         assert "host01" not in names
 

@@ -38,8 +38,7 @@ def answers(manager, topology, domains):
         except NoValidHost as exc:
             chosen = ("NoValidHost", exc.eliminated)
         out.append((survivors, chosen))
-    loads = {name: manager.state_of(name).planned_load
-             for name in sorted(topology.hosts)}
+    loads = {state.name: state.planned_load for state in manager.states()}
     return out, loads
 
 
@@ -103,7 +102,7 @@ class TestCacheCoherence:
                 source = hosts[step[1] % len(hosts)]
                 target = hosts[step[2] % len(hosts)]
                 if source.domains and target is not source:
-                    domain = bed.domains_on(source)[0]
+                    domain = min(source.domains, key=lambda d: d.domain_id)
                     _, vbd = source.detach_domain(domain.domain_id)
                     target.attach_domain(domain, vbd)
             elif kind == "breaker":
@@ -145,7 +144,8 @@ class TestInvalidation:
         bed.migrator.topology.connect(late, "rack1")
         # Empty and first by name: the rebuilt states pick it up.
         assert manager.select() is late
-        assert manager.state_of(late).rack == "rack1"
+        (state,) = [s for s in manager.states() if s.host is late]
+        assert state.rack == "rack1"
 
     def test_rack_of_follows_retagging(self):
         bed = build_cluster(nhosts=4, vms_per_host=0, wiring="rack",
@@ -161,7 +161,7 @@ class TestInvalidation:
         manager = HostManager(bed.migrator.topology, spread=1.0)
         scheduler = ClusterScheduler(bed.env, bed.migrator,
                                      hostmanager=manager)
-        domain = bed.domains_on(bed.host("host03"))[0]
+        domain = bed.host("host03").domains[0]
         scheduler.submit(domain, bed.host("host00"))
-        assert manager.state_of("host00").inbound == 1
+        assert manager.states()[0].inbound == 1          # host00
         assert manager.select().name == "host01"

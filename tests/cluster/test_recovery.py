@@ -37,7 +37,7 @@ class TestRetryWithReplacement:
         plan = FaultPlan().crash("host01", at=0.1)
         injector = FaultInjector(bed.env, plan).inject(bed.migrator)
         bed.scheduler.health.attach(injector)
-        job = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        job = bed.scheduler.submit(bed.hosts[0].domains[0],
                                    bed.hosts[1], replaceable=True)
         bed.scheduler.drain([job])
 
@@ -57,7 +57,7 @@ class TestRetryWithReplacement:
         injector = FaultInjector(
             bed.env, FaultPlan().crash("host01", at=0.1))
         injector.inject(bed.migrator)
-        job = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        job = bed.scheduler.submit(bed.hosts[0].domains[0],
                                    bed.hosts[1], replaceable=True)
         bed.scheduler.drain([job])
         failure = job.failures[0]
@@ -70,7 +70,7 @@ class TestRetryWithReplacement:
     def test_explicit_submission_retries_same_destination(self):
         bed = recovering_cluster(nhosts=3, **SMALL)
         bed.hosts[1].crashed = True
-        job = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        job = bed.scheduler.submit(bed.hosts[0].domains[0],
                                    bed.hosts[1])  # not replaceable
         bed.scheduler.drain([job])
         assert job.status == "failed"
@@ -89,7 +89,7 @@ class TestReplacementAccounting:
                             observe=True, **SMALL)
         # The blocker holds the only admission slot, so the evacuation
         # job queues while its planned destination crashes.
-        blocker = bed.scheduler.submit(bed.domains_on(bed.hosts[3])[0],
+        blocker = bed.scheduler.submit(bed.hosts[3].domains[0],
                                        bed.hosts[2])
         [job] = bed.scheduler.evacuate(bed.hosts[0])
         assert job.destination.name == "host01"
@@ -116,7 +116,7 @@ class TestOneAttemptLoop:
     def test_non_retriable_failure_is_recorded(self, retry):
         bed = build_cluster(nhosts=3, vms_per_host=1, retry=retry,
                             observe=True, **SMALL)
-        domain = bed.domains_on(bed.hosts[0])[0]
+        domain = bed.hosts[0].domains[0]
         # Not retriable: the request itself is invalid.
         job = bed.scheduler.submit(domain, domain.host)
         bed.scheduler.drain([job])
@@ -138,7 +138,7 @@ class TestDeadLetter:
     def test_exhausted_budget_lands_in_dead_letter(self):
         bed = recovering_cluster(nhosts=2, **SMALL)
         bed.hosts[1].crashed = True
-        job = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        job = bed.scheduler.submit(bed.hosts[0].domains[0],
                                    bed.hosts[1])
         bed.scheduler.drain([job])
         assert job in bed.scheduler.dead_letter
@@ -150,7 +150,7 @@ class TestDeadLetter:
             nhosts=2, retry=RetryPolicy(max_attempts=5, initial_backoff=10.0),
             **SMALL)
         bed.hosts[1].crashed = True
-        job = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        job = bed.scheduler.submit(bed.hosts[0].domains[0],
                                    bed.hosts[1], deadline=1.0)
         bed.scheduler.drain([job])
         assert job.status == "failed"
@@ -162,7 +162,7 @@ class TestDeadLetter:
         # Even with recovery off the operator gets one triage list.
         bed = build_cluster(nhosts=2, vms_per_host=1, **SMALL)
         bed.hosts[1].crashed = True
-        job = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        job = bed.scheduler.submit(bed.hosts[0].domains[0],
                                    bed.hosts[1])
         bed.scheduler.drain([job])
         assert bed.scheduler.dead_letter == [job]
@@ -177,7 +177,7 @@ class TestShedding:
             for _ in range(mon.failure_threshold):
                 mon.record_failure(name)
         with pytest.raises(AdmissionRejected) as excinfo:
-            bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+            bed.scheduler.submit(bed.hosts[0].domains[0],
                                  bed.hosts[1])
         assert excinfo.value.open_fraction == pytest.approx(0.5)
         assert bed.scheduler.shed_count == 1
@@ -188,11 +188,11 @@ class TestShedding:
         for _ in range(mon.failure_threshold):
             mon.record_failure("host01")
         with pytest.raises(AdmissionRejected):
-            bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+            bed.scheduler.submit(bed.hosts[0].domains[0],
                                  bed.hosts[1])
         bed.env.run(until=mon.recovery_time + 1.0)
         # Breaker lapsed to half-open: no longer counted as open.
-        job = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        job = bed.scheduler.submit(bed.hosts[0].domains[0],
                                    bed.hosts[1])
         bed.scheduler.drain([job])
         assert job.succeeded
@@ -208,9 +208,9 @@ class TestSLOAccounting:
     def test_report_counts_attempts_and_failure_kinds(self):
         bed = recovering_cluster(nhosts=3, **SMALL)
         bed.hosts[1].crashed = True
-        doomed = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        doomed = bed.scheduler.submit(bed.hosts[0].domains[0],
                                       bed.hosts[1])
-        fine = bed.scheduler.submit(bed.domains_on(bed.hosts[2])[0],
+        fine = bed.scheduler.submit(bed.hosts[2].domains[0],
                                     bed.hosts[0])
         bed.scheduler.drain([doomed, fine])
 

@@ -137,9 +137,9 @@ class TestPerLinkLimits:
         peak = sample_peak(
             bed, lambda: sum(1 for j in bed.scheduler.jobs
                              if j.status == "running"))
-        j1 = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        j1 = bed.scheduler.submit(bed.hosts[0].domains[0],
                                   bed.hosts[2])
-        j2 = bed.scheduler.submit(bed.domains_on(bed.hosts[1])[0],
+        j2 = bed.scheduler.submit(bed.hosts[1].domains[0],
                                   bed.hosts[3])
         bed.scheduler.drain([j1, j2])
         assert j1.succeeded and j2.succeeded
@@ -228,9 +228,9 @@ class TestFailureContainment:
         bed = build_cluster(nhosts=4, vms_per_host=1, **SMALL)
         bed.hosts[3].crashed = True
         victim = bed.hosts[0]
-        domain = bed.domains_on(victim)[0]
+        domain = victim.domains[0]
         doomed = bed.scheduler.submit(domain, bed.hosts[3])
-        healthy = bed.scheduler.submit(bed.domains_on(bed.hosts[1])[0],
+        healthy = bed.scheduler.submit(bed.hosts[1].domains[0],
                                        bed.hosts[2])
         bed.scheduler.drain([doomed, healthy])
 
@@ -255,13 +255,12 @@ class TestFailureContainment:
     def test_planned_load_recovers_after_failure(self):
         bed = build_cluster(nhosts=3, vms_per_host=1, **SMALL)
         bed.hosts[2].crashed = True
-        job = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        job = bed.scheduler.submit(bed.hosts[0].domains[0],
                                    bed.hosts[2])
         bed.scheduler.drain([job])
         assert job.status == "failed"
         # Resident only, no stuck inbound.
-        assert bed.scheduler.hostmanager.state_of(
-            "host02").planned_load == 1
+        assert bed.scheduler.hostmanager.states()[2].planned_load == 1
 
 
 class TestUnstartedFailures:
@@ -276,7 +275,8 @@ class TestUnstartedFailures:
             error_type=error_type, message=str(job.error), phase=phase,
             attempt=1, at=job.ended_at, destination=destination)]
         assert [j is job for j in bed.scheduler.dead_letter] == [True]
-        assert bed.scheduler.hostmanager.state_of(destination).inbound == 0
+        assert all(state.inbound == 0
+                   for state in bed.scheduler.hostmanager.states())
         metrics = bed.env.metrics
         assert metrics.get("cluster.jobs.dead_letter").total == 1
         assert metrics.get("cluster.jobs.failed") is None
@@ -303,7 +303,7 @@ class TestUnstartedFailures:
                             observe=True, **SMALL)
         # The blocker holds the only admission slot while the evacuation
         # target enters maintenance, leaving nowhere to re-place to.
-        blocker = bed.scheduler.submit(bed.domains_on(bed.hosts[1])[0],
+        blocker = bed.scheduler.submit(bed.hosts[1].domains[0],
                                        bed.hosts[0])
         [job] = bed.scheduler.evacuate(bed.hosts[0])
         assert job.destination is bed.hosts[1]
@@ -323,7 +323,7 @@ class TestReplaceablePlacement:
     def _queued_evacuation(self, bed):
         # Occupy the single admission slot so the evacuation job queues
         # long enough for its destination to fail underneath it.
-        blocker = bed.scheduler.submit(bed.domains_on(bed.hosts[3])[0],
+        blocker = bed.scheduler.submit(bed.hosts[3].domains[0],
                                        bed.hosts[2])
         jobs = bed.scheduler.evacuate(bed.hosts[0])
         assert len(jobs) == 1
@@ -361,9 +361,9 @@ class TestReplaceablePlacement:
 
         bed = build_cluster(nhosts=4, vms_per_host=1, max_concurrent=1,
                             **SMALL)
-        blocker = bed.scheduler.submit(bed.domains_on(bed.hosts[3])[0],
+        blocker = bed.scheduler.submit(bed.hosts[3].domains[0],
                                        bed.hosts[2])
-        explicit = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        explicit = bed.scheduler.submit(bed.hosts[0].domains[0],
                                         bed.hosts[1])
         assert not explicit.replaceable
         plan = FaultPlan().crash("host01", at=1e-4, down_for=1000.0)

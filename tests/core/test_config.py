@@ -53,6 +53,23 @@ class TestValidation:
         assert MigrationConfig(multifd_channels=8).multifd_channels == 8
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("mem_chunk_pages", -5),         # used to ship no memory at all
+        ("mem_chunk_pages", 0),          # used to divide by zero mid-run
+        ("compression_ratio", float("nan")),
+        ("leaf_bits", 0),                # used to fail mid-run
+        ("disk_dirty_threshold_blocks", -1),
+        ("mem_dirty_threshold_pages", -1),
+        ("suspend_overhead", -0.1),
+        ("resume_overhead", -0.1),
+        ("rate_limit", float("nan")),
+        ("delta_cache_mb", float("nan")),
+    ])
+    def test_values_that_break_or_skew_a_run_rejected(self, field, value):
+        with pytest.raises(MigrationError, match=field):
+            MigrationConfig(**{field: value})
+
+
 class TestReplace:
     def test_replace_returns_modified_copy(self):
         cfg = MigrationConfig()

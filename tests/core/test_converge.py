@@ -141,19 +141,3 @@ class TestAutoConvergeMigration:
         assert len(log) == report.extra["auto_converge_steps"]
         # Throttle released at freeze: the guest resumes unthrottled.
         assert bed.domain.write_throttle == 1.0
-
-    def test_throttle_released_on_abort(self, make_bed):
-        bed = diabolical_bed(make_bed)
-        throttled_at_abort = []
-
-        def aborter(env):
-            # A couple of iterations in, the controller has escalated.
-            yield env.timeout(2.0)
-            throttled_at_abort.append(bed.domain.write_throttle)
-            assert bed.migrator.abort(bed.domain)
-
-        bed.env.process(aborter(bed.env))
-        report = bed.migrate(bed.config.replace(auto_converge=True))
-        assert report.extra["aborted"] is True
-        assert throttled_at_abort[0] > 1.0
-        assert bed.domain.write_throttle == 1.0

@@ -41,7 +41,6 @@ class TestRegistry:
     def test_tpm_is_the_paper_mechanism(self):
         assert SCHEMES["tpm"] is ThreePhaseMigration
         assert ThreePhaseMigration.uses_im
-        assert ThreePhaseMigration.supports_abort
 
     def test_unknown_scheme_raises(self, bed):
         for name in ("teleport", "ondemand"):

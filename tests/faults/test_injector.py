@@ -140,16 +140,6 @@ class TestAttachDetach:
         _e, error = transmit(env, late.forward, 1 * MB)
         assert error is not None
 
-    def test_detach_restores_fast_path(self, env):
-        duplex = DuplexLink(env, 1 * MB, 0.0)
-        plan = FaultPlan(send_timeout=0.25).blackout(duration=10.0, at=0.0)
-        injector = FaultInjector(env, plan).attach(duplex)
-        injector.detach()
-        assert duplex.forward.faults is None
-        assert duplex.backward.faults is None
-        _e, error = transmit(env, duplex.forward, 1 * MB)
-        assert error is None
-
 
 class TestPhaseTriggers:
     def test_phase_blackout_fires_once(self, env):
@@ -209,9 +199,12 @@ class TestCrash:
 
     def test_restart_ends_only_its_own_crash_blackouts(self, env):
         from repro.core import Migrator
-        from repro.vm import make_testbed
+        from repro.cluster.testbed import cluster_host
+        from repro.storage import GenerationClock
 
-        source, destination, _clock = make_testbed(env)
+        clock = GenerationClock()
+        source = cluster_host(env, "source", clock)
+        destination = cluster_host(env, "destination", clock)
         migrator = Migrator(env)
         duplex = migrator.connect(source, destination)
         plan = (FaultPlan()
@@ -228,9 +221,12 @@ class TestCrash:
 
     def test_restart_reopens_links_to_live_peers(self, env):
         from repro.core import Migrator
-        from repro.vm import make_testbed
+        from repro.cluster.testbed import cluster_host
+        from repro.storage import GenerationClock
 
-        source, destination, _clock = make_testbed(env)
+        clock = GenerationClock()
+        source = cluster_host(env, "source", clock)
+        destination = cluster_host(env, "destination", clock)
         migrator = Migrator(env)
         duplex = migrator.connect(source, destination)
         plan = FaultPlan().crash("source", at=1.0, down_for=5.0)
@@ -245,9 +241,12 @@ class TestCrash:
         # lost once the crash hooked the link, and a 1 MB send at t=3
         # completed at 3.008 s.
         from repro.core import Migrator
-        from repro.vm import make_testbed
+        from repro.cluster.testbed import cluster_host
+        from repro.storage import GenerationClock
 
-        source, destination, _clock = make_testbed(env)
+        clock = GenerationClock()
+        source = cluster_host(env, "source", clock)
+        destination = cluster_host(env, "destination", clock)
         migrator = Migrator(env)
         duplex = migrator.connect(source, destination)
         first = FaultInjector(
@@ -261,20 +260,6 @@ class TestCrash:
         elapsed, error = transmit(env, duplex.forward, 1 * MB)
         assert error is not None
         assert elapsed == pytest.approx(first.plan.send_timeout)
-
-    def test_detach_frees_the_migrator_for_another_injector(self, env):
-        from repro.core import Migrator
-        from repro.vm import make_testbed
-
-        source, destination, _clock = make_testbed(env)
-        migrator = Migrator(env)
-        migrator.connect(source, destination)
-        first = FaultInjector(
-            env, FaultPlan().blackout(duration=10.0, at=0.0)).inject(migrator)
-        first.detach()
-        assert migrator.fault_injector is None
-        second = FaultInjector(env, FaultPlan()).inject(migrator)
-        assert migrator.fault_injector is second
 
     def test_inject_rejects_unknown_crash_host(self, env):
         from repro.core import Migrator

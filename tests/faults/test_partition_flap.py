@@ -89,9 +89,9 @@ class TestPartitionBehaviour:
         plan = (FaultPlan(send_timeout=0.05)
                 .partition(["rack1"], duration=30.0, at=0.0))
         FaultInjector(bed.env, plan).inject(bed.migrator)
-        source = bed.domains_on(bed.hosts[0])[0]
+        source = bed.hosts[0].domains[0]
         cross = bed.scheduler.submit(source, bed.hosts[2])
-        intra = bed.scheduler.submit(bed.domains_on(bed.hosts[1])[0],
+        intra = bed.scheduler.submit(bed.hosts[1].domains[0],
                                      bed.hosts[0])
         bed.scheduler.drain([cross, intra])
 
@@ -105,7 +105,7 @@ class TestPartitionBehaviour:
         plan = (FaultPlan(send_timeout=10.0)
                 .partition(["rack1"], duration=0.02, at=0.0))
         FaultInjector(bed.env, plan).inject(bed.migrator)
-        job = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        job = bed.scheduler.submit(bed.hosts[0].domains[0],
                                    bed.hosts[2])
         bed.scheduler.drain([job])
         assert job.succeeded
@@ -117,7 +117,7 @@ class TestPartitionBehaviour:
                 .partition(["rack1"], duration=30.0, at=0.0)
                 .crash("host01", at=0.01))
         FaultInjector(bed.env, plan).inject(bed.migrator)
-        cross = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        cross = bed.scheduler.submit(bed.hosts[0].domains[0],
                                      bed.hosts[2])
         bed.scheduler.drain([cross])
         assert cross.status == "failed"
@@ -131,9 +131,9 @@ class TestFlapBehaviour:
                 .flap(down_time=30.0, up_time=0.5, count=1,
                       link=("rack1", "core"), at=0.0))
         FaultInjector(bed.env, plan).inject(bed.migrator)
-        cross = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        cross = bed.scheduler.submit(bed.hosts[0].domains[0],
                                      bed.hosts[2])
-        intra = bed.scheduler.submit(bed.domains_on(bed.hosts[1])[0],
+        intra = bed.scheduler.submit(bed.hosts[1].domains[0],
                                      bed.hosts[0])
         bed.scheduler.drain([cross, intra])
         assert cross.status == "failed"
@@ -141,7 +141,7 @@ class TestFlapBehaviour:
 
     def test_short_flaps_delay_but_deliver(self):
         calm = racked()
-        ref = calm.scheduler.submit(calm.domains_on(calm.hosts[0])[0],
+        ref = calm.scheduler.submit(calm.hosts[0].domains[0],
                                     calm.hosts[2])
         calm.scheduler.drain([ref])
 
@@ -150,7 +150,7 @@ class TestFlapBehaviour:
                 .flap(down_time=0.01, up_time=0.01, count=3,
                       link=("rack0", "core"), at=0.0))
         FaultInjector(bed.env, plan).inject(bed.migrator)
-        job = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        job = bed.scheduler.submit(bed.hosts[0].domains[0],
                                    bed.hosts[2])
         bed.scheduler.drain([job])
         assert job.succeeded
@@ -161,9 +161,7 @@ class TestFlapBehaviour:
         plan = (FaultPlan(send_timeout=0.05)
                 .flap(down_time=30.0, up_time=0.5, count=1, at=0.0))
         injector = FaultInjector(bed.env, plan).inject(bed.migrator)
-        fabric = bed.migrator.topology.inter_rack_links()
-        assert fabric  # rack0-core and rack1-core at least
-        cross = bed.scheduler.submit(bed.domains_on(bed.hosts[0])[0],
+        cross = bed.scheduler.submit(bed.hosts[0].domains[0],
                                      bed.hosts[2])
         bed.scheduler.drain([cross])
         assert cross.status == "failed"

@@ -1,10 +1,10 @@
 """One activation rule for every link fault: an ``at=t`` spec and the
 same spec triggered by a phase mark at ``t`` leave identical windows on
-every link, whenever the link is attached; ``detach()`` leaves no hook
-behind; a partition without a topology is an error under either
-trigger; the log holds one entry per activated fault.  Fault state
-appears with a link's first window, and traffic over links left without
-it runs exactly as over links carrying an empty state."""
+every link, whenever the link is attached; a partition without a
+topology is an error under either trigger; the log holds one entry per
+activated fault.  Fault state appears with a link's first window, and
+traffic over links left without it runs exactly as over links carrying
+an empty state."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,45 +195,6 @@ def test_partition_offset_delays_the_cut():
     cut = migrator.topology.links[("rack2", "core")]
     assert cut.forward.faults.blackout_until(1.0) is None
     assert cut.forward.faults.blackout_until(2.5) == pytest.approx(3.0)
-
-
-class TestDetach:
-    def test_detach_clears_every_hook(self):
-        env = Environment()
-        migrator = racked_migrator(env, EDGES[:-1])
-        plan = (FaultPlan()
-                .partition(["rack2"], duration=1.0, phase=PHASE)
-                .flap(down_time=0.1, phase=PHASE)
-                .blackout(duration=1.0, phase=PHASE)
-                .degrade(duration=1.0, phase=PHASE))
-        injector = FaultInjector(env, plan).inject(migrator)
-        topo = migrator.topology
-        # One link connected and attached after inject(), one connected
-        # after inject() and never offered to the injector.
-        attached = topo.connect("rack2", "core", bandwidth=1 * MB)
-        injector.attach(attached, hosts=("rack2", "core"))
-        topo.connect("h0", "rack2", bandwidth=1 * MB)
-        injector.on_phase(PHASE)
-        injector.detach()
-        for duplex in topo.links.values():
-            assert duplex.forward.faults is None
-            assert duplex.backward.faults is None
-
-    def test_crash_after_detach_rehooks_nothing(self):
-        from repro.storage import GenerationClock
-        from repro.vm import Host
-
-        env = Environment()
-        clock = GenerationClock()
-        migrator = Migrator(env)
-        duplex = migrator.connect(Host(env, "a", clock=clock),
-                                  Host(env, "b", clock=clock))
-        plan = FaultPlan().crash("b", at=1.0, down_for=1.0)
-        injector = FaultInjector(env, plan).inject(migrator)
-        injector.detach()
-        env.run(until=3.0)
-        assert duplex.forward.faults is None
-        assert duplex.backward.faults is None
 
 
 class TestPartitionNeedsTopology:

@@ -62,16 +62,6 @@ class TestLink:
         with pytest.raises(NetworkError):
             env.run(until=env.process(proc(env)))
 
-    def test_utilization(self, env):
-        link = Link(env, bandwidth=100 * MB, latency=0)
-
-        def proc(env):
-            yield from link.transmit(50 * MB)
-            yield env.timeout(0.5)
-
-        env.run(until=env.process(proc(env)))
-        assert link.utilization(1.0) == pytest.approx(0.5)
-
 
 class TestDuplexLink:
     def test_directions_are_independent(self, env):

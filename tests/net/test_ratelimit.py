@@ -33,12 +33,6 @@ class TestTokenBucket:
         # First 100 from burst, the other 400 refill at 100/s -> 4 s.
         assert env.run(until=env.process(proc(env))) == pytest.approx(4.0)
 
-    def test_try_consume(self, env):
-        bucket = TokenBucket(env, rate=10, burst=50)
-        assert bucket.try_consume(50)
-        assert not bucket.try_consume(1)
-        assert bucket.consumed == 50
-
     def test_refill_caps_at_burst(self, env):
         bucket = TokenBucket(env, rate=1000, burst=10)
 
@@ -64,15 +58,6 @@ class TestTokenBucket:
         assert order[1][0] == "b"
         assert order[1][1] >= order[0][1]
 
-    def test_zero_byte_probe_succeeds_even_in_debt(self, env):
-        # Regression: try_consume(0) used to report False whenever the
-        # bucket was empty, even though zero bytes always fit.
-        bucket = TokenBucket(env, rate=10, burst=50)
-        assert bucket.try_consume(50)      # drain the bucket completely
-        assert not bucket.try_consume(1)
-        assert bucket.try_consume(0)
-        assert bucket.consumed == 50       # the probe charged nothing
-
     def test_invalid_parameters(self, env):
         with pytest.raises(NetworkError):
             TokenBucket(env, rate=0)
@@ -82,7 +67,7 @@ class TestTokenBucket:
     def test_negative_consume_rejected(self, env):
         bucket = TokenBucket(env, rate=10)
         with pytest.raises(NetworkError):
-            bucket.try_consume(-1)
+            next(bucket.consume(-1))
 
 
 class TestNullLimiter:
@@ -96,6 +81,3 @@ class TestNullLimiter:
 
         assert env.run(until=env.process(proc(env))) == 0.0
         assert limiter.consumed == 10**12
-
-    def test_try_consume_always_true(self):
-        assert NullLimiter().try_consume(10**12)

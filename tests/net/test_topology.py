@@ -156,49 +156,6 @@ class TestRoutedPath:
             RoutedPath(())
 
 
-class TestLookaheadCache:
-    def _fabric(self, env):
-        topo = Topology(env)
-        a, b = hosts(env, "a", "b")
-        topo.connect(a, "rack0", latency=50e-6)
-        topo.connect(b, "rack1", latency=50e-6)
-        topo.connect("rack0", "rack1", latency=200e-6)
-        return topo
-
-    def test_lookahead_without_fabric_raises(self, env):
-        topo = Topology(env)
-        a, b = hosts(env, "a", "b")
-        topo.connect(a, b)
-        # a<->b is host-to-host: no fabric-tier link exists.
-        with pytest.raises(MigrationError):
-            topo.lookahead()
-
-    def test_lookahead_is_cached(self, env):
-        topo = self._fabric(env)
-        assert topo.lookahead() == pytest.approx(200e-6)
-        assert topo._lookahead_cache == pytest.approx(200e-6)
-        # Second call serves the cached bound.
-        assert topo.lookahead() == pytest.approx(200e-6)
-
-    def test_connect_invalidates_cache(self, env):
-        topo = self._fabric(env)
-        assert topo.lookahead() == pytest.approx(200e-6)
-        topo.connect("rack0", "core", latency=80e-6)
-        assert topo._lookahead_cache is None
-        assert topo.lookahead() == pytest.approx(80e-6)
-
-    def test_tag_invalidates_cache(self, env):
-        topo = self._fabric(env)
-        assert topo.lookahead() == pytest.approx(200e-6)
-        # Demote rack1 to a host-tier node: the rack0<->rack1 link leaves
-        # the fabric and only rack0<->core remains... none here, so the
-        # recompute must raise rather than serve the stale bound.
-        topo.tag("rack1", "host")
-        assert topo._lookahead_cache is None
-        with pytest.raises(MigrationError):
-            topo.lookahead()
-
-
 class TestCachedViews:
     """Views cached until the next ``connect``/``tag`` answer like the
     same views of a topology built fresh from the final edges and tags."""

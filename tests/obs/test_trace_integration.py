@@ -105,11 +105,11 @@ class TestSpanTree:
         bed, report = traced_run
         tracer = bed.env.tracer
         (disk_phase,) = tracer.find(name="phase:precopy-disk")
-        iterations = [s for s in tracer.children_of(disk_phase)
-                      if s.category == "iteration"]
+        iterations = [s for s in tracer.spans if s.parent == disk_phase.sid
+                      and s.category == "iteration"]
         assert len(iterations) == len(report.disk_iterations)
         for it in iterations:
-            chunks = tracer.children_of(it)
+            chunks = [s for s in tracer.spans if s.parent == it.sid]
             assert chunks and all(c.category == "transfer" for c in chunks)
 
     def test_span_times_are_sane(self, traced_run):

@@ -34,13 +34,6 @@ class TestSpanNesting:
         depths = {s.name: d for d, s in tracer.walk()}
         assert depths == {"a": 0, "b": 1, "c": 2}
 
-    def test_children_of(self, env, tracer):
-        root = tracer.begin("a")
-        b = tracer.begin("b")
-        tracer.end(b)
-        c = tracer.begin("c")
-        assert [s.sid for s in tracer.children_of(root)] == [b.sid, c.sid]
-
     def test_sids_unique_and_ordered(self, env, tracer):
         spans = [tracer.begin(f"s{i}") for i in range(5)]
         sids = [s.sid for s in spans]
@@ -142,7 +135,7 @@ class TestNullTracer:
         assert len(t) == 0
         assert t.spans == [] and t.instants == []
         assert t.find() == [] and list(t.walk()) == []
-        assert t.open_spans == [] and t.children_of(span) == []
+        assert t.open_spans == []
         assert not t.enabled
 
     def test_null_span_is_inert(self):

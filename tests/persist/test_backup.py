@@ -4,7 +4,7 @@ recovery of the tracking bitmap, and carry-across-migration."""
 import pytest
 
 from repro.errors import PersistError
-from repro.persist import BackupChain, BitmapStore, backup_tracking_name
+from repro.persist import BackupChain, backup_tracking_name
 
 
 def write_blocks(bed, blocks):
@@ -118,50 +118,3 @@ class TestAcrossMigration:
         assert {1, 2, 3, 4} <= set(inc.indices.tolist())
         assert chain.restore().identical_to(live_vbd(byte_bed))
 
-
-class TestCrashRecovery:
-    def test_recover_tracking_after_host_crash(self, byte_bed):
-        chain = BackupChain(byte_bed.domain)
-        chain.full_backup()
-        write_blocks(byte_bed, [10, 11])
-
-        byte_bed.source.crash()
-        byte_bed.source.restart()
-        assert byte_bed.domain.running     # crash-suspended, then resumed
-
-        info = chain.recover_tracking()
-        assert info.pending_blocks >= 2
-        assert chain.bitmap.recovered
-        assert {10, 11} <= set(chain.bitmap.dirty_indices().tolist())
-
-        inc = chain.incremental_backup()
-        assert inc.recovered               # flagged: may over-approximate
-        assert {10, 11} <= set(inc.indices.tolist())
-        assert not chain.bitmap.recovered  # flag consumed by the backup
-        assert chain.restore().identical_to(live_vbd(byte_bed))
-
-    def test_recover_tracking_requires_recoverable_store(self, byte_bed):
-        chain = BackupChain(byte_bed.domain)
-        chain.close()                      # clean: nothing to recover
-        with pytest.raises(PersistError, match="nothing to recover"):
-            chain.recover_tracking()
-
-    def test_recovery_never_undermarks_with_lazy_policy(self, byte_bed):
-        # A lazy store with 16-bit guard regions, installed as the host's
-        # backup store before the chain takes it over.
-        store = BitmapStore(live_vbd(byte_bed).nblocks, policy="snapshot",
-                            region_bits=16)
-        did = byte_bed.domain.domain_id
-        byte_bed.source._bitmap_stores[(did, "backup")] = store
-        chain = BackupChain(byte_bed.domain)
-        assert chain.store is store
-        chain.full_backup()
-        write_blocks(byte_bed, [40, 41, 200])
-        byte_bed.source.crash()            # staged journal tail lost
-        byte_bed.source.restart()
-        chain.recover_tracking()
-        # Guard regions over-mark, never under-mark.
-        assert {40, 41, 200} <= set(chain.bitmap.dirty_indices().tolist())
-        inc = chain.incremental_backup()
-        assert chain.restore().identical_to(live_vbd(byte_bed))
-        assert inc.nblocks >= 3

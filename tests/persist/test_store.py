@@ -71,7 +71,7 @@ class TestValidation:
         for call in (lambda: store.record_set(idx(1)),
                      lambda: store.record_clear(idx(1)),
                      store.flush, store.snapshot, store.complete,
-                     store.pending_count):
+                     store.pending_indices):
             with pytest.raises(PersistError, match="open session"):
                 call()
 
@@ -84,7 +84,7 @@ class TestSessionLifecycle:
     def test_open_with_none_marks_everything_pending(self):
         store = BitmapStore(NBITS)
         store.open_session(None)
-        assert store.pending_count() == NBITS
+        assert store.pending_indices().size == NBITS
 
     def test_open_with_indices_marks_exactly_those(self):
         store = BitmapStore(NBITS)
@@ -276,9 +276,3 @@ class TestAccounting:
 
         assert journal_flushes("wal") > journal_flushes("batch") > \
             journal_flushes("snapshot")
-
-    def test_snapshot_nbytes_reports_persisted_size(self):
-        store = BitmapStore(NBITS)
-        assert store.snapshot_nbytes() == 0
-        store.open_session(idx())
-        assert store.snapshot_nbytes() > NBITS // 8

@@ -89,14 +89,6 @@ class TestAlgebra:
 
     @given(operations())
     @settings(max_examples=50)
-    def test_pack_unpack_roundtrip(self, ops):
-        bm = FlatBitmap(NBITS)
-        apply_ops(bm, ops)
-        restored = FlatBitmap.unpack(bm.pack(), NBITS)
-        assert np.array_equal(bm.to_bool_array(), restored.to_bool_array())
-
-    @given(operations())
-    @settings(max_examples=50)
     def test_layered_wire_size_never_exceeds_flat_plus_top(self, ops):
         layered = LayeredBitmap(NBITS, leaf_bits=64)
         apply_ops(layered, ops)

@@ -11,7 +11,6 @@ from repro.storage import (
     IORequest,
     PhysicalDisk,
     VirtualBlockDevice,
-    read,
     write,
 )
 from repro.units import MiB
@@ -47,7 +46,7 @@ class TestDirectPath:
         assert driver.bytes_written == 2 * 4096
 
     def test_read_counts(self, env, driver):
-        run_request(env, driver, read(0, 4))
+        run_request(env, driver, IORequest(IOKind.READ, 0, 4))
         assert driver.reads == 1
         assert driver.bytes_read == 4 * 4096
 
@@ -79,7 +78,7 @@ class TestTracking:
     def test_reads_do_not_mark(self, env, driver):
         bm = FlatBitmap(100)
         driver.start_tracking("precopy", bm)
-        run_request(env, driver, read(10, 3))
+        run_request(env, driver, IORequest(IOKind.READ, 10, 3))
         assert bm.count() == 0
 
     def test_multiple_bitmaps_all_marked(self, env, driver):
@@ -164,7 +163,7 @@ class TestObservers:
         log = []
         driver.write_observers.append(lambda r: log.append((r.block, r.nblocks)))
         run_request(env, driver, write(4, 2))
-        run_request(env, driver, read(4, 2))
+        run_request(env, driver, IORequest(IOKind.READ, 4, 2))
         assert log == [(4, 2)]
 
     def test_observers_added_after_traffic_see_later_requests(self, env):
@@ -207,10 +206,9 @@ class TestRequestTypes:
     def test_request_helpers(self):
         r = IORequest(IOKind.READ, 3, 2, 7)
         assert r.kind is IOKind.READ
-        assert r.is_read() and not r.is_write()
+        assert not r.is_write()
         assert r.nbytes == 8192
         assert r.last_block == 4
-        assert list(r.blocks()) == [3, 4]
         assert r.domain_id == 7
 
     def test_request_ids_unique(self):

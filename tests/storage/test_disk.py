@@ -27,7 +27,6 @@ class TestServiceTime:
         read_s, write_s = env.run(until=env.process(proc(env)))
         assert read_s == pytest.approx(1.001)
         assert write_s == pytest.approx(1.001)
-        assert disk.busy_time == pytest.approx(2.002)
 
     def test_invalid_parameters(self, env):
         with pytest.raises(StorageError):
@@ -97,18 +96,6 @@ class TestIO:
 
         with pytest.raises(StorageError):
             env.run(until=env.process(proc(env)))
-
-    def test_utilization(self, env):
-        disk = PhysicalDisk(env, read_bandwidth=10 * MiB,
-                            write_bandwidth=10 * MiB, seek_time=0)
-
-        def proc(env):
-            yield from disk.read(5 * MiB)
-            yield env.timeout(0.5)
-
-        env.run(until=env.process(proc(env)))
-        assert disk.utilization(1.0) == pytest.approx(0.5)
-        assert disk.utilization(0) == 0.0
 
     def test_write_counters(self, env):
         disk = PhysicalDisk(env, seek_time=0)

@@ -189,7 +189,3 @@ class TestDiskAccounting:
         assert disk.ops == len(served)
         assert disk.bytes_read == sum(reads)
         assert disk.bytes_written == sum(writes)
-        assert disk.busy_time == pytest.approx(
-            sum(disk.seek_time
-                + n / (disk.write_bandwidth if w else disk.read_bandwidth)
-                for n, w in served), rel=1e-12)

@@ -79,6 +79,18 @@ class TestBadNumbers:
         ["table2", "--dwell", "-1"],
         ["backup", "--increments", "-1"],
         ["backup", "--interval", "0"],
+        ["migrate", "--max-iterations", "0"],
+        ["migrate", "--compression-ratio", "0.5"],
+        ["migrate", "--compression-ratio", "nan"],
+        ["migrate", "--rate-limit", "-3"],
+        ["evacuate", "--hosts", "1"],
+        ["evacuate", "--concurrency", "0"],
+        ["evacuate", "--per-link-limit", "0"],
+        ["evacuate", "--nblocks", "0"],
+        ["chaos", "--racks", "0"],
+        ["chaos", "--jobs", "-1"],
+        ["chaos", "--max-attempts", "0"],
+        ["locality", "--duration", "-1"],
     ], ids=" ".join)
     def test_rejected_at_parse_time(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_:

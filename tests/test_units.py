@@ -60,7 +60,7 @@ class TestErrorHierarchy:
             errors.SimulationError, errors.StaleSchedulingError,
             errors.BitmapError, errors.StorageError,
             errors.ConsistencyError, errors.NetworkError,
-            errors.MigrationError, errors.MigrationAborted,
+            errors.MigrationError,
         ]
         for exc in leaf_errors:
             assert issubclass(exc, errors.ReproError)
@@ -69,5 +69,4 @@ class TestErrorHierarchy:
         from repro import errors
 
         assert issubclass(errors.ConsistencyError, errors.StorageError)
-        assert issubclass(errors.MigrationAborted, errors.MigrationError)
         assert issubclass(errors.StaleSchedulingError, errors.SimulationError)

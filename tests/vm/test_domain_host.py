@@ -7,7 +7,7 @@ from repro.errors import MigrationError
 from repro.sim import Environment
 from repro.storage import PhysicalDisk
 from repro.units import MiB
-from repro.vm import CPUState, Domain, DomainState, GuestMemory, Host, make_testbed
+from repro.vm import CPUState, Domain, DomainState, GuestMemory, Host
 
 
 @pytest.fixture
@@ -155,7 +155,10 @@ class TestCPUState:
 
 
 class TestTestbed:
-    def test_make_testbed_shares_clock(self, env):
-        src, dst, clock = make_testbed(env)
-        assert src.clock is clock and dst.clock is clock
+    def test_build_testbed_shares_clock(self):
+        from repro.analysis import build_testbed
+
+        bed = build_testbed("idle", scale=0.001)
+        src, dst = bed.source, bed.destination
+        assert src.clock is dst.clock is bed.domain.memory.clock
         assert src.name == "source" and dst.name == "destination"

@@ -22,8 +22,6 @@ class TestBasics:
         mem = GuestMemory(10)
         with pytest.raises(StorageError):
             mem.touch(np.array([10]))
-        with pytest.raises(StorageError):
-            mem.touch_range(8, 3)
 
 
 class TestDirtyLogging:
@@ -36,7 +34,7 @@ class TestDirtyLogging:
         mem = GuestMemory(10)
         mem.start_logging()
         mem.touch(np.array([1, 2]))
-        mem.touch_range(5, 3)
+        mem.touch(np.arange(5, 8))
         assert mem.dirty_count() == 5
         assert mem.dirty_indices().tolist() == [1, 2, 5, 6, 7]
 
@@ -69,7 +67,6 @@ class TestDirtyLogging:
         mem = GuestMemory(10)
         mem.start_logging()
         mem.touch(np.empty(0, dtype=np.int64))
-        mem.touch_range(0, 0)
         assert mem.dirty_count() == 0
 
 

@@ -6,11 +6,9 @@ import pytest
 from repro.errors import ReproError
 from repro.workloads import (
     FreshAppendModel,
-    HotspotModel,
     MemoryDirtier,
     SequentialModel,
     UniformModel,
-    ZipfModel,
 )
 
 
@@ -49,12 +47,6 @@ class TestSequential:
             model.next_extent(rng)
         assert model.passes == 1
 
-    def test_rewind(self, rng):
-        model = SequentialModel(0, 10, extent_blocks=1)
-        model.next_extent(rng)
-        model.rewind()
-        assert model.next_extent(rng) == (0, 1)
-
 
 class TestUniform:
     def test_stays_in_region(self, rng):
@@ -66,58 +58,6 @@ class TestUniform:
         model = UniformModel(0, 10, extent_blocks=1)
         seen = {model.next_extent(rng)[0] for _ in range(500)}
         assert seen == set(range(10))
-
-
-class TestHotspot:
-    def test_hot_fraction_dominates(self, rng):
-        model = HotspotModel(0, 1000, hot_fraction=0.1, hot_prob=0.9)
-        hits = [model.next_extent(rng)[0] for _ in range(2000)]
-        hot_hits = sum(1 for h in hits if h < model.hot_blocks)
-        assert hot_hits / len(hits) > 0.85
-
-    def test_bounds(self, rng):
-        model = HotspotModel(10, 100, extent_blocks=4)
-        for _ in range(500):
-            assert in_region(model, model.next_extent(rng))
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ReproError):
-            HotspotModel(0, 100, hot_fraction=0)
-        with pytest.raises(ReproError):
-            HotspotModel(0, 100, hot_prob=1.5)
-
-
-class TestZipf:
-    def test_stays_in_region(self, rng):
-        model = ZipfModel(100, 500, extent_blocks=3)
-        for _ in range(1000):
-            assert in_region(model, model.next_extent(rng))
-
-    def test_heavy_tail_concentrates_on_few_blocks(self, rng):
-        model = ZipfModel(0, 10_000, alpha=1.5)
-        hits = [model.next_extent(rng)[0] for _ in range(3000)]
-        from collections import Counter
-
-        top10 = sum(c for _, c in Counter(hits).most_common(10))
-        assert top10 / len(hits) > 0.5  # 10 blocks absorb most accesses
-
-    def test_hot_blocks_are_scattered(self, rng):
-        """Unlike HotspotModel, popularity is not physically clustered."""
-        model = ZipfModel(0, 10_000, alpha=1.5)
-        hits = [model.next_extent(rng)[0] for _ in range(2000)]
-        from collections import Counter
-
-        top = [b for b, _ in Counter(hits).most_common(5)]
-        assert max(top) - min(top) > 1000
-
-    def test_deterministic_permutation(self, rng):
-        a = ZipfModel(0, 1000)
-        b = ZipfModel(0, 1000)
-        assert (a._rank_to_offset == b._rank_to_offset).all()
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ReproError):
-            ZipfModel(0, 100, alpha=1.0)
 
 
 class TestFreshAppend:
@@ -185,10 +125,6 @@ MODEL_FACTORIES = [
                  id="sequential"),
     pytest.param(lambda: UniformModel(0, 500, extent_blocks=8),
                  id="uniform"),
-    pytest.param(lambda: ZipfModel(0, 300, extent_blocks=2, alpha=1.3),
-                 id="zipf"),
-    pytest.param(lambda: HotspotModel(10, 400, extent_blocks=4),
-                 id="hotspot"),
     pytest.param(lambda: FreshAppendModel(0, 256, extent_blocks=4,
                                           rewrite_prob=0.3),
                  id="freshappend"),
