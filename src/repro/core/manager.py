@@ -26,8 +26,7 @@ from ..baselines.delta import DeltaQueueMigration
 from ..baselines.freeze_copy import FreezeAndCopyMigration
 from ..baselines.ondemand import OnDemandMigration
 from ..baselines.shared_storage import SharedStorageMigration
-from ..errors import MigrationError, MigrationFailed, StorageError
-from ..persist.backup import BACKUP_TRACKING_PREFIX
+from ..errors import MigrationError, MigrationFailed
 from ..net.channel import Channel
 from ..net.compression import Compressor
 from ..net.link import DuplexLink
@@ -171,6 +170,7 @@ class Migrator:
                       sender=destination)
 
         im_kwargs = {}
+        fallback = None
         partial_key = (domain.domain_id, destination.name)
         stale_key = (domain.domain_id, destination.name)
         dest_vbd = None
@@ -202,34 +202,41 @@ class Migrator:
             divergence = self._collect_divergence(domain, src_driver)
 
             im_bitmap = None
-            if (not resume and stale_key in self._stale
-                    and destination.name in divergence):
-                dest_vbd = self._stale.pop(stale_key)
-                im_bitmap = divergence.pop(destination.name)
+            if not resume and stale_key in self._stale:
+                if destination.name in divergence:
+                    dest_vbd = self._stale.pop(stale_key)
+                    im_bitmap = divergence.pop(destination.name)
+                else:
+                    fallback = (
+                        f"stale copy at {destination.name!r} but no "
+                        f"divergence bitmap on {source.name!r} (a crash "
+                        f"drops it): full copy")
 
             # Multi-host IM: divergence maps against the *other* stale
             # hosts keep tracking on the source through pre-copy (they are
             # still registered there) and are re-registered on the
             # destination by TPM before resume, so they never miss a write.
-            extra_im = ({f"{IM_TRACKING_NAME}:{host}": bitmap
-                         for host, bitmap in divergence.items()}
-                        if self.multi_host_im else {})
+            carried = ({f"{IM_TRACKING_NAME}:{host}": bitmap
+                        for host, bitmap in divergence.items()}
+                       if self.multi_host_im else {})
 
-            # Backup-chain tracking bitmaps follow the domain: they stay
-            # registered on the source through pre-copy and re-register on
-            # the destination before resume, so the chain keeps
-            # accumulating deltas across the migration (the tp-qemu
-            # backup-with-migration scenario).
+            # The migration owns "precopy" and the "im" maps; every other
+            # registered bitmap (a backup chain's, say) follows the domain
+            # the same way, so it keeps accumulating across the move (the
+            # tp-qemu backup-with-migration scenario).
             for name in src_driver.tracking_names():
-                if name.startswith(BACKUP_TRACKING_PREFIX):
-                    extra_im[name] = src_driver.tracking_bitmap(name)
+                if name.partition(":")[0] not in (TRACKING_NAME,
+                                                  IM_TRACKING_NAME):
+                    carried[name] = src_driver.tracking_bitmap(name)
 
             im_kwargs = dict(im_bitmap=im_bitmap, dest_vbd=dest_vbd,
-                             extra_im_bitmaps=extra_im, resume=resume)
+                             carried_bitmaps=carried, resume=resume)
 
         migration = scheme_cls(
             self.env, domain, source, destination, fwd, rev, cfg,
             workload_name=workload_name, **im_kwargs)
+        if fallback is not None:
+            migration.report.extra["im_fallback"] = fallback
         self.migrations.append(migration)
         if self.fault_injector is not None:
             migration.phase_observers.append(self.fault_injector.on_phase)
@@ -289,21 +296,15 @@ class Migrator:
         the stale-copy host they diverge from."""
         divergence: dict = {}
         previous = self._im_source.get(domain.domain_id)
-        if previous is not None:
-            try:
-                divergence[previous] = src_driver.tracking_bitmap(
-                    IM_TRACKING_NAME)
-            except StorageError:
-                pass
+        if previous is not None and src_driver.has_tracking(IM_TRACKING_NAME):
+            divergence[previous] = src_driver.tracking_bitmap(
+                IM_TRACKING_NAME)
         if self.multi_host_im:
             for dom_id, host_name in list(self._stale):
-                if dom_id != domain.domain_id or host_name == previous:
-                    continue
-                try:
-                    divergence[host_name] = src_driver.tracking_bitmap(
-                        f"{IM_TRACKING_NAME}:{host_name}")
-                except StorageError:
-                    pass
+                name = f"{IM_TRACKING_NAME}:{host_name}"
+                if (dom_id == domain.domain_id and host_name != previous
+                        and src_driver.has_tracking(name)):
+                    divergence[host_name] = src_driver.tracking_bitmap(name)
         return divergence
 
     def migrate_process(self, domain: Domain, destination: Host,

@@ -62,7 +62,7 @@ class ThreePhaseMigration(MigrationScheme):
         im_bitmap: Optional[BlockBitmap] = None,
         dest_vbd: Optional[VirtualBlockDevice] = None,
         workload_name: str = "unknown",
-        extra_im_bitmaps: Optional[dict] = None,
+        carried_bitmaps: Optional[dict] = None,
         resume: bool = False,
     ) -> None:
         super().__init__(env, domain, source, destination, fwd_channel,
@@ -75,12 +75,13 @@ class ThreePhaseMigration(MigrationScheme):
         self.im_bitmap = im_bitmap
         #: IM: reuse this stale VBD on the destination (None = fresh one).
         self.dest_vbd = dest_vbd
-        #: Multi-host IM (the paper's future work, via Migrator): divergence
-        #: bitmaps against *other* stale hosts, re-registered on the
-        #: destination driver before resume so no post-resume write is
-        #: missed.  They stayed registered on the source driver through
-        #: pre-copy, so pre-resume writes are already in them.
-        self.extra_im_bitmaps = extra_im_bitmaps or {}
+        #: Bitmaps that follow the domain, by tracking name (multi-host
+        #: IM divergence maps, and every bitmap the migration does not
+        #: own, e.g. a backup chain's): re-registered on the destination
+        #: driver before resume so no post-resume write is missed.  They
+        #: stayed registered on the source driver through pre-copy, so
+        #: pre-resume writes are already in them.
+        self.carried_bitmaps = carried_bitmaps or {}
         #: True when retrying a failed attempt: the disk pre-copy adopts
         #: the surviving ``"precopy"`` bitmap instead of registering a
         #: fresh one and copying the whole device.
@@ -207,7 +208,7 @@ class ThreePhaseMigration(MigrationScheme):
         store = None
         if cfg.persist_bitmap:
             store = self._store = self.source.bitmap_store(
-                domain.domain_id, purpose="precopy",
+                domain.domain_id, TRACKING_NAME,
                 nbits=src_vbd.nblocks, policy=cfg.persist_sync_policy)
             if not store.is_open:
                 # A fresh session: everything the first iteration will
@@ -299,10 +300,13 @@ class ThreePhaseMigration(MigrationScheme):
             IM_TRACKING_NAME,
             make_bitmap(dest_vbd.nblocks, cfg.bitmap_layout,
                         leaf_bits=cfg.leaf_bits))
-        # Carried bitmaps (divergence maps, backup-chain tracking) follow
-        # the domain too.
-        for name, bitmap in self.extra_im_bitmaps.items():
+        # Carried bitmaps follow the domain, and a durable one's store
+        # with it: a crash of the new host recovers it, one of the old
+        # host no longer touches it.
+        for name, bitmap in self.carried_bitmaps.items():
             dst_driver.start_tracking(name, bitmap)
+            self.source.move_bitmap_store(domain.domain_id, name,
+                                          self.destination)
 
         synchronizer = PostCopySynchronizer(
             env, self.source.disk, src_vbd, self.destination.disk, dest_vbd,

@@ -11,7 +11,7 @@ under-marking), and :class:`BackupChain` reuses the same machinery for
 full + incremental backups that survive both crashes and live migrations.
 """
 
-from .backup import BACKUP_TRACKING_PREFIX, BackupChain, BackupRecord, backup_tracking_name
+from .backup import BackupChain, BackupRecord
 from .format import (
     FORMAT_VERSION,
     decode_record,
@@ -23,10 +23,8 @@ from .store import SYNC_POLICIES, BitmapStore, RecoveryInfo, StableStorage, Stor
 from .tracked import PersistentBitmap
 
 __all__ = [
-    "BACKUP_TRACKING_PREFIX",
     "BackupChain",
     "BackupRecord",
-    "backup_tracking_name",
     "BitmapStore",
     "FORMAT_VERSION",
     "PersistentBitmap",

@@ -8,13 +8,11 @@ whole device and clears it, and each **incremental** captures exactly the
 dirty set and clears it again.  Restoring replays the chain in order.
 
 The tracking bitmap is a :class:`~repro.persist.tracked.PersistentBitmap`
-journaling into a :class:`~repro.persist.store.BitmapStore` on the host
-that started the chain.
-
-The tracking bitmap is registered under ``backup:<domain-id>``; the
-migration manager recognises the ``backup:`` prefix and carries such
-bitmaps to the destination driver (the way BM_1/BM_2/BM_3 merge in §V),
-so a chain keeps accumulating deltas across a live migration.
+registered under ``backup:<domain-id>`` and journaling into the store of
+that name on the domain's host.  The chain owns neither its recovery nor
+its carrying: the host recovers every durable tracking bitmap after a
+crash, and a live migration carries every bitmap it does not own, store
+and all, so the chain keeps accumulating deltas across both.
 """
 
 from __future__ import annotations
@@ -32,13 +30,6 @@ from .tracked import PersistentBitmap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..vm.domain import Domain
-
-#: Tracking-name prefix the migration manager carries across migrations.
-BACKUP_TRACKING_PREFIX = "backup:"
-
-
-def backup_tracking_name(domain_id: int) -> str:
-    return f"{BACKUP_TRACKING_PREFIX}{domain_id}"
 
 
 @dataclass
@@ -91,21 +82,23 @@ class BackupChain:
         self.block_size = vbd.block_size
         self.records: list[BackupRecord] = []
         self._seq = 0
+        #: The one store of this chain's bitmap: recovery rebuilds from it
+        #: in place, and a migration moves it with the domain.
         self.store: BitmapStore = host.bitmap_store(
-            domain.domain_id, purpose="backup", nbits=self.nblocks,
+            domain.domain_id, self.tracking_name, nbits=self.nblocks,
             policy=policy)
         # Everything is pending until the first full backup exists.
         self.store.open_session(None)
         inner = FlatBitmap(self.nblocks)
         inner.set_all()
-        self._bitmap = PersistentBitmap(inner, self.store)
-        self._register(self._bitmap)
+        self._driver().set_tracking(self.tracking_name,
+                                    PersistentBitmap(inner, self.store))
 
     # -- plumbing --------------------------------------------------------
 
     @property
     def tracking_name(self) -> str:
-        return backup_tracking_name(self.domain.domain_id)
+        return f"backup:{self.domain.domain_id}"
 
     def _driver(self):
         host = self.domain.host
@@ -117,20 +110,14 @@ class BackupChain:
     def _vbd(self) -> VirtualBlockDevice:
         return self.domain.host.vbd_of(self.domain.domain_id)
 
-    def _register(self, bitmap: PersistentBitmap) -> None:
-        driver = self._driver()
-        if driver.has_tracking(self.tracking_name):
-            driver.swap_tracking(self.tracking_name, bitmap)
-        else:
-            driver.start_tracking(self.tracking_name, bitmap)
-
     @property
     def bitmap(self) -> PersistentBitmap:
-        return self._bitmap
+        """The live tracking bitmap, as registered on the domain's driver."""
+        return self._driver().tracking_bitmap(self.tracking_name)
 
     def pending_blocks(self) -> int:
         """Blocks dirtied since the last backup (next incremental's size)."""
-        return self._bitmap.count()
+        return self.bitmap.count()
 
     # -- taking backups --------------------------------------------------
 
@@ -141,7 +128,7 @@ class BackupChain:
         record = self._capture("full", vbd, indices)
         # A fresh full obsoletes prior links for restore purposes, but we
         # keep them: a chain is also its own history.
-        self._bitmap.reset()
+        self.bitmap.reset()
         self.store.snapshot()
         return record
 
@@ -150,15 +137,12 @@ class BackupChain:
         if not any(r.kind == "full" for r in self.records):
             raise PersistError(
                 "cannot take an incremental backup before the first full")
-        vbd = self._vbd()
-        live = self._driver().tracking_bitmap(self.tracking_name)
+        live = self.bitmap
         indices = live.dirty_indices().copy()
-        record = self._capture("incremental", vbd, indices)
+        record = self._capture("incremental", self._vbd(), indices)
         if indices.size:
             live.clear_many(indices)
-        if isinstance(live, PersistentBitmap) and self.store.is_open:
-            self.store.snapshot()
-        self._bitmap = live if isinstance(live, PersistentBitmap) else self._bitmap
+        self.store.snapshot()
         return record
 
     def _capture(self, kind: str, vbd: VirtualBlockDevice,

@@ -8,10 +8,9 @@ any other), which keeps the whole pre-copy/IM machinery oblivious to
 persistence.
 
 Journaling is best-effort with respect to the store's lifecycle: if the
-store has been crashed or closed out from under the wrapper (e.g. a backup
-store left on a host the domain has migrated away from), mutations still
-apply to the in-memory bitmap — a dead store must never break a healthy
-domain's write path.
+store has been crashed or closed out from under the wrapper (e.g. a
+completed session), mutations still apply to the in-memory bitmap — a
+dead store must never break a healthy domain's write path.
 """
 
 from __future__ import annotations

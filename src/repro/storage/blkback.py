@@ -100,12 +100,17 @@ class BackendDriver:
 
     def start_tracking(self, name: str, bitmap: BlockBitmap) -> None:
         """Begin recording writes into ``bitmap`` under ``name``."""
+        if name in self._tracking:
+            raise StorageError(f"tracking bitmap {name!r} already registered")
+        self.set_tracking(name, bitmap)
+
+    def set_tracking(self, name: str, bitmap: BlockBitmap) -> None:
+        """Record writes into ``bitmap`` under ``name``, replacing any
+        bitmap registered there (how a recovered bitmap comes back)."""
         if bitmap.nbits != self.vbd.nblocks:
             raise StorageError(
                 f"bitmap covers {bitmap.nbits} blocks but VBD has "
                 f"{self.vbd.nblocks}")
-        if name in self._tracking:
-            raise StorageError(f"tracking bitmap {name!r} already registered")
         self._tracking[name] = bitmap
 
     def stop_tracking(self, name: str) -> BlockBitmap:

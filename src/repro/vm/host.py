@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..errors import MigrationError
 from ..persist.store import BitmapStore
+from ..persist.tracked import PersistentBitmap
 from ..storage.blkback import BackendDriver
 from ..storage.disk import PhysicalDisk
 from ..storage.vbd import GenerationClock, VirtualBlockDevice
@@ -52,8 +53,8 @@ class Host:
         #: must never pick it as a *destination*.
         self.maintenance = False
         #: Durable bitmap stores on this host's stable storage, keyed by
-        #: ``(domain_id, purpose)`` — purpose ``"precopy"`` holds the
-        #: migration tracking bitmap, ``"backup"`` a backup chain's.
+        #: ``(domain_id, tracking name)``: each journals the bitmap
+        #: registered under that name on the domain's driver.
         self._bitmap_stores: dict[tuple[int, str], BitmapStore] = {}
         #: Domains that were running when the host crashed (resumed on
         #: restart; domains suspended for other reasons stay suspended).
@@ -153,19 +154,19 @@ class Host:
     def bitmap_store(
         self,
         domain_id: int,
-        purpose: str = "precopy",
+        name: str = "precopy",
         nbits: Optional[int] = None,
         policy: str = "wal",
     ) -> BitmapStore:
-        """The durable bitmap store for ``(domain_id, purpose)`` on this
-        host's stable storage, created on first use with
+        """The durable store of the bitmap ``domain_id`` tracks under
+        ``name``, on this host's stable storage, created on first use with
         :class:`~repro.persist.store.BitmapStore`'s default knobs.
 
         An existing store is returned as-is (its policy is fixed at
         creation): the store *is* the persisted state, so a restarted host
         finds the pre-crash instance here and recovers from it.
         """
-        key = (domain_id, purpose)
+        key = (domain_id, name)
         store = self._bitmap_stores.get(key)
         if store is None:
             if nbits is None:
@@ -174,10 +175,13 @@ class Host:
             self._bitmap_stores[key] = store
         return store
 
-    def has_recoverable_bitmap(self, domain_id: int) -> bool:
-        """Whether a pre-copy bitmap journal survives for ``domain_id``."""
-        store = self._bitmap_stores.get((domain_id, "precopy"))
-        return store is not None and store.recoverable
+    def move_bitmap_store(self, domain_id: int, name: str,
+                          to: "Host") -> None:
+        """Hand the store of ``(domain_id, name)``, if any, to ``to``: a
+        carried durable bitmap keeps its store where its domain runs."""
+        store = self._bitmap_stores.pop((domain_id, name), None)
+        if store is not None:
+            to._bitmap_stores[(domain_id, name)] = store
 
     # -- maintenance windows ---------------------------------------------
 
@@ -222,33 +226,26 @@ class Host:
     def restart(self) -> None:
         """Bring a crashed machine back up.
 
-        Stores with recoverable pre-copy sessions are recovered into fresh
-        tracking bitmaps (registered under the pre-copy tracking name, so
-        a retry finds a *surviving* bitmap and resumes incrementally —
-        §V's mechanism, now crash-proof).  Domains the crash stopped are
-        resumed; anything suspended for other reasons stays down.
+        One rule for every durable bitmap: each recoverable store of an
+        attached domain is recovered and registered under its own
+        tracking name, so a pre-copy retry resumes incrementally (§V's
+        mechanism, now crash-proof) and a backup chain's next incremental
+        holds every write since its last backup.  Domains the crash
+        stopped are resumed; anything suspended for other reasons stays
+        down.
         """
         if not self.crashed:
             return
         self.crashed = False
         for driver in self._drivers.values():
             driver.crashed = False
-        # Late import: core imports vm, not the other way around.
-        from ..core.precopy import TRACKING_NAME
-        from ..persist.tracked import PersistentBitmap
-
-        for (domain_id, purpose), store in self._bitmap_stores.items():
-            if purpose != "precopy" or not store.recoverable:
+        for (domain_id, name), store in self._bitmap_stores.items():
+            driver = self._drivers.get(domain_id)
+            if driver is None or not store.recoverable:
                 continue
-            if domain_id not in self._drivers:
-                continue  # domain moved away; its chain recovers itself
             recovered, _info = store.recover()
-            driver = self._drivers[domain_id]
-            wrapper = PersistentBitmap(recovered, store, recovered=True)
-            if driver.has_tracking(TRACKING_NAME):
-                driver.swap_tracking(TRACKING_NAME, wrapper)
-            else:
-                driver.start_tracking(TRACKING_NAME, wrapper)
+            driver.set_tracking(
+                name, PersistentBitmap(recovered, store, recovered=True))
         suspended, self._suspended_at_crash = self._suspended_at_crash, set()
         for domain_id in suspended:
             domain = self._domains.get(domain_id)

@@ -82,6 +82,28 @@ class TestIncrementalMigration:
         # Only memory + protocol crossed the wire.
         assert back.bytes_by_category.get("disk", 0) == 0
 
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_lost_divergence_bitmap_is_a_stated_full_copy(self, bed, crash):
+        """A crash of the VM's host drops BM_3: the back migration then
+        copies the whole device and says why, instead of silently."""
+        bed.migrate()
+
+        def writer(env):
+            for block in range(21):
+                yield from bed.domain.write(block, 1)
+
+        bed.env.run(until=bed.env.process(writer(bed.env)))
+        if crash:
+            bed.destination.crash()
+            bed.destination.restart()
+        back = bed.migrate()
+        assert back.consistency_verified
+        assert back.incremental is not crash
+        sent = back.disk_iterations[0].units_sent
+        assert sent == (bed.vbd.nblocks if crash else 21)
+        assert ("divergence bitmap" in back.extra.get("im_fallback", "")
+                ) is crash
+
     def test_stale_copy_bookkeeping(self, bed):
         assert not bed.migrator.has_stale_copy(bed.domain, bed.source)
         bed.migrate()

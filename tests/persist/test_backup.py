@@ -4,7 +4,7 @@ recovery of the tracking bitmap, and carry-across-migration."""
 import pytest
 
 from repro.errors import PersistError
-from repro.persist import BackupChain, backup_tracking_name
+from repro.persist import BackupChain
 
 
 def write_blocks(bed, blocks):
@@ -46,7 +46,7 @@ class TestChainBasics:
     def test_tracking_bitmap_is_registered_with_the_driver(self, byte_bed):
         chain = BackupChain(byte_bed.domain)
         driver = byte_bed.source.driver_of(byte_bed.domain.domain_id)
-        name = backup_tracking_name(byte_bed.domain.domain_id)
+        name = f"backup:{byte_bed.domain.domain_id}"
         assert chain.tracking_name == name
         assert driver.has_tracking(name)
         chain.close()
@@ -118,3 +118,41 @@ class TestAcrossMigration:
         assert {1, 2, 3, 4} <= set(inc.indices.tolist())
         assert chain.restore().identical_to(live_vbd(byte_bed))
 
+
+
+class TestAcrossCrash:
+    def test_incremental_from_recovered_bitmap(self, byte_bed):
+        """The tp-qemu inc-backup-with-recovered-bitmap scenario: writes
+        before and after a crash of the host land in one incremental."""
+        chain = BackupChain(byte_bed.domain)
+        chain.full_backup()
+        write_blocks(byte_bed, [3, 7])
+        byte_bed.source.crash()
+        byte_bed.source.restart()
+        write_blocks(byte_bed, [9])
+
+        inc = chain.incremental_backup()
+        assert set(inc.indices.tolist()) == {3, 7, 9}
+        assert chain.restore().identical_to(live_vbd(byte_bed))
+
+    def test_store_follows_the_domain_across_migration(self, byte_bed):
+        """A crash of the old host after the move leaves the chain alone;
+        a crash of the new host recovers it."""
+        chain = BackupChain(byte_bed.domain)
+        chain.full_backup()
+        write_blocks(byte_bed, [3, 7])
+        assert byte_bed.migrate().consistency_verified
+
+        did = byte_bed.domain.domain_id
+        assert byte_bed.destination.bitmap_store(
+            did, chain.tracking_name) is chain.store
+        byte_bed.source.crash()
+        byte_bed.source.restart()
+        write_blocks(byte_bed, [9])
+        byte_bed.destination.crash()
+        byte_bed.destination.restart()
+        write_blocks(byte_bed, [11])
+
+        inc = chain.incremental_backup()
+        assert set(inc.indices.tolist()) == {3, 7, 9, 11}
+        assert chain.restore().identical_to(live_vbd(byte_bed))

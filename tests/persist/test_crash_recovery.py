@@ -3,6 +3,9 @@ for: the *source host* dies mid-migration, restarts, recovers the
 block-bitmap from its stable storage, and the retry completes
 incrementally with fewer disk bytes than a from-scratch restart."""
 
+import numpy as np
+import pytest
+
 from repro.core import TRACKING_NAME, MigrationRetrier, RetryPolicy
 from repro.faults import FaultInjector, FaultPlan
 
@@ -37,28 +40,38 @@ class TestHostCrashLifecycle:
         assert (before == after).all()     # the write never landed
         bed.source.restart()
 
-    def test_store_registry_is_per_domain_and_purpose(self, bed):
+    def test_stores_keyed_by_domain_and_name(self, bed):
         did = bed.domain.domain_id
         store = bed.source.bitmap_store(did)
-        assert bed.source.bitmap_store(did) is store
-        assert bed.source.bitmap_store(did, purpose="backup") is not store
+        assert bed.source.bitmap_store(did, TRACKING_NAME) is store
+        assert bed.source.bitmap_store(did, f"backup:{did}") is not store
         assert store.nbits == bed.vbd.nblocks
-        assert not bed.source.has_recoverable_bitmap(did)
+        assert not store.recoverable
 
-    def test_restart_recovers_precopy_store_into_tracking(self, bed):
-        import numpy as np
-
+    @pytest.mark.parametrize("backup", [False, True],
+                             ids=["precopy", "both"])
+    def test_restart_recovers_stores(self, bed, backup):
+        """One rule: every recoverable store comes back under its own
+        tracking name, each a superset of its pending set."""
         did = bed.domain.domain_id
-        store = bed.source.bitmap_store(did)
-        store.open_session(np.asarray([4, 5], dtype=np.int64))
+        pending = {TRACKING_NAME: {4, 5}}
+        if backup:
+            pending[f"backup:{did}"] = {5, 9, 1999}
+        for name, blocks in pending.items():
+            bed.source.bitmap_store(did, name).open_session(
+                np.asarray(sorted(blocks), dtype=np.int64))
         bed.source.crash()
-        assert bed.source.has_recoverable_bitmap(did)
-        bed.source.restart()
         driver = bed.source.driver_of(did)
-        assert driver.has_tracking(TRACKING_NAME)
-        survivor = driver.tracking_bitmap(TRACKING_NAME)
-        assert survivor.recovered
-        assert set(survivor.dirty_indices().tolist()) == {4, 5}
+        assert not driver.is_tracking
+        assert all(bed.source.bitmap_store(did, name).recoverable
+                   for name in pending)
+        bed.source.restart()
+        assert driver.tracking_names() == sorted(pending)
+        for name, blocks in pending.items():
+            survivor = driver.tracking_bitmap(name)
+            assert survivor.recovered
+            assert survivor.store is bed.source.bitmap_store(did, name)
+            assert blocks <= set(survivor.dirty_indices().tolist())
 
     def test_wait_until_up_blocks_until_restart(self, bed):
         bed.source.crash()
@@ -132,8 +145,7 @@ class TestCrashRecoveryMigration:
         report = bed.migrate(cfg)
         assert report.consistency_verified
         assert not report.extra.get("recovered_from_persistence")
-        did = bed.domain.domain_id
-        assert not bed.source.has_recoverable_bitmap(did)
+        assert not bed.source.bitmap_store(bed.domain.domain_id).recoverable
 
     def test_persistence_does_not_change_migration_numbers(self, make_bed):
         """Zero-simulated-cost criterion: persist_bitmap=True must not

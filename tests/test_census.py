@@ -174,8 +174,6 @@ ALLOWED_CALLABLES = {
      "tests/persist/test_store.py"): "c",
     ("repro.storage.vbd.VirtualBlockDevice.read_data",
      "tests/core/test_tpm.py"): "c",
-    ("repro.vm.host.Host.has_recoverable_bitmap",
-     "tests/persist/test_crash_recovery.py"): "c",
     # perfbench's chaos workload reads ``plan.degradations``.
     ("repro.faults.plan.FaultPlan.degrade",
      "tests/faults/test_plan.py"): "d",
