@@ -42,8 +42,9 @@ def main() -> None:
     bed.run_for(maintenance)
     print(f"  {fmt_time(maintenance)} of maintenance; the build pushed "
           f"{fmt_bytes(bed.workload.bytes_processed - before)} meanwhile")
+    # BM_3 is named after the host whose stale copy it describes.
     im_bitmap = bed.destination.driver_of(
-        bed.domain.domain_id).tracking_bitmap("im")
+        bed.domain.domain_id).tracking_bitmap(f"im:{bed.source.name}")
     print(f"  IM bitmap accumulated {im_bitmap.count()} dirty blocks "
           f"({fmt_bytes(im_bitmap.serialized_nbytes())} on the wire)")
 

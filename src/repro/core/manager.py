@@ -15,6 +15,11 @@ disk storage version maintenance to facilitate IM ... among any recently
 used physical machines": one divergence bitmap is maintained per stale
 host and carried across hops, so a VM that travelled A→B→C can still
 return to A incrementally.
+
+A divergence bitmap is registered as ``im:<host>`` and lives exactly as
+long as the stale copy on ``<host>`` it describes: every scheme carries
+it at switch-over like any other bitmap, and after each migration the
+Migrator stops the ones whose stale copy it no longer holds.
 """
 
 from __future__ import annotations
@@ -72,9 +77,6 @@ class Migrator:
         self.topology = Topology(env)
         #: (domain_id, host_name) -> stale VBD left behind on that host.
         self._stale: dict[tuple[int, str], VirtualBlockDevice] = {}
-        #: domain_id -> name of the host the domain most recently left
-        #: (the host its "im" bitmap diverges from).
-        self._im_source: dict[int, str] = {}
         #: (domain_id, host_name) -> partially populated VBD left on that
         #: host by a *failed* migration, reusable by an incremental retry
         #: while the source keeps the surviving tracking bitmap.
@@ -171,8 +173,7 @@ class Migrator:
 
         im_kwargs = {}
         fallback = None
-        partial_key = (domain.domain_id, destination.name)
-        stale_key = (domain.domain_id, destination.name)
+        key = (domain.domain_id, destination.name)
         dest_vbd = None
         src_vbd = source.vbd_of(domain.domain_id)
         if scheme_cls.uses_im:
@@ -185,7 +186,7 @@ class Migrator:
             # the failure and here is ever missed.
             resume = False
             if src_driver.has_tracking(TRACKING_NAME):
-                partial = self._partial.pop(partial_key, None)
+                partial = self._partial.pop(key, None)
                 if partial is not None:
                     resume = True
                     dest_vbd = partial
@@ -199,38 +200,23 @@ class Migrator:
             # Incremental? -- needs a stale copy at the destination AND a
             # live divergence bitmap on the current host recording writes
             # since the domain last left that destination.
-            divergence = self._collect_divergence(domain, src_driver)
-
             im_bitmap = None
-            if not resume and stale_key in self._stale:
-                if destination.name in divergence:
-                    dest_vbd = self._stale.pop(stale_key)
-                    im_bitmap = divergence.pop(destination.name)
+            if not resume and key in self._stale:
+                im_name = f"{IM_TRACKING_NAME}:{destination.name}"
+                if src_driver.has_tracking(im_name):
+                    dest_vbd = self._stale.pop(key)
+                    im_bitmap = src_driver.tracking_bitmap(im_name)
                 else:
+                    # A stale copy lives only as long as its divergence
+                    # bitmap: without it the copy is useless.
+                    del self._stale[key]
                     fallback = (
                         f"stale copy at {destination.name!r} but no "
                         f"divergence bitmap on {source.name!r} (a crash "
                         f"drops it): full copy")
 
-            # Multi-host IM: divergence maps against the *other* stale
-            # hosts keep tracking on the source through pre-copy (they are
-            # still registered there) and are re-registered on the
-            # destination by TPM before resume, so they never miss a write.
-            carried = ({f"{IM_TRACKING_NAME}:{host}": bitmap
-                        for host, bitmap in divergence.items()}
-                       if self.multi_host_im else {})
-
-            # The migration owns "precopy" and the "im" maps; every other
-            # registered bitmap (a backup chain's, say) follows the domain
-            # the same way, so it keeps accumulating across the move (the
-            # tp-qemu backup-with-migration scenario).
-            for name in src_driver.tracking_names():
-                if name.partition(":")[0] not in (TRACKING_NAME,
-                                                  IM_TRACKING_NAME):
-                    carried[name] = src_driver.tracking_bitmap(name)
-
             im_kwargs = dict(im_bitmap=im_bitmap, dest_vbd=dest_vbd,
-                             carried_bitmaps=carried, resume=resume)
+                             resume=resume)
 
         migration = scheme_cls(
             self.env, domain, source, destination, fwd, rev, cfg,
@@ -244,7 +230,7 @@ class Migrator:
             report = yield from migration.run()
         except MigrationFailed as failure:
             if failure.dest_vbd is not None:
-                self._partial[partial_key] = failure.dest_vbd
+                self._partial[key] = failure.dest_vbd
             if failure.report is not None:
                 self.history.append(failure.report)
             raise
@@ -253,23 +239,23 @@ class Migrator:
         # earlier failed attempts of this domain.
         self._drop_partials(domain.domain_id)
 
+        # Bookkeeping for the next IM: after TPM the disk left on the old
+        # source is a stale copy.  Without multi-host IM only it stays
+        # valid (paper: IM acts between the primary destination and the
+        # source); a non-IM scheme moved the domain without starting a
+        # divergence bitmap, so none of this domain's copies stays valid.
+        if not (scheme_cls.uses_im and self.multi_host_im):
+            self._stale = {k: vbd for k, vbd in self._stale.items()
+                           if k[0] != domain.domain_id}
         if scheme_cls.uses_im:
-            # Bookkeeping for the next IM: the disk left on the old source
-            # is now a stale copy.  Without multi-host IM only it stays
-            # valid (paper: IM acts between the primary destination and the
-            # source).
-            if not self.multi_host_im:
-                self._stale = {key: vbd for key, vbd in self._stale.items()
-                               if key[0] != domain.domain_id}
             self._stale[(domain.domain_id, source.name)] = src_vbd
-            self._im_source[domain.domain_id] = source.name
-        else:
-            # A non-IM scheme moved the domain without maintaining any
-            # divergence bitmaps: every remembered stale copy of this
-            # domain's disk is now unusable for incremental migration.
-            self._stale = {key: vbd for key, vbd in self._stale.items()
-                           if key[0] != domain.domain_id}
-            self._im_source.pop(domain.domain_id, None)
+        # A divergence bitmap lives exactly as long as its stale copy.
+        driver = domain.driver
+        for name in driver.tracking_names():
+            prefix, _, host = name.partition(":")
+            if (prefix == IM_TRACKING_NAME
+                    and (domain.domain_id, host) not in self._stale):
+                driver.stop_tracking(name)
 
         self.history.append(report)
         return report
@@ -290,22 +276,6 @@ class Migrator:
             driver = domain.host.driver_of(domain.domain_id)
             if driver.has_tracking(TRACKING_NAME):
                 driver.stop_tracking(TRACKING_NAME)
-
-    def _collect_divergence(self, domain: Domain, src_driver) -> dict:
-        """Divergence bitmaps living on the current host's driver, keyed by
-        the stale-copy host they diverge from."""
-        divergence: dict = {}
-        previous = self._im_source.get(domain.domain_id)
-        if previous is not None and src_driver.has_tracking(IM_TRACKING_NAME):
-            divergence[previous] = src_driver.tracking_bitmap(
-                IM_TRACKING_NAME)
-        if self.multi_host_im:
-            for dom_id, host_name in list(self._stale):
-                name = f"{IM_TRACKING_NAME}:{host_name}"
-                if (dom_id == domain.domain_id and host_name != previous
-                        and src_driver.has_tracking(name)):
-                    divergence[host_name] = src_driver.tracking_bitmap(name)
-        return divergence
 
     def migrate_process(self, domain: Domain, destination: Host,
                         config: Optional[MigrationConfig] = None,

@@ -45,6 +45,7 @@ from ..vm.memory import GuestMemory
 from .config import MigrationConfig
 from .memcopy import MemoryPreCopier
 from .metrics import MigrationReport
+from .precopy import TRACKING_NAME
 from .transfer import PageStreamer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -248,10 +249,25 @@ class MigrationScheme:
                      cpu: Optional[CPUState] = None):
         """Move the frozen domain onto ``vbd`` at the destination and adopt
         the memory image ``streamer`` shipped and the CPU state ``cpu``;
-        returns the destination driver."""
-        domain = self.domain
-        self.source.detach_domain(domain.domain_id)
+        returns the destination driver.
+
+        The one carry rule: every bitmap registered on the source driver
+        but the pre-copy's own follows the domain (a backup chain's, IM
+        divergence maps), and a durable one's store with it, so a crash
+        of the new host recovers it and one of the old host no longer
+        touches it.  No write is missed: the guest is frozen.
+        """
+        domain, source = self.domain, self.source
+        domain_id = domain.domain_id
+        src_driver = source.driver_of(domain_id)
+        carried = {name: src_driver.tracking_bitmap(name)
+                   for name in src_driver.tracking_names()
+                   if name != TRACKING_NAME}
+        source.detach_domain(domain_id)
         driver = self.destination.attach_domain(domain, vbd)
+        for name, bitmap in carried.items():
+            driver.start_tracking(name, bitmap)
+            source.move_bitmap_store(domain_id, name, self.destination)
         if streamer is not None:
             domain.cpu.restore(cpu)
             domain.memory = streamer.dst_mem

@@ -39,8 +39,9 @@ from .transfer import BlockStreamer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Environment
 
-#: Tracking-bitmap name for the IM map (BM_3): writes on the destination
-#: after resume, consumed by the next migration back.
+#: Tracking-name prefix of the IM map (BM_3): ``im:<host>`` records the
+#: writes since the domain left ``<host>``, whose stale copy it describes,
+#: and is consumed by the next migration back there.
 IM_TRACKING_NAME = "im"
 
 
@@ -62,26 +63,19 @@ class ThreePhaseMigration(MigrationScheme):
         im_bitmap: Optional[BlockBitmap] = None,
         dest_vbd: Optional[VirtualBlockDevice] = None,
         workload_name: str = "unknown",
-        carried_bitmaps: Optional[dict] = None,
         resume: bool = False,
     ) -> None:
         super().__init__(env, domain, source, destination, fwd_channel,
                          rev_channel, config, workload_name)
-        #: IM: the live divergence bitmap (writes since the domain left
-        #: the destination) whose dirty set the first iteration transfers;
-        #: None = the whole device.  It keeps tracking through the init
-        #: handshake and is read only when pre-copy tracking starts, so a
-        #: write in between is never missed.
+        #: IM: the live divergence bitmap ``im:<destination>`` (writes
+        #: since the domain left the destination) whose dirty set the
+        #: first iteration transfers; None = the whole device.  It keeps
+        #: tracking through the init handshake and is stopped and read
+        #: only when pre-copy tracking starts, so a write in between is
+        #: never missed.
         self.im_bitmap = im_bitmap
         #: IM: reuse this stale VBD on the destination (None = fresh one).
         self.dest_vbd = dest_vbd
-        #: Bitmaps that follow the domain, by tracking name (multi-host
-        #: IM divergence maps, and every bitmap the migration does not
-        #: own, e.g. a backup chain's): re-registered on the destination
-        #: driver before resume so no post-resume write is missed.  They
-        #: stayed registered on the source driver through pre-copy, so
-        #: pre-resume writes are already in them.
-        self.carried_bitmaps = carried_bitmaps or {}
         #: True when retrying a failed attempt: the disk pre-copy adopts
         #: the surviving ``"precopy"`` bitmap instead of registering a
         #: fresh one and copying the whole device.
@@ -192,8 +186,13 @@ class ThreePhaseMigration(MigrationScheme):
         self._block_streamer = block_streamer
         # No yield from here to the pre-copier's start_tracking: every
         # write lands either in this snapshot or in the tracking bitmap.
-        initial_indices = (self.im_bitmap.dirty_indices()
-                           if self.im_bitmap is not None else None)
+        # The consumed divergence map stops here: its stale copy is this
+        # migration's destination VBD from now on.
+        initial_indices = None
+        if self.im_bitmap is not None:
+            src_driver.stop_tracking(
+                f"{IM_TRACKING_NAME}:{self.destination.name}")
+            initial_indices = self.im_bitmap.dirty_indices()
         if (initial_indices is None and cfg.guest_aware
                 and self.dest_vbd is None and not self.resume):
             # Guest-aware first iteration (§VII): never-written blocks
@@ -295,18 +294,12 @@ class ThreePhaseMigration(MigrationScheme):
                                          leaf_bits=cfg.leaf_bits)
         transferred_bitmap.set_many(bitmap_msg.dirty_indices)
 
-        # BM_3: new writes on the destination, for a later IM (§V).
+        # BM_3: new writes on the destination, for a later IM (§V) back
+        # to the source, whose disk is now the stale copy.
         dst_driver.start_tracking(
-            IM_TRACKING_NAME,
+            f"{IM_TRACKING_NAME}:{self.source.name}",
             make_bitmap(dest_vbd.nblocks, cfg.bitmap_layout,
                         leaf_bits=cfg.leaf_bits))
-        # Carried bitmaps follow the domain, and a durable one's store
-        # with it: a crash of the new host recovers it, one of the old
-        # host no longer touches it.
-        for name, bitmap in self.carried_bitmaps.items():
-            dst_driver.start_tracking(name, bitmap)
-            self.source.move_bitmap_store(domain.domain_id, name,
-                                          self.destination)
 
         synchronizer = PostCopySynchronizer(
             env, self.source.disk, src_vbd, self.destination.disk, dest_vbd,

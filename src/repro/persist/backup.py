@@ -11,8 +11,11 @@ The tracking bitmap is a :class:`~repro.persist.tracked.PersistentBitmap`
 registered under ``backup:<domain-id>`` and journaling into the store of
 that name on the domain's host.  The chain owns neither its recovery nor
 its carrying: the host recovers every durable tracking bitmap after a
-crash, and a live migration carries every bitmap it does not own, store
-and all, so the chain keeps accumulating deltas across both.
+crash, and every migration scheme carries every bitmap but the pre-copy
+one at switch-over, store and all, so the chain keeps accumulating deltas
+across both.  A backup is refused while a migration still synchronizes
+the disk (post-copy, an on-demand fetch, a delta replay): blocks not yet
+delivered would be captured with no content.
 """
 
 from __future__ import annotations
@@ -108,7 +111,15 @@ class BackupChain:
         return host.driver_of(self.domain.domain_id)
 
     def _vbd(self) -> VirtualBlockDevice:
-        return self.domain.host.vbd_of(self.domain.domain_id)
+        """The live disk, refused while a migration still fills it: a
+        block not yet delivered holds no content the guest wrote."""
+        driver = self._driver()
+        if driver.interceptor is not None:
+            raise PersistError(
+                f"cannot back up {self.domain.name!r} while a migration "
+                "is still synchronizing its disk: its driver intercepts "
+                "guest I/O until every block is local")
+        return driver.vbd
 
     @property
     def bitmap(self) -> PersistentBitmap:

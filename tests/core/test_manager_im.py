@@ -1,8 +1,9 @@
 """Unit tests for the Migrator façade and Incremental Migration logic."""
 
+import numpy as np
 import pytest
 
-from repro.core import Migrator
+from repro.core import IM_TRACKING_NAME, SCHEMES, Migrator
 from repro.errors import MigrationError
 from repro.sim import Environment
 from repro.storage import PhysicalDisk
@@ -190,5 +191,58 @@ class TestMultiHostIM:
         assert sent >= 2                    # both hop-writes included
         assert back.consistency_verified
 
+    def test_stale_copy_dies_with_its_divergence_bitmap(self, bed):
+        """A crash drops ``im:source``: the back migration is a full copy,
+        and the Migrator no longer claims a stale copy on the host the
+        domain now runs on."""
+        self._ring(bed)
+        self._go(bed, bed.destination)      # A -> B
+        bed.destination.crash()
+        bed.destination.restart()
+        back = self._go(bed, bed.source)    # B -> A, stated full copy
+        assert "divergence bitmap" in back.extra["im_fallback"]
+        assert not bed.migrator.has_stale_copy(bed.domain, bed.source)
+        assert bed.migrator.has_stale_copy(bed.domain, bed.destination)
+
     def test_disabled_by_default(self, bed):
         assert not bed.migrator.multi_host_im
+
+
+class TestDivergenceLifetime:
+    """A divergence bitmap ``im:<h>`` lives exactly as long as the stale
+    copy on ``h`` it describes, whatever the schemes of a walk."""
+
+    @pytest.mark.parametrize("multi", [False, True],
+                             ids=["single-host", "multi-host"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_im_names_follow_stale_copies(self, bed, seed, multi):
+        third = Host(bed.env, "third",
+                     PhysicalDisk(bed.env, 100 * MiB, 100 * MiB, 0.1e-3),
+                     bed.clock)
+        bed.migrator.multi_host_im = multi
+        bed.migrator.connect(bed.destination, third)
+        bed.migrator.connect(third, bed.source)
+        hosts = [bed.source, bed.destination, third]
+        baselines = sorted(set(SCHEMES) - {"tpm"})
+        bed.random_writer(region=(0, 300), interval=0.005)
+        rng = np.random.default_rng(seed)
+        for hop in range(int(rng.integers(4, 7))):
+            others = [h for h in hosts if h is not bed.domain.host]
+            destination = others[int(rng.integers(len(others)))]
+            # TPM on most hops, so IM chains form between the baselines.
+            scheme = ("tpm" if rng.random() < 0.6
+                      else baselines[int(rng.integers(len(baselines)))])
+            had_stale = bed.migrator.has_stale_copy(bed.domain, destination)
+            proc = bed.migrator.migrate_process(bed.domain, destination,
+                                                scheme=scheme)
+            report = bed.env.run(until=proc)
+            where = f"hop {hop}: {scheme} to {destination.name}"
+            assert report.consistency_verified, where
+            if scheme == "tpm":
+                assert report.incremental == had_stale, where
+            im_names = {name for name in bed.domain.driver.tracking_names()
+                        if name.startswith(f"{IM_TRACKING_NAME}:")}
+            stale = {f"{IM_TRACKING_NAME}:{h.name}" for h in hosts
+                     if bed.migrator.has_stale_copy(bed.domain, h)}
+            assert im_names == stale, where
+            bed.env.run(until=bed.env.now + 0.2)

@@ -45,9 +45,12 @@ class TestQuietMigration:
         assert report.downtime < 0.05 * report.total_migration_time
 
     def test_im_tracking_started_on_destination(self, bed):
+        """BM_3 is named after the host whose stale copy it describes."""
         bed.migrate()
         driver = bed.destination.driver_of(bed.domain.domain_id)
-        assert driver.tracking_bitmap(IM_TRACKING_NAME).count() == 0
+        assert driver.tracking_names() == [f"{IM_TRACKING_NAME}:source"]
+        assert driver.tracking_bitmap(
+            f"{IM_TRACKING_NAME}:source").count() == 0
 
     def test_migrating_from_wrong_host_rejected(self, bed):
         from repro.core import ThreePhaseMigration

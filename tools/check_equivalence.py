@@ -6,7 +6,8 @@ dirty-marking, ...) is only admissible when it is *behavior-preserving*:
 the optimized simulator must produce :class:`~repro.core.MigrationReport`
 objects bit-identical to fixtures captured before the optimization.  This
 script runs a fixed set of deterministic scenarios — all five migration
-schemes in ``SCHEMES``, one fault-injected incremental-retry run, two
+schemes in ``SCHEMES``, one fault-injected incremental-retry run, one
+incremental-migration walk among three ring-wired hosts, two
 cluster waves (sharded against monolithic, and a HostManager placement
 burst through a host crash and a maintenance window), and a delta-cached
 transfer stack at two cache sizes — and compares every field of every
@@ -82,6 +83,51 @@ def _run_fault_retry() -> dict:
     return {"report": _report_dict(report),
             "final_now": bed.env.now,
             "workload_bytes": bed.workload.bytes_processed}
+
+
+#: The IM scenario's hops as (host label, scheme); "A" is the testbed's
+#: source.  A ring A->B->C->A, a B->A round trip, then one non-IM hop.
+_IM_HOPS = (("B", "tpm"), ("C", "tpm"), ("A", "tpm"), ("B", "tpm"),
+            ("A", "tpm"), ("C", "freeze-and-copy"))
+#: Which of those hops are incremental, per ``multi_host_im`` setting.
+_IM_EXPECTED = {True: [False, False, True, True, True, False],
+                False: [False, False, False, False, True, False]}
+
+
+def _run_im_ring() -> dict:
+    """Incremental migration among three ring-wired hosts with a writer,
+    under multi-host IM and under the paper's single-host IM.  Pins which
+    divergence bitmap each hop consumes, so a change to how they are
+    named, carried or pruned shows up as a changed report."""
+    from repro.analysis.experiments import build_testbed
+    from repro.cluster.testbed import cluster_host
+
+    runs = {}
+    for label, multi in (("multi-host", True), ("single-host", False)):
+        bed = build_testbed("specweb", scale=0.01, seed=0)
+        bed.migrator.multi_host_im = multi
+        third = cluster_host(bed.env, "third", bed.source.clock)
+        bed.migrator.connect(bed.destination, third)
+        bed.migrator.connect(third, bed.source)
+        hosts = {"A": bed.source, "B": bed.destination, "C": third}
+        bed.start_workload()
+        reports = []
+        for host, scheme in _IM_HOPS:
+            bed.run_for(2.0)
+            proc = bed.migrator.migrate_process(
+                bed.domain, hosts[host], workload_name=bed.workload.name,
+                scheme=scheme)
+            reports.append(bed.env.run(until=proc))
+        incremental = [report.incremental for report in reports]
+        if incremental != _IM_EXPECTED[multi]:
+            raise AssertionError(
+                f"IM ring ({label}) took incremental hops {incremental}, "
+                f"expected {_IM_EXPECTED[multi]}; fixture would be "
+                "meaningless")
+        runs[label] = {"reports": [_report_dict(r) for r in reports],
+                       "final_now": bed.env.now,
+                       "workload_bytes": bed.workload.bytes_processed}
+    return runs
 
 
 #: The sharded-equivalence wave: (VM name, destination host name).
@@ -250,6 +296,7 @@ def scenarios() -> dict:
         table[f"scheme:{scheme}"] = (
             lambda scheme=scheme: _run_scheme(scheme))
     table["fault-retry:incremental"] = _run_fault_retry
+    table["im:multi-host-ring"] = _run_im_ring
     table["cluster:sharded-vs-monolithic"] = _run_sharded_cluster
     table["cluster:placement-burst"] = _run_placement_burst
     table["transfer:delta-stack"] = _run_delta_stack
